@@ -14,6 +14,15 @@
 // server that lost its duplicate filter MAY re-execute -- the oracle reports
 // it, and pure-crash plans (no message loss) must still show zero.
 //
+// Storage: ids are (stream << 32) | index, one stream per id allocator
+// (NextCallId is stream 0; each OpenLoopGen owns one). Issuing an id extends
+// its stream's dense array of 16-byte records, so recording a call costs no
+// allocation beyond the array's amortized growth. A call's second and later
+// executions spill into a side table. Ids no stream covers -- corrupted ids
+// off the wire, or arbitrary ones handed to RecordIssued -- live in a sparse
+// table and never grow the dense arrays; issuing an id the sparse table
+// already holds moves its record into the dense array.
+//
 // Thread-safety: recording methods take a mutex because under the parallel
 // engine the client and server run on different logical processes. All
 // bookkeeping is content-addressed by call id, so totals are deterministic
@@ -23,12 +32,11 @@
 #define XK_SRC_APP_ORACLE_H_
 
 #include <cstdint>
-#include <map>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "src/app/anchor.h"
+#include "src/core/flat_table.h"
 #include "src/core/message.h"
 
 namespace xk {
@@ -97,22 +105,60 @@ class AmoOracle {
   // returned): only then can "no outcome" be judged silent.
   Report Finish() const;
 
+  // --- introspection (tests and debugging) ---
+  // Record slots in the dense stream arrays, and records in the sparse table.
+  size_t dense_records() const;
+  size_t sparse_records() const;
+
  private:
-  struct CallRecord {
-    bool issued = false;
-    bool completed = false;
-    bool failed = false;
-    bool mismatched = false;
-    bool hedged = false;
-    StatusCode fail_code = StatusCode::kOk;  // classifies `failed`
-    // (host, boot id) at each execution; the host lets a hedged id's
-    // two-replica race be told apart from a same-server duplicate.
-    std::vector<std::pair<const Kernel*, uint32_t>> executed;
+  // Streams at or above this, and ids issued more than kMaxDenseGap past
+  // their stream's end, are recorded in the sparse table.
+  static constexpr uint64_t kMaxDenseStreams = 1024;
+  static constexpr uint64_t kMaxDenseGap = 1024;
+
+  enum Flag : uint8_t {
+    kIssued = 1 << 0,
+    kCompleted = 1 << 1,
+    kFailed = 1 << 2,
+    kMismatched = 1 << 3,
+    kHedged = 1 << 4,
+    kSpilled = 1 << 5,  // executions after the first are in spilled_
   };
+
+  // (host, boot id) of one execution; the host lets a hedged id's
+  // two-replica race be told apart from a same-server duplicate.
+  struct Execution {
+    const Kernel* host = nullptr;
+    uint32_t boot = 0;
+  };
+
+  struct CallRecord {
+    const Kernel* host = nullptr;  // first execution (null: never executed)
+    uint32_t boot = 0;
+    uint8_t flags = 0;
+    StatusCode fail_code = StatusCode::kOk;  // classifies kFailed
+
+    // A record nothing has touched; a recorded id never reads as empty.
+    bool empty() const { return flags == 0 && host == nullptr; }
+  };
+  static_assert(sizeof(CallRecord) == 16);
+
+  // The record for `id`, or null when no stream covers it and the sparse
+  // table has none. Never inserts.
+  const CallRecord* Find(uint64_t id) const;
+  // The record for `id`, created empty if absent.
+  CallRecord& Touch(uint64_t id);
+  // Extends id's stream to cover it when it is within reach of the stream's
+  // end, absorbing any sparse records the extension now covers.
+  void CoverDense(uint64_t id);
+  // Adds one call's counts to `rep`.
+  void Tally(uint64_t id, const CallRecord& rec, Report& rep) const;
 
   mutable std::mutex mu_;
   uint64_t last_id_ = 0;
-  std::map<uint64_t, CallRecord> calls_;
+  std::vector<std::vector<CallRecord>> streams_;  // [id >> 32][id & 0xffffffff]
+  FlatTable<uint64_t, CallRecord> sparse_;
+  FlatTable<uint64_t, std::vector<Execution>> spilled_;  // in execution order
   uint64_t unknown_replies_ = 0;
 };
 

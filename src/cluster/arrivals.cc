@@ -232,6 +232,40 @@ SimTime OpenLoopGen::NextArrivalAfter(SimTime t) {
   return spec_.horizon;
 }
 
+void OpenLoopGen::OnDone(uint64_t seq, const Result<Message>& r) {
+  const uint64_t id = id_base_ | seq;
+  const SimTime at = issued_at_[seq - 1];
+  const auto phase = static_cast<size_t>(PhaseIndexFor(at));
+  const SimTime done_at = kernel_.now();
+  if (TraceSink* ts = kernel_.trace_sink()) {
+    ts->RecordEvent(kernel_, TraceOp::kDone, "gen", done_at, id, r.ok() ? &*r : nullptr, nullptr,
+                    0, r.ok() ? StatusCode::kOk : r.status().code());
+  }
+  oracle_.RecordOutcome(id, r, done_at);
+  rtt_.Record(done_at - at);
+  last_done_at_ = std::max(last_done_at_, done_at);
+  if (r.ok()) {
+    ++completed_;
+    ++phases_[phase].completed;
+    return;
+  }
+  ++failed_;
+  ++phases_[phase].failed;
+  switch (r.status().code()) {
+    case StatusCode::kDeadlineExceeded:
+      ++shed_;
+      break;
+    case StatusCode::kBusy:
+      ++rejected_;
+      break;
+    case StatusCode::kResourceExhausted:
+      ++budget_exhausted_;
+      break;
+    default:
+      break;
+  }
+}
+
 int OpenLoopGen::PhaseIndexFor(SimTime issue_at) const {
   if (phase_until_ <= phase_from_) {
     return 0;
@@ -262,8 +296,8 @@ void OpenLoopGen::IssueAt(SimTime at) {
 
   const uint64_t id = id_base_ | ++seq_;
   ++issued_;
-  const int phase = PhaseIndexFor(at);
-  ++phases_[static_cast<size_t>(phase)].issued;
+  issued_at_.push_back(at);
+  ++phases_[static_cast<size_t>(PhaseIndexFor(at))].issued;
   oracle_.RecordIssued(id, at);
   Message request = AmoOracle::MakeRequest(id, payload_bytes_);
   if (deadline_ > 0) {
@@ -275,38 +309,9 @@ void OpenLoopGen::IssueAt(SimTime at) {
     // bind the request message's trace id to the oracle call id.
     ts->RecordEvent(kernel_, TraceOp::kIssue, "gen", at, id, &request, nullptr, 0);
   }
+  // Two words of capture: the closure fits std::function's inline storage.
   client_.Call(service_, command_, id, std::move(request),
-               [this, id, at, phase](Result<Message> r) {
-                 const SimTime done_at = kernel_.now();
-                 if (TraceSink* ts = kernel_.trace_sink()) {
-                   ts->RecordEvent(kernel_, TraceOp::kDone, "gen", done_at, id,
-                                   r.ok() ? &*r : nullptr, nullptr, 0,
-                                   r.ok() ? StatusCode::kOk : r.status().code());
-                 }
-                 oracle_.RecordOutcome(id, r, done_at);
-                 rtt_.Record(done_at - at);
-                 last_done_at_ = std::max(last_done_at_, done_at);
-                 if (r.ok()) {
-                   ++completed_;
-                   ++phases_[static_cast<size_t>(phase)].completed;
-                 } else {
-                   ++failed_;
-                   ++phases_[static_cast<size_t>(phase)].failed;
-                   switch (r.status().code()) {
-                     case StatusCode::kDeadlineExceeded:
-                       ++shed_;
-                       break;
-                     case StatusCode::kBusy:
-                       ++rejected_;
-                       break;
-                     case StatusCode::kResourceExhausted:
-                       ++budget_exhausted_;
-                       break;
-                     default:
-                       break;
-                   }
-                 }
-               });
+               [this, seq = seq_](Result<Message> r) { OnDone(seq, r); });
 
   if (spec_.churn_every > 0 && seq_ % static_cast<uint64_t>(spec_.churn_every) == 0) {
     client_.Evict(service_, command_);

@@ -16,6 +16,7 @@
 #define XK_SRC_CLUSTER_ARRIVALS_H_
 
 #include <string>
+#include <vector>
 
 #include "src/cluster/client.h"
 #include "src/core/kernel.h"
@@ -98,6 +99,7 @@ class OpenLoopGen {
   SimTime NextArrivalAfter(SimTime t);
   SimTime ExpGap(double rate_cps);
   void IssueAt(SimTime at);
+  void OnDone(uint64_t seq, const Result<Message>& r);
   int PhaseIndexFor(SimTime issue_at) const;
 
   Kernel& kernel_;
@@ -113,6 +115,7 @@ class OpenLoopGen {
   SimTime phase_until_ = 0;
   SimTime deadline_ = 0;
   uint64_t seq_ = 0;
+  std::vector<SimTime> issued_at_;  // arrival time of each call, by seq - 1
   uint64_t issued_ = 0;
   uint64_t completed_ = 0;
   uint64_t failed_ = 0;

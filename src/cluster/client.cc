@@ -1,5 +1,7 @@
 #include "src/cluster/client.h"
 
+#include <algorithm>
+
 #include "src/app/oracle.h"
 #include "src/trace/trace.h"
 
@@ -28,56 +30,48 @@ void ClusterClient::Call(IpAddr service, uint16_t command, uint64_t id, Message 
     sess = *r;
     session_cache_[{service, command}] = sess;
   }
-  PendingCall& entry = outstanding_[sess.get()][id];
+  const std::tuple<Session*, uint64_t> key{sess.get(), id};
+  PendingCall& entry = *pending_.TryEmplace(key).first;
   entry.done = std::move(done);
   entry.issued_at = kernel().now();
   if (hedge_base_delay_ > 0) {
     entry.args = args;  // keep a copy: Push consumes/extends the original
   }
   Status pushed = sess->Push(args);
-  // Re-find after the push: our own synchronous-failure path below is the
-  // only eraser, but map nodes are stable so the reference would dangle only
-  // if this id settled, which a not-yet-delivered push cannot do.
-  auto oit = outstanding_.find(sess.get());
-  if (oit == outstanding_.end()) {
-    return;
-  }
-  auto cit = oit->second.find(id);
-  if (cit == oit->second.end()) {
+  // Re-find after the push: a synchronous error upcall may already have
+  // settled this id, and any erase may have moved the table's buckets.
+  PendingCall* pc = pending_.Find(key);
+  if (pc == nullptr) {
     return;
   }
   if (!pushed.ok()) {
     // Synchronous failure (every replica down, or all capped): nothing went
     // out, so the id is still ours to complete directly.
-    RpcDone cb = std::move(cit->second.done);
-    oit->second.erase(cit);
+    RpcDone cb = std::move(pc->done);
+    pending_.Erase(key);
     ++calls_failed_;
     cb(pushed);
     return;
   }
   if (hedge_base_delay_ > 0) {
-    PendingCall& pc = cit->second;
     ControlArgs cargs;
     if (rpc_->Control(ControlOp::kGetLastPick, cargs).ok()) {
-      pc.primary_pick = static_cast<int>(static_cast<int64_t>(cargs.u64));
+      pc->primary_pick = static_cast<int>(static_cast<int64_t>(cargs.u64));
     }
     const SimTime delay =
         rtt_.count() >= kHedgeMinSamples ? rtt_.P99() : hedge_base_delay_;
     Session* sp = sess.get();
-    pc.hedge_timer = kernel().SetTimer(delay, [this, sp, id] { FireHedge(sp, id); });
+    pc->hedge_timer = kernel().SetTimer(delay, [this, sp, id] { FireHedge(sp, id); });
   }
 }
 
 void ClusterClient::FireHedge(Session* sess, uint64_t id) {
-  auto oit = outstanding_.find(sess);
-  if (oit == outstanding_.end()) {
-    return;
-  }
-  auto cit = oit->second.find(id);
-  if (cit == oit->second.end()) {
+  const std::tuple<Session*, uint64_t> key{sess, id};
+  PendingCall* found = pending_.Find(key);
+  if (found == nullptr) {
     return;  // settled while the timer was in flight
   }
-  PendingCall& pc = cit->second;
+  PendingCall& pc = *found;
   pc.hedged = true;
   ++pc.attempts;
   ++hedges_;
@@ -98,8 +92,11 @@ void ClusterClient::FireHedge(Session* sess, uint64_t id) {
   Status pushed = sess->Push(copy);
   if (!pushed.ok()) {
     // No second replica to hedge onto (capped, avoided, or down): the
-    // primary attempt stands alone again.
-    --pc.attempts;
+    // primary attempt stands alone again. Re-found: the push may have moved
+    // the table's buckets.
+    if (PendingCall* again = pending_.Find(key)) {
+      --again->attempts;
+    }
   }
 }
 
@@ -117,20 +114,14 @@ void ClusterClient::Evict(IpAddr service, uint16_t command) {
 
 Status ClusterClient::DoDemux(Session* lls, Message& msg) {
   kernel().Charge(app_cost_);
-  auto it = outstanding_.find(lls);
-  if (it == outstanding_.end()) {
-    return ErrStatus(StatusCode::kNotFound);
-  }
   const uint64_t id = AmoOracle::ExtractId(msg);
-  auto cit = it->second.find(id);
-  if (cit == it->second.end()) {
+  PendingCall pc;
+  if (!pending_.Take({lls, id}, &pc)) {
     // The reply beat us here after its call already failed, or the other
     // hedge attempt won. Count it; don't misdeliver.
     ++late_replies_;
     return OkStatus();
   }
-  PendingCall pc = std::move(cit->second);
-  it->second.erase(cit);
   if (hedge_base_delay_ > 0 && !pc.hedged) {
     // Primary settled before the hedge delay elapsed: the common case.
     kernel().CancelTimer(pc.hedge_timer);
@@ -151,26 +142,33 @@ void ClusterClient::SessionError(Session& lls, Status error) {
 }
 
 void ClusterClient::SessionCallError(Session& lls, Status error, const Message* request) {
-  auto it = outstanding_.find(&lls);
-  if (it == outstanding_.end() || it->second.empty()) {
-    return;
-  }
   // The failing request's first 8 bytes are the call id, so out-of-order
   // rejects complete the right call. Without a request (legacy SessionError)
-  // fall back to the oldest outstanding id -- CHANNEL surfaces giveups in
-  // issue order.
-  auto cit = it->second.begin();
-  if (request != nullptr) {
-    const uint64_t id = AmoOracle::ExtractId(*request);
-    cit = it->second.find(id);
-    if (cit == it->second.end()) {
+  // fall back to the session's lowest outstanding id -- CHANNEL surfaces
+  // giveups in issue order.
+  uint64_t id = request != nullptr ? AmoOracle::ExtractId(*request) : 0;
+  if (request == nullptr || !pending_.Contains({&lls, id})) {
+    bool any = false;
+    uint64_t lowest = UINT64_MAX;
+    pending_.ForEach([&](const std::tuple<Session*, uint64_t>& key, const PendingCall&) {
+      if (std::get<0>(key) == &lls) {
+        any = true;
+        lowest = std::min(lowest, std::get<1>(key));
+      }
+    });
+    if (!any) {
+      return;  // nothing outstanding on this session
+    }
+    if (request != nullptr) {
       // This attempt's call already settled (its hedge twin won, or the
       // reply raced the error). Nothing left to complete.
       ++late_replies_;
       return;
     }
+    id = lowest;
   }
-  PendingCall& pc = cit->second;
+  const std::tuple<Session*, uint64_t> key{&lls, id};
+  PendingCall& pc = *pending_.Find(key);
   if (pc.attempts > 1) {
     // One attempt died; its twin is still in flight and may yet win.
     --pc.attempts;
@@ -180,7 +178,7 @@ void ClusterClient::SessionCallError(Session& lls, Status error, const Message* 
     kernel().CancelTimer(pc.hedge_timer);
   }
   RpcDone done = std::move(pc.done);
-  it->second.erase(cit);
+  pending_.Erase(key);
   ++calls_failed_;
   done(error);
 }
@@ -195,12 +193,7 @@ void ClusterClient::ExportCounters(const CounterEmit& emit) const {
 }
 
 void ClusterClient::ExportGauges(const CounterEmit& emit) const {
-  uint64_t outstanding = 0;
-  for (const auto& [sess, by_id] : outstanding_) {
-    (void)sess;
-    outstanding += by_id.size();
-  }
-  emit("outstanding_calls", outstanding);
+  emit("outstanding_calls", pending_.size());
 }
 
 Status ClusterClient::DoControl(ControlOp op, ControlArgs& args) {

@@ -7,12 +7,16 @@
 // replies by the 8-byte big-endian call id at the head of every oracle-format
 // request/reply (AmoOracle::MakeRequest layout) instead of by queue position.
 //
+// Pending calls sit in one flat table keyed by (session, call id), so a call
+// costs no heap allocation once the table has reached its size.
+//
 // Errors: the SessionCallError upcall carries the failing request, whose
 // first 8 bytes are the call id, so failures complete the exact call that
 // died even when rejects arrive out of issue order. A legacy SessionError
-// (no request) falls back to completing the oldest outstanding id. A reply
-// for an id that already failed is counted in `late_replies` and dropped;
-// at-most-once stays observable because failure outcomes need no echo match.
+// (no request) falls back to completing the session's lowest outstanding id.
+// A reply for an id that is no longer pending (it already failed, or its
+// hedge twin won) is counted in `late_replies` and dropped; at-most-once stays
+// observable because failure outcomes need no echo match.
 //
 // Hedged requests (set_hedge_delay): when the primary attempt has not settled
 // after the hedge delay -- the client's own observed p99 RTT once it has
@@ -26,9 +30,11 @@
 #define XK_SRC_CLUSTER_CLIENT_H_
 
 #include <map>
+#include <tuple>
 #include <utility>
 
 #include "src/app/anchor.h"
+#include "src/core/flat_table.h"
 #include "src/core/kernel.h"
 #include "src/core/protocol.h"
 
@@ -98,8 +104,7 @@ class ClusterClient : public Protocol {
   SimTime hedge_base_delay_ = 0;
   std::function<void(uint64_t)> hedge_notify_;
   std::map<std::pair<IpAddr, uint16_t>, SessionRef> session_cache_;
-  // Ordered by id within each session, so "oldest outstanding" = begin().
-  std::map<Session*, std::map<uint64_t, PendingCall>> outstanding_;
+  FlatTable<std::tuple<Session*, uint64_t>, PendingCall> pending_;
   Histogram rtt_;
   uint64_t calls_completed_ = 0;
   uint64_t calls_failed_ = 0;

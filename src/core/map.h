@@ -6,22 +6,18 @@
 // high-level protocol). Every Resolve charges map_resolve and every Bind
 // charges map_bind, so demux costs are accounted uniformly across protocols.
 //
-// Like the real map tool this is a hash table: open addressing with linear
-// probing over a power-of-two bucket array, keyed through the XkHash/XkEq
-// customization points (src/core/hash.h). Erased buckets become tombstones so
-// probe chains stay intact; the table rehashes when full + tombstone buckets
-// pass a 70% load factor. Demux on the datapath is therefore one probe over
-// a contiguous array -- no node allocation, no pointer chasing.
+// Like the real map tool this is a hash table: the repository's one
+// open-addressing table, FlatTable (src/core/flat_table.h), which this class
+// wraps with the map tool's charges and the owner's hit/miss counters. Demux
+// on the datapath is therefore one probe over a contiguous array -- no node
+// allocation, no pointer chasing.
 
 #ifndef XK_SRC_CORE_MAP_H_
 #define XK_SRC_CORE_MAP_H_
 
-#include <algorithm>
-#include <cassert>
 #include <utility>
-#include <vector>
 
-#include "src/core/hash.h"
+#include "src/core/flat_table.h"
 #include "src/core/kernel.h"
 #include "src/core/protocol.h"
 
@@ -42,25 +38,25 @@ class DemuxMap {
   // Value (null SessionRef) on miss.
   Value Resolve(const Key& key) {
     kernel_.ChargeMapResolve();
-    const size_t i = FindIndex(key);
+    const Value* v = table_.Find(key);
     if (counters_ != nullptr) {
-      ++(i == kNpos ? counters_->map_misses : counters_->map_hits);
+      ++(v == nullptr ? counters_->map_misses : counters_->map_hits);
     }
-    return i == kNpos ? Value{} : buckets_[i].value;
+    return v == nullptr ? Value{} : *v;
   }
 
   // Lookup without charging (configuration-time bookkeeping, not datapath).
   Value Peek(const Key& key) const {
-    const size_t i = FindIndex(key);
-    return i == kNpos ? Value{} : buckets_[i].value;
+    const Value* v = table_.Find(key);
+    return v == nullptr ? Value{} : *v;
   }
 
-  bool Contains(const Key& key) const { return FindIndex(key) != kNpos; }
+  bool Contains(const Key& key) const { return table_.Contains(key); }
 
   // Installs `key -> value`, charging one map_bind. Overwrites.
   void Bind(const Key& key, Value value) {
     kernel_.ChargeMapBind();
-    InsertOrAssign(key, std::move(value), /*overwrite=*/true, nullptr);
+    *table_.TryEmplace(key).first = std::move(value);
   }
 
   // Single-probe insert-if-absent, replacing the Peek-then-Bind pattern.
@@ -68,9 +64,14 @@ class DemuxMap {
   // otherwise charges nothing -- exactly what the probe-then-install pair
   // cost -- and copies the incumbent into *existing when non-null.
   bool TryBind(const Key& key, Value value, Value* existing = nullptr) {
-    if (InsertOrAssign(key, std::move(value), /*overwrite=*/false, existing)) {
+    auto [slot, inserted] = table_.TryEmplace(key);
+    if (inserted) {
+      *slot = std::move(value);
       kernel_.ChargeMapBind();
       return true;
+    }
+    if (existing != nullptr) {
+      *existing = *slot;
     }
     return false;
   }
@@ -79,11 +80,7 @@ class DemuxMap {
   // removal, per-call channel release) is accounted like installation.
   void Unbind(const Key& key) {
     kernel_.ChargeMapUnbind();
-    const size_t i = FindIndex(key);
-    if (i == kNpos) {
-      return;
-    }
-    EraseBucket(i);
+    table_.Erase(key);
   }
 
   // Removes `key` and returns its value in one probe (default-constructed
@@ -91,184 +88,32 @@ class DemuxMap {
   // map_unbind, like Unbind.
   Value Take(const Key& key) {
     kernel_.ChargeMapUnbind();
-    const size_t i = FindIndex(key);
-    if (i == kNpos) {
-      return Value{};
-    }
-    Value out = std::move(buckets_[i].value);
-    EraseBucket(i);
+    Value out{};
+    table_.Take(key, &out);
     return out;
   }
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  size_t size() const { return table_.size(); }
+  bool empty() const { return table_.empty(); }
 
   // --- introspection (tests and debugging, not part of the map-tool API) ---
 
-  size_t capacity() const { return buckets_.size(); }
-  size_t tombstones() const { return tombstones_; }
+  size_t capacity() const { return table_.capacity(); }
+  size_t tombstones() const { return table_.tombstones(); }
 
-  // Buckets a lookup of `key` visits (>= 1 on a non-empty table). Counts the
-  // terminating bucket too, so a first-probe hit is 1.
-  size_t ProbeLength(const Key& key) const {
-    if (buckets_.empty()) {
-      return 0;
-    }
-    const size_t mask = buckets_.size() - 1;
-    size_t n = 0;
-    for (size_t i = ProbeStart(key);; i = (i + 1) & mask) {
-      ++n;
-      const Bucket& b = buckets_[i];
-      if (b.state == kEmpty || (b.state == kFull && Eq{}(b.key, key))) {
-        return n;
-      }
-    }
-  }
+  // Buckets a lookup of `key` visits (>= 1 on a non-empty table).
+  size_t ProbeLength(const Key& key) const { return table_.ProbeLength(key); }
 
   // Longest probe chain over every bound key: the worst-case demux cost the
   // table currently offers. Tombstone buildup shows up here first.
-  size_t MaxProbeLength() const {
-    size_t worst = 0;
-    for (const Bucket& b : buckets_) {
-      if (b.state == kFull) {
-        worst = std::max(worst, ProbeLength(b.key));
-      }
-    }
-    return worst;
-  }
+  size_t MaxProbeLength() const { return table_.MaxProbeLength(); }
 
-  void clear() {
-    buckets_.clear();
-    size_ = 0;
-    tombstones_ = 0;
-  }
+  void clear() { table_.clear(); }
 
  private:
-  enum BucketState : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
-
-  struct Bucket {
-    Key key{};
-    Value value{};
-    uint8_t state = kEmpty;
-  };
-
-  static constexpr size_t kNpos = SIZE_MAX;
-  static constexpr size_t kMinCapacity = 16;
-
-  void EraseBucket(size_t i) {
-    buckets_[i].state = kTombstone;
-    buckets_[i].value = Value{};
-    --size_;
-    ++tombstones_;
-    // Amortized compaction: unbind-heavy phases (idle eviction draining a
-    // million-session table) never insert, so the insert-side rehash in
-    // MaybeGrow can't fire and probe chains would rot behind tombstones.
-    // Rehash once a quarter of the table is tombstones; RehashForSize also
-    // shrinks, so a drained table gives its memory back.
-    if (tombstones_ * 4 >= buckets_.size() && buckets_.size() > kMinCapacity) {
-      RehashForSize();
-    }
-  }
-
-  size_t ProbeStart(const Key& key) const {
-    return static_cast<size_t>(Hash{}(key)) & (buckets_.size() - 1);
-  }
-
-  // Index of the full bucket holding `key`, or kNpos.
-  size_t FindIndex(const Key& key) const {
-    if (buckets_.empty()) {
-      return kNpos;
-    }
-    const size_t mask = buckets_.size() - 1;
-    for (size_t i = ProbeStart(key);; i = (i + 1) & mask) {
-      const Bucket& b = buckets_[i];
-      if (b.state == kEmpty) {
-        return kNpos;
-      }
-      if (b.state == kFull && Eq{}(b.key, key)) {
-        return i;
-      }
-    }
-  }
-
-  // Inserts `key -> value` (reusing the first tombstone on the probe path).
-  // If the key is already bound: overwrites when `overwrite`, else leaves the
-  // incumbent and copies it to *existing when non-null. Returns true iff a
-  // new binding was installed.
-  bool InsertOrAssign(const Key& key, Value value, bool overwrite,
-                      Value* existing) {
-    MaybeGrow();
-    const size_t mask = buckets_.size() - 1;
-    size_t first_tombstone = kNpos;
-    for (size_t i = ProbeStart(key);; i = (i + 1) & mask) {
-      Bucket& b = buckets_[i];
-      if (b.state == kFull) {
-        if (Eq{}(b.key, key)) {
-          if (overwrite) {
-            b.value = std::move(value);
-          } else if (existing != nullptr) {
-            *existing = b.value;
-          }
-          return false;
-        }
-        continue;
-      }
-      if (b.state == kTombstone) {
-        if (first_tombstone == kNpos) {
-          first_tombstone = i;
-        }
-        continue;
-      }
-      // Empty: the key is absent. Land on the earliest reusable bucket.
-      Bucket& dst = first_tombstone == kNpos ? b : buckets_[first_tombstone];
-      if (dst.state == kTombstone) {
-        --tombstones_;
-      }
-      dst.key = key;
-      dst.value = std::move(value);
-      dst.state = kFull;
-      ++size_;
-      return true;
-    }
-  }
-
-  void MaybeGrow() {
-    if (buckets_.empty()) {
-      buckets_.resize(kMinCapacity);
-      return;
-    }
-    // Count tombstones toward load so long-lived maps with heavy bind/unbind
-    // churn (per-call channel bindings in SELECT) rehash instead of degrading.
-    if ((size_ + tombstones_ + 1) * 10 <= buckets_.size() * 7) {
-      return;
-    }
-    RehashForSize();
-  }
-
-  // Rebuilds the table at the smallest power-of-two capacity keeping the live
-  // load (with one insertion of headroom) at or under 70%, dropping every
-  // tombstone. Both grows and shrinks.
-  void RehashForSize() {
-    size_t new_cap = kMinCapacity;
-    while ((size_ + 1) * 10 > new_cap * 7) {
-      new_cap *= 2;
-    }
-    std::vector<Bucket> old = std::move(buckets_);
-    buckets_.assign(new_cap, Bucket{});
-    size_ = 0;
-    tombstones_ = 0;
-    for (Bucket& b : old) {
-      if (b.state == kFull) {
-        InsertOrAssign(b.key, std::move(b.value), /*overwrite=*/false, nullptr);
-      }
-    }
-  }
-
   Kernel& kernel_;
   ProtoCounters* counters_ = nullptr;  // owner's counters; null for bare-kernel maps
-  std::vector<Bucket> buckets_;  // size is 0 or a power of two
-  size_t size_ = 0;
-  size_t tombstones_ = 0;
+  FlatTable<Key, Value, Hash, Eq> table_;
 };
 
 }  // namespace xk

@@ -12,7 +12,46 @@ namespace {
 // Internet per worker thread) can ablate the policy without racing; within a
 // thread the semantics are unchanged.
 thread_local HeaderAllocPolicy g_default_policy = HeaderAllocPolicy::kPointerAdjust;
+
+// Parked chunk-tail buffers stay bounded, like the object pools.
+constexpr size_t kMaxParkedTails = 64;
+
+// Set once this thread's parking list is destroyed, so a ChunkVec dying later
+// in thread teardown frees its tail instead of parking it. A plain bool, so
+// it stays readable after every non-trivial thread_local is gone.
+thread_local bool g_tails_closed = false;
 }  // namespace
+
+std::vector<std::vector<Message::Chunk>>& Message::ChunkVec::ParkedTails() {
+  struct List {
+    std::vector<std::vector<Chunk>> tails;
+    ~List() { g_tails_closed = true; }
+  };
+  static thread_local List list;
+  return list.tails;
+}
+
+void Message::ChunkVec::EnsureTail() {
+  if (rest_.capacity() != 0 || g_tails_closed) {
+    return;
+  }
+  std::vector<std::vector<Chunk>>& parked = ParkedTails();
+  if (!parked.empty()) {
+    rest_ = std::move(parked.back());
+    parked.pop_back();
+  }
+}
+
+void Message::ChunkVec::ParkTail() {
+  if (g_tails_closed) {
+    return;
+  }
+  std::vector<std::vector<Chunk>>& parked = ParkedTails();
+  if (parked.size() < kMaxParkedTails) {
+    rest_.clear();
+    parked.push_back(std::move(rest_));
+  }
+}
 
 HeaderAllocPolicy Message::default_alloc_policy() { return g_default_policy; }
 

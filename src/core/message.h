@@ -151,10 +151,47 @@ class Message {
   // message on the RPC datapath is one payload chunk plus at most one spilled
   // header chunk, so the common push/pop/slice path never allocates a chunk
   // array; only reassembled bulk transfers (FRAGMENT joining 16 slices)
-  // overflow into the heap-backed tail.
+  // overflow into the heap-backed tail. A dying tail parks its buffer on a
+  // per-thread list that the next overflowing ChunkVec takes it from, so
+  // steady-state reassembly reuses tail capacity instead of allocating.
   class ChunkVec {
    public:
     static constexpr size_t kInline = 2;
+
+    ChunkVec() = default;
+    ChunkVec(const ChunkVec& other) { *this = other; }
+    ChunkVec(ChunkVec&& other) noexcept = default;
+    ChunkVec& operator=(const ChunkVec& other) {
+      if (this != &other) {
+        for (size_t i = 0; i < kInline; ++i) {
+          inline_[i] = other.inline_[i];
+        }
+        if (!other.rest_.empty()) {
+          EnsureTail();
+        }
+        rest_ = other.rest_;
+        size_ = other.size_;
+      }
+      return *this;
+    }
+    ChunkVec& operator=(ChunkVec&& other) noexcept {
+      if (this != &other) {
+        if (rest_.capacity() != 0) {
+          ParkTail();
+        }
+        for (size_t i = 0; i < kInline; ++i) {
+          inline_[i] = std::move(other.inline_[i]);
+        }
+        rest_ = std::move(other.rest_);
+        size_ = other.size_;
+      }
+      return *this;
+    }
+    ~ChunkVec() {
+      if (rest_.capacity() != 0) {
+        ParkTail();
+      }
+    }
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -171,6 +208,7 @@ class Message {
       if (size_ < kInline) {
         inline_[size_] = std::move(c);
       } else {
+        EnsureTail();
         rest_.push_back(std::move(c));
       }
       ++size_;
@@ -178,6 +216,7 @@ class Message {
 
     void push_front(Chunk c) {
       if (size_ >= kInline) {
+        EnsureTail();
         rest_.insert(rest_.begin(), std::move(inline_[kInline - 1]));
       }
       const size_t shift = size_ < kInline - 1 ? size_ : kInline - 1;
@@ -214,6 +253,13 @@ class Message {
     void clear() { truncate(0); }
 
    private:
+    // Gives an empty tail a parked buffer, if one is waiting.
+    void EnsureTail();
+    // Parks the tail's buffer (emptied) for reuse; the tail has capacity.
+    void ParkTail();
+    // This thread's parked tail buffers.
+    static std::vector<std::vector<Chunk>>& ParkedTails();
+
     Chunk inline_[kInline];
     std::vector<Chunk> rest_;
     size_t size_ = 0;

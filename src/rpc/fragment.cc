@@ -10,6 +10,7 @@ namespace {
 constexpr uint8_t kTypeData = 1;
 constexpr uint8_t kTypeNack = 2;
 constexpr size_t kRecentWindow = 64;
+constexpr size_t kMinSentRing = 8;
 
 uint16_t FullMask(uint16_t num_frags) {
   return num_frags >= 16 ? 0xFFFF : static_cast<uint16_t>((1u << num_frags) - 1);
@@ -166,9 +167,7 @@ Status FragmentSession::DoPush(Message& msg) {
   ++frag_.stats_.messages_sent;
 
   kernel().ChargeMapBind();  // enter the send cache
-  SendRecord& rec = send_cache_[seq];
-  rec.num_frags = num_frags;
-  rec.frags.reserve(num_frags);
+  SentSlot& slot = ClaimSent(seq);
   for (uint16_t i = 0; i < num_frags; ++i) {
     Message piece;
     if (num_frags == 1) {
@@ -181,17 +180,86 @@ Status FragmentSession::DoPush(Message& msg) {
     // The cache shares the payload bytes with the in-flight packets (the
     // footnote in Section 3.2: multiple layers hold references to pieces of
     // the same message).
-    rec.frags.push_back(piece);
+    slot.frags.push_back(piece);
     SendFragment(seq, num_frags, i, piece, kTypeData);
   }
   // "The sending host associates a timer with each message it sends and
   // discards the message when the timer expires."
-  rec.discard_timer = kernel().SetTimer(frag_.send_cache_timeout_, [this, seq]() {
-    if (send_cache_.erase(seq) > 0) {
+  kernel().SetTimer(frag_.send_cache_timeout_, [this, seq]() {
+    if (SentSlot* expired = FindSent(seq)) {
+      Release(*expired);
       ++frag_.stats_.cache_expirations;
     }
   });
   return OkStatus();
+}
+
+FragmentSession::SentSlot* FragmentSession::FindSent(uint32_t seq) {
+  if (sent_.empty()) {
+    return nullptr;
+  }
+  SentSlot& slot = sent_[seq & (sent_.size() - 1)];
+  return slot.occupied && slot.seq == seq ? &slot : nullptr;
+}
+
+FragmentSession::SentSlot& FragmentSession::ClaimSent(uint32_t seq) {
+  if (sent_.empty()) {
+    sent_.resize(kMinSentRing);
+  }
+  while (sent_[seq & (sent_.size() - 1)].occupied) {
+    // Live seqs are distinct modulo the old size, so they stay distinct
+    // modulo the new one.
+    std::vector<SentSlot> bigger(sent_.size() * 2);
+    for (SentSlot& slot : sent_) {
+      if (slot.occupied) {
+        bigger[slot.seq & (bigger.size() - 1)] = std::move(slot);
+      }
+    }
+    sent_ = std::move(bigger);
+  }
+  SentSlot& slot = sent_[seq & (sent_.size() - 1)];
+  slot.occupied = true;
+  slot.seq = seq;
+  return slot;
+}
+
+void FragmentSession::Release(SentSlot& slot) {
+  slot.occupied = false;
+  slot.frags.clear();  // keeps the capacity for the slot's next message
+}
+
+FragmentSession::Reasm* FragmentSession::FindReasm(uint32_t seq) {
+  for (Reasm& r : reasm_) {
+    if (r.occupied && r.seq == seq) {
+      return &r;
+    }
+  }
+  return nullptr;
+}
+
+FragmentSession::Reasm& FragmentSession::ClaimReasm(uint32_t seq, uint16_t num_frags) {
+  Reasm* r = nullptr;
+  for (Reasm& slot : reasm_) {
+    if (!slot.occupied) {
+      r = &slot;
+      break;
+    }
+  }
+  if (r == nullptr) {
+    r = &reasm_.emplace_back();
+  }
+  r->occupied = true;
+  r->seq = seq;
+  r->num_frags = num_frags;
+  r->frags.resize(num_frags);
+  return *r;
+}
+
+void FragmentSession::Release(Reasm& r) {
+  r.occupied = false;
+  r.have_mask = 0;
+  r.nacks = 0;
+  r.frags.clear();
 }
 
 void FragmentSession::SendNack(uint32_t seq, uint16_t missing_mask) {
@@ -212,57 +280,54 @@ void FragmentSession::SendNack(uint32_t seq, uint16_t missing_mask) {
   (void)lower_->Push(pkt);
 }
 
-void FragmentSession::ArmGapTimer(uint32_t seq) {
-  auto it = reasm_.find(seq);
-  if (it == reasm_.end()) {
-    return;
-  }
-  it->second.gap_timer = kernel().SetTimer(frag_.nack_delay_, [this, seq]() { OnGapTimer(seq); });
+void FragmentSession::ArmGapTimer(Reasm& r) {
+  r.gap_timer =
+      kernel().SetTimer(frag_.nack_delay_, [this, seq = r.seq]() { OnGapTimer(seq); });
 }
 
 void FragmentSession::OnGapTimer(uint32_t seq) {
-  auto it = reasm_.find(seq);
-  if (it == reasm_.end()) {
+  Reasm* r = FindReasm(seq);
+  if (r == nullptr) {
     return;
   }
-  Reasm& r = it->second;
-  if (r.nacks >= frag_.max_nacks_) {
+  if (r->nacks >= frag_.max_nacks_) {
     // Give up; the higher level's own timeout will resend the whole message.
-    reasm_.erase(it);
+    Release(*r);
     ++frag_.stats_.reassembly_abandoned;
     return;
   }
-  ++r.nacks;
-  SendNack(seq, static_cast<uint16_t>(FullMask(r.num_frags) & ~r.have_mask));
-  ArmGapTimer(seq);
+  ++r->nacks;
+  SendNack(seq, static_cast<uint16_t>(FullMask(r->num_frags) & ~r->have_mask));
+  ArmGapTimer(*r);
 }
 
 void FragmentSession::OnNack(uint32_t seq, uint16_t missing_mask) {
   ++frag_.stats_.nacks_received;
-  auto it = send_cache_.find(seq);
-  if (it == send_cache_.end()) {
+  const SentSlot* slot = FindSent(seq);
+  if (slot == nullptr) {
     // Cache already discarded: the higher level must resend (as a new
     // message). Nothing to do here.
     ++frag_.stats_.stale_nacks;
     return;
   }
-  SendRecord& rec = it->second;
-  for (uint16_t i = 0; i < rec.num_frags; ++i) {
+  const auto num_frags = static_cast<uint16_t>(slot->frags.size());
+  for (uint16_t i = 0; i < num_frags; ++i) {
     if (missing_mask & (1u << i)) {
       ++frag_.stats_.fragments_resent;
-      SendFragment(seq, rec.num_frags, i, rec.frags[i], kTypeData);
+      SendFragment(seq, num_frags, i, slot->frags[i], kTypeData);
     }
   }
 }
 
-Status FragmentSession::CompleteReassembly(uint32_t seq, Reasm& r) {
+Status FragmentSession::CompleteReassembly(Reasm& r) {
   Message whole;
   for (uint16_t i = 0; i < r.num_frags; ++i) {
     kernel().ChargeMsgJoin();
     whole.Append(r.frags[i]);
   }
   kernel().CancelTimer(r.gap_timer);
-  reasm_.erase(seq);
+  const uint32_t seq = r.seq;
+  Release(r);
   recent_done_.push_back(seq);
   if (recent_done_.size() > kRecentWindow) {
     recent_done_.erase(recent_done_.begin());
@@ -296,17 +361,13 @@ Status FragmentSession::HandlePacket(uint8_t type, uint32_t seq, uint16_t num_fr
     return OkStatus();  // late duplicate of a completed message
   }
   kernel().ChargeMapResolve();
-  auto [it, inserted] = reasm_.try_emplace(seq);
-  Reasm& r = it->second;
-  if (inserted) {
-    r.num_frags = num_frags;
-    r.frags.resize(num_frags);
-    ArmGapTimer(seq);
-  } else {
+  Reasm* found = FindReasm(seq);
+  Reasm& r = found != nullptr ? *found : ClaimReasm(seq, num_frags);
+  if (found != nullptr) {
     // New fragment: push the gap timer back.
     kernel().CancelTimer(r.gap_timer);
-    ArmGapTimer(seq);
   }
+  ArmGapTimer(r);
   // Which fragment is this? The sender sets exactly one mask bit.
   int index = -1;
   for (int i = 0; i < 16; ++i) {
@@ -315,7 +376,8 @@ Status FragmentSession::HandlePacket(uint8_t type, uint32_t seq, uint16_t num_fr
       break;
     }
   }
-  if (index < 0 || index >= num_frags) {
+  // A corrupted header can disagree with the first fragment's count.
+  if (index < 0 || index >= num_frags || index >= r.num_frags) {
     return ErrStatus(StatusCode::kInvalidArgument);
   }
   if ((r.have_mask & (1u << index)) == 0) {
@@ -324,7 +386,7 @@ Status FragmentSession::HandlePacket(uint8_t type, uint32_t seq, uint16_t num_fr
     r.frags[index] = payload;
   }
   if (r.have_mask == FullMask(r.num_frags)) {
-    return CompleteReassembly(seq, r);
+    return CompleteReassembly(r);
   }
   return OkStatus();
 }

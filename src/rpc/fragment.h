@@ -26,7 +26,6 @@
 #ifndef XK_SRC_RPC_FRAGMENT_H_
 #define XK_SRC_RPC_FRAGMENT_H_
 
-#include <map>
 #include <tuple>
 #include <vector>
 
@@ -114,17 +113,31 @@ class FragmentSession : public Session {
   Session* lower_for_control() const override { return lower_.get(); }
 
  private:
-  struct SendRecord {
-    std::vector<Message> frags;  // payload slices, headers rebuilt on resend
-    uint16_t num_frags = 0;
-    EventHandle discard_timer;
-  };
-  struct Reasm {
+  // A sent message's payload slices (headers are rebuilt on resend), kept
+  // until its discard timer fires so a NACK can be served. Slots live in a
+  // power-of-two ring indexed by seq and keep their `frags` capacity when
+  // freed. Seqs are this session's own, issued in order and expiring in
+  // order, so the live ones form a window and the ring only grows (doubling)
+  // when that window outruns it.
+  struct SentSlot {
+    bool occupied = false;
+    uint32_t seq = 0;
     std::vector<Message> frags;
+  };
+  // A message being reassembled. Its seq comes off the wire (the peer's
+  // numbering, or corrupted bytes), so these slots are a short array searched
+  // by seq rather than a seq-indexed ring: the live set is a handful of
+  // messages, but a ring sized to keep arbitrary seqs apart could be asked
+  // for 2^32 slots by a single flipped high bit. Freed slots keep their
+  // `frags` capacity too.
+  struct Reasm {
+    bool occupied = false;
+    uint32_t seq = 0;
     uint16_t num_frags = 0;
     uint16_t have_mask = 0;
     int nacks = 0;
     EventHandle gap_timer;
+    std::vector<Message> frags;
   };
 
   void SendFragment(uint32_t seq, uint16_t num_frags, uint16_t index, const Message& payload,
@@ -132,16 +145,25 @@ class FragmentSession : public Session {
   void SendNack(uint32_t seq, uint16_t missing_mask);
   void OnGapTimer(uint32_t seq);
   void OnNack(uint32_t seq, uint16_t missing_mask);
-  Status CompleteReassembly(uint32_t seq, Reasm& r);
-  void ArmGapTimer(uint32_t seq);
+  Status CompleteReassembly(Reasm& r);
+  void ArmGapTimer(Reasm& r);
+
+  SentSlot* FindSent(uint32_t seq);
+  // Marks seq's ring slot occupied, doubling the ring while an older live
+  // message still holds it.
+  SentSlot& ClaimSent(uint32_t seq);
+  Reasm* FindReasm(uint32_t seq);
+  Reasm& ClaimReasm(uint32_t seq, uint16_t num_frags);
+  static void Release(SentSlot& slot);
+  static void Release(Reasm& r);
 
   FragmentProtocol& frag_;
   IpAddr peer_;
   RelProtoNum proto_;
   SessionRef lower_;
   uint32_t next_seq_ = 1;
-  std::map<uint32_t, SendRecord> send_cache_;
-  std::map<uint32_t, Reasm> reasm_;
+  std::vector<SentSlot> sent_;  // ring: seq's slot is seq & (size - 1)
+  std::vector<Reasm> reasm_;
   // Recently completed sequence numbers (sliding window) so late duplicate
   // fragments don't rebuild reassembly state.
   std::vector<uint32_t> recent_done_;

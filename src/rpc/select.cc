@@ -239,13 +239,13 @@ SelectSession::SelectSession(SelectProtocol& owner, Protocol* hlp, IpAddr server
                              uint16_t command)
     : Session(owner, hlp), sel_(owner), server_(server), command_(command) {}
 
-Status SelectSession::DoPush(Message& msg) {
+Status SelectSession::DoPush(Message& request) {
   Result<SelectProtocol::ChannelPool*> pool_r = sel_.PoolFor(server_);
   if (!pool_r.ok()) {
     return pool_r.status();
   }
   SelectProtocol::ChannelPool* pool = *pool_r;
-  last_request_ = msg;
+  last_request_ = request;
   forward_hops_ = 0;
   ++outstanding_;  // pins the session against eviction until settled
   ++sel_.stats_.calls;
@@ -253,7 +253,9 @@ Status SelectSession::DoPush(Message& msg) {
     ++sel_.stats_.blocked_on_channel;
   }
   // Blocks (queues the continuation) if every channel is busy.
-  pool->available->P([this, pool, msg]() mutable {
+  queued_.push_back(request);
+  pool->available->P([this, pool] {
+    Message msg = TakeQueued();
     if (msg.deadline() != 0 && kernel().now() >= msg.deadline()) {
       // The deadline lapsed while this call queued for a free channel: shed
       // it here rather than spending a wire exchange on a dead call.
@@ -294,6 +296,19 @@ Status SelectSession::DoPush(Message& msg) {
     }
   });
   return OkStatus();
+}
+
+Message SelectSession::TakeQueued() {
+  Message msg = std::move(queued_[queued_head_++]);
+  if (queued_head_ == queued_.size()) {
+    queued_.clear();  // keeps the capacity
+    queued_head_ = 0;
+  } else if (queued_head_ * 2 >= queued_.size()) {
+    // A queue that never drains would otherwise grow without bound.
+    queued_.erase(queued_.begin(), queued_.begin() + static_cast<ptrdiff_t>(queued_head_));
+    queued_head_ = 0;
+  }
+  return msg;
 }
 
 void SelectSession::CallFinished() {

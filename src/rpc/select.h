@@ -23,7 +23,6 @@
 #ifndef XK_SRC_RPC_SELECT_H_
 #define XK_SRC_RPC_SELECT_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -73,12 +72,22 @@ class SelectSession : public Session {
  private:
   friend class SelectProtocol;  // eviction needs the demux key
 
+  // Takes the oldest request queued by DoPush. Each DoPush queues one request
+  // and then waits on the pool's FIFO semaphore with a continuation that takes
+  // one, so continuations and requests pair up in order.
+  Message TakeQueued();
+
   SelectProtocol& sel_;
   IpAddr server_;
   uint16_t command_;
   Message last_request_;
   int forward_hops_ = 0;
   int outstanding_ = 0;  // calls issued and not yet settled
+  // Requests waiting for a channel, oldest at queued_head_. Kept here rather
+  // than in the semaphore continuation so the continuation stays small enough
+  // for std::function's inline storage.
+  std::vector<Message> queued_;
+  size_t queued_head_ = 0;
 };
 
 // Server-side session: wraps the channel a request arrived on; the server

@@ -446,6 +446,87 @@ TEST(VpoolTest, FlushSessionsDropsIdleLowersOnly) {
   EXPECT_EQ(fix.oracle.Finish().completed, 5u);
 }
 
+// --- the id-paired client -----------------------------------------------------
+
+// An RPC-shaped protocol whose sessions swallow every push, so calls stay
+// outstanding until the test settles them through the error upcalls.
+class SinkSession : public Session {
+ public:
+  SinkSession(Protocol& owner, Protocol* hlp) : Session(owner, hlp) {}
+
+ protected:
+  Status DoPush(Message& msg) override {
+    (void)msg;
+    return OkStatus();
+  }
+  Status DoPop(Message& msg, Session* lls) override {
+    (void)lls;
+    return DeliverUp(msg);
+  }
+};
+
+class SinkProtocol : public Protocol {
+ public:
+  explicit SinkProtocol(Kernel& kernel) : Protocol(kernel, "sink", {}) {}
+  std::vector<SessionRef> opened;
+
+ protected:
+  Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override {
+    (void)parts;
+    opened.push_back(std::make_shared<SinkSession>(*this, &hlp));
+    return opened.back();
+  }
+  Status DoDemux(Session* lls, Message& msg) override {
+    (void)lls;
+    (void)msg;
+    return ErrStatus(StatusCode::kNotFound);
+  }
+};
+
+TEST(ClusterClientTest, SessionErrorWithoutRequestFailsTheLowestOutstandingId) {
+  EventQueue events;
+  Kernel kernel{"client", events, HostEnv::kXKernel, IpAddr(10, 0, 1, 1), EthAddr::FromIndex(1)};
+  SinkProtocol sink(kernel);
+  ClusterClient client(kernel, &sink);
+  std::vector<std::pair<uint64_t, StatusCode>> settled;
+  auto call = [&](uint16_t command, uint64_t id) {
+    client.Call(kVip, command, id, AmoOracle::MakeRequest(id, 8), [&settled, id](Result<Message> r) {
+      settled.emplace_back(id, r.ok() ? StatusCode::kOk : r.status().code());
+    });
+  };
+  RunIn(kernel, [&] {
+    // Issued out of id order on one session, plus one call on a second
+    // session (another command) with the lowest id of all.
+    call(kEcho, 30);
+    call(kEcho, 10);
+    call(kEcho, 20);
+    call(kEcho + 1, 5);
+  });
+  ASSERT_EQ(sink.opened.size(), 2u);
+  Session& first = *sink.opened[0];
+  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout)); });
+  ASSERT_EQ(settled.size(), 1u);
+  EXPECT_EQ(settled[0], std::make_pair(uint64_t{10}, StatusCode::kTimeout));
+  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout)); });
+  ASSERT_EQ(settled.size(), 2u);
+  EXPECT_EQ(settled[1].first, 20u);
+
+  // A request-carrying error for an id no longer pending is a late reply.
+  Message stale = AmoOracle::MakeRequest(10, 8);
+  RunIn(kernel, [&] { client.SessionCallError(first, ErrStatus(StatusCode::kTimeout), &stale); });
+  EXPECT_EQ(settled.size(), 2u);
+  EXPECT_EQ(client.late_replies(), 1u);
+  // A reply settles its own id, which leaves nothing for the fallback.
+  Message reply = AmoOracle::MakeRequest(30, 8);
+  RunIn(kernel, [&] { (void)first.Pop(reply, nullptr); });
+  ASSERT_EQ(settled.size(), 3u);
+  EXPECT_EQ(settled[2], std::make_pair(uint64_t{30}, StatusCode::kOk));
+  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout)); });
+  EXPECT_EQ(settled.size(), 3u);  // nothing left on the first session
+  EXPECT_EQ(client.calls_completed(), 1u);
+  EXPECT_EQ(client.calls_failed(), 2u);
+}
+
 // --- the datacenter measurement -----------------------------------------------
 
 DatacenterSpec SmallDatacenter() {

@@ -6,6 +6,7 @@
 
 #include "src/app/anchor.h"
 #include "src/app/stacks.h"
+#include "src/core/wire.h"
 #include "src/proto/topology.h"
 #include "tests/test_util.h"
 
@@ -108,6 +109,67 @@ TEST_F(FragmentFixture, LostFragmentRecoveredByNack) {
   EXPECT_GE(sstack.fragment->stats().nacks_sent, 1u);
   EXPECT_GE(cstack.fragment->stats().nacks_received, 1u);
   EXPECT_EQ(cstack.fragment->stats().fragments_resent, 1u);
+}
+
+TEST_F(FragmentFixture, NackServedAfterSendRingGrew) {
+  // The send cache is a seq-indexed ring that doubles when the live window
+  // outruns it. Lose a fragment of the first message, then send enough more
+  // to force growth before the receiver's NACK comes back: the resend must
+  // still find the first message's slices where the grown ring rehomed them.
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+    return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
+  });
+  SessionRef sess = OpenToServer();
+  Send(sess, PatternBytes(4096, 4));
+  constexpr int kMore = 40;
+  for (int i = 0; i < kMore; ++i) {
+    Send(sess, PatternBytes(64, static_cast<uint8_t>(i)));
+  }
+  net->RunAll();
+  ASSERT_EQ(sa->received.size(), static_cast<size_t>(kMore + 1));
+  EXPECT_EQ(sa->received.back(), PatternBytes(4096, 4));  // completed last, after the NACK
+  EXPECT_EQ(cstack.fragment->stats().nacks_received, 1u);
+  EXPECT_EQ(cstack.fragment->stats().stale_nacks, 0u);
+  EXPECT_EQ(cstack.fragment->stats().fragments_resent, 1u);
+}
+
+TEST_F(FragmentFixture, FragmentCountDisagreeingWithReassemblyIsRejected) {
+  // A damaged header can claim more fragments than the message being
+  // reassembled under its seq; its index must not reach past the slots that
+  // message was given. Start a 4-fragment message (losing fragment 1 so it
+  // stays open), then hand the server a fragment of "seq 1" claiming to be
+  // index 10 of 16.
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+    return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
+  });
+  SessionRef sess = OpenToServer();
+  Send(sess, PatternBytes(4096, 4));
+  net->events().RunUntil(Msec(10));  // fragments 0, 2, 3 are in; the NACK is not yet due
+  ASSERT_TRUE(sa->received.empty());
+
+  Status injected;
+  RunIn(*sh->kernel, [&] {
+    const std::vector<uint8_t> payload = PatternBytes(64, 99);
+    uint8_t raw[FragmentProtocol::kHeaderSize];
+    WireWriter w(raw);
+    w.PutU8(1);  // data
+    w.PutIpAddr(ch->kernel->ip_addr());
+    w.PutIpAddr(sh->kernel->ip_addr());
+    w.PutU32(kRelProtoRawTest);
+    w.PutU32(1);        // the open message's seq
+    w.PutU16(16);       // num_frags
+    w.PutU16(1u << 10);  // fragment 10
+    w.PutU16(static_cast<uint16_t>(payload.size()));
+    Message pkt = Message::FromBytes(payload);
+    pkt.PushHeader(raw);
+    injected = sstack.fragment->Demux(nullptr, pkt);
+  });
+  EXPECT_EQ(injected.code(), StatusCode::kInvalidArgument);
+
+  // The real message still completes through the NACK path, unharmed.
+  net->RunAll();
+  ASSERT_EQ(sa->received.size(), 1u);
+  EXPECT_EQ(sa->received[0], PatternBytes(4096, 4));
 }
 
 TEST_F(FragmentFixture, MultipleLostFragmentsRecovered) {

@@ -147,5 +147,135 @@ TEST_F(OracleFixture, CorruptedPayloadIsAViolation) {
   EXPECT_EQ(rep.mismatched_replies, 1u);
 }
 
+// --- record layout: dense per-stream arrays, spilled executions, sparse ids ---
+
+TEST_F(OracleFixture, CorruptedAndArbitraryIdsStaySparse) {
+  RpcServer::Handler handler = oracle.WrapEcho(&kernel);
+  const uint64_t id = oracle.NextCallId();
+  oracle.RecordIssued(id, 0);
+  const size_t dense = oracle.dense_records();
+
+  // A request whose id bytes were corrupted on the wire executes under an id
+  // nobody issued; an id far past its stream's end and one in a huge stream
+  // are issued. None of them may grow the dense arrays.
+  Message corrupted = AmoOracle::MakeRequest(0xDEADBEEF12345678ULL, 8);
+  (void)handler(1, corrupted);
+  oracle.RecordIssued((uint64_t{3} << 32) | 0x7FFFFFFF, 0);
+  oracle.RecordIssued((uint64_t{0xFFFFFFFF} << 32) | 1, 0);
+  EXPECT_EQ(oracle.dense_records(), dense);
+  EXPECT_EQ(oracle.sparse_records(), 3u);
+
+  AmoOracle::Report rep = oracle.Finish();
+  EXPECT_EQ(rep.issued, 3u);  // id plus the two arbitrary ones
+  EXPECT_EQ(rep.executions, 1u);
+  EXPECT_EQ(rep.silent, 3u);  // nothing recorded an outcome
+}
+
+TEST_F(OracleFixture, IssuingASparseIdMovesItsRecordDense) {
+  RpcServer::Handler handler = oracle.WrapEcho(&kernel);
+  const uint64_t early = (uint64_t{1} << 32) | 2;
+  // The execution lands before the id is issued: its stream does not cover
+  // index 2 yet, so the record starts sparse...
+  Message req = AmoOracle::MakeRequest(early, 8);
+  Message reply = handler(1, req);
+  EXPECT_EQ(oracle.sparse_records(), 1u);
+  // ...and issuing the stream's ids up to it absorbs it.
+  oracle.RecordIssued((uint64_t{1} << 32) | 1, 0);
+  oracle.RecordIssued(early, 0);
+  EXPECT_EQ(oracle.sparse_records(), 0u);
+  oracle.RecordOutcome(early, Result<Message>(std::move(reply)), Msec(1));
+  oracle.RecordOutcome((uint64_t{1} << 32) | 1, Result<Message>(ErrStatus(StatusCode::kTimeout)),
+                       Msec(1));
+
+  AmoOracle::Report rep = oracle.Finish();
+  EXPECT_TRUE(rep.clean());
+  EXPECT_EQ(rep.issued, 2u);
+  EXPECT_EQ(rep.completed, 1u);
+  EXPECT_EQ(rep.failed, 1u);
+  EXPECT_EQ(rep.executions, 1u);
+}
+
+TEST_F(OracleFixture, TwoStreamsInterleave) {
+  RpcServer::Handler handler = oracle.WrapEcho(&kernel);
+  constexpr uint64_t kCalls = 100;
+  for (uint64_t seq = 1; seq <= kCalls; ++seq) {
+    for (uint64_t stream : {uint64_t{1}, uint64_t{2}}) {
+      const uint64_t id = (stream << 32) | seq;
+      oracle.RecordIssued(id, 0);
+      Message req = AmoOracle::MakeRequest(id, 4);
+      Message reply = handler(1, req);
+      if (stream == 1 || seq % 2 == 0) {
+        oracle.RecordOutcome(id, Result<Message>(std::move(reply)), Msec(1));
+      } else {
+        oracle.RecordOutcome(id, Result<Message>(ErrStatus(StatusCode::kBusy)), Msec(1));
+      }
+    }
+  }
+  EXPECT_EQ(oracle.sparse_records(), 0u);
+  EXPECT_LE(oracle.dense_records(), 2 * (kCalls + 1));
+
+  AmoOracle::Report rep = oracle.Finish();
+  EXPECT_TRUE(rep.clean());
+  EXPECT_EQ(rep.issued, 2 * kCalls);
+  EXPECT_EQ(rep.completed, kCalls + kCalls / 2);
+  EXPECT_EQ(rep.rejected, kCalls / 2);
+  EXPECT_EQ(rep.executions, 2 * kCalls);
+}
+
+TEST_F(OracleFixture, SpilledExecutionsAcrossHostsAndBootsClassify) {
+  Kernel other{"replica", events, HostEnv::kXKernel, IpAddr(10, 0, 0, 2), EthAddr::FromIndex(2)};
+  RpcServer::Handler here = oracle.WrapEcho(&kernel);
+  RpcServer::Handler there = oracle.WrapEcho(&other);
+  const uint64_t plain = oracle.NextCallId();
+  const uint64_t hedged = oracle.NextCallId();
+  oracle.RecordIssued(plain, 0);
+  oracle.RecordIssued(hedged, 0);
+  oracle.RecordHedged(hedged);
+  auto execute = [](RpcServer::Handler& h, uint64_t id) {
+    Message req = AmoOracle::MakeRequest(id, 4);
+    return h(1, req);
+  };
+
+  // plain: this host twice in one boot, the other host, then this host again
+  // after a reboot -- one same-boot duplicate, one cross-boot re-execution,
+  // and an unhedged second host.
+  (void)execute(here, plain);
+  (void)execute(here, plain);
+  (void)execute(there, plain);
+  // hedged: the intended two-replica race, plus the other replica running
+  // it again in the same boot.
+  (void)execute(here, hedged);
+  (void)execute(there, hedged);
+  (void)execute(there, hedged);
+  kernel.Crash();
+  kernel.Restart();
+  (void)execute(here, plain);
+  oracle.RecordOutcome(plain, Result<Message>(execute(here, plain)), Msec(1));
+  oracle.RecordOutcome(hedged, Result<Message>(AmoOracle::MakeRequest(hedged, 4)), Msec(1));
+
+  AmoOracle::Report rep = oracle.Finish();
+  EXPECT_EQ(rep.executions, 8u);
+  // plain on this host: boots b0,b0,b1,b1 -> 2 same-boot, 1 cross-boot;
+  // plain on 2 hosts unhedged -> 1 more; hedged on `other`: b0,b0 -> 1.
+  EXPECT_EQ(rep.double_executions, 4u);
+  EXPECT_EQ(rep.cross_boot_reexecutions, 1u);
+  EXPECT_EQ(rep.hedged, 1u);
+  EXPECT_EQ(rep.hedged_duplicate_executions, 1u);
+}
+
+TEST_F(OracleFixture, UnknownReplyLookupInsertsNothing) {
+  const uint64_t id = oracle.NextCallId();
+  oracle.RecordIssued(id, 0);
+  const size_t dense = oracle.dense_records();
+  const uint64_t stray = (uint64_t{9} << 32) | 42;
+  oracle.RecordOutcome(id, Result<Message>(AmoOracle::MakeRequest(stray, 8)), Msec(1));
+  oracle.RecordOutcome(id, Result<Message>(AmoOracle::MakeRequest(stray, 8)), Msec(2));
+  EXPECT_EQ(oracle.dense_records(), dense);
+  EXPECT_EQ(oracle.sparse_records(), 0u);
+  AmoOracle::Report rep = oracle.Finish();
+  EXPECT_EQ(rep.unknown_replies, 2u);  // the first lookup left no record behind
+  EXPECT_EQ(rep.mismatched_replies, 1u);
+}
+
 }  // namespace
 }  // namespace xk

@@ -66,8 +66,8 @@ TEST_P(MRpcTest, SequentialCallsReuseState) {
 
 INSTANTIATE_TEST_SUITE_P(Deliveries, MRpcTest,
                          ::testing::Values(Delivery::kEth, Delivery::kIp, Delivery::kVip),
-                         [](const ::testing::TestParamInfo<Delivery>& info) {
-                           switch (info.param) {
+                         [](const ::testing::TestParamInfo<Delivery>& param_info) {
+                           switch (param_info.param) {
                              case Delivery::kEth:
                                return "Eth";
                              case Delivery::kIp:
