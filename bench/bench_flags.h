@@ -22,8 +22,6 @@ struct Options {
   std::string filter;      // ECMAScript regex matched against "group.name"
   std::string faults;      // FaultPlan spec (--faults=): adds a chaos.custom job
   std::string arrivals;    // ArrivalSpec (--arrivals=): adds a datacenter.custom job
-  int engine_threads = 1;  // simulation-engine width for every job
-  int speedup_threads = 0; // >1 runs the wall-clock speedup phase
   int session_scale = 0;   // >0 adds a session_scale.nN job at this size
   bool list = false;
   bool stable = false;     // omit wall-clock fields from the JSON
@@ -86,18 +84,6 @@ inline bool ParseBenchArgs(int argc, char** argv, Options* opt, std::string* err
         return false;
       }
       opt->session_scale = n;
-    } else if (std::strncmp(arg, "--engine-threads=", 17) == 0) {
-      if (!ParseFlagInt("--engine-threads", arg + 17, 1, &n, error)) {
-        return false;
-      }
-      opt->engine_threads = n;
-    } else if (std::strncmp(arg, "--engine-speedup=", 17) == 0) {
-      if (!ParseFlagInt("--engine-speedup", arg + 17, 2, &n, error)) {
-        return false;
-      }
-      opt->speedup_threads = n;
-    } else if (std::strcmp(arg, "--engine-speedup") == 0) {
-      opt->speedup_threads = 4;
     } else if (std::strcmp(arg, "--list") == 0) {
       opt->list = true;
     } else if (std::strcmp(arg, "--stable") == 0) {

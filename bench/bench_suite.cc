@@ -148,9 +148,7 @@ Job HeaderAllocJob(std::string name, HeaderAllocPolicy policy) {
   return Job{"ablation_header_alloc", std::move(name), std::move(fn)};
 }
 
-// The many-host workload (16 pairs, 16 segments, one simulation). This is
-// the job the --engine-threads flag is aimed at; its simulated metrics are
-// identical at every engine width.
+// The many-host workload (32 pairs, 32 segments, one simulation).
 constexpr int kManyHostPairs = 32;
 constexpr size_t kManyHostBytes = 4096;
 constexpr int kManyHostIters = 50;
@@ -165,8 +163,7 @@ JobResult ManyHostResult(const ManyPairsBench& b) {
   out.events_fired = b.events_fired;
   out.latency_hist = b.rtt;
   out.service_hist = b.service;
-  // Per-segment link statistics, all integers: byte-stable and, like every
-  // simulated metric, engine-invariant.
+  // Per-segment link statistics, all integers: byte-stable.
   std::string& seg_json = out.extra_json;
   // IP forwarding totals over every host: zero here (no routers in the
   // many-pairs topology), but reported so the datacenter jobs' forwarding
@@ -214,7 +211,7 @@ Job ManyHostJob() {
 Job ManyHostFaultsJob() {
   JobFn fn = [] {
     return ManyHostResult(MeasureManyPairsBench(kManyHostPairs, kManyHostBytes,
-                                                kManyHostIters, 0, /*drop_rate=*/0.005));
+                                                kManyHostIters, /*drop_rate=*/0.005));
   };
   return Job{"manyhost", "L_RPC-VIP-32pairs-faults", std::move(fn)};
 }
@@ -324,7 +321,7 @@ Job ColdWarmJob(std::string name, RpcBench::Builder builder) {
 
 // A fault campaign measured as availability: the oracle-checked chaos
 // workload under a declarative FaultPlan. Every metric is simulated and
-// engine-invariant, so chaos jobs are part of the --stable byte-identity
+// deterministic, so chaos jobs are part of the --stable byte-identity
 // checks like everything else.
 Job ChaosJob(std::string name, FaultPlan plan, ChaosSpec spec, bool adaptive_rto = false) {
   JobFn fn = [plan = std::move(plan), spec, adaptive_rto] {
@@ -363,8 +360,8 @@ Job ChaosJob(std::string name, FaultPlan plan, ChaosSpec spec, bool adaptive_rto
 
 // A datacenter job: k client segments fanning through the core router into a
 // replica pool behind VPOOL, driven open-loop. Everything reported is
-// simulated and engine-invariant, so these jobs ride the --stable
-// byte-identity checks at every --engine-threads width.
+// simulated and deterministic, so these jobs ride the --stable
+// byte-identity checks.
 Job DatacenterJob(std::string name, DatacenterSpec spec) {
   JobFn fn = [spec = std::move(spec)] {
     const DatacenterResult r = MeasureDatacenter(spec);
@@ -474,7 +471,7 @@ Job DatacenterJob(std::string name, DatacenterSpec spec) {
 // Connection-scale: N live sessions per side on pooled storage, a strided
 // echo sample with the population resident, then a timer-driven idle drain.
 // All simulated metrics (charged cost, evictions, slab and map geometry) are
-// engine-invariant; the wall-clock and RSS observations ride host_metrics so
+// deterministic; the wall-clock and RSS observations ride host_metrics so
 // --stable byte-identity is preserved.
 Job SessionScaleJob(std::string name, SessionScaleSpec spec) {
   JobFn fn = [spec] {
@@ -576,7 +573,7 @@ std::vector<Job> BuildJobs() {
   jobs.push_back(ColdWarmJob("M_RPC-VIP", m_vip));
   jobs.push_back(ColdWarmJob("L_RPC-VIP", l_vip));
   jobs.push_back(ColdWarmJob("SELECT-CHANNEL-VIPsize", l_dyn));
-  // The many-host parallel-engine workload, clean and with link faults.
+  // The many-host workload, clean and with link faults.
   jobs.push_back(ManyHostJob());
   jobs.push_back(ManyHostFaultsJob());
   jobs.push_back(ManyHostTracedJob());
@@ -733,23 +730,8 @@ void AppendJsonNumber(std::string& out, double v, const char* fmt = "%.10g") {
   out += buf;
 }
 
-// Numbers from the opt-in --engine-speedup phase, emitted into the JSON only
-// when the phase ran, so plain runs stay byte-identical across engine widths.
-// The diag fields (epoch counts, commit-queue depth, lookahead bounds) are
-// deterministic and survive --stable; wall-clock fields (serial/parallel ms,
-// barrier wait share) vary run to run and are skipped under --stable so the
-// determinism diff in scripts/check.sh keeps working.
-struct EngineSpeedup {
-  int threads = 0;  // 0 = phase did not run
-  double serial_ms = 0;
-  double parallel_ms = 0;
-  bool diag_valid = false;
-  ParallelEngine::Diag diag;
-};
-
 std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& results,
-                   unsigned threads, double wall_ms, const EngineSpeedup& engine,
-                   bool stable) {
+                   unsigned threads, double wall_ms, bool stable) {
   double serial_ms = 0;
   uint64_t events_total = 0;
   for (const JobResult& r : results) {
@@ -762,8 +744,8 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
   out += "  \"suite\": \"xkernel-rpc-bench\",\n";
   out += "  \"jobs\": " + std::to_string(jobs.size());
   // --stable: only simulated (deterministic) quantities -- no wall clock, no
-  // thread counts -- so two stable files from any machine or engine width can
-  // be compared with cmp(1).
+  // thread counts -- so two stable files from any machine can be compared
+  // with cmp(1).
   if (!stable) {
     out += ",\n  \"threads\": " + std::to_string(threads);
     out += ",\n  \"wall_ms\": ";
@@ -779,45 +761,6 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
     AppendJsonNumber(out,
                      wall_ms > 0 ? static_cast<double>(events_total) / (wall_ms / 1000.0) : 0,
                      "%.0f");
-  }
-  if (engine.threads > 0) {
-    out += ",\n  \"engine_threads\": " + std::to_string(engine.threads);
-    if (!stable) {
-      out += ",\n  \"engine_serial_ms\": ";
-      AppendJsonNumber(out, engine.serial_ms, "%.1f");
-      out += ",\n  \"engine_parallel_ms\": ";
-      AppendJsonNumber(out, engine.parallel_ms, "%.1f");
-      out += ",\n  \"engine_speedup\": ";
-      AppendJsonNumber(out, engine.parallel_ms > 0 ? engine.serial_ms / engine.parallel_ms : 0,
-                       "%.2f");
-    }
-    if (engine.diag_valid) {
-      // Engine internals from the parallel leg of the phase. Everything here
-      // is a deterministic function of the workload and thread count, so it
-      // stays under --stable; only the wall-clock barrier/run split is
-      // host-dependent and gated like the other timing fields.
-      const ParallelEngine::Diag& d = engine.diag;
-      out += ",\n  \"engine_epochs\": " + std::to_string(d.epochs);
-      out += ",\n  \"engine_events_in_epochs\": " + std::to_string(d.fired);
-      const double epochs = static_cast<double>(d.epochs);
-      out += ",\n  \"engine_mean_active_lps\": ";
-      AppendJsonNumber(out, epochs > 0 ? static_cast<double>(d.active_lp_sum) / epochs : 0,
-                       "%.2f");
-      out += ",\n  \"engine_epoch_mean_ns\": ";
-      AppendJsonNumber(out, epochs > 0 ? static_cast<double>(d.span_sum) / epochs : 0, "%.0f");
-      out += ",\n  \"engine_epoch_max_ns\": " + std::to_string(d.span_max);
-      out += ",\n  \"engine_commit_nodes\": " + std::to_string(d.commit_nodes);
-      out += ",\n  \"engine_commit_queue_peak\": " + std::to_string(d.commit_peak);
-      out += ",\n  \"engine_lookahead_min_ns\": " + std::to_string(d.lookahead_min);
-      out += ",\n  \"engine_lookahead_max_ns\": " + std::to_string(d.lookahead_max);
-      if (!stable) {
-        out += ",\n  \"engine_barrier_wait_ms\": ";
-        AppendJsonNumber(out, d.barrier_wait_ms, "%.1f");
-        out += ",\n  \"engine_barrier_wait_share\": ";
-        AppendJsonNumber(out,
-                         d.run_wall_ms > 0 ? d.barrier_wait_ms / d.run_wall_ms : 0, "%.3f");
-      }
-    }
   }
   out += ",\n  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
@@ -982,11 +925,10 @@ int Run(const Options& opt) {
         return;
       }
       // Reset per-thread simulation state a previous job on this pool thread
-      // may have left behind (the header-alloc ablation switches the policy),
-      // and apply the requested engine width. Both are thread_local, so every
-      // pool thread has to set them -- they do not inherit from main.
+      // may have left behind (the header-alloc ablation switches the policy).
+      // It is thread_local, so every pool thread has to reset it -- it does
+      // not inherit from main.
       Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
-      set_default_engine_threads(opt.engine_threads);
       // One observer pair per job: each job's Internet picks up the
       // thread-default observers at construction, so traces never mix jobs.
       std::unique_ptr<TraceSink> sink;
@@ -1043,50 +985,11 @@ int Run(const Options& opt) {
   for (std::thread& t : pool) {
     t.join();
   }
-  set_default_engine_threads(1);
   const auto suite_end = std::chrono::steady_clock::now();
   const double wall_ms =
       std::chrono::duration<double, std::milli>(suite_end - suite_start).count();
 
-  // Opt-in wall-clock speedup phase: run the many-host workload serially and
-  // at --engine-speedup width on the main thread, time both, and insist the
-  // simulated results are identical. This is the engine's acceptance gate.
-  EngineSpeedup engine;
-  if (opt.speedup_threads > 1) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const ManyPairsBench serial =
-        MeasureManyPairsBench(kManyHostPairs, kManyHostBytes, kManyHostIters, 1);
-    const auto t1 = std::chrono::steady_clock::now();
-    const ManyPairsBench par = MeasureManyPairsBench(kManyHostPairs, kManyHostBytes,
-                                                     kManyHostIters, opt.speedup_threads);
-    const auto t2 = std::chrono::steady_clock::now();
-    engine.threads = opt.speedup_threads;
-    engine.serial_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    engine.parallel_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
-    engine.diag_valid = par.engine_diag_valid;
-    engine.diag = par.engine_diag;
-    if (serial.agg_kbytes_per_sec != par.agg_kbytes_per_sec ||
-        serial.completed != par.completed || serial.failed != par.failed ||
-        serial.sum_done_at != par.sum_done_at || serial.events_fired != par.events_fired) {
-      std::fprintf(stderr,
-                   "bench_suite: engine determinism check FAILED: serial "
-                   "(%.10g kb/s, %d ok, %d fail, sum %lld, %llu events) vs "
-                   "%d threads (%.10g kb/s, %d ok, %d fail, sum %lld, %llu events)\n",
-                   serial.agg_kbytes_per_sec, serial.completed, serial.failed,
-                   static_cast<long long>(serial.sum_done_at),
-                   static_cast<unsigned long long>(serial.events_fired), opt.speedup_threads,
-                   par.agg_kbytes_per_sec, par.completed, par.failed,
-                   static_cast<long long>(par.sum_done_at),
-                   static_cast<unsigned long long>(par.events_fired));
-      return 1;
-    }
-    std::printf("bench_suite: engine speedup %.2fx at %d threads "
-                "(serial %.0f ms, parallel %.0f ms), results identical\n",
-                engine.parallel_ms > 0 ? engine.serial_ms / engine.parallel_ms : 0.0,
-                engine.threads, engine.serial_ms, engine.parallel_ms);
-  }
-
-  const std::string json = ToJson(jobs, results, threads, wall_ms, engine, opt.stable);
+  const std::string json = ToJson(jobs, results, threads, wall_ms, opt.stable);
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_suite: cannot open %s for writing\n", out_path.c_str());
@@ -1118,7 +1021,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--threads=N] [--out=FILE] [--trace=DIR] [--pcap=DIR]\n"
                  "          [--stats=DIR] [--flow=DIR] [--list] [--filter=REGEX] [--stable]\n"
-                 "          [--engine-threads=N] [--engine-speedup[=N]]\n"
                  "          [--session-scale=N] (adds a session_scale.nN job at N sessions)\n"
                  "          [--faults=PLAN]   (e.g. crash:host=server,at=300ms,restart=700ms;\n"
                  "                             drop:seg=0,from=0ms,until=200ms,rate=0.05)\n"

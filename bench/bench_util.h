@@ -28,7 +28,6 @@
 #include "src/proto/topology.h"
 #include "src/proto/udp.h"
 #include "src/sim/fault.h"
-#include "src/sim/parallel.h"
 #include "src/stat/histogram.h"
 #include "src/stat/timeseries.h"
 #include "src/trace/pcap.h"
@@ -40,9 +39,7 @@ namespace xk {
 // `--pcap=FILE` install thread-default observers that every Internet the
 // benchmark builds picks up; the files are written when the benchmark exits.
 // Tracing charges zero simulated cost, so a traced run reports exactly the
-// numbers an untraced run does. `--engine-threads=N` sets the thread-default
-// engine width the same way: every Internet runs on the parallel engine,
-// whose results are bit-identical to the serial engine's.
+// numbers an untraced run does.
 class BenchObservers {
  public:
   BenchObservers(int argc, char** argv) {
@@ -54,8 +51,6 @@ class BenchObservers {
         pcap_path_ = a + 7;
       } else if (std::strncmp(a, "--stats=", 8) == 0) {
         stats_path_ = a + 8;
-      } else if (std::strncmp(a, "--engine-threads=", 17) == 0) {
-        set_default_engine_threads(std::atoi(a + 17));
       }
     }
     if (!trace_path_.empty()) {
@@ -76,7 +71,6 @@ class BenchObservers {
   BenchObservers& operator=(const BenchObservers&) = delete;
 
   ~BenchObservers() {
-    set_default_engine_threads(1);
     if (sink_ != nullptr) {
       TraceSink::set_thread_default(nullptr);
       if (!sink_->WriteFile(trace_path_)) {
@@ -393,28 +387,18 @@ struct ManyPairsBench {
   uint64_t ip_forwards = 0;
   uint64_t ip_ttl_drops = 0;
   uint64_t ip_no_route_drops = 0;
-  // Parallel-engine diagnostics (valid only when the run used the parallel
-  // engine). Everything but the *_ms fields is deterministic.
-  bool engine_diag_valid = false;
-  ParallelEngine::Diag engine_diag;
 };
 
 // The many-host workload: `pairs` independent client/server pairs, each on
 // its own segment, all driving `iters` sequential `bytes`-byte L_RPC calls
 // concurrently in ONE simulation. The segments use a long propagation delay
-// (a campus internetwork rather than one machine-room Ethernet), which is
-// what gives the parallel engine its lookahead; simulated results are
-// engine-invariant, so this doubles as the speedup benchmark and the
-// determinism stress test. `engine_threads` 0 = thread default. `drop_rate`
-// applies a uniform random drop to every segment (after ARP warm-up), driving
-// the retransmission paths that stretch the latency tail.
+// (a campus internetwork rather than one machine-room Ethernet); the workload
+// is otherwise the standard layered L_RPC stack. `drop_rate` applies a
+// uniform random drop to every segment (after ARP warm-up), driving the
+// retransmission paths that stretch the latency tail.
 inline ManyPairsBench MeasureManyPairsBench(int pairs, size_t bytes, int iters,
-                                            int engine_threads = 0, double drop_rate = 0.0) {
-  auto net = std::make_unique<Internet>(HostEnv::kXKernel, 1, engine_threads);
-  // A long propagation delay (campus-backbone scale rather than one Ethernet)
-  // stretches the conservative lookahead so each epoch carries enough events
-  // to amortize the engine's barrier; the workload is otherwise the standard
-  // layered L_RPC stack.
+                                            double drop_rate = 0.0) {
+  auto net = std::make_unique<Internet>(HostEnv::kXKernel, 1);
   WireModel wire;
   wire.propagation = Usec(2000);
   struct Pair {
@@ -464,10 +448,6 @@ inline ManyPairsBench MeasureManyPairsBench(int pairs, size_t bytes, int iters,
   out.failed = r.failed;
   out.sum_done_at = r.sum_done_at;
   out.events_fired = net->events_fired();
-  if (const ParallelEngine::Diag* d = net->engine_diag()) {
-    out.engine_diag_valid = true;
-    out.engine_diag = *d;
-  }
   out.rtt = r.rtt;
   for (const Pair& pr : ps) {
     out.service.Merge(pr.server->service_histogram());
@@ -510,8 +490,8 @@ inline ManyPairsBench MeasureManyPairsBench(int pairs, size_t bytes, int iters,
 // (one host broadcasting back-to-back frames; each broadcast lands on every
 // other station at the same instant, the case batched delivery folds into one
 // heap event, and every receiver echoes, contending on the bus). All counts
-// are simulated and engine-invariant; events_per_sec is the host-side rate
-// over RunAll and is what the serial hot-path work is measured by.
+// are simulated and deterministic; events_per_sec is the host-side rate
+// over RunAll and is what the hot-path work is measured by.
 struct HotLoopBench {
   uint64_t events_fired = 0;      // deterministic
   uint64_t timer_pops = 0;        // deterministic: churn chain ticks executed
@@ -530,7 +510,7 @@ struct Chain {
   Kernel* kernel = nullptr;
   int remaining = 0;
   SimTime delay = 0;
-  uint64_t* pops = nullptr;  // per-host counter: one writer LP, no races
+  uint64_t* pops = nullptr;  // per-host counter
 };
 
 inline void Tick(Chain* c) {
@@ -608,8 +588,6 @@ inline HotLoopBench MeasureHotLoop(int hosts = 8, int chains_per_host = 4,
     burst.gap = Usec(400);
   });
 
-  // One churn counter per host: each is written only by its own logical
-  // process, so the counts are exact at any engine width.
   std::vector<uint64_t> pops(static_cast<size_t>(hosts), 0);
   std::vector<hotloop_internal::Chain> chains(
       static_cast<size_t>(hosts) * static_cast<size_t>(chains_per_host));
@@ -657,7 +635,7 @@ inline HotLoopBench MeasureHotLoop(int hosts = 8, int chains_per_host = 4,
 
 // Everything a fault campaign reports: availability from the workload's point
 // of view, the at-most-once oracle's verdict, and the recovery machinery's
-// counters. All simulated quantities -- byte-stable and engine-invariant.
+// counters. All simulated quantities -- byte-stable run to run.
 struct ChaosBench {
   ChaosResult run;
   AmoOracle::Report oracle;

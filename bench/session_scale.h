@@ -18,9 +18,9 @@
 // sessions ever created.
 //
 // Determinism: every metric except the *_wall_* and rss_* fields is
-// simulated (charged costs, evictions, map geometry) and byte-identical at
-// any --engine-threads width; the host-side fields are emitted as
-// host_metrics so --stable runs omit them.
+// simulated (charged costs, evictions, map geometry) and byte-identical run
+// to run; the host-side fields are emitted as host_metrics so --stable runs
+// omit them.
 
 #ifndef XK_BENCH_SESSION_SCALE_H_
 #define XK_BENCH_SESSION_SCALE_H_
@@ -202,9 +202,8 @@ inline SessionScaleBench MeasureSessionScale(const SessionScaleSpec& spec) {
           const SessionRef& sess = csess[(static_cast<size_t>(c) * stride) % spec.sessions];
           bool done_flag = false;
           ch.kernel->RunTask(net->events().now(), [&] {
-            // The kernel-local clock on both ends: the engine-invariant
-            // simulated RTT (the global queue time is not comparable across
-            // engine widths).
+            // The kernel-local clock on both ends: inside a task that is the
+            // CPU's clock, which includes the charged send and receive work.
             const SimTime t0 = ch.kernel->now();
             client->Send(sess, Message(64), [&, t0](Result<Message> r) {
               done_flag = r.ok();

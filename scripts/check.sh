@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge check: the regular build + test suite, then an
 # ASan+UBSan-instrumented build of the same tests as a memory-safety smoke,
-# observability determinism diffs, the parallel-engine bit-identity and
-# speedup gates, and a TSan pass over the engine.
+# observability determinism diffs, the benchmark regression and scenario
+# gates, and a TSan pass over bench_suite's worker threads.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # tier-1 tests only
@@ -73,22 +73,6 @@ diff -r "$obs/flow1" "$obs/flow2"
 diff -r "$obs/flow1" "$obs/flow4"
 
 echo
-echo "== parallel engine: bit-identical at --engine-threads=1 vs 4 =="
-# Same suite, same artifacts, now varying the *simulation* engine width. The
-# conservative engine must reproduce the serial engine byte for byte --
-# metrics, events fired, traces, and captures.
-for t in 1 4; do
-  ./build/bench/bench_suite --engine-threads="$t" --stable --out="$obs/g$t.json" \
-    --trace="$obs/gtrace$t" --pcap="$obs/gpcap$t" --stats="$obs/gstats$t" \
-    --flow="$obs/gflow$t" >/dev/null
-done
-cmp "$obs/g1.json" "$obs/g4.json"
-diff -r "$obs/gtrace1" "$obs/gtrace4"
-diff -r "$obs/gpcap1" "$obs/gpcap4"
-diff -r "$obs/gstats1" "$obs/gstats4"
-diff -r "$obs/gflow1" "$obs/gflow4"
-
-echo
 echo "== xkflow smoke: critical-path attribution reconstructs the bench RTT =="
 # Stitch the sat-knee trace into per-call causal graphs and insist the mean
 # of the reconstructed RTTs matches the benchmark's own histogram mean within
@@ -133,8 +117,8 @@ echo
 echo "== chaos campaigns: oracle-clean crash/recovery =="
 # The scheduled mid-workload server crash must recover (boot_resets = 1) with
 # the at-most-once oracle reporting zero double executions and zero silent
-# failures. Byte-identity of the chaos jobs across worker threads and engine
-# widths is already enforced by the r*/g* cmp gates above, which include them.
+# failures. Byte-identity of the chaos jobs across worker threads is already
+# enforced by the r* cmp gates above, which include them.
 crash_line=$(grep '"name": "server-crash"' "$obs/r1.json")
 echo "$crash_line" | grep -q '"oracle_double_exec": 0' \
   || { echo "FAIL: chaos.server-crash reported double executions"; exit 1; }
@@ -220,7 +204,7 @@ echo "== session scale: churn soak evicts everything and RSS plateaus =="
 # after the last drain must sit at the first cycle's plateau -- the slab
 # high-water from cycle 1 serves every later cycle, so memory does not grow
 # with total sessions ever created. Byte-identity of the simulated fields is
-# already enforced by the r*/g* cmp gates above, which include this group;
+# already enforced by the r* cmp gates above, which include this group;
 # this run is deliberately non---stable so the host-side RSS fields exist.
 ./build/bench/bench_suite --filter='^session_scale\.soak' \
   --out="$obs/ss_soak.json" >/dev/null
@@ -239,30 +223,15 @@ awk -v a="$rss_drain" -v b="$rss_first" 'BEGIN { exit !(b > 0 && a <= b * 1.35) 
 echo "soak: full reclamation, RSS plateau ${rss_first} MB -> ${rss_drain} MB"
 
 echo
-echo "== parallel engine: wall-clock speedup on the many-host workload =="
-# --engine-speedup times the many-host workload serially and at 4 engine
-# threads and fails if the simulated results differ at all. The >= 1.8x
-# wall-clock bar only applies where the hardware can parallelize.
-./build/bench/bench_suite --filter='^manyhost' --engine-speedup=4 \
-  --out="$obs/speedup.json" >/dev/null
-speedup=$(sed -nE 's/.*"engine_speedup": ([0-9.]+).*/\1/p' "$obs/speedup.json")
-cores=$(nproc 2>/dev/null || echo 1)
-if [ "$cores" -ge 4 ]; then
-  awk -v s="$speedup" 'BEGIN { exit !(s >= 1.8) }' \
-    || { echo "FAIL: engine speedup ${speedup}x < 1.8x on $cores cores"; exit 1; }
-  echo "engine speedup ${speedup}x at 4 threads (>= 1.8x required, $cores cores)"
-else
-  echo "engine speedup ${speedup}x recorded; 1.8x bar skipped ($cores core(s) < 4)"
-fi
-
-echo
-echo "== TSan: parallel engine data-race check (build-tsan/) =="
+echo "== TSan: bench_suite worker-thread data-race check (build-tsan/) =="
+# bench_suite runs independent jobs on a pool of worker threads. The jobs
+# share no simulation; the state they keep per thread (thread_local object
+# pools, message chunk lists, oracle scratch buffers, default observers) must
+# stay per thread.
 cmake -B build-tsan -S . -DXK_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$jobs" --target bench_suite xk_tests
+cmake --build build-tsan -j "$jobs" --target bench_suite
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/bench_suite \
-  --filter='^(manyhost|chaos)' --engine-threads=4 --out=/dev/null
-TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/xk_tests \
-  --gtest_filter='ParallelEngine*'
+  --filter='^(manyhost|chaos|datacenter)' --threads=4 --out=/dev/null
 
 echo
 echo "All checks passed."

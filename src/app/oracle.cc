@@ -82,17 +82,14 @@ RpcServer::Handler AmoOracle::WrapEcho(Kernel* server_kernel) {
   return [this, server_kernel](uint16_t command, Message& request) -> Message {
     (void)command;
     const uint64_t id = ExtractId(request);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const Execution exec{server_kernel, server_kernel->boot_id()};
-      CallRecord& rec = Touch(id);
-      if (rec.host == nullptr) {
-        rec.host = exec.host;
-        rec.boot = exec.boot;
-      } else {
-        rec.flags |= kSpilled;
-        spilled_.TryEmplace(id).first->push_back(exec);
-      }
+    const Execution exec{server_kernel, server_kernel->boot_id()};
+    CallRecord& rec = Touch(id);
+    if (rec.host == nullptr) {
+      rec.host = exec.host;
+      rec.boot = exec.boot;
+    } else {
+      rec.flags |= kSpilled;
+      spilled_.TryEmplace(id).first->push_back(exec);
     }
     if (TraceSink* ts = server_kernel->trace_sink()) {
       // Bind the server-side execution to the oracle call id; the echoed
@@ -107,19 +104,16 @@ RpcServer::Handler AmoOracle::WrapEcho(Kernel* server_kernel) {
 
 void AmoOracle::RecordIssued(uint64_t id, SimTime at) {
   (void)at;
-  std::lock_guard<std::mutex> lock(mu_);
   CoverDense(id);
   Touch(id).flags |= kIssued;
 }
 
 void AmoOracle::RecordHedged(uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
   Touch(id).flags |= kHedged;
 }
 
 void AmoOracle::RecordOutcome(uint64_t id, const Result<Message>& r, SimTime at) {
   (void)at;
-  std::lock_guard<std::mutex> lock(mu_);
   CallRecord& rec = Touch(id);
   if (!r.ok()) {
     rec.flags |= kFailed;
@@ -226,7 +220,6 @@ void AmoOracle::Tally(uint64_t id, const CallRecord& rec, Report& rep) const {
 }
 
 size_t AmoOracle::dense_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
   for (const std::vector<CallRecord>& records : streams_) {
     n += records.size();
@@ -235,12 +228,10 @@ size_t AmoOracle::dense_records() const {
 }
 
 size_t AmoOracle::sparse_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return sparse_.size();
 }
 
 AmoOracle::Report AmoOracle::Finish() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Report rep;
   rep.unknown_replies = unknown_replies_;
   for (size_t stream = 0; stream < streams_.size(); ++stream) {

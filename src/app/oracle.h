@@ -22,17 +22,11 @@
 // off the wire, or arbitrary ones handed to RecordIssued -- live in a sparse
 // table and never grow the dense arrays; issuing an id the sparse table
 // already holds moves its record into the dense array.
-//
-// Thread-safety: recording methods take a mutex because under the parallel
-// engine the client and server run on different logical processes. All
-// bookkeeping is content-addressed by call id, so totals are deterministic
-// and engine-invariant regardless of interleaving.
 
 #ifndef XK_SRC_APP_ORACLE_H_
 #define XK_SRC_APP_ORACLE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "src/app/anchor.h"
@@ -154,7 +148,6 @@ class AmoOracle {
   // Adds one call's counts to `rep`.
   void Tally(uint64_t id, const CallRecord& rec, Report& rep) const;
 
-  mutable std::mutex mu_;
   uint64_t last_id_ = 0;
   std::vector<std::vector<CallRecord>> streams_;  // [id >> 32][id & 0xffffffff]
   FlatTable<uint64_t, CallRecord> sparse_;

@@ -142,16 +142,13 @@ ManyPairsResult RpcWorkload::MeasureManyPairs(Internet& net,
   ManyPairsResult result;
   const size_t pairs = clients.size();
 
-  // All per-call state is per pair: in a parallel run each pair's callbacks
-  // execute on its own client's logical process, so pairs must not share
-  // mutable state.
   struct PairState {
     int remaining = 0;
     int completed = 0;
     int failed = 0;
     SimTime start = 0;
     SimTime done_at = 0;
-    Histogram rtt;  // recorded on this pair's logical process only
+    Histogram rtt;
     std::function<void()> issue;
   };
   std::vector<std::unique_ptr<PairState>> states;

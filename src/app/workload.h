@@ -84,9 +84,7 @@ class RpcWorkload {
 
   // Drives `calls[i]` from `clients[i]` concurrently -- every pair issues
   // `iters` sequential `bytes`-byte calls, all started at the same instant,
-  // in ONE RunAll. With pairs on independent segments this is the workload
-  // the parallel engine speeds up; its results (simulated metrics) are
-  // engine-invariant.
+  // in ONE RunAll.
   static ManyPairsResult MeasureManyPairs(Internet& net, const std::vector<Kernel*>& clients,
                                           const std::vector<CallFn>& calls, size_t bytes,
                                           int iters = 20);

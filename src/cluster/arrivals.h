@@ -10,7 +10,7 @@
 //
 // Determinism: each generator owns its own SplitMix64 stream and allocates
 // call ids from a private (client_index-tagged) range, so a fleet of
-// generators is reproducible bit-for-bit at any engine width.
+// generators is reproducible bit-for-bit.
 
 #ifndef XK_SRC_CLUSTER_ARRIVALS_H_
 #define XK_SRC_CLUSTER_ARRIVALS_H_

@@ -26,10 +26,9 @@ struct ClientNode {
 }  // namespace
 
 DatacenterResult MeasureDatacenter(const DatacenterSpec& spec) {
-  Internet net(HostEnv::kXKernel, spec.seed, spec.engine_threads);
+  Internet net(HostEnv::kXKernel, spec.seed);
 
-  // Campus-scale propagation: long enough that the conservative engine's
-  // per-LP-pair windows carry real work, short relative to call latency.
+  // Campus-scale propagation, short relative to call latency.
   WireModel wire;
   wire.propagation = Usec(200);
 

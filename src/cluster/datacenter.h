@@ -5,8 +5,8 @@
 // experiment: every client runs a VPOOL (virtual service address over the
 // replica pool) and an open-loop generator, all traffic funnels through the
 // core router's IP forwarding, and the replicas serve an oracle-checked echo.
-// Everything reported is simulated and engine-invariant: byte-identical at
-// any --engine-threads width.
+// Everything reported is simulated and deterministic: byte-identical run to
+// run.
 
 #ifndef XK_SRC_CLUSTER_DATACENTER_H_
 #define XK_SRC_CLUSTER_DATACENTER_H_
@@ -40,7 +40,6 @@ struct DatacenterSpec {
   FaultPlan faults;            // optional campaign (replica crash, partition...)
   SimTime crash_at = 0;        // failover-timeline window for phase attribution
   SimTime restart_at = 0;      //   (0,0 = no window; normally from the plan)
-  int engine_threads = 0;      // 0 = thread default
   uint64_t seed = 1;
 
   // --- overload control (all default-off: 0 disables each mechanism) ---

@@ -62,9 +62,9 @@ void Kernel::Crash() {
 }
 
 void Kernel::Restart() {
-  // A plain increment rather than EventQueue::AllocateBootId(): under the
-  // parallel engine each host has its own queue, so a shared allocator would
-  // hand out different ids than the serial engine's single queue does.
+  // A plain increment rather than EventQueue::AllocateBootId(): a host's
+  // boot ids depend only on its own history, not on how many kernels were
+  // built on the queue after it.
   ++boot_id_;
   up_ = true;
   if (trace_ != nullptr) {

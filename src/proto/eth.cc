@@ -15,7 +15,7 @@ EthProtocol::EthProtocol(Kernel& kernel, EthernetSegment& segment, std::optional
     : Protocol(kernel, std::move(name), {}),
       segment_(segment),
       addr_(addr.value_or(kernel.eth_addr())),
-      attach_id_(segment.Attach(addr_, this, &kernel)),
+      attach_id_(segment.Attach(addr_, this)),
       active_(*this),
       passive_(*this) {}
 

@@ -43,9 +43,6 @@ class EthProtocol final : public Protocol, public FrameSink {
   // FrameSink: a frame has arrived from the wire (called at interrupt time).
   void FrameArrived(const EthFrame& frame) override;
 
-  // FrameSink: the parallel engine routes deliveries to this host's queue.
-  Kernel* sink_kernel() override { return &kernel(); }
-
   // --- statistics -------------------------------------------------------------
   uint64_t frames_out() const { return frames_out_; }
   uint64_t frames_in() const { return frames_in_; }

@@ -4,23 +4,16 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "src/sim/parallel.h"
 #include "src/stat/timeseries.h"
 #include "src/trace/counters.h"
 
 namespace xk {
 
-Internet::Internet(HostEnv default_env, uint64_t seed, int engine_threads)
+Internet::Internet(HostEnv default_env, uint64_t seed)
     : default_env_(default_env),
       seed_(seed),
-      engine_threads_(engine_threads > 0 ? engine_threads : default_engine_threads()),
       trace_(TraceSink::thread_default()),
       capture_(PacketCapture::thread_default()) {
-  if (engine_threads_ > 1) {
-    engine_ = std::make_unique<ParallelEngine>(engine_threads_);
-    engine_->set_control_queue(&events_);
-    engine_->set_trace_master(trace_);
-  }
   if (StatSampler* s = StatSampler::thread_default(); s != nullptr) {
     AttachStats(s);
   }
@@ -32,21 +25,14 @@ Internet::~Internet() {
     stats_->DetachNet(stat_net_);
   }
   // Kernels (and the protocols inside them) may hold sessions referring to
-  // segments; destroy kernels first. The engine owns the per-host event
-  // queues, so it must outlive the kernels built on them (engine_ is a
-  // member, destroyed after this body).
+  // segments; destroy kernels first.
   kernels_.clear();
   segments_.clear();
 }
 
-uint64_t Internet::events_fired() const {
-  return engine_ != nullptr ? engine_->fired_total() : events_.fired_total();
-}
-
 size_t Internet::RunAll() {
-  const size_t fired = engine_ != nullptr ? engine_->Run() : events_.Run();
-  // Emit the trailing sample boundaries (identical under both engines:
-  // events_ is advanced to global time after a parallel run).
+  const size_t fired = events_.Run();
+  // Emit the trailing sample boundaries.
   if (stats_ != nullptr) {
     stats_->FlushNet(stat_net_, events_.now());
   }
@@ -63,9 +49,6 @@ int Internet::AddSegment(WireModel wire) {
   if (stats_ != nullptr) {
     segments_.back()->set_stats(stats_->RegisterSegment(stat_net_, id));
   }
-  if (engine_ != nullptr) {
-    engine_->AdoptSegment(*segments_.back());
-  }
   attachments_.emplace_back();
   return id;
 }
@@ -73,20 +56,10 @@ int Internet::AddSegment(WireModel wire) {
 HostStack& Internet::AddHost(const std::string& name, int segment, IpAddr ip,
                              std::optional<HostEnv> env) {
   const EthAddr mac = EthAddr::FromIndex(next_eth_index_++);
-  EventQueue& host_events = engine_ != nullptr ? engine_->NewLpQueue() : events_;
-  if (engine_ != nullptr) {
-    // Reproduce the boot ids a single shared queue would have handed out.
-    host_events.set_next_boot_id(1000 + static_cast<uint32_t>(kernels_.size()));
-    host_events.AdvanceTo(events_.now());
-  }
-  auto kernel =
-      std::make_unique<Kernel>(name, host_events, env.value_or(default_env_), ip, mac);
+  auto kernel = std::make_unique<Kernel>(name, events_, env.value_or(default_env_), ip, mac);
   Kernel* k = kernel.get();
   k->set_trace_sink(trace_);
   kernels_.push_back(std::move(kernel));
-  if (engine_ != nullptr) {
-    engine_->BindKernel(*k);
-  }
   if (stats_ != nullptr) {
     stats_->RegisterKernel(stat_net_, *k);
   }
@@ -178,8 +151,6 @@ HostStack& Internet::RestartHost(const std::string& host_name) {
       e.restart_hook(e.stack);
     }
   };
-  // Use the host's own clock: in parallel mode the Internet's control queue
-  // can lag the host's logical process mid-run.
   if (k->cpu().in_task()) {
     reboot();
   } else {
@@ -202,19 +173,11 @@ HostStack& Internet::AddRouter(const std::string& name,
                                std::vector<std::pair<int, IpAddr>> attachments) {
   assert(!attachments.empty());
   const EthAddr primary_mac = EthAddr::FromIndex(next_eth_index_);
-  EventQueue& host_events = engine_ != nullptr ? engine_->NewLpQueue() : events_;
-  if (engine_ != nullptr) {
-    host_events.set_next_boot_id(1000 + static_cast<uint32_t>(kernels_.size()));
-    host_events.AdvanceTo(events_.now());
-  }
-  auto kernel = std::make_unique<Kernel>(name, host_events, default_env_,
-                                         attachments[0].second, primary_mac);
+  auto kernel =
+      std::make_unique<Kernel>(name, events_, default_env_, attachments[0].second, primary_mac);
   Kernel* k = kernel.get();
   k->set_trace_sink(trace_);
   kernels_.push_back(std::move(kernel));
-  if (engine_ != nullptr) {
-    engine_->BindKernel(*k);
-  }
   if (stats_ != nullptr) {
     stats_->RegisterKernel(stat_net_, *k);
   }
@@ -281,9 +244,6 @@ void Internet::AttachTrace(TraceSink* trace) {
   }
   for (auto& s : segments_) {
     s->set_trace(trace);
-  }
-  if (engine_ != nullptr) {
-    engine_->set_trace_master(trace);
   }
 }
 

@@ -24,13 +24,11 @@
 #include "src/proto/ip.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/link.h"
-#include "src/sim/parallel.h"
 #include "src/trace/pcap.h"
 #include "src/trace/trace.h"
 
 namespace xk {
 
-class ParallelEngine;
 class StatSampler;
 
 // The substrate protocols of one node. Higher layers (VIP, RPC, ...) are
@@ -44,13 +42,7 @@ struct HostStack {
 
 class Internet {
  public:
-  // `engine_threads` > 1 runs the simulation on the conservative parallel
-  // engine (src/sim/parallel.h) with one logical process per host; results
-  // are bit-identical to the serial engine. 0 picks up the thread default
-  // (set_default_engine_threads); 1 (the default default) is the serial
-  // single-queue engine with no parallel machinery at all.
-  explicit Internet(HostEnv default_env = HostEnv::kXKernel, uint64_t seed = 1,
-                    int engine_threads = 0);
+  explicit Internet(HostEnv default_env = HostEnv::kXKernel, uint64_t seed = 1);
   ~Internet();
 
   Internet(const Internet&) = delete;
@@ -131,26 +123,16 @@ class Internet {
   bool WriteCountersJson(const std::string& path) const;
 
   // --- access -----------------------------------------------------------------
-  // The Internet's own queue: the single event queue in serial mode, the
-  // control/clock queue (advanced to global time between runs) in parallel
-  // mode. Schedule work through kernels, not directly on this queue.
+  // The simulation's single event queue, shared by every kernel and segment.
+  // Schedule work through kernels, not directly on this queue.
   EventQueue& events() { return events_; }
   EthernetSegment& segment(int id) { return *segments_[id]; }
   const EthernetSegment& segment(int id) const { return *segments_[id]; }
   size_t num_segments() const { return segments_.size(); }
   HostStack& host(const std::string& name);
 
-  // Events fired across the whole simulation (all hosts' queues).
-  uint64_t events_fired() const;
-
-  // The engine width this Internet was built with (1 = serial).
-  int engine_threads() const { return engine_threads_; }
-
-  // Parallel-engine diagnostics accumulated over every RunAll (null when
-  // serial). Sim-time/count fields are deterministic; *_ms fields are not.
-  const ParallelEngine::Diag* engine_diag() const {
-    return engine_ != nullptr ? &engine_->diag() : nullptr;
-  }
+  // Events fired across the whole simulation.
+  uint64_t events_fired() const { return events_.fired_total(); }
 
   // Runs the simulation to quiescence; returns events fired.
   size_t RunAll();
@@ -181,8 +163,6 @@ class Internet {
   HostEnv default_env_;
   EventQueue events_;
   uint64_t seed_;
-  int engine_threads_ = 1;
-  std::unique_ptr<ParallelEngine> engine_;  // null in serial mode
   TraceSink* trace_ = nullptr;
   PacketCapture* capture_ = nullptr;
   StatSampler* stats_ = nullptr;

@@ -117,7 +117,7 @@ class ChannelSession final : public Session {
 
   // Adaptive-RTO state (maintained always, consulted only when the protocol's
   // adaptive_timeout_ is on). The jitter stream is seeded from the channel
-  // identity so runs are deterministic and engine-invariant.
+  // identity so runs are deterministic.
   SimTime srtt_ = 0;
   SimTime rttvar_ = 0;
   bool have_rtt_ = false;

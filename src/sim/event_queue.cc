@@ -20,100 +20,9 @@ EventHandle EventQueue::ScheduleAt(SimTime at, EventFn fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   const uint32_t gen = s.generation;
-  if (at >= defer_horizon_) {
-    // Parked for the engine: the barrier commits it in canonical order so
-    // heap sequence numbers agree with the serial schedule order.
-    s.deferred = true;
-    deferred_heap_.push_back(Entry{at, 0, slot, gen});
-    size_t i = deferred_heap_.size() - 1;
-    while (i > 0 && at < deferred_heap_[(i - 1) / 2].at) {
-      std::swap(deferred_heap_[i], deferred_heap_[(i - 1) / 2]);
-      i = (i - 1) / 2;
-    }
-  } else {
-    HeapPush(Entry{at, next_seq_++, slot, gen});
-  }
-  ++live_count_;
-  if (listener_ != nullptr) {
-    listener_->OnSchedule(at, slot, gen);
-  }
-  return EventHandle(this, slot, gen);
-}
-
-void EventQueue::CommitDeferred(uint32_t slot, uint32_t gen, SimTime at) {
-  if (!SlotLive(slot, gen)) {
-    return;  // cancelled while parked
-  }
-  Slot& s = slots_[slot];
-  if (!s.deferred) {
-    return;  // was pushed directly (scheduled inside its epoch window)
-  }
-  s.deferred = false;
   HeapPush(Entry{at, next_seq_++, slot, gen});
-}
-
-SimTime EventQueue::MinDeferredAt() {
-  while (!deferred_heap_.empty()) {
-    const Entry& top = deferred_heap_.front();
-    if (SlotLive(top.slot, top.gen) && slots_[top.slot].deferred) {
-      return top.at;
-    }
-    // Committed or cancelled meanwhile: lazy-delete (binary sift-down).
-    deferred_heap_.front() = deferred_heap_.back();
-    deferred_heap_.pop_back();
-    const size_t n = deferred_heap_.size();
-    size_t i = 0;
-    for (;;) {
-      const size_t l = 2 * i + 1;
-      if (l >= n) {
-        break;
-      }
-      const size_t r = l + 1;
-      const size_t c = (r < n && deferred_heap_[r].at < deferred_heap_[l].at) ? r : l;
-      if (deferred_heap_[c].at >= deferred_heap_[i].at) {
-        break;
-      }
-      std::swap(deferred_heap_[i], deferred_heap_[c]);
-      i = c;
-    }
-  }
-  return kSimTimeNever;
-}
-
-bool EventQueue::NextEventTime(SimTime* at) {
-  if (!SkimDead()) {
-    return false;
-  }
-  *at = heap_.front().at;
-  return true;
-}
-
-size_t EventQueue::RunEpochWindow(SimTime end_exclusive, size_t max_events) {
-  size_t fired = 0;
-  EventFn fn;
-  while (fired < max_events && SkimDead()) {
-    if (heap_.front().at >= end_exclusive) {
-      break;
-    }
-    Entry e;
-    if (!PopNext(e, fn)) {
-      break;
-    }
-    if (stat_probe_ != nullptr) {
-      stat_probe_->BeforeFire(e.at);
-    }
-    now_ = e.at;
-    ++fired;
-    if (listener_ != nullptr) {
-      listener_->OnFireBegin(e.at, e.slot, e.gen);
-    }
-    fn();
-    if (listener_ != nullptr) {
-      listener_->OnFireEnd();
-    }
-  }
-  fired_total_ += fired;
-  return fired;
+  ++live_count_;
+  return EventHandle(this, slot, gen);
 }
 
 size_t EventQueue::Run(size_t max_events) {
@@ -182,14 +91,10 @@ bool EventQueue::CancelInternal(uint32_t index, uint32_t gen) {
   if (!SlotLive(index, gen)) {
     return false;
   }
-  const bool was_deferred = slots_[index].deferred;
-  slots_[index].deferred = false;
   RetireSlot(index);
   --live_count_;
-  if (!was_deferred) {
-    ++dead_in_heap_;  // its Entry is still queued; skipped or swept later
-    MaybeSweepDead();
-  }
+  ++dead_in_heap_;  // its Entry is still queued; skipped or swept later
+  MaybeSweepDead();
   return true;
 }
 

@@ -18,13 +18,6 @@
 // Handles are {slot index, generation} pairs into the queue's slab; they must
 // not outlive the EventQueue they came from (in this repository queues always
 // outlive the kernels holding timers on them).
-//
-// Parallel engine support (src/sim/parallel.h): a queue can carry a Listener
-// that observes schedules and firings, a defer horizon that parks
-// far-future events outside the heap until the engine commits them in its
-// canonical order, and an epoch-window run loop. All of it is dormant in
-// serial use -- the hot paths gain only a null-pointer check and an
-// always-false comparison against kNoHorizon.
 
 #ifndef XK_SRC_SIM_EVENT_QUEUE_H_
 #define XK_SRC_SIM_EVENT_QUEUE_H_
@@ -160,21 +153,9 @@ class EventHandle {
 
 class EventQueue {
  public:
-  // Observer used by the parallel engine. OnSchedule fires for every
-  // ScheduleAt (committed or deferred); OnFireBegin/OnFireEnd bracket each
-  // event fired by RunEpochWindow (the serial Run/RunUntil loops never
-  // consult the listener).
-  class Listener {
-   public:
-    virtual ~Listener() = default;
-    virtual void OnSchedule(SimTime at, uint32_t slot, uint32_t gen) = 0;
-    virtual void OnFireBegin(SimTime at, uint32_t slot, uint32_t gen) = 0;
-    virtual void OnFireEnd() = 0;
-  };
-
   // Zero-cost sampling hook (src/stat/timeseries.h). BeforeFire is invoked
   // with the firing time of each event just before the event executes, in
-  // all three run loops, so a sampler can emit samples for every boundary
+  // both run loops, so a sampler can emit samples for every boundary
   // <= that time knowing state reflects exactly the events that fired
   // earlier. The probe must only read simulation state -- it must never
   // schedule, cancel, charge, or touch an Rng, or determinism breaks.
@@ -223,8 +204,7 @@ class EventQueue {
 
   // Counts `n` additional logical firings. A batched frame delivery fires as
   // one heap event but reports one firing per member, so event counts match
-  // the unbatched schedule exactly (the engine identity cross-check compares
-  // them).
+  // the unbatched schedule exactly.
   void AddExtraFired(uint64_t n) { fired_total_ += n; }
 
   // Boot ids for kernels constructed over this queue. Per-queue (not
@@ -233,50 +213,14 @@ class EventQueue {
   // perturb them.
   uint32_t AllocateBootId() { return next_boot_id_++; }
 
-  // --- parallel-engine hooks (see src/sim/parallel.h) ------------------------
-  // None of these are used by serial simulations.
-
-  void set_listener(Listener* listener) { listener_ = listener; }
-
   // Installs (or with null, removes) the sampling probe. The probe is
   // consulted on every fired event; it must outlive the queue or be removed
   // first.
   void set_stat_probe(StatProbe* probe) { stat_probe_ = probe; }
   StatProbe* stat_probe() const { return stat_probe_; }
 
-  // Schedules at or after the horizon are parked outside the heap (slot
-  // acquired, closure stored) until CommitDeferred; the engine commits them
-  // at an epoch barrier so heap insertion order matches its canonical order.
-  static constexpr SimTime kNoHorizon = kSimTimeNever;
-  void set_defer_horizon(SimTime horizon) { defer_horizon_ = horizon; }
-  SimTime defer_horizon() const { return defer_horizon_; }
-
-  // Moves a parked event into the heap. No-op if it was cancelled meanwhile,
-  // or if the slot was never parked (the engine replays every capture's
-  // schedule through here; in-window schedules were pushed directly).
-  void CommitDeferred(uint32_t slot, uint32_t gen, SimTime at);
-
-  // Earliest still-parked (deferred, not yet committed or cancelled) event
-  // time, kSimTimeNever if none. The engine caps an LP's epoch window here:
-  // a parked event only enters the heap when its scheduling event replays at
-  // a barrier, so the LP must not fire past it in the meantime.
-  SimTime MinDeferredAt();
-
-  // Earliest pending committed event time; false if the heap is drained.
-  bool NextEventTime(SimTime* at);
-
-  // Runs up to `max_events` events with firing time < end_exclusive,
-  // reporting each to the listener. The clock is left at the last fired
-  // event. Returns the number of events fired.
-  size_t RunEpochWindow(SimTime end_exclusive, size_t max_events = SIZE_MAX);
-
-  // Seeds the boot-id counter so per-host queues reproduce the allocation
-  // order a shared queue would have used (kernel creation order).
-  void set_next_boot_id(uint32_t id) { next_boot_id_ = id; }
-
  private:
   friend class EventHandle;
-  friend class ParallelEngine;  // liveness checks against its canonical order
 
   static constexpr uint32_t kNil = UINT32_MAX;
 
@@ -287,7 +231,6 @@ class EventQueue {
     EventFn fn;
     uint32_t generation = 0;
     uint32_t next_free = kNil;
-    bool deferred = false;  // parked past the defer horizon, not in the heap
   };
 
   // Heap entry: plain data, cheap to sift. The closure stays in the slab.
@@ -327,18 +270,12 @@ class EventQueue {
   size_t live_count_ = 0;
   uint64_t fired_total_ = 0;
   uint32_t next_boot_id_ = 1000;
-  SimTime defer_horizon_ = kNoHorizon;
-  Listener* listener_ = nullptr;
   StatProbe* stat_probe_ = nullptr;
 
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNil;
   std::vector<Entry> heap_;
   size_t dead_in_heap_ = 0;  // cancelled entries not yet skipped/swept
-
-  // Min-heap (by `at`) over parked events, with lazy deletion: entries whose
-  // slot was committed or cancelled are skimmed off in MinDeferredAt().
-  std::vector<Entry> deferred_heap_;
 };
 
 inline bool EventHandle::pending() const {

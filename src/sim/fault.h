@@ -1,20 +1,17 @@
 // Deterministic fault campaigns: a declarative timeline of link faults and
-// host crashes, executed bit-identically under the serial and parallel
-// engines.
+// host crashes, executed bit-identically run to run.
 //
 // A FaultPlan is a list of clauses -- segment partitions with heal times,
 // windowed drop rates, Gilbert-Elliott bursty loss, duplicate storms, delay
 // spikes, corruption windows, and scheduled host crash/restart. A FaultEngine
 // installs the plan on an Internet: link clauses become the per-segment
-// fault hook (consulted once per frame, in canonical delivery order), crash
+// fault hook (consulted once per frame delivery, in delivery order), crash
 // clauses become scheduled tasks that drive Internet::CrashHost/RestartHost.
 //
 // Determinism: every random draw comes from a per-segment SplitMix64 stream
 // seeded from the plan, and draws happen only while at least one clause is
 // active on that segment -- fault-free windows consume no randomness, so
-// adding a fault window never perturbs traffic outside it. The hook runs only
-// in serial contexts (frame commit happens at epoch barriers under the
-// parallel engine), so plans are engine-invariant by construction.
+// adding a fault window never perturbs traffic outside it.
 
 #ifndef XK_SRC_SIM_FAULT_H_
 #define XK_SRC_SIM_FAULT_H_

@@ -28,58 +28,36 @@ EthAddr EthFrame::Src() const { return AddrAt(bytes, 6); }
 EthernetSegment::EthernetSegment(EventQueue& events, WireModel wire, uint64_t fault_seed)
     : events_(events), wire_(wire), rng_(fault_seed) {}
 
-int EthernetSegment::Attach(EthAddr addr, FrameSink* sink, Kernel* kernel) {
+int EthernetSegment::Attach(EthAddr addr, FrameSink* sink) {
   // A restarting host reclaims its old slot so station ids (and with them the
   // sender ids captured by upper layers) stay stable across crash/restart.
   for (size_t i = 0; i < stations_.size(); ++i) {
     if (stations_[i].sink == nullptr && stations_[i].addr == addr) {
       stations_[i].sink = sink;
-      stations_[i].kernel = kernel;
       return static_cast<int>(i);
     }
   }
-  stations_.push_back(Station{addr, sink, kernel});
+  stations_.push_back(Station{addr, sink});
   return static_cast<int>(stations_.size()) - 1;
 }
 
 void EthernetSegment::Detach(int id) { stations_[id].sink = nullptr; }
 
-uint64_t EthernetSegment::down_drops() const {
-  uint64_t total = 0;
-  for (const Station& st : stations_) {
-    total += st.down_drops;
-  }
-  return total;
-}
-
 void EthernetSegment::FireDelivery(int receiver_id, const EthFrame& frame) {
-  Station& st = stations_[receiver_id];
-  if (st.sink == nullptr) {
-    ++st.down_drops;
+  FrameSink* sink = stations_[receiver_id].sink;
+  if (sink == nullptr) {
+    ++down_drops_;
     return;
   }
-  st.sink->FrameArrived(frame);
+  sink->FrameArrived(frame);
 }
 
 void EthernetSegment::DeliverAt(SimTime at, std::shared_ptr<const EthFrame> frame,
-                                int receiver_id, FrameDeliverer* deliverer) {
-  if (deliverer != nullptr) {
-    deliverer->Deliver(*this, at, stations_[receiver_id].sink, receiver_id, std::move(frame));
-    return;
-  }
+                                int receiver_id) {
   // The sink is looked up when the event fires, not here: the receiver may
   // crash (detach) while the frame is in flight.
   events_.ScheduleAt(at,
                      [this, receiver_id, f = std::move(frame)]() { FireDelivery(receiver_id, *f); });
-}
-
-void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
-                               SimTime ready_at) {
-  if (transmit_sink_ != nullptr) {
-    transmit_sink_->OnTransmit(*this, sender_id, std::move(frame), ready_at);
-    return;
-  }
-  ProcessTransmit(sender_id, std::move(frame), ready_at, nullptr);
 }
 
 void EthernetSegment::Transmit(int sender_id, EthFrame frame, SimTime ready_at) {
@@ -88,8 +66,8 @@ void EthernetSegment::Transmit(int sender_id, EthFrame frame, SimTime ready_at) 
   Transmit(sender_id, std::move(pooled), ready_at);
 }
 
-void EthernetSegment::ProcessTransmit(int sender_id, std::shared_ptr<EthFrame> frame,
-                                      SimTime ready_at, FrameDeliverer* deliverer) {
+void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
+                               SimTime ready_at) {
   assert(sender_id >= 0 && static_cast<size_t>(sender_id) < stations_.size());
   const SimTime start = ready_at > bus_free_at_ ? ready_at : bus_free_at_;
   const SimTime tx = wire_.TransmitTime(frame->bytes.size());
@@ -131,11 +109,8 @@ void EthernetSegment::ProcessTransmit(int sender_id, std::shared_ptr<EthFrame> f
     stats_->OnTransmit(start, tx, shared->bytes.size(), depth);
   }
 
-  // Serial path: collect this transmission's deliveries and fold same-time
-  // ones into a single heap event (FlushBatchedDeliveries). The parallel
-  // engine hands deliveries to `deliverer` per receiver and stays unbatched.
-  const bool batching = deliverer == nullptr && batched_delivery_;
-
+  // With batching on, collect this transmission's deliveries and fold
+  // same-time ones into a single heap event (FlushBatchedDeliveries).
   for (size_t i = 0; i < stations_.size(); ++i) {
     const int rid = static_cast<int>(i);
     if (rid == sender_id) {
@@ -170,12 +145,12 @@ void EthernetSegment::ProcessTransmit(int sender_id, std::shared_ptr<EthFrame> f
         case LinkFault::kDuplicate:
           ++fault_duplicates_;
           verdict = CaptureVerdict::kDuplicated;
-          if (batching) {
+          if (batched_delivery_) {
             batch_scratch_.push_back(BatchMember{at, rid, shared});
             batch_scratch_.push_back(BatchMember{at + tx, rid, shared});
           } else {
-            DeliverAt(at, shared, rid, deliverer);
-            DeliverAt(at + tx, shared, rid, deliverer);
+            DeliverAt(at, shared, rid);
+            DeliverAt(at + tx, shared, rid);
           }
           break;
         case LinkFault::kCorrupt: {
@@ -189,18 +164,18 @@ void EthernetSegment::ProcessTransmit(int sender_id, std::shared_ptr<EthFrame> f
           }
           auto bad_frame = AcquirePooled<EthFrame>();
           *bad_frame = std::move(bad);
-          if (batching) {
+          if (batched_delivery_) {
             batch_scratch_.push_back(BatchMember{at, rid, std::move(bad_frame)});
           } else {
-            DeliverAt(at, std::move(bad_frame), rid, deliverer);
+            DeliverAt(at, std::move(bad_frame), rid);
           }
           break;
         }
         case LinkFault::kDeliver:
-          if (batching) {
+          if (batched_delivery_) {
             batch_scratch_.push_back(BatchMember{at, rid, shared});
           } else {
-            DeliverAt(at, shared, rid, deliverer);
+            DeliverAt(at, shared, rid);
           }
           break;
       }
@@ -209,7 +184,7 @@ void EthernetSegment::ProcessTransmit(int sender_id, std::shared_ptr<EthFrame> f
       capture_->Record(observer_id_, rid, start, arrival, shared->bytes, verdict);
     }
   }
-  if (batching && !batch_scratch_.empty()) {
+  if (batched_delivery_ && !batch_scratch_.empty()) {
     FlushBatchedDeliveries();
   }
 }
@@ -271,9 +246,7 @@ void EthernetSegment::ResetStats() {
   fault_duplicates_ = 0;
   fault_corruptions_ = 0;
   fault_delays_ = 0;
-  for (Station& st : stations_) {
-    st.down_drops = 0;
-  }
+  down_drops_ = 0;
   bus_busy_time_ = 0;
   queued_frames_ = 0;
   peak_queue_depth_ = 0;

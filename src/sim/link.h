@@ -27,8 +27,6 @@
 
 namespace xk {
 
-class EthernetSegment;
-class Kernel;
 class PacketCapture;
 class SegmentSeries;
 class TraceSink;
@@ -58,33 +56,6 @@ class FrameSink {
   // interrupt and copy costs to its host CPU. The frame is only borrowed for
   // the duration of the call.
   virtual void FrameArrived(const EthFrame& frame) = 0;
-
-  // The kernel whose host this sink belongs to, if any. The parallel engine
-  // uses it to route deliveries to the receiver's logical process; plain
-  // test sinks may leave it null (they only run under the serial engine).
-  virtual Kernel* sink_kernel() { return nullptr; }
-};
-
-// Intercepts EthernetSegment::Transmit before any segment state is touched.
-// The parallel engine installs one so that transmits issued by concurrently
-// running hosts are buffered and applied serially, in canonical order, at the
-// next epoch barrier.
-class TransmitSink {
- public:
-  virtual ~TransmitSink() = default;
-  virtual void OnTransmit(EthernetSegment& segment, int sender_id,
-                          std::shared_ptr<EthFrame> frame, SimTime ready_at) = 0;
-};
-
-// How ProcessTransmit hands a (frame, receiver) delivery to the simulator:
-// the serial path schedules it on the segment's own event queue; the parallel
-// engine inserts it into the receiving host's queue instead. The frame buffer
-// is shared across all receivers of one transmission.
-class FrameDeliverer {
- public:
-  virtual ~FrameDeliverer() = default;
-  virtual void Deliver(EthernetSegment& segment, SimTime at, FrameSink* sink, int receiver_id,
-                       std::shared_ptr<const EthFrame> frame) = 0;
 };
 
 // Per-delivery fault decision.
@@ -108,11 +79,10 @@ class EthernetSegment {
  public:
   EthernetSegment(EventQueue& events, WireModel wire, uint64_t fault_seed = 1);
 
-  // Attaches a station; returns its attachment id. `kernel` names the host
-  // the sink belongs to (null for bare test sinks); the parallel engine
-  // routes deliveries by it. Re-attaching the address of a detached station
-  // reuses its id, so a host that crashes and restarts keeps its slot.
-  int Attach(EthAddr addr, FrameSink* sink, Kernel* kernel = nullptr);
+  // Attaches a station; returns its attachment id. Re-attaching the address
+  // of a detached station reuses its id, so a host that crashes and restarts
+  // keeps its slot.
+  int Attach(EthAddr addr, FrameSink* sink);
 
   // Detaches station `id` (its NIC went down). In-flight frames addressed to
   // it are dropped at arrival time and counted in down_drops().
@@ -126,42 +96,13 @@ class EthernetSegment {
   void Transmit(int sender_id, std::shared_ptr<EthFrame> frame, SimTime ready_at);
   void Transmit(int sender_id, EthFrame frame, SimTime ready_at);
 
-  // The body of Transmit: bus arbitration, fault injection, statistics, and
-  // observer records, handing each delivery to `deliverer` (null = schedule
-  // on the segment's own event queue). The parallel engine calls this at
-  // epoch barriers, in canonical transmit order.
-  void ProcessTransmit(int sender_id, std::shared_ptr<EthFrame> frame, SimTime ready_at,
-                       FrameDeliverer* deliverer);
-
-  // Diverts Transmit() to `sink` before any segment state is touched (null
-  // restores direct processing). Installed by the parallel engine.
-  void set_transmit_sink(TransmitSink* sink) { transmit_sink_ = sink; }
-
-  // Station `id`'s attached sink (parallel-engine delivery routing). Null
-  // while the station is detached (host down).
-  FrameSink* station_sink(int id) const { return stations_[id].sink; }
-
-  // The kernel station `id` was attached with (null for bare test sinks).
-  // Stays valid across Detach/Attach so deliveries scheduled while the host
-  // is down still route to the right logical process.
-  Kernel* station_kernel(int id) const { return stations_[id].kernel; }
-
-  // Stations ever attached (detached slots included; engine adjacency walks).
-  size_t num_stations() const { return stations_.size(); }
-
-  // Fires one delivery: looks the sink up NOW (not at schedule time), so a
-  // frame in flight toward a host that crashed meanwhile is dropped here
-  // rather than delivered through a dangling pointer.
-  void FireDelivery(int receiver_id, const EthFrame& frame);
-
   // Batches the deliveries one transmission creates for the same arrival
   // timestamp (a broadcast burst) into a single heap event that fires them
   // in creation order. Provably invisible to the simulation: members occupy
-  // adjacent sequence numbers in the unbatched schedule (ProcessTransmit
-  // schedules them back-to-back with nothing in between), so no other
-  // same-time event can interleave, and fired-event counts are preserved via
-  // EventQueue::AddExtraFired. Serial path only; the parallel engine routes
-  // per-receiver to different host queues and stays unbatched. Default on.
+  // adjacent sequence numbers in the unbatched schedule (Transmit schedules
+  // them back-to-back with nothing in between), so no other same-time event
+  // can interleave, and fired-event counts are preserved via
+  // EventQueue::AddExtraFired. Default on.
   void set_batched_delivery(bool on) { batched_delivery_ = on; }
   bool batched_delivery() const { return batched_delivery_; }
 
@@ -178,8 +119,7 @@ class EthernetSegment {
   // Extended hook (FaultEngine): takes precedence over the legacy hook when
   // set, sees the scheduled arrival time, and can additionally delay the
   // delivery or pick the corrupted byte. Consulted at the same point in
-  // ProcessTransmit, which the parallel engine runs serially at epoch
-  // barriers, so any plan evaluated here is engine-invariant.
+  // Transmit as the legacy hook.
   using FaultHookEx = std::function<DeliveryFault(const EthFrame& frame, int receiver_id,
                                                   uint64_t delivery_index, SimTime arrival)>;
   void set_fault_hook_ex(FaultHookEx hook) { fault_hook_ex_ = std::move(hook); }
@@ -210,7 +150,7 @@ class EthernetSegment {
   uint64_t fault_delays() const { return fault_delays_; }
   // Frames that arrived at a detached station (receiver host was down).
   // Not part of frames_dropped(): the wire delivered them; the NIC was gone.
-  uint64_t down_drops() const;
+  uint64_t down_drops() const { return down_drops_; }
   // Total time the bus spent transmitting (utilization = busy/elapsed).
   SimTime bus_busy_time() const { return bus_busy_time_; }
 
@@ -233,17 +173,17 @@ class EthernetSegment {
   struct Station {
     EthAddr addr;
     FrameSink* sink;
-    Kernel* kernel = nullptr;
-    // Written and read only on this station's host (its logical process
-    // under the parallel engine), summed after the run.
-    uint64_t down_drops = 0;
   };
 
-  void DeliverAt(SimTime at, std::shared_ptr<const EthFrame> frame, int receiver_id,
-                 FrameDeliverer* deliverer);
+  void DeliverAt(SimTime at, std::shared_ptr<const EthFrame> frame, int receiver_id);
 
-  // One delivery pending inside the current ProcessTransmit call (batched
-  // serial path). rid < 0 marks a member already folded into a batch.
+  // Fires one delivery: looks the sink up NOW (not at schedule time), so a
+  // frame in flight toward a host that crashed meanwhile is dropped here
+  // rather than delivered through a dangling pointer.
+  void FireDelivery(int receiver_id, const EthFrame& frame);
+
+  // One delivery pending inside the current Transmit call (batched path).
+  // rid < 0 marks a member already folded into a batch.
   struct BatchMember {
     SimTime at;
     int rid;
@@ -260,10 +200,9 @@ class EthernetSegment {
   FaultHook fault_hook_;
   FaultHookEx fault_hook_ex_;
   uint64_t delivery_index_ = 0;
-  TransmitSink* transmit_sink_ = nullptr;
   bool batched_delivery_ = true;
   // Scratch for the batched path; reused across transmissions. Safe against
-  // reentrancy: it is drained before ProcessTransmit returns, and firing a
+  // reentrancy: it is drained before Transmit returns, and firing a
   // batch iterates a captured copy, not this vector.
   std::vector<BatchMember> batch_scratch_;
 
@@ -280,6 +219,7 @@ class EthernetSegment {
   uint64_t fault_duplicates_ = 0;
   uint64_t fault_corruptions_ = 0;
   uint64_t fault_delays_ = 0;
+  uint64_t down_drops_ = 0;
   SimTime bus_busy_time_ = 0;
 
   // Start times of frames that have not begun transmitting as of the last

@@ -11,9 +11,7 @@
 //
 // Thread safety: each thread only ever touches its own freelists, so no
 // synchronization is needed. An object released on a different thread than
-// it was acquired on simply migrates to the releasing thread's pool -- under
-// the parallel engine LPs hop between workers across epochs, and this is
-// both safe and the behavior that keeps each worker's pool warm.
+// it was acquired on simply migrates to the releasing thread's pool.
 //
 // Reuse contract: a recycled object is handed back exactly as it was
 // released (minus nothing -- no clearing). Callers must fully overwrite any

@@ -26,7 +26,7 @@
 //
 // Determinism: freelist order is LIFO and purely a function of the
 // create/destroy sequence, so slot assignment -- and therefore iteration
-// order -- is reproducible bit-for-bit at any engine width.
+// order -- is reproducible bit-for-bit.
 
 #ifndef XK_SRC_SIM_SLAB_POOL_H_
 #define XK_SRC_SIM_SLAB_POOL_H_

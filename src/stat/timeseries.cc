@@ -226,8 +226,8 @@ size_t StatSampler::num_samples() const {
 }
 
 std::string StatSampler::ToJsonl() const {
-  // Canonical order: (net, t, kind, index). Independent of which thread or
-  // engine emitted a line, so the file is byte-identical at any width.
+  // Canonical order: (net, t, kind, index), independent of which probe or
+  // segment emitted a line first.
   struct Ref {
     int net;
     SimTime t;

@@ -5,17 +5,14 @@
 // of its period. It never schedules events, charges cost, or touches an Rng:
 // host samples are taken by a read-only probe the EventQueue consults before
 // firing each event (EventQueue::StatProbe), and segment samples are driven
-// by the bus-acquisition stream EthernetSegment::ProcessTransmit already
-// produces. That makes a sampled run bit-identical (in every simulated
-// metric, trace, and capture) to an unsampled one.
+// by the bus-acquisition stream EthernetSegment::Transmit already produces.
+// That makes a sampled run bit-identical (in every simulated metric, trace,
+// and capture) to an unsampled one.
 //
-// Determinism across engine widths: a sample at boundary S reflects, for each
-// entity, exactly the state produced by that entity's events with firing time
-// < S. Host state (CPU clocks, pending tasks, protocol gauges) is only
-// mutated by the host's own events, and ProcessTransmit runs in canonical
-// serial order under both engines, so the sample values -- and the
-// canonically sorted JSONL this class writes -- are byte-identical at any
-// --engine-threads width.
+// A sample at boundary S reflects, for each entity, exactly the state
+// produced by the events with firing time < S, so the sample values -- and
+// the canonically sorted JSONL this class writes -- are byte-identical run
+// to run.
 //
 // Lifetime: like TraceSink, the sampler is owned by the caller and must
 // outlive every Internet attached to it (Internet detaches itself on
@@ -61,7 +58,7 @@ class HostSeries {
   std::vector<StatLine> lines_;
 };
 
-// Per-segment series fed by EthernetSegment::ProcessTransmit: cumulative
+// Per-segment series fed by EthernetSegment::Transmit: cumulative
 // frames/bytes/busy time, windowed bus utilization, and the queue depth
 // observed at the last bus acquisition.
 class SegmentSeries {
@@ -114,8 +111,8 @@ class StatSampler {
 
   // --- output -----------------------------------------------------------------
   // JSON-lines: one meta line, then samples sorted by (net, t, kind, index)
-  // -- a canonical order independent of emission interleaving, so output is
-  // byte-identical at any engine width.
+  // -- a canonical order independent of the order host probes and segment
+  // transmissions emitted them.
   std::string ToJsonl() const;
   bool WriteFile(const std::string& path) const;
   size_t num_samples() const;
@@ -127,9 +124,8 @@ class StatSampler {
   static void set_thread_default(StatSampler* sampler);
 
  private:
-  // One probe per event queue: the shared queue in serial mode, each logical
-  // process's queue in parallel mode. Flushes its hosts' boundaries <= the
-  // firing time, before the event runs.
+  // One probe per event queue (each attached Internet has one). Flushes its
+  // hosts' boundaries <= the firing time, before the event runs.
   struct QueueProbe : EventQueue::StatProbe {
     EventQueue* queue = nullptr;  // nulled by DetachNet
     int net = 0;

@@ -232,9 +232,7 @@ class JsonParser {
 // Fields that are host- or schema-dependent rather than simulated results.
 inline bool SkippedKey(std::string_view key) {
   return key == "wall_ms" || key == "threads" || key == "serial_estimate_ms" ||
-         key == "parallel_speedup" || key == "events_per_sec" || key == "engine_threads" ||
-         key == "engine_serial_ms" || key == "engine_parallel_ms" || key == "engine_speedup" ||
-         key == "schema_version" || key == "jobs" || key == "events_fired" ||
+         key == "parallel_speedup" || key == "events_per_sec" || key == "schema_version" || key == "jobs" || key == "events_fired" ||
          key == "events_fired_total" || key == "sum_done_at_ns";
 }
 

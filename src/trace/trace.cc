@@ -89,17 +89,9 @@ uint64_t TraceSink::SessionTraceId(Session* sess) {
     return 0;
   }
   if (sess->trace_id_ == 0) {
-    sess->trace_id_ = id_tag_ | next_sess_id_++;
-    if (id_tag_ != 0) {
-      // Tell the master about the new id now: ids must merge in allocation
-      // order, and the span carrying this id is only emitted when it closes.
-      Record r;
-      r.kind = Record::Kind::kAlloc;
-      r.sess = sess->trace_id_;
-      Append(std::move(r));
-    }
+    sess->trace_id_ = next_sess_id_++;
   }
-  return TranslateId(sess->trace_id_, tagged_sess_, next_sess_id_);
+  return sess->trace_id_;
 }
 
 uint64_t TraceSink::MessageTraceId(const Message* msg) {
@@ -107,72 +99,9 @@ uint64_t TraceSink::MessageTraceId(const Message* msg) {
     return 0;
   }
   if (msg->trace_id_ == 0) {
-    msg->trace_id_ = id_tag_ | next_msg_id_++;
-    if (id_tag_ != 0) {
-      Record r;
-      r.kind = Record::Kind::kAlloc;
-      r.msg = msg->trace_id_;
-      Append(std::move(r));
-    }
+    msg->trace_id_ = next_msg_id_++;
   }
-  return TranslateId(msg->trace_id_, tagged_msg_, next_msg_id_);
-}
-
-uint64_t TraceSink::TranslateId(uint64_t id, std::unordered_map<uint64_t, uint64_t>& map,
-                                uint64_t& next_id) {
-  if ((id & kIdTagBit) == 0 || id_tag_ != 0) {
-    return id;  // untagged, or we are a shard: record as-is
-  }
-  auto [it, inserted] = map.try_emplace(id, 0);
-  if (inserted) {
-    it->second = next_id++;
-  }
-  return it->second;
-}
-
-std::vector<TraceSink::Record> TraceSink::DrainRecords() {
-  std::vector<Record> out = std::move(records_);
-  records_.clear();
-  return out;
-}
-
-void TraceSink::AbsorbRecord(const TraceSink& shard, ShardNameMap& names, Record rec) {
-  auto map_name = [&](uint32_t idx) {
-    if (names.to_master.size() < shard.names_.size()) {
-      names.to_master.resize(shard.names_.size(), UINT32_MAX);
-    }
-    uint32_t& m = names.to_master[idx];
-    if (m == UINT32_MAX) {
-      m = InternName(shard.names_[idx]);
-    }
-    return m;
-  };
-  switch (rec.kind) {
-    case Record::Kind::kSpan:
-    case Record::Kind::kEvent:
-      rec.host = map_name(rec.host);
-      rec.proto = map_name(rec.proto);
-      rec.sess = TranslateId(rec.sess, tagged_sess_, next_sess_id_);
-      rec.msg = TranslateId(rec.msg, tagged_msg_, next_msg_id_);
-      break;
-    case Record::Kind::kWire:
-      rec.msg = TranslateId(rec.msg, tagged_msg_, next_msg_id_);
-      break;
-    case Record::Kind::kLog:
-      rec.host = map_name(rec.host);
-      break;
-    case Record::Kind::kAlloc:
-      // Establish the id mapping at the allocation's canonical position; the
-      // marker itself is not part of the trace.
-      if (rec.sess != 0) {
-        (void)TranslateId(rec.sess, tagged_sess_, next_sess_id_);
-      }
-      if (rec.msg != 0) {
-        (void)TranslateId(rec.msg, tagged_msg_, next_msg_id_);
-      }
-      return;
-  }
-  Append(std::move(rec));
+  return msg->trace_id_;
 }
 
 void TraceSink::BeginSpan(Kernel& kernel, TraceOp op, const Protocol& proto, Session* sess,
@@ -217,7 +146,7 @@ void TraceSink::RecordWire(int segment, SimTime tx_start, SimTime tx_end, SimTim
   r.len = bytes;
   r.qdepth = queue_depth;
   r.qwait = queue_wait;
-  r.msg = TranslateId(msg_id, tagged_msg_, next_msg_id_);
+  r.msg = msg_id;
   Append(std::move(r));
 }
 
@@ -274,8 +203,6 @@ std::string TraceSink::ToJsonl() const {
          ",\"dropped\":" + std::to_string(dropped_) + "}\n";
   for (const Record& r : records_) {
     switch (r.kind) {
-      case Record::Kind::kAlloc:
-        continue;  // shard bookkeeping, never output
       case Record::Kind::kSpan:
         out += "{\"k\":\"span\"";
         JsonAppendField(out, "host", names_[r.host]);

@@ -84,15 +84,10 @@ class TraceSink {
   TraceSink& operator=(const TraceSink&) = delete;
 
   struct Record {
-    // kAlloc is shard-internal bookkeeping: emitted when a shard assigns a
-    // tagged trace id, so the master learns ids in *allocation* order (span
-    // records are emitted post-order at span end, which is too late -- a
-    // serial run numbers ids at span begin). Never appears in output.
-    //
     // kEvent is a zero-duration point annotation (RecordEvent): a cluster-tier
     // decision stamped with the oracle call id, emitted immediately (in
     // program order, unlike post-order spans).
-    enum class Kind : uint8_t { kSpan, kWire, kLog, kAlloc, kEvent };
+    enum class Kind : uint8_t { kSpan, kWire, kLog, kEvent };
     Kind kind = Kind::kSpan;
     // span + event
     uint32_t host = 0;   // name-table index
@@ -173,35 +168,6 @@ class TraceSink {
   static TraceSink* thread_default();
   static void set_thread_default(TraceSink* sink);
 
-  // --- parallel-engine merge (src/sim/parallel.cc) ----------------------------
-  // During a parallel run each logical process records into its own shard
-  // sink; at every epoch barrier the engine replays the shard records into
-  // the master sink in canonical (serial) order, so the merged stream is
-  // byte-identical to a serial run's. Session/message trace ids are stored on
-  // the traced objects, so a shard tags the ids it assigns (high bit + a
-  // master-allocated shard serial); the master translates tagged ids -- in
-  // absorbed records and in its own later records -- onto its own id space in
-  // first-encounter order, exactly as a serial run would have assigned them.
-  static constexpr uint64_t kIdTagBit = uint64_t{1} << 63;
-
-  // Master side: a unique tag for one shard sink (bits 62..40).
-  uint64_t AllocateIdTag() { return kIdTagBit | (next_shard_serial_++ << 40); }
-  // Shard side: all ids this sink assigns carry `tag` (0 = master, untagged).
-  void set_id_tag(uint64_t tag) { id_tag_ = tag; }
-
-  // Moves out the buffered records; the name table, id counters, and open
-  // span nesting stay. Shard-side, called between events of an epoch.
-  std::vector<Record> DrainRecords();
-
-  // Master-kept translation of one shard's name-table indices.
-  struct ShardNameMap {
-    std::vector<uint32_t> to_master;
-  };
-
-  // Appends one of `shard`'s drained records to this (master) sink,
-  // translating name indices and tagged ids.
-  void AbsorbRecord(const TraceSink& shard, ShardNameMap& names, Record rec);
-
  private:
   friend class TraceSpan;
 
@@ -216,10 +182,6 @@ class TraceSink {
   uint32_t InternName(const std::string& name);
   uint64_t SessionTraceId(Session* sess);
   uint64_t MessageTraceId(const Message* msg);
-  // Master-side: maps a shard-tagged id onto this sink's id space
-  // (first-encounter order); untagged ids pass through.
-  uint64_t TranslateId(uint64_t id, std::unordered_map<uint64_t, uint64_t>& map,
-                       uint64_t& next_id);
   void Append(Record rec);
 
   size_t max_records_;
@@ -231,10 +193,6 @@ class TraceSink {
   std::unordered_map<std::string, uint32_t> name_index_;
   uint64_t next_sess_id_ = 1;
   uint64_t next_msg_id_ = 1;
-  uint64_t id_tag_ = 0;
-  uint64_t next_shard_serial_ = 1;
-  std::unordered_map<uint64_t, uint64_t> tagged_sess_;
-  std::unordered_map<uint64_t, uint64_t> tagged_msg_;
 };
 
 // RAII span guard for the chokepoints. A null sink makes it a no-op, so the

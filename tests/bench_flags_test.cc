@@ -27,9 +27,8 @@ TEST(BenchFlagsTest, ParsesEveryFlag) {
   std::string error;
   ASSERT_TRUE(Parse({"--threads=3", "--out=o.json", "--trace=td", "--pcap=pd",
                      "--stats=sd", "--filter=^manyhost", "--faults=seed:7",
-                     "--arrivals=poisson:rate=200,horizon=100ms",
-                     "--engine-threads=2", "--engine-speedup=8", "--list",
-                     "--stable"},
+                     "--arrivals=poisson:rate=200,horizon=100ms", "--session-scale=1000",
+                     "--list", "--stable"},
                     &opt, &error))
       << error;
   EXPECT_EQ(opt.threads, 3u);
@@ -40,17 +39,9 @@ TEST(BenchFlagsTest, ParsesEveryFlag) {
   EXPECT_EQ(opt.filter, "^manyhost");
   EXPECT_EQ(opt.faults, "seed:7");
   EXPECT_EQ(opt.arrivals, "poisson:rate=200,horizon=100ms");
-  EXPECT_EQ(opt.engine_threads, 2);
-  EXPECT_EQ(opt.speedup_threads, 8);
+  EXPECT_EQ(opt.session_scale, 1000);
   EXPECT_TRUE(opt.list);
   EXPECT_TRUE(opt.stable);
-}
-
-TEST(BenchFlagsTest, BareEngineSpeedupDefaultsToFourThreads) {
-  Options opt;
-  std::string error;
-  ASSERT_TRUE(Parse({"--engine-speedup"}, &opt, &error)) << error;
-  EXPECT_EQ(opt.speedup_threads, 4);
 }
 
 TEST(BenchFlagsTest, UnknownFlagIsNamed) {
@@ -84,29 +75,33 @@ TEST(BenchFlagsTest, ZeroThreadsIsRejectedWithBound) {
   EXPECT_NE(error.find(">= 1"), std::string::npos) << error;
 }
 
-TEST(BenchFlagsTest, NonIntegerEngineThreadsNamesFlagAndToken) {
+// The deleted parallel engine's flags are rejected, not silently ignored.
+TEST(BenchFlagsTest, EngineThreadsIsRejectedAsUnknown) {
   Options opt;
   std::string error;
-  EXPECT_FALSE(Parse({"--engine-threads=many"}, &opt, &error));
-  EXPECT_NE(error.find("--engine-threads"), std::string::npos) << error;
-  EXPECT_NE(error.find("'many'"), std::string::npos) << error;
+  EXPECT_FALSE(Parse({"--engine-threads=2"}, &opt, &error));
+  EXPECT_NE(error.find("unknown flag '--engine-threads=2'"), std::string::npos) << error;
 }
 
-TEST(BenchFlagsTest, EngineSpeedupBelowTwoIsRejected) {
+TEST(BenchFlagsTest, BareEngineSpeedupIsRejectedAsUnknown) {
   Options opt;
   std::string error;
-  // A 1-thread "speedup" run is meaningless; the old parser silently bumped
-  // it to 2, hiding the typo.
+  EXPECT_FALSE(Parse({"--engine-speedup"}, &opt, &error));
+  EXPECT_NE(error.find("unknown flag '--engine-speedup'"), std::string::npos) << error;
+}
+
+TEST(BenchFlagsTest, EngineSpeedupIsRejectedAsUnknown) {
+  Options opt;
+  std::string error;
   EXPECT_FALSE(Parse({"--engine-speedup=1"}, &opt, &error));
-  EXPECT_NE(error.find("--engine-speedup"), std::string::npos) << error;
-  EXPECT_NE(error.find(">= 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("unknown flag '--engine-speedup=1'"), std::string::npos) << error;
 }
 
 TEST(BenchFlagsTest, EmptyIntegerValueIsRejected) {
   Options opt;
   std::string error;
-  EXPECT_FALSE(Parse({"--engine-threads="}, &opt, &error));
-  EXPECT_NE(error.find("--engine-threads"), std::string::npos) << error;
+  EXPECT_FALSE(Parse({"--session-scale="}, &opt, &error));
+  EXPECT_NE(error.find("--session-scale"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 // Causal call-flow stitching (src/trace/causal.h): the observer-side join
-// must reconstruct every call's RTT exactly from the trace, stay byte-stable
-// across simulation-engine widths (flow artifacts join the byte-identity
-// gates), and attribute retransmissions to their cause through a replica
-// crash/failover campaign.
+// must reconstruct every call's RTT exactly from the trace and attribute
+// retransmissions to their cause through a replica crash/failover campaign.
 
 #include <cmath>
 #include <string>
@@ -25,19 +23,18 @@ ArrivalSpec Arrivals(const std::string& text) {
 }
 
 // The bench_suite saturation-knee shape, scaled down for test time.
-DatacenterSpec KneeSpec(int engine_threads) {
+DatacenterSpec KneeSpec() {
   DatacenterSpec spec;
   spec.client_segments = 2;
   spec.clients_per_segment = 2;
   spec.replicas = 4;
   spec.arrivals = Arrivals("poisson:rate=160,horizon=200ms,seed=7");
-  spec.engine_threads = engine_threads;
   return spec;
 }
 
 // The replica-crash failover campaign from the cluster fault tests: s0
 // crashes mid-run, clients fail over, s0 restarts and is readmitted.
-DatacenterSpec CrashSpec(int engine_threads) {
+DatacenterSpec CrashSpec() {
   DatacenterSpec spec;
   spec.client_segments = 2;
   spec.clients_per_segment = 1;
@@ -45,7 +42,6 @@ DatacenterSpec CrashSpec(int engine_threads) {
   spec.readmit_after = Msec(120);
   spec.arrivals = Arrivals("poisson:rate=100,horizon=900ms,seed=17");
   spec.faults.Crash("s0", Msec(80), Msec(500));
-  spec.engine_threads = engine_threads;
   return spec;
 }
 
@@ -75,7 +71,7 @@ TracedRun RunTraced(const DatacenterSpec& spec) {
 TEST(CausalStitch, ReconstructsRttExactly) {
   TraceSink sink;
   TraceSink::set_thread_default(&sink);
-  const DatacenterResult r = MeasureDatacenter(KneeSpec(1));
+  const DatacenterResult r = MeasureDatacenter(KneeSpec());
   TraceSink::set_thread_default(nullptr);
 
   const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(sink.ToJsonl()));
@@ -107,39 +103,11 @@ TEST(CausalStitch, ReconstructsRttExactly) {
   EXPECT_DOUBLE_EQ(flow_mean, bench_mean);
 }
 
-// The knee job's trace and both flow artifacts must be byte-identical at
-// every engine width -- the same guarantee the raw trace already carries,
-// extended through the stitcher.
-TEST(CausalStitch, KneeFlowByteIdenticalAcrossEngineWidths) {
-  const TracedRun serial = RunTraced(KneeSpec(1));
-  const TracedRun parallel = RunTraced(KneeSpec(4));
-
-  EXPECT_GT(serial.result.issued, 0u);
-  EXPECT_EQ(serial.result.sum_done_at, parallel.result.sum_done_at);
-  EXPECT_EQ(serial.trace, parallel.trace);
-  EXPECT_EQ(serial.flow, parallel.flow);
-  EXPECT_EQ(serial.folded, parallel.folded);
-}
-
-// Same identity through the replica-crash campaign: crash teardown, station
-// down-drops, failover reroutes, and restart/readmit all leave records, and
-// every one of them lands in the same byte at width 1 and 4.
-TEST(CausalStitch, ReplicaCrashFlowByteIdenticalAcrossEngineWidths) {
-  const TracedRun serial = RunTraced(CrashSpec(1));
-  const TracedRun parallel = RunTraced(CrashSpec(4));
-
-  EXPECT_GE(serial.result.down_marks, 1u);
-  EXPECT_EQ(serial.result.sum_done_at, parallel.result.sum_done_at);
-  EXPECT_EQ(serial.trace, parallel.trace);
-  EXPECT_EQ(serial.flow, parallel.flow);
-  EXPECT_EQ(serial.folded, parallel.folded);
-}
-
 // The failover campaign's causal story: the crash and restart are visible,
 // VPOOL's down/readmit cycle is counted, retransmissions exist and are
 // attributed to causes, and calls routed after failover carry reroutes.
 TEST(CausalStitch, ReplicaCrashAttributesRetryCauses) {
-  const TracedRun run = RunTraced(CrashSpec(1));
+  const TracedRun run = RunTraced(CrashSpec());
   const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(run.trace));
 
   EXPECT_EQ(fa.crashes, 1u);
@@ -176,7 +144,7 @@ TEST(CausalStitch, ReplicaCrashAttributesRetryCauses) {
 
 // Flow JSONL shape: a meta head, one line per call, an aggregate tail.
 TEST(CausalStitch, FlowJsonlShape) {
-  const TracedRun run = RunTraced(KneeSpec(1));
+  const TracedRun run = RunTraced(KneeSpec());
 
   size_t lines = 0;
   for (char ch : run.flow) {

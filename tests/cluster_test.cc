@@ -529,43 +529,6 @@ TEST(ClusterClientTest, SessionErrorWithoutRequestFailsTheLowestOutstandingId) {
 
 // --- the datacenter measurement -----------------------------------------------
 
-DatacenterSpec SmallDatacenter() {
-  DatacenterSpec spec;
-  spec.client_segments = 2;
-  spec.clients_per_segment = 1;
-  spec.replicas = 2;
-  std::string error;
-  ArrivalSpec arrivals;
-  EXPECT_TRUE(
-      ArrivalSpec::Parse("poisson:rate=150,horizon=80ms,seed=3", &arrivals, &error))
-      << error;
-  spec.arrivals = arrivals;
-  return spec;
-}
-
-TEST(DatacenterTest, MeasurementIsBitIdenticalAcrossEngineWidths) {
-  DatacenterSpec spec = SmallDatacenter();
-  spec.engine_threads = 1;
-  const DatacenterResult serial = MeasureDatacenter(spec);
-  spec.engine_threads = 4;
-  const DatacenterResult parallel = MeasureDatacenter(spec);
-
-  EXPECT_EQ(parallel.issued, serial.issued);
-  EXPECT_EQ(parallel.completed, serial.completed);
-  EXPECT_EQ(parallel.failed, serial.failed);
-  EXPECT_EQ(parallel.sum_done_at, serial.sum_done_at);
-  EXPECT_EQ(parallel.events_fired, serial.events_fired);
-  EXPECT_EQ(parallel.rtt.count(), serial.rtt.count());
-  EXPECT_EQ(parallel.rtt.sum(), serial.rtt.sum());
-  EXPECT_EQ(parallel.rtt.P50(), serial.rtt.P50());
-  EXPECT_EQ(parallel.rtt.P999(), serial.rtt.P999());
-  EXPECT_EQ(parallel.replica_calls, serial.replica_calls);
-  ASSERT_EQ(parallel.routers.size(), 1u);
-  EXPECT_EQ(parallel.routers[0].forwards, serial.routers[0].forwards);
-  EXPECT_GT(serial.issued, 0u);
-  EXPECT_TRUE(serial.oracle.clean());
-}
-
 TEST(DatacenterTest, SubSaturationRoundRobinBalancesAndRoutesEverything) {
   DatacenterSpec spec;
   spec.client_segments = 2;

@@ -166,6 +166,86 @@ TEST_F(LinkFixture, StatsCountFramesAndBytes) {
   EXPECT_EQ(seg.bus_busy_time(), 0);
 }
 
+// A wire whose transmit time is exactly 50us for every frame (the per-byte
+// term truncates to 0ns) and whose propagation is 50us, so every arrival
+// lands on a round number.
+WireModel ExactWire() {
+  WireModel wire;
+  wire.bits_per_usec = 1e12;
+  wire.per_frame_overhead = Usec(50);
+  wire.propagation = Usec(50);
+  return wire;
+}
+
+// Records arrival times; the first frame it receives is answered with a
+// reply transmitted from inside the delivery.
+class ReplyingSink : public FrameSink {
+ public:
+  ReplyingSink(EventQueue& q, EthernetSegment& seg) : q_(q), seg_(seg) {}
+  void FrameArrived(const EthFrame& f) override {
+    arrivals.push_back(q_.now());
+    if (arrivals.size() == 1) {
+      seg_.Transmit(id, MakeFrame(f.Src(), f.Dst(), 0), q_.now());
+    }
+  }
+  int id = -1;
+  std::vector<SimTime> arrivals;
+
+ private:
+  EventQueue& q_;
+  EthernetSegment& seg_;
+};
+
+// F1 ready at 0: bus 0..50us, B receives at 100us. F2 ready at 100us:
+// bus 100..150us, B receives at 200us. B's reply is ready at 100us but
+// queues behind F2: bus 150..200us, A receives at 250us. With
+// `duplicate_to_a`, every delivery to A is duplicated and the second copy
+// follows one transmit time later.
+struct ExactRun {
+  std::vector<SimTime> a_arrivals;
+  std::vector<SimTime> b_arrivals;
+  uint64_t duplicates = 0;
+};
+
+ExactRun RunExactScenario(bool duplicate_to_a) {
+  EventQueue q;
+  EthernetSegment seg(q, ExactWire());
+  Recorder a(q);
+  ReplyingSink b(q, seg);
+  const int ia = seg.Attach(EthAddr::FromIndex(1), &a);
+  b.id = seg.Attach(EthAddr::FromIndex(2), &b);
+  if (duplicate_to_a) {
+    seg.set_fault_hook([ia](const EthFrame&, int receiver_id, uint64_t) {
+      return receiver_id == ia ? LinkFault::kDuplicate : LinkFault::kDeliver;
+    });
+  }
+
+  const auto f = MakeFrame(EthAddr::FromIndex(2), EthAddr::FromIndex(1), 0);
+  seg.Transmit(ia, f, 0);
+  seg.Transmit(ia, f, Usec(100));
+  q.Run();
+
+  ExactRun out;
+  for (const auto& arrival : a.arrivals) out.a_arrivals.push_back(arrival.at);
+  out.b_arrivals = b.arrivals;
+  out.duplicates = seg.fault_duplicates();
+  return out;
+}
+
+TEST(ExactWireTest, ArrivalsAndReplyLandOnExactTimes) {
+  const ExactRun run = RunExactScenario(/*duplicate_to_a=*/false);
+  EXPECT_EQ(run.b_arrivals, (std::vector<SimTime>{Usec(100), Usec(200)}));
+  EXPECT_EQ(run.a_arrivals, (std::vector<SimTime>{Usec(250)}));
+  EXPECT_EQ(run.duplicates, 0u);
+}
+
+TEST(ExactWireTest, DuplicateSecondCopyLandsOneTransmitTimeLater) {
+  const ExactRun run = RunExactScenario(/*duplicate_to_a=*/true);
+  EXPECT_EQ(run.b_arrivals, (std::vector<SimTime>{Usec(100), Usec(200)}));
+  EXPECT_EQ(run.a_arrivals, (std::vector<SimTime>{Usec(250), Usec(300)}));
+  EXPECT_EQ(run.duplicates, 1u);
+}
+
 TEST(WireModelTest, TransmitTimeAt10Mbps) {
   WireModel w;
   // 1250 bytes = 10000 bits = 1000 us at 10 Mbps, plus per-frame overhead.

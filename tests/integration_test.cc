@@ -128,6 +128,29 @@ TEST(WorkloadTest, ThroughputAccountsCpuAndBytes) {
 
 // --- composition invariants ---------------------------------------------------------
 
+TEST(ZeroTimeWireTest, CallsCompleteWithoutHanging) {
+  // An idealized wire: no per-frame overhead, no propagation, and a per-byte
+  // time that truncates to zero, so every frame arrives the instant it is
+  // sent. Calls must still complete and the run must reach quiescence.
+  WireModel wire;
+  wire.bits_per_usec = 1e12;
+  wire.per_frame_overhead = 0;
+  wire.propagation = 0;
+  ASSERT_EQ(wire.TransmitTime(0) + wire.propagation, 0) << "wire is not degenerate";
+
+  auto net = std::make_unique<Internet>(HostEnv::kXKernel, 1);
+  const int seg = net->AddSegment(wire);
+  net->AddHost("client", seg, IpAddr(10, 0, 1, 1));
+  net->AddHost("server", seg, IpAddr(10, 0, 1, 2));
+  net->WarmArp();
+  RpcFixture fix(std::move(net));
+  fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(fix.CallSync(1, Message::FromBytes(PatternBytes(600, uint8_t(i)))).ok());
+  }
+  EXPECT_EQ(fix.client->calls_completed(), 3u);
+}
+
 TEST(CompositionTest, SubstitutabilityAcrossDeliveries) {
   // The same M_RPC code runs over three different delivery protocols and
   // yields byte-identical results -- the uniform-interface claim.

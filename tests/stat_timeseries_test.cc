@@ -2,8 +2,8 @@
 //
 //   1. Zero simulated cost: enabling the sampler leaves every simulated
 //      result and the trace byte-identical to an unobserved run.
-//   2. Engine invariance: the sampled JSONL is byte-identical whether the
-//      simulation runs on the serial engine or the 4-thread parallel engine.
+//   2. Shape: the sampled JSONL carries its meta line plus host and segment
+//      samples.
 
 #include "src/stat/timeseries.h"
 
@@ -71,51 +71,17 @@ TEST(StatSampler, ZeroSimulatedCostOnTwoHostConfig) {
   EXPECT_EQ(base.service.sum(), obs.service.sum());
 }
 
-TEST(StatSampler, ByteIdenticalAcrossEngineWidths) {
-  StatSampler serial_sampler;
-  StatSampler::set_thread_default(&serial_sampler);
-  const ManyPairsBench serial = MeasureManyPairsBench(kPairs, kBytes, kIters, 1);
+TEST(StatSampler, SeriesCarriesEveryRecordKind) {
+  StatSampler sampler;
+  StatSampler::set_thread_default(&sampler);
+  (void)MeasureManyPairsBench(kPairs, kBytes, kIters);
   StatSampler::set_thread_default(nullptr);
 
-  StatSampler parallel_sampler;
-  StatSampler::set_thread_default(&parallel_sampler);
-  const ManyPairsBench parallel = MeasureManyPairsBench(kPairs, kBytes, kIters, 4);
-  StatSampler::set_thread_default(nullptr);
-
-  EXPECT_EQ(serial.sum_done_at, parallel.sum_done_at);
-  EXPECT_EQ(serial_sampler.num_samples(), parallel_sampler.num_samples());
-  const std::string a = serial_sampler.ToJsonl();
-  const std::string b = parallel_sampler.ToJsonl();
-  EXPECT_GT(serial_sampler.num_samples(), 0u);
-  EXPECT_EQ(a, b);
-  // Both record kinds are present.
+  EXPECT_GT(sampler.num_samples(), 0u);
+  const std::string a = sampler.ToJsonl();
   EXPECT_NE(a.find("\"k\":\"host\""), std::string::npos);
   EXPECT_NE(a.find("\"k\":\"seg\""), std::string::npos);
   EXPECT_NE(a.find("\"k\":\"meta\""), std::string::npos);
-}
-
-TEST(StatSampler, FaultedRunStaysEngineInvariant) {
-  // Random link drops draw from the segment's Rng inside ProcessTransmit,
-  // which runs in canonical order under both engines, so even a faulted run
-  // samples identically.
-  StatSampler s1;
-  StatSampler::set_thread_default(&s1);
-  const ManyPairsBench r1 = MeasureManyPairsBench(kPairs, kBytes, 8, 1, 0.05);
-  StatSampler::set_thread_default(nullptr);
-
-  StatSampler s4;
-  StatSampler::set_thread_default(&s4);
-  const ManyPairsBench r4 = MeasureManyPairsBench(kPairs, kBytes, 8, 4, 0.05);
-  StatSampler::set_thread_default(nullptr);
-
-  EXPECT_EQ(r1.sum_done_at, r4.sum_done_at);
-  EXPECT_EQ(r1.rtt.P999(), r4.rtt.P999());
-  uint64_t dropped = 0;
-  for (const SegmentStat& s : r1.segments) {
-    dropped += s.frames_dropped;
-  }
-  EXPECT_GT(dropped, 0u);
-  EXPECT_EQ(s1.ToJsonl(), s4.ToJsonl());
 }
 
 }  // namespace
