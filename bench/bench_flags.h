@@ -6,6 +6,7 @@
 #ifndef XK_BENCH_BENCH_FLAGS_H_
 #define XK_BENCH_BENCH_FLAGS_H_
 
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -29,8 +30,8 @@ struct Options {
 
 namespace bench_flags_internal {
 
-// Parses `value` as a base-10 integer >= `min`; on failure writes a message
-// naming the flag and the offending token.
+// Parses `value` as a base-10 integer in [`min`, INT_MAX]; on failure writes a
+// message naming the flag and the offending token.
 inline bool ParseFlagInt(const char* flag, const char* value, long min, int* out,
                          std::string* error) {
   char* end = nullptr;
@@ -39,9 +40,10 @@ inline bool ParseFlagInt(const char* flag, const char* value, long min, int* out
     *error = std::string(flag) + ": bad value '" + value + "' (expected an integer)";
     return false;
   }
-  if (v < min) {
+  // strtol saturates at LONG_MAX, which is above INT_MAX too.
+  if (v < min || v > INT_MAX) {
     *error = std::string(flag) + ": bad value '" + value + "' (must be >= " +
-             std::to_string(min) + ")";
+             std::to_string(min) + " and <= " + std::to_string(INT_MAX) + ")";
     return false;
   }
   *out = static_cast<int>(v);

@@ -1,16 +1,17 @@
-// The full benchmark suite in one parallel binary.
+// The benchmark suite: every experiment in one parallel binary.
 //
-// Enumerates every configuration the per-table binaries measure -- Tables
-// I-III, the Section 4.3 dynamic-removal stack, the Section 1 UDP/IP
-// cross-kernel comparison, the 1k..16k throughput sweep, and both ablations
-// -- and runs them as independent jobs on a host thread pool, one simulated
-// Internet per job. Results are written as JSON (BENCH_RESULTS.json).
+// Runs each configuration of the paper's evaluation -- Tables I-III, the
+// Section 4.3 dynamic-removal stack, the Section 1 UDP/IP cross-kernel
+// comparison, the 1k..16k throughput sweep and both ablations -- plus the
+// many-host, chaos, datacenter and session-scale workloads, as independent
+// jobs on a host thread pool, one simulated Internet per job. Results are
+// written as JSON (BENCH_RESULTS.json) and then printed as the
+// paper-vs-measured report.
 //
 // Parallelism rule: parallel ACROSS instances, deterministic WITHIN an
 // instance. Each job builds its own Internet (its own EventQueue, kernels,
-// and sessions), shares nothing mutable with other jobs, and therefore
-// reports exactly the numbers the serial binaries report -- the jobs even
-// call the same helpers in bench_util.h. Only the host-side wall-clock
+// and sessions) and shares nothing mutable with other jobs, so its simulated
+// numbers are the same at any thread count. Only the host-side wall-clock
 // fields (wall_ms, events_per_sec, parallel_speedup) vary run to run.
 
 #include <atomic>
@@ -19,14 +20,21 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <regex>
+#include <set>
 #include <thread>
+#include <utility>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_util.h"
-#include "src/trace/causal.h"
 #include "bench/session_scale.h"
 #include "src/cluster/datacenter.h"
+#include "src/stat/timeseries.h"
+#include "src/trace/causal.h"
+#include "src/trace/json_util.h"
+#include "src/trace/pcap.h"
+#include "src/trace/trace.h"
 
 namespace xk {
 namespace {
@@ -75,8 +83,8 @@ JobResult FromConfig(const ConfigResult& r) {
 
 Job MeasureJob(std::string group, std::string name, RpcBench::Builder builder,
                HostEnv env = HostEnv::kXKernel) {
-  JobFn fn = [name, builder = std::move(builder), env] {
-    return FromConfig(RpcBench::Measure(name, builder, env));
+  JobFn fn = [builder = std::move(builder), env] {
+    return FromConfig(RpcBench::Measure(builder, env));
   };
   return Job{std::move(group), std::move(name), std::move(fn)};
 }
@@ -107,17 +115,14 @@ Job UdpJob(std::string name, HostEnv env) {
 
 Job SweepJob(std::string name, RpcBench::Builder builder, HostEnv env = HostEnv::kXKernel) {
   JobFn fn = [builder = std::move(builder), env] {
+    const SweepSeries sweep = MeasureSweep(builder, env);
+    const std::vector<double>& per_call = sweep.per_call_ms;
     JobResult out;
-    std::vector<double> per_call;
-    for (size_t kb = 1; kb <= 16; ++kb) {
-      RpcBench::Instance in = RpcBench::MakeInstance(builder, env);
-      ThroughputResult t = RpcWorkload::MeasureThroughput(
-          *in.net, *in.ch->kernel, *in.sh->kernel, in.MakeCall(), kb * 1024, 8);
-      per_call.push_back(ToMsec(t.elapsed) / t.completed);
-      out.events_fired += in.net->events_fired();
-      out.metrics.push_back({"per_call_ms_" + std::to_string(kb) + "k", per_call.back()});
-      out.latency_hist.Merge(t.rtt);
+    for (size_t kb = 1; kb <= per_call.size(); ++kb) {
+      out.metrics.push_back({"per_call_ms_" + std::to_string(kb) + "k", per_call[kb - 1]});
     }
+    out.events_fired = sweep.events_fired;
+    out.latency_hist = sweep.rtt;
     out.metrics.push_back({"throughput_16k_kbs", 16.0 / (per_call.back() / 1000.0)});
     out.metrics.push_back({"slope_ms_per_kb", (per_call.back() - per_call.front()) / 15.0});
     return out;
@@ -132,8 +137,8 @@ Job HeaderAllocJob(std::string name, HeaderAllocPolicy policy) {
     JobResult out;
     PartialLatency base = MeasurePartialLatency(0);
     PartialLatency chan = MeasurePartialLatency(2);
-    ConfigResult full = RpcBench::Measure(
-        "SELECT-CHANNEL-FRAGMENT-VIP", [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+    ConfigResult full =
+        RpcBench::Measure([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
     out.metrics = {{"vip_base_ms", base.ms},
                    {"full_stack_ms", full.latency_ms},
                    {"avg_per_layer_ms", (full.latency_ms - base.ms) / 3.0},
@@ -153,6 +158,19 @@ constexpr int kManyHostPairs = 32;
 constexpr size_t kManyHostBytes = 4096;
 constexpr int kManyHostIters = 50;
 
+// Appends a JSON object of integer fields: {"key": value, ...}.
+void AppendIntObject(std::string& out,
+                     std::initializer_list<std::pair<const char*, int64_t>> fields) {
+  const char* sep = "{\"";
+  for (const auto& [key, value] : fields) {
+    out += sep;
+    out += key;
+    out += "\": " + std::to_string(value);
+    sep = ", \"";
+  }
+  out += "}";
+}
+
 JobResult ManyHostResult(const ManyPairsBench& b) {
   JobResult out;
   out.metrics = {{"agg_kbytes_per_sec", b.agg_kbytes_per_sec},
@@ -163,57 +181,39 @@ JobResult ManyHostResult(const ManyPairsBench& b) {
   out.events_fired = b.events_fired;
   out.latency_hist = b.rtt;
   out.service_hist = b.service;
-  // Per-segment link statistics, all integers: byte-stable.
-  std::string& seg_json = out.extra_json;
   // IP forwarding totals over every host: zero here (no routers in the
   // many-pairs topology), but reported so the datacenter jobs' forwarding
   // accounting has an explicit off-path control.
-  seg_json += "\"ip\": {\"forwards\": " + std::to_string(b.ip_forwards);
-  seg_json += ", \"ttl_drops\": " + std::to_string(b.ip_ttl_drops);
-  seg_json += ", \"no_route_drops\": " + std::to_string(b.ip_no_route_drops);
-  seg_json += "}, ";
-  seg_json += "\"segments\": [";
-  for (size_t s = 0; s < b.segments.size(); ++s) {
-    const SegmentStat& st = b.segments[s];
-    if (s > 0) {
-      seg_json += ", ";
-    }
-    seg_json += "{\"segment\": " + std::to_string(st.segment);
-    seg_json += ", \"frames\": " + std::to_string(st.frames);
-    seg_json += ", \"bytes\": " + std::to_string(st.bytes);
-    seg_json += ", \"busy_ns\": " + std::to_string(st.busy_ns);
-    seg_json += ", \"utilization_ppm\": " + std::to_string(st.utilization_ppm);
-    seg_json += ", \"queued_frames\": " + std::to_string(st.queued_frames);
-    seg_json += ", \"peak_queue_depth\": " + std::to_string(st.peak_queue_depth);
-    seg_json += ", \"mean_queue_depth_x1000\": " + std::to_string(st.mean_queue_depth_x1000);
-    seg_json += ", \"wait_p50_ns\": " + std::to_string(st.wait_p50_ns);
-    seg_json += ", \"wait_p99_ns\": " + std::to_string(st.wait_p99_ns);
-    seg_json += ", \"wait_p999_ns\": " + std::to_string(st.wait_p999_ns);
-    seg_json += ", \"wait_max_ns\": " + std::to_string(st.wait_max_ns);
-    seg_json += ", \"frames_dropped\": " + std::to_string(st.frames_dropped);
-    seg_json += "}";
+  std::string& ej = out.extra_json;
+  ej += "\"ip\": ";
+  AppendIntObject(ej, {{"forwards", b.ip_forwards}, {"ttl_drops", b.ip_ttl_drops},
+                       {"no_route_drops", b.ip_no_route_drops}});
+  // Per-segment link statistics, all integers: byte-stable.
+  ej += ", \"segments\": [";
+  for (const SegmentStat& st : b.segments) {
+    ej += &st == b.segments.data() ? "" : ", ";
+    AppendIntObject(ej, {{"segment", st.segment}, {"frames", st.frames}, {"bytes", st.bytes},
+                         {"busy_ns", st.busy_ns}, {"utilization_ppm", st.utilization_ppm},
+                         {"queued_frames", st.queued_frames},
+                         {"peak_queue_depth", st.peak_queue_depth},
+                         {"mean_queue_depth_x1000", st.mean_queue_depth_x1000},
+                         {"wait_p50_ns", st.wait_p50_ns}, {"wait_p99_ns", st.wait_p99_ns},
+                         {"wait_p999_ns", st.wait_p999_ns}, {"wait_max_ns", st.wait_max_ns},
+                         {"frames_dropped", st.frames_dropped}});
   }
-  seg_json += "]";
+  ej += "]";
   return out;
 }
 
-Job ManyHostJob() {
-  JobFn fn = [] {
+// `drop_rate` > 0 drops frames uniformly on every segment: retransmissions
+// stretch the latency tail (p999 >> p50), which is what the percentile blocks
+// and the regression gate are for.
+Job ManyHostJob(std::string name, double drop_rate) {
+  JobFn fn = [drop_rate] {
     return ManyHostResult(
-        MeasureManyPairsBench(kManyHostPairs, kManyHostBytes, kManyHostIters));
+        MeasureManyPairsBench(kManyHostPairs, kManyHostBytes, kManyHostIters, drop_rate));
   };
-  return Job{"manyhost", "L_RPC-VIP-32pairs", std::move(fn)};
-}
-
-// The same workload with a 0.5% uniform frame drop on every segment:
-// retransmissions stretch the latency tail (p999 >> p50), which is what the
-// percentile blocks and the regression gate are for.
-Job ManyHostFaultsJob() {
-  JobFn fn = [] {
-    return ManyHostResult(MeasureManyPairsBench(kManyHostPairs, kManyHostBytes,
-                                                kManyHostIters, /*drop_rate=*/0.005));
-  };
-  return Job{"manyhost", "L_RPC-VIP-32pairs-faults", std::move(fn)};
+  return Job{"manyhost", std::move(name), std::move(fn)};
 }
 
 // Trace-overhead microbench: the same many-pairs workload twice back to
@@ -406,9 +406,7 @@ Job DatacenterJob(std::string name, DatacenterSpec spec) {
     // Per-replica share, from the client-side VPOOL counters.
     ej += "\"replica_calls\": {";
     for (size_t i = 0; i < r.replica_calls.size(); ++i) {
-      if (i > 0) {
-        ej += ", ";
-      }
+      ej += i > 0 ? ", " : "";
       ej += "\"r" + std::to_string(i) + "_calls\": " + std::to_string(r.replica_calls[i]);
     }
     ej += "}";
@@ -418,15 +416,9 @@ Job DatacenterJob(std::string name, DatacenterSpec spec) {
       ej += ", \"failover_phases\": {";
       for (int p = 0; p < 3; ++p) {
         const DatacenterResult::Phase& ph = r.phases[p];
-        if (p > 0) {
-          ej += ", ";
-        }
-        ej += std::string("\"") + kPhaseNames[p] + "\": {";
-        ej += "\"issued\": " + std::to_string(ph.issued);
-        ej += ", \"completed\": " + std::to_string(ph.completed);
-        ej += ", \"failed\": " + std::to_string(ph.failed);
-        ej += ", \"success_ppm\": " + std::to_string(ph.success_ppm);
-        ej += "}";
+        ej += std::string(p > 0 ? ", \"" : "\"") + kPhaseNames[p] + "\": ";
+        AppendIntObject(ej, {{"issued", ph.issued}, {"completed", ph.completed},
+                             {"failed", ph.failed}, {"success_ppm", ph.success_ppm}});
       }
       ej += "}";
     }
@@ -435,32 +427,21 @@ Job DatacenterJob(std::string name, DatacenterSpec spec) {
     ej += ", \"routers\": [";
     for (size_t i = 0; i < r.routers.size(); ++i) {
       const DatacenterResult::RouterStat& rt = r.routers[i];
-      if (i > 0) {
-        ej += ", ";
-      }
-      ej += "{\"name\": \"" + rt.name + "\"";
+      ej += (i > 0 ? ", {\"name\": \"" : "{\"name\": \"") + rt.name + "\"";
       ej += ", \"forwards\": " + std::to_string(rt.forwards);
       ej += ", \"ttl_drops\": " + std::to_string(rt.ttl_drops);
-      ej += ", \"no_route_drops\": " + std::to_string(rt.no_route_drops);
-      ej += "}";
+      ej += ", \"no_route_drops\": " + std::to_string(rt.no_route_drops) + "}";
     }
     ej += "], \"segments\": [";
     for (size_t i = 0; i < r.segments.size(); ++i) {
       const DatacenterResult::SegStat& st = r.segments[i];
-      if (i > 0) {
-        ej += ", ";
-      }
-      ej += "{\"segment\": " + std::to_string(st.segment);
-      ej += ", \"frames\": " + std::to_string(st.frames);
-      ej += ", \"bytes\": " + std::to_string(st.bytes);
-      ej += ", \"utilization_ppm\": " + std::to_string(st.utilization_ppm);
-      ej += ", \"queued_frames\": " + std::to_string(st.queued_frames);
-      ej += ", \"peak_queue_depth\": " + std::to_string(st.peak_queue_depth);
-      ej += ", \"wait_p99_ns\": " + std::to_string(st.wait_p99_ns);
-      ej += ", \"frames_dropped\": " + std::to_string(st.frames_dropped);
-      ej += ", \"down_drops\": " + std::to_string(st.down_drops);
-      ej += ", \"fault_drops\": " + std::to_string(st.fault_drops);
-      ej += "}";
+      ej += i > 0 ? ", " : "";
+      AppendIntObject(ej, {{"segment", st.segment}, {"frames", st.frames}, {"bytes", st.bytes},
+                           {"utilization_ppm", st.utilization_ppm},
+                           {"queued_frames", st.queued_frames},
+                           {"peak_queue_depth", st.peak_queue_depth},
+                           {"wait_p99_ns", st.wait_p99_ns}, {"frames_dropped", st.frames_dropped},
+                           {"down_drops", st.down_drops}, {"fault_drops", st.fault_drops}});
     }
     ej += "]";
     return out;
@@ -574,8 +555,8 @@ std::vector<Job> BuildJobs() {
   jobs.push_back(ColdWarmJob("L_RPC-VIP", l_vip));
   jobs.push_back(ColdWarmJob("SELECT-CHANNEL-VIPsize", l_dyn));
   // The many-host workload, clean and with link faults.
-  jobs.push_back(ManyHostJob());
-  jobs.push_back(ManyHostFaultsJob());
+  jobs.push_back(ManyHostJob("L_RPC-VIP-32pairs", 0.0));
+  jobs.push_back(ManyHostJob("L_RPC-VIP-32pairs-faults", 0.005));
   jobs.push_back(ManyHostTracedJob());
   // The engine hot-path microbench (event churn + frame bursts).
   jobs.push_back(HotLoopJob());
@@ -707,19 +688,6 @@ std::vector<Job> BuildJobs() {
 
 // --- JSON emission -------------------------------------------------------------
 
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
 void AppendJsonNumber(std::string& out, double v, const char* fmt = "%.10g") {
   if (!std::isfinite(v)) {
     out += "null";
@@ -731,11 +699,9 @@ void AppendJsonNumber(std::string& out, double v, const char* fmt = "%.10g") {
 }
 
 std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& results,
-                   unsigned threads, double wall_ms, bool stable) {
-  double serial_ms = 0;
+                   unsigned threads, double wall_ms, double serial_ms, bool stable) {
   uint64_t events_total = 0;
   for (const JobResult& r : results) {
-    serial_ms += r.wall_ms;
     events_total += r.events_fired;
   }
   std::string out;
@@ -766,15 +732,15 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
   for (size_t i = 0; i < results.size(); ++i) {
     const JobResult& r = results[i];
     out += "    {\"group\": ";
-    AppendJsonString(out, r.group);
+    JsonAppendEscaped(out, r.group);
     out += ", \"name\": ";
-    AppendJsonString(out, r.name);
+    JsonAppendEscaped(out, r.name);
     if (!stable) {
       out += ", \"wall_ms\": ";
       AppendJsonNumber(out, r.wall_ms, "%.1f");
       for (const Metric& m : r.host_metrics) {
         out += ", ";
-        AppendJsonString(out, m.name);
+        JsonAppendEscaped(out, m.name);
         out += ": ";
         AppendJsonNumber(out, m.value);
       }
@@ -785,7 +751,7 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
       if (m > 0) {
         out += ", ";
       }
-      AppendJsonString(out, r.metrics[m].name);
+      JsonAppendEscaped(out, r.metrics[m].name);
       out += ": ";
       AppendJsonNumber(out, r.metrics[m].value);
     }
@@ -808,6 +774,227 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
   return out;
 }
 
+// --- paper-vs-measured report --------------------------------------------------
+
+// A Table I/II row: latency (ms), throughput (KB/s), incremental cost (ms/KB).
+struct RpcRef {
+  double latency_ms, throughput_kbs, incr_ms_per_kb;
+};
+
+// The paper's reference values. Each derived line's reference is computed
+// from these by the same formula as its measured value.
+constexpr struct {
+  RpcRef n_rpc{2.60, 700, 1.20}, m_eth{1.73, 863, 1.04}, m_ip{2.10, 836, 1.05},
+      m_vip{1.79, 860, 1.04}, l_vip{1.93, 839, 1.03};
+  double vip_size_ms = 1.78;                      // Section 4.3
+  double layer_ms[4] = {1.12, 1.33, 1.82, 1.93};  // Table III
+  double fragment_kbs = 865;                      // FRAGMENT standalone
+  double udp_ms[2] = {2.00, 5.36};                // Section 1: x-kernel, SunOS 4.0
+  double min_layer_ms[2] = {0.11, 0.50};          // Section 5: adjust, alloc
+} kPaper;
+
+// The suite's metrics by job ("group.name"). A metric of a job that did not
+// run reads NaN, and Lines skips any line holding one, so a --filter'd run
+// prints exactly the rows and derived lines its jobs measured.
+class Results {
+ public:
+  explicit Results(const std::vector<JobResult>& results) {
+    for (const JobResult& r : results) {
+      groups_.insert(r.group);
+      for (const Metric& m : r.metrics) {
+        values_[r.group + "." + r.name + "/" + m.name] = m.value;
+      }
+    }
+  }
+  bool Ran(const std::string& group) const { return groups_.count(group) > 0; }
+  double operator()(const std::string& job, const std::string& metric = "latency_ms") const {
+    const auto it = values_.find(job + "/" + metric);
+    return it == values_.end() ? std::nan("") : it->second;
+  }
+
+ private:
+  std::set<std::string> groups_;
+  std::map<std::string, double> values_;
+};
+
+bool Measured(double v) { return !std::isnan(v); }
+bool Measured(const char*) { return true; }
+
+// Prints report lines, each only when every value on it was measured. The
+// heading prints once, before the first line that does.
+class Lines {
+ public:
+  explicit Lines(const char* heading = "") : heading_(heading) {}
+
+  template <typename... Values>
+  void operator()(const char* format, Values... values) {
+    if ((Measured(values) && ...)) {
+      std::printf("%s", std::exchange(heading_, ""));
+      std::printf(format, values...);
+    }
+  }
+
+ private:
+  const char* heading_;
+};
+
+struct RpcRow {
+  const char* label;
+  std::string job;
+  RpcRef paper;
+};
+
+void PrintRpcTable(const Results& r, const char* title, std::initializer_list<RpcRow> rows) {
+  std::printf("\n%s\n%-30s %10s %14s %18s\n%-30s %10s %14s %18s\n%s\n", title, "Configuration",
+              "Latency", "Throughput", "Incremental Cost", "", "(msec)", "(kbytes/sec)",
+              "(msec/1k-bytes)", std::string(76, '-').c_str());
+  Lines line;
+  for (const RpcRow& row : rows) {
+    line("%-30s %10.2f %14.0f %18.2f   [paper: %.2f / %.0f / %.2f]\n", row.label, r(row.job),
+         r(row.job, "throughput_kbs"), r(row.job, "incr_ms_per_kb"), row.paper.latency_ms,
+         row.paper.throughput_kbs, row.paper.incr_ms_per_kb);
+  }
+}
+
+// Prints the paper's evaluation as measured, beside the paper's own numbers.
+// A table prints when any job of its group ran.
+void PrintReport(const std::vector<JobResult>& results) {
+  const Results r(results);
+  Lines line;
+  const RpcRef& p_eth = kPaper.m_eth;
+  const std::string eth = "table1_vip.M_RPC-ETH", ip = "table1_vip.M_RPC-IP",
+                    vip = "table1_vip.M_RPC-VIP", layered = "table2_layering.L_RPC-VIP",
+                    dyn = "sec43_dynamic.SELECT-CHANNEL-VIPsize";
+  const auto cpu = [&r](const std::string& job, const char* side) {
+    return r(job, std::string(side) + "_cpu_ms");
+  };
+  if (r.Ran("table1_vip")) {
+    PrintRpcTable(r, "Table I: Evaluating VIP",
+                  {{"N_RPC", "table1_vip.N_RPC", kPaper.n_rpc}, {"M_RPC-ETH", eth, p_eth},
+                   {"M_RPC-IP", ip, kPaper.m_ip}, {"M_RPC-VIP", vip, kPaper.m_vip}});
+    const double penalty = kPaper.m_ip.latency_ms - p_eth.latency_ms;
+    Lines derived("\nDerived quantities:\n");
+    derived("  IP penalty over ETH:   %+.2f ms (%.0f%%)   [paper: %+.2f ms, %.0f%%]\n",
+            r(ip) - r(eth), 100.0 * (r(ip) - r(eth)) / r(eth), penalty,
+            100.0 * penalty / p_eth.latency_ms);
+    derived("  VIP overhead over ETH: %+.2f ms          [paper: %+.2f ms]\n", r(vip) - r(eth),
+            kPaper.m_vip.latency_ms - p_eth.latency_ms);
+    derived("  CPU per 16k call: ETH %.2f+%.2f  IP %.2f+%.2f  VIP %.2f+%.2f ms "
+            "(client+server; VIP < IP expected)\n",
+            cpu(eth, "client"), cpu(eth, "server"), cpu(ip, "client"), cpu(ip, "server"),
+            cpu(vip, "client"), cpu(vip, "server"));
+  }
+  if (r.Ran("table2_layering")) {
+    PrintRpcTable(r, "Table II: Monolithic RPC versus Layered RPC",
+                  {{"M_RPC-VIP", vip, kPaper.m_vip}, {"L_RPC-VIP", layered, kPaper.l_vip}});
+    Lines derived("\nDerived quantities:\n");
+    derived("  Layering penalty: %+.2f ms        [paper: %+.2f ms]\n", r(layered) - r(vip),
+            kPaper.l_vip.latency_ms - kPaper.m_vip.latency_ms);
+    derived("  CPU per 16k call (client+server): monolithic %.2f, layered %.2f ms "
+            "[paper: layered slightly less]\n",
+            cpu(vip, "client") + cpu(vip, "server"),
+            cpu(layered, "client") + cpu(layered, "server"));
+  }
+  if (r.Ran("table3_layer_costs")) {
+    std::printf("\nTable III: Cost of Individual RPC Layers\n"
+                "%-34s %10s %20s\n%-34s %10s %20s\n%s\n", "Configuration", "Latency",
+                "Incremental Cost", "", "(msec)", "(msec/layer)", std::string(70, '-').c_str());
+    // The full stack is Table II's layered row, measured with the real anchors.
+    const char* names[4] = {"VIP", "FRAGMENT-VIP", "CHANNEL-FRAGMENT-VIP",
+                            "SELECT-CHANNEL-FRAGMENT-VIP"};
+    const std::string jobs[4] = {"table3_layer_costs.VIP", "table3_layer_costs.FRAGMENT-VIP",
+                                 "table3_layer_costs.CHANNEL-FRAGMENT-VIP", layered};
+    line("%-34s %10.2f %20s   [paper: %.2f]\n", names[0], r(jobs[0]), "NA", kPaper.layer_ms[0]);
+    for (int i = 1; i < 4; ++i) {
+      line("%-34s %10.2f %20.2f   [paper: %.2f, %+.2f]\n", names[i], r(jobs[i]),
+           r(jobs[i]) - r(jobs[i - 1]), kPaper.layer_ms[i],
+           kPaper.layer_ms[i] - kPaper.layer_ms[i - 1]);
+    }
+    line("\nFRAGMENT standalone throughput: %.0f kbytes/sec   [paper: %.0f]\n",
+         r("table3_layer_costs.FRAGMENT-throughput", "throughput_kbs"), kPaper.fragment_kbs);
+  }
+  if (r.Ran("sec43_dynamic")) {
+    PrintRpcTable(r, "Section 4.3: Dynamically Removing Layers",
+                  {{"M_RPC-VIP (reference)", vip, kPaper.m_vip},
+                   {"SELECT-CHANNEL-FRAGMENT-VIP", layered, kPaper.l_vip}});
+    line("%-30s %10.2f %14.0f %18.2f   [paper: %.2f]\n", "SELECT-CHANNEL-VIPsize", r(dyn),
+         r(dyn, "throughput_kbs"), r(dyn, "incr_ms_per_kb"), kPaper.vip_size_ms);
+    Lines derived("\nDerived quantities:\n");
+    derived("  Saved by bypassing FRAGMENT:  %+.2f ms   "
+            "[paper: %+.2f ms (%+.2f FRAGMENT + %.2f VIPsize)]\n",
+            r(dyn) - r(layered), kPaper.vip_size_ms - kPaper.l_vip.latency_ms,
+            kPaper.layer_ms[0] - kPaper.layer_ms[1], kPaper.m_vip.latency_ms - p_eth.latency_ms);
+    derived("  Gap to monolithic:            %+.2f ms   [paper: %+.2f ms]\n", r(dyn) - r(vip),
+            kPaper.vip_size_ms - kPaper.m_vip.latency_ms);
+  }
+  if (r.Ran("udp_crosskernel")) {
+    const double xk = r("udp_crosskernel.UDP-xkernel"), sunos = r("udp_crosskernel.UDP-sunos");
+    std::printf("\nSection 1: UDP/IP user-to-user round trip, x-kernel vs SunOS 4.0\n"
+                "%-24s %10s\n%s\n", "Environment", "Latency", std::string(40, '-').c_str());
+    line("%-24s %7.2f ms   [paper: %.2f]\n", "x-kernel", xk, kPaper.udp_ms[0]);
+    line("%-24s %7.2f ms   [paper: %.2f]\n", "SunOS 4.0 (4.3BSD)", sunos, kPaper.udp_ms[1]);
+    line("\nRatio: %.2fx   [paper: %.2fx]\n", sunos / xk, kPaper.udp_ms[1] / kPaper.udp_ms[0]);
+  }
+  if (r.Ran("throughput_sweep")) {
+    std::vector<std::string> series;  // the sweep jobs that ran, one column each
+    for (const char* name :
+         {"M_RPC-ETH", "M_RPC-IP", "M_RPC-VIP", "L_RPC-VIP", "L_RPC-VIPsize", "N_RPC"}) {
+      if (Measured(r(std::string("throughput_sweep.") + name, "slope_ms_per_kb"))) {
+        series.push_back(name);
+      }
+    }
+    const auto sweep = [&r](const std::string& name, const std::string& metric) {
+      return r("throughput_sweep." + name, metric);
+    };
+    std::printf("\nThroughput sweep: per-call round trip (ms) vs request size\n%-8s", "size");
+    for (const std::string& name : series) {
+      std::printf(" %14s", name.c_str());
+    }
+    std::printf("\n%s\n", std::string(8 + 15 * series.size(), '-').c_str());
+    for (size_t kb = 1; kb <= 16; ++kb) {
+      std::printf("%-8zu", kb * 1024);
+      for (const std::string& name : series) {
+        std::printf(" %14.2f", sweep(name, "per_call_ms_" + std::to_string(kb) + "k"));
+      }
+      std::printf("\n");
+    }
+    std::printf("\nThroughput at 16k (kbytes/sec):\n");
+    for (const std::string& name : series) {
+      std::printf("  %-16s %6.0f\n", name.c_str(), sweep(name, "throughput_16k_kbs"));
+    }
+    std::printf("\nSlope 1k->16k (ms per additional kbyte):\n");
+    for (const std::string& name : series) {
+      std::printf("  %-16s %6.2f\n", name.c_str(), sweep(name, "slope_ms_per_kb"));
+    }
+  }
+  if (r.Ran("ablation_header_alloc")) {
+    std::printf("\nAblation: header buffer scheme (pointer adjust vs per-layer alloc)\n"
+                "%-26s %12s %12s %14s %16s\n%s\n", "Scheme", "VIP base", "Full stack",
+                "avg/layer", "min/layer(SELECT)", std::string(86, '-').c_str());
+    const char* labels[2] = {"pointer-adjust (current)", "alloc-per-header (old)"};
+    const std::string jobs[2] = {"ablation_header_alloc.pointer-adjust",
+                                 "ablation_header_alloc.alloc-per-header"};
+    for (int i = 0; i < 2; ++i) {
+      line("%-26s %9.2f ms %9.2f ms %11.2f ms %13.2f ms   [paper: %.2f]\n", labels[i],
+           r(jobs[i], "vip_base_ms"), r(jobs[i], "full_stack_ms"),
+           r(jobs[i], "avg_per_layer_ms"), r(jobs[i], "min_per_layer_ms"),
+           kPaper.min_layer_ms[i]);
+    }
+  }
+  if (r.Ran("ablation_session_cache")) {
+    std::printf("\nAblation: session caching (first call vs steady state)\n"
+                "%-30s %12s %14s %14s\n%s\n", "Configuration", "first call", "steady state",
+                "setup cost", std::string(74, '-').c_str());
+    for (const char* name : {"M_RPC-VIP", "L_RPC-VIP", "SELECT-CHANNEL-VIPsize"}) {
+      const std::string job = std::string("ablation_session_cache.") + name;
+      line("%-30s %9.2f ms %11.2f ms %11.2f ms\n", name, r(job, "first_call_ms"),
+           r(job, "steady_state_ms"), r(job, "setup_cost_ms"));
+    }
+    std::printf("\nA stack that re-established sessions per call would pay the setup cost\n"
+                "on EVERY RPC -- the paper's first layering pitfall.\n");
+  }
+}
+
 // --- the pool ------------------------------------------------------------------
 
 // "group.name" with anything outside [A-Za-z0-9._-] replaced, so every job
@@ -822,14 +1009,17 @@ std::string JobFileStem(const Job& job) {
   return s;
 }
 
-// Flow/folded artifacts are plain strings built off-thread; write-all-or-log.
-bool WriteTextFile(const std::string& path, const std::string& text) {
+// Writes one observer artifact. Observers never change a result, so a failed
+// write warns on stderr and the run still exits 0.
+void WriteArtifact(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
+  if (f != nullptr) {
+    const bool written = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    if (std::fclose(f) == 0 && written) {
+      return;
+    }
   }
-  const size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  return std::fclose(f) == 0 && n == text.size();
+  std::fprintf(stderr, "bench_suite: failed to write %s\n", path.c_str());
 }
 
 // Options lives in bench/bench_flags.h so ParseBenchArgs is unit-testable.
@@ -885,7 +1075,6 @@ std::vector<Job> SelectJobs(const Options& opt, std::string* fault_error,
 }
 
 int Run(const Options& opt) {
-  const unsigned threads = opt.threads;
   std::vector<Job> jobs;
   std::string fault_error;
   std::string arrivals_error;
@@ -909,11 +1098,10 @@ int Run(const Options& opt) {
     }
     return 0;
   }
+  // No more workers than jobs: each extra thread would find the queue empty.
+  const unsigned threads =
+      static_cast<unsigned>(std::min<size_t>(opt.threads, std::max<size_t>(jobs.size(), 1)));
   const std::string& out_path = opt.out_path;
-  const std::string& trace_dir = opt.trace_dir;
-  const std::string& pcap_dir = opt.pcap_dir;
-  const std::string& stats_dir = opt.stats_dir;
-  const std::string& flow_dir = opt.flow_dir;
   std::vector<JobResult> results(jobs.size());
   std::atomic<size_t> next{0};
 
@@ -936,15 +1124,15 @@ int Run(const Options& opt) {
       std::unique_ptr<StatSampler> sampler;
       // --flow= needs the same records --trace= records, so either flag
       // brings the sink up; --flow alone just skips writing the raw trace.
-      if (!trace_dir.empty() || !flow_dir.empty()) {
+      if (!opt.trace_dir.empty() || !opt.flow_dir.empty()) {
         sink = std::make_unique<TraceSink>();
         TraceSink::set_thread_default(sink.get());
       }
-      if (!pcap_dir.empty()) {
+      if (!opt.pcap_dir.empty()) {
         capture = std::make_unique<PacketCapture>();
         PacketCapture::set_thread_default(capture.get());
       }
-      if (!stats_dir.empty()) {
+      if (!opt.stats_dir.empty()) {
         sampler = std::make_unique<StatSampler>();
         StatSampler::set_thread_default(sampler.get());
       }
@@ -954,22 +1142,24 @@ int Run(const Options& opt) {
       TraceSink::set_thread_default(nullptr);
       PacketCapture::set_thread_default(nullptr);
       StatSampler::set_thread_default(nullptr);
-      if (sink != nullptr && !trace_dir.empty()) {
-        (void)sink->WriteFile(trace_dir + "/" + JobFileStem(jobs[i]) + ".trace.jsonl");
+      const std::string stem = JobFileStem(jobs[i]);
+      const std::string trace = sink != nullptr ? sink->ToJsonl() : "";
+      if (!opt.trace_dir.empty()) {
+        WriteArtifact(opt.trace_dir + "/" + stem + ".trace.jsonl", trace);
       }
-      if (sink != nullptr && !flow_dir.empty()) {
+      if (!opt.flow_dir.empty()) {
         // Stitch the per-call causal graphs observer-side and write both flow
         // artifacts; both are deterministic functions of the (deterministic)
         // trace, so they join the byte-identity gates in scripts/check.sh.
-        const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(sink->ToJsonl()));
-        WriteTextFile(flow_dir + "/" + JobFileStem(jobs[i]) + ".flow.jsonl", causal::ToFlowJsonl(fa));
-        WriteTextFile(flow_dir + "/" + JobFileStem(jobs[i]) + ".folded.txt", causal::ToFolded(fa));
+        const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(trace));
+        WriteArtifact(opt.flow_dir + "/" + stem + ".flow.jsonl", causal::ToFlowJsonl(fa));
+        WriteArtifact(opt.flow_dir + "/" + stem + ".folded.txt", causal::ToFolded(fa));
       }
       if (capture != nullptr) {
-        (void)capture->WriteFile(pcap_dir + "/" + JobFileStem(jobs[i]) + ".pcap.jsonl");
+        WriteArtifact(opt.pcap_dir + "/" + stem + ".pcap.jsonl", capture->ToJsonl());
       }
       if (sampler != nullptr) {
-        (void)sampler->WriteFile(stats_dir + "/" + JobFileStem(jobs[i]) + ".stats.jsonl");
+        WriteArtifact(opt.stats_dir + "/" + stem + ".stats.jsonl", sampler->ToJsonl());
       }
       r.group = jobs[i].group;
       r.name = jobs[i].name;
@@ -989,7 +1179,11 @@ int Run(const Options& opt) {
   const double wall_ms =
       std::chrono::duration<double, std::milli>(suite_end - suite_start).count();
 
-  const std::string json = ToJson(jobs, results, threads, wall_ms, opt.stable);
+  double serial_ms = 0;
+  for (const JobResult& r : results) {
+    serial_ms += r.wall_ms;
+  }
+  const std::string json = ToJson(jobs, results, threads, wall_ms, serial_ms, opt.stable);
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_suite: cannot open %s for writing\n", out_path.c_str());
@@ -998,14 +1192,16 @@ int Run(const Options& opt) {
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
 
-  double serial_ms = 0;
-  for (const JobResult& r : results) {
-    serial_ms += r.wall_ms;
+  // --stable keeps stdout as deterministic as the JSON: no host-side figures.
+  if (opt.stable) {
+    std::printf("bench_suite: %zu jobs -> %s\n", jobs.size(), out_path.c_str());
+  } else {
+    std::printf("bench_suite: %zu jobs on %u threads in %.0f ms "
+                "(serial estimate %.0f ms, speedup %.2fx) -> %s\n",
+                jobs.size(), threads, wall_ms, serial_ms,
+                wall_ms > 0 ? serial_ms / wall_ms : 0.0, out_path.c_str());
   }
-  std::printf("bench_suite: %zu jobs on %u threads in %.0f ms "
-              "(serial estimate %.0f ms, speedup %.2fx) -> %s\n",
-              jobs.size(), threads, wall_ms, serial_ms,
-              wall_ms > 0 ? serial_ms / wall_ms : 0.0, out_path.c_str());
+  PrintReport(results);
   return 0;
 }
 
@@ -1030,18 +1226,12 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  std::error_code ec;
-  if (!opt.trace_dir.empty()) {
-    std::filesystem::create_directories(opt.trace_dir, ec);
-  }
-  if (!opt.pcap_dir.empty()) {
-    std::filesystem::create_directories(opt.pcap_dir, ec);
-  }
-  if (!opt.stats_dir.empty()) {
-    std::filesystem::create_directories(opt.stats_dir, ec);
-  }
-  if (!opt.flow_dir.empty()) {
-    std::filesystem::create_directories(opt.flow_dir, ec);
+  for (const std::string* dir : {&opt.trace_dir, &opt.pcap_dir, &opt.stats_dir, &opt.flow_dir}) {
+    std::error_code ec;
+    if (!dir->empty() && !std::filesystem::create_directories(*dir, ec) && ec) {
+      std::fprintf(stderr, "bench_suite: cannot create directory %s: %s\n", dir->c_str(),
+                   ec.message().c_str());
+    }
   }
   return xk::Run(opt);
 }

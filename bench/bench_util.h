@@ -14,8 +14,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -29,79 +27,10 @@
 #include "src/proto/udp.h"
 #include "src/sim/fault.h"
 #include "src/stat/histogram.h"
-#include "src/stat/timeseries.h"
-#include "src/trace/pcap.h"
-#include "src/trace/trace.h"
 
 namespace xk {
 
-// Optional observability for the serial bench binaries: `--trace=FILE` and
-// `--pcap=FILE` install thread-default observers that every Internet the
-// benchmark builds picks up; the files are written when the benchmark exits.
-// Tracing charges zero simulated cost, so a traced run reports exactly the
-// numbers an untraced run does.
-class BenchObservers {
- public:
-  BenchObservers(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      const char* a = argv[i];
-      if (std::strncmp(a, "--trace=", 8) == 0) {
-        trace_path_ = a + 8;
-      } else if (std::strncmp(a, "--pcap=", 7) == 0) {
-        pcap_path_ = a + 7;
-      } else if (std::strncmp(a, "--stats=", 8) == 0) {
-        stats_path_ = a + 8;
-      }
-    }
-    if (!trace_path_.empty()) {
-      sink_ = std::make_unique<TraceSink>();
-      TraceSink::set_thread_default(sink_.get());
-    }
-    if (!pcap_path_.empty()) {
-      capture_ = std::make_unique<PacketCapture>();
-      PacketCapture::set_thread_default(capture_.get());
-    }
-    if (!stats_path_.empty()) {
-      sampler_ = std::make_unique<StatSampler>();
-      StatSampler::set_thread_default(sampler_.get());
-    }
-  }
-
-  BenchObservers(const BenchObservers&) = delete;
-  BenchObservers& operator=(const BenchObservers&) = delete;
-
-  ~BenchObservers() {
-    if (sink_ != nullptr) {
-      TraceSink::set_thread_default(nullptr);
-      if (!sink_->WriteFile(trace_path_)) {
-        std::fprintf(stderr, "bench: failed to write trace %s\n", trace_path_.c_str());
-      }
-    }
-    if (capture_ != nullptr) {
-      PacketCapture::set_thread_default(nullptr);
-      if (!capture_->WriteFile(pcap_path_)) {
-        std::fprintf(stderr, "bench: failed to write pcap %s\n", pcap_path_.c_str());
-      }
-    }
-    if (sampler_ != nullptr) {
-      StatSampler::set_thread_default(nullptr);
-      if (!sampler_->WriteFile(stats_path_)) {
-        std::fprintf(stderr, "bench: failed to write stats %s\n", stats_path_.c_str());
-      }
-    }
-  }
-
- private:
-  std::string trace_path_;
-  std::string pcap_path_;
-  std::string stats_path_;
-  std::unique_ptr<TraceSink> sink_;
-  std::unique_ptr<PacketCapture> capture_;
-  std::unique_ptr<StatSampler> sampler_;
-};
-
 struct ConfigResult {
-  std::string name;
   double latency_ms = 0;        // null-call round trip
   double throughput_kbs = 0;    // at 16 KB requests
   double incr_ms_per_kb = 0;    // slope between 1 KB and 16 KB
@@ -150,10 +79,8 @@ struct RpcBench {
   }
 
   // Measures the standard three columns for `builder` under `env`.
-  static ConfigResult Measure(const std::string& name, const Builder& builder,
-                              HostEnv env = HostEnv::kXKernel) {
+  static ConfigResult Measure(const Builder& builder, HostEnv env = HostEnv::kXKernel) {
     ConfigResult result;
-    result.name = name;
 
     {
       Instance in = MakeInstance(builder, env);
@@ -191,8 +118,8 @@ struct RpcBench {
 
 // --- shared experiment setups --------------------------------------------------
 //
-// These are used both by the per-table serial binaries and by bench_suite, so
-// the two report identical simulated numbers by construction.
+// The configurations bench_suite runs as jobs; the shape tests in
+// tests/calibration_test.cc call the same helpers.
 
 // An echo experiment over a partial RPC stack driven by EchoAnchors
 // (layers: 0 = VIP, 1 = FRAGMENT-VIP, 2 = CHANNEL-FRAGMENT-VIP).
@@ -254,7 +181,6 @@ inline PartialLatency MeasurePartialLatency(int layers) {
 struct FragmentThroughput {
   double kbytes_per_sec = 0;
   uint64_t events_fired = 0;
-  Histogram rtt;
 };
 
 // FRAGMENT standalone throughput: 16 KB messages, null (0-byte) echoes.
@@ -262,7 +188,29 @@ inline FragmentThroughput MeasureFragmentThroughput() {
   EchoExperiment e = MakeEchoExperiment(/*layers=*/1, /*null_replies=*/true);
   ThroughputResult t = RpcWorkload::MeasureThroughput(*e.net, *e.ch->kernel, *e.sh->kernel,
                                                       e.MakeCall(), 16 * 1024, 16);
-  return FragmentThroughput{t.kbytes_per_sec, e.net->events_fired(), t.rtt};
+  return FragmentThroughput{t.kbytes_per_sec, e.net->events_fired()};
+}
+
+struct SweepSeries {
+  std::vector<double> per_call_ms;  // 1 KB .. 16 KB requests, 1 KB steps
+  uint64_t events_fired = 0;
+  Histogram rtt;
+};
+
+// The 1k..16k request-size series behind every "Incremental Cost" column:
+// per-call time for 8 calls at each size, each size on a fresh instance.
+inline SweepSeries MeasureSweep(const RpcBench::Builder& builder,
+                                HostEnv env = HostEnv::kXKernel) {
+  SweepSeries out;
+  for (size_t kb = 1; kb <= 16; ++kb) {
+    RpcBench::Instance in = RpcBench::MakeInstance(builder, env);
+    ThroughputResult t = RpcWorkload::MeasureThroughput(*in.net, *in.ch->kernel, *in.sh->kernel,
+                                                        in.MakeCall(), kb * 1024, 8);
+    out.per_call_ms.push_back(ToMsec(t.elapsed) / t.completed);
+    out.events_fired += in.net->events_fired();
+    out.rtt.Merge(t.rtt);
+  }
+  return out;
 }
 
 struct UdpEcho {
@@ -315,7 +263,6 @@ struct ColdWarmResult {
   double first_ms = 0;
   double steady_ms = 0;
   uint64_t events_fired = 0;
-  Histogram rtt;  // first + steady calls combined
 };
 
 // Session-caching ablation: the first call on a freshly configured stack
@@ -346,10 +293,7 @@ inline ColdWarmResult MeasureColdWarm(const RpcBench::Builder& builder) {
   LatencyResult first = RpcWorkload::MeasureLatency(*net, *ch.kernel, call, 1);
   // Steady state: everything cached.
   LatencyResult steady = RpcWorkload::MeasureLatency(*net, *ch.kernel, call, 64);
-  ColdWarmResult out{ToMsec(first.per_call), ToMsec(steady.per_call), net->events_fired(),
-                     first.rtt};
-  out.rtt.Merge(steady.rtt);
-  return out;
+  return ColdWarmResult{ToMsec(first.per_call), ToMsec(steady.per_call), net->events_fired()};
 }
 
 // Per-segment link statistics for one finished run (see Internet::CountersJson
@@ -686,26 +630,6 @@ inline ChaosBench MeasureChaosCampaign(const FaultPlan& plan, const ChaosSpec& s
     out.fault_drops += in.net->segment(static_cast<int>(s)).fault_drops();
   }
   return out;
-}
-
-// --- table printing ------------------------------------------------------------
-
-inline void PrintTableHeader(const char* title) {
-  std::printf("\n%s\n", title);
-  std::printf("%-30s %10s %14s %18s\n", "Configuration", "Latency", "Throughput",
-              "Incremental Cost");
-  std::printf("%-30s %10s %14s %18s\n", "", "(msec)", "(kbytes/sec)", "(msec/1k-bytes)");
-  std::printf("%s\n", std::string(76, '-').c_str());
-}
-
-inline void PrintRow(const ConfigResult& r, double paper_lat = 0, double paper_tput = 0,
-                     double paper_incr = 0) {
-  std::printf("%-30s %10.2f %14.0f %18.2f", r.name.c_str(), r.latency_ms, r.throughput_kbs,
-              r.incr_ms_per_kb);
-  if (paper_lat > 0) {
-    std::printf("   [paper: %.2f / %.0f / %.2f]", paper_lat, paper_tput, paper_incr);
-  }
-  std::printf("\n");
 }
 
 }  // namespace xk

@@ -36,41 +36,64 @@ echo "== sanitizer smoke: bench_suite under ASan+UBSan =="
 UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
   ./build-asan/bench/bench_suite --threads=2 --out=/dev/null
 
-echo
-echo "== observability smoke: capture -> analyze =="
 obs=$(mktemp -d)
 trap 'rm -rf "$obs"' EXIT
-./build/bench/bench_table3_layer_costs \
-  --trace="$obs/t3.trace.jsonl" --pcap="$obs/t3.pcap.jsonl" >/dev/null
-[[ -s "$obs/t3.trace.jsonl" && -s "$obs/t3.pcap.jsonl" ]]
-./build/src/xktrace "$obs/t3.trace.jsonl" > "$obs/t3.breakdown.txt"
-[[ -s "$obs/t3.breakdown.txt" ]]
-grep -q "per-call" "$obs/t3.breakdown.txt"
+root=$PWD
 
 echo
 echo "== observability determinism: bench_suite bit-identical at 1/2/4 threads =="
 # --stable omits the host-time fields (the only run-to-run variation), so the
-# whole results file -- simulated metrics, percentiles, per-segment stats --
-# plus traces, captures, and sampled time series must be byte-identical
-# across worker thread counts, no normalization needed.
+# results file, traces, captures, time series, causal flows and stdout (summary
+# line and report) must be byte-identical across worker thread counts, no
+# normalization needed. Each run writes the same relative names in its own
+# directory.
+suite() {
+  local dir="$obs/$1"
+  shift
+  mkdir -p "$dir"
+  (cd "$dir" && "$root/build/bench/bench_suite" --stable --out=r.json "$@" > report.txt)
+}
 for t in 1 2 4; do
-  ./build/bench/bench_suite --threads="$t" --stable --out="$obs/r$t.json" \
-    --trace="$obs/trace$t" --pcap="$obs/pcap$t" --stats="$obs/stats$t" \
-    --flow="$obs/flow$t" >/dev/null
+  suite "t$t" --threads="$t" --trace=trace --pcap=pcap --stats=stats --flow=flow
 done
-cmp "$obs/r1.json" "$obs/r2.json"
-cmp "$obs/r1.json" "$obs/r4.json"
-# Zero observer effect: an unobserved run reports the same simulated metrics.
-./build/bench/bench_suite --threads=4 --stable --out="$obs/plain.json" >/dev/null
-cmp "$obs/r1.json" "$obs/plain.json"
-diff -r "$obs/trace1" "$obs/trace2"
-diff -r "$obs/trace1" "$obs/trace4"
-diff -r "$obs/pcap1" "$obs/pcap2"
-diff -r "$obs/pcap1" "$obs/pcap4"
-diff -r "$obs/stats1" "$obs/stats2"
-diff -r "$obs/stats1" "$obs/stats4"
-diff -r "$obs/flow1" "$obs/flow2"
-diff -r "$obs/flow1" "$obs/flow4"
+# Zero observer effect: an unobserved run reports the same metrics and report.
+suite plain --threads=4
+for run in t2 t4 plain; do
+  cmp "$obs/t1/r.json" "$obs/$run/r.json"
+  cmp "$obs/t1/report.txt" "$obs/$run/report.txt"
+done
+for kind in trace pcap stats flow; do
+  diff -r "$obs/t1/$kind" "$obs/t2/$kind"
+  diff -r "$obs/t1/$kind" "$obs/t4/$kind"
+done
+grep -q "Table III: Cost of Individual RPC Layers" "$obs/t1/report.txt"
+r1="$obs/t1/r.json"
+trace1="$obs/t1/trace"
+
+echo
+echo "== observability smoke: Table III from the suite's per-job traces =="
+# Depths go shallowest first; the two deltas are FRAGMENT's and CHANNEL's
+# layer costs, and CHANNEL is the most expensive layer.
+t3="$trace1/table3_layer_costs"
+[[ -s "$obs/t1/pcap/table3_layer_costs.VIP.pcap.jsonl" ]]
+./build/src/xktrace "$t3.VIP.trace.jsonl" | grep -q "per-call"
+./build/src/xktrace --layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" \
+  "$t3.CHANNEL-FRAGMENT-VIP.trace.jsonl" \
+  | awk 'NR > 1 { d[NR] = $NF } END { exit !(NR == 4 && d[4] > d[3] && d[3] > 0) }'
+
+echo
+echo "== bench_suite: observer write failures warn, worker count capped =="
+# Observers never change a result: an unwritable --trace= directory warns on
+# stderr, naming the directory and each file, and the run still exits 0.
+touch "$obs/not-a-dir"
+./build/bench/bench_suite --filter='^udp_crosskernel' --out=/dev/null \
+  --trace="$obs/not-a-dir/t" > /dev/null 2> "$obs/warn.txt"
+grep -q "cannot create directory $obs/not-a-dir/t" "$obs/warn.txt"
+grep -q "failed to write $obs/not-a-dir/t/udp_crosskernel.UDP-sunos.trace.jsonl" "$obs/warn.txt"
+# More threads than jobs start one worker per job.
+./build/bench/bench_suite --filter='^udp_crosskernel' --threads=1000000 \
+  --out="$obs/cap.json" > /dev/null
+grep -q '"threads": 2,' "$obs/cap.json"
 
 echo
 echo "== xkflow smoke: critical-path attribution reconstructs the bench RTT =="
@@ -78,11 +101,11 @@ echo "== xkflow smoke: critical-path attribution reconstructs the bench RTT =="
 # of the reconstructed RTTs matches the benchmark's own histogram mean within
 # 1% (the attribution partitions each call's [issue, done] exactly, so the
 # agreement is exact in practice -- 1% is the ISSUE acceptance bound).
-./build/src/xkflow "$obs/trace1/datacenter.sat-knee.trace.jsonl" > "$obs/knee.flow.txt"
+./build/src/xkflow "$trace1/datacenter.sat-knee.trace.jsonl" > "$obs/knee.flow.txt"
 grep -q "aggregate attribution" "$obs/knee.flow.txt"
-flow_ms=$(./build/src/xkflow "$obs/trace1/datacenter.sat-knee.trace.jsonl" \
+flow_ms=$(./build/src/xkflow "$trace1/datacenter.sat-knee.trace.jsonl" \
   --critical-path --json | sed -E 's/.*"mean_rtt_ms":([0-9.eE+-]+).*/\1/')
-bench_ms=$(grep '"name": "sat-knee"' "$obs/r1.json" \
+bench_ms=$(grep '"name": "sat-knee"' "$r1" \
   | sed -E 's/.*"mean_ms": ([0-9.eE+-]+).*/\1/')
 awk -v f="$flow_ms" -v b="$bench_ms" 'BEGIN {
   d = f > b ? f - b : b - f;
@@ -93,7 +116,7 @@ awk -v f="$flow_ms" -v b="$bench_ms" 'BEGIN {
 }'
 # The replica-crash campaign reads as a causal story: the crash, the VPOOL
 # down/readmit cycle, and cause-attributed retransmissions all surface.
-./build/src/xkflow "$obs/trace1/datacenter.replica-crash-failover.trace.jsonl" \
+./build/src/xkflow "$trace1/datacenter.replica-crash-failover.trace.jsonl" \
   --critical-path > "$obs/crash.flow.txt"
 grep -q "crash" "$obs/crash.flow.txt"
 grep -Eq "retransmits: [1-9]" "$obs/crash.flow.txt"
@@ -103,9 +126,9 @@ echo
 echo "== bench regression gate: xkbench-diff vs bench/baseline.json =="
 # Every simulated metric in the fresh run must sit within the per-metric
 # thresholds of the committed baseline (host-dependent fields are skipped).
-./build/src/xkbench_diff bench/baseline.json "$obs/r1.json"
+./build/src/xkbench_diff bench/baseline.json "$r1"
 # Negative test: an injected latency regression must fail the gate.
-sed -E 's/"latency_ms": [0-9.eE+-]+/"latency_ms": 9999/' "$obs/r1.json" \
+sed -E 's/"latency_ms": [0-9.eE+-]+/"latency_ms": 9999/' "$r1" \
   > "$obs/tampered.json"
 if ./build/src/xkbench_diff --quiet bench/baseline.json "$obs/tampered.json"; then
   echo "FAIL: xkbench-diff accepted an injected latency regression"
@@ -119,7 +142,7 @@ echo "== chaos campaigns: oracle-clean crash/recovery =="
 # the at-most-once oracle reporting zero double executions and zero silent
 # failures. Byte-identity of the chaos jobs across worker threads is already
 # enforced by the r* cmp gates above, which include them.
-crash_line=$(grep '"name": "server-crash"' "$obs/r1.json")
+crash_line=$(grep '"name": "server-crash"' "$r1")
 echo "$crash_line" | grep -q '"oracle_double_exec": 0' \
   || { echo "FAIL: chaos.server-crash reported double executions"; exit 1; }
 echo "$crash_line" | grep -q '"oracle_silent": 0' \
@@ -138,7 +161,7 @@ echo
 echo "== datacenter cluster: round-robin balance + oracle-clean failover =="
 # The sub-saturation saturation-sweep job must complete every call with the
 # round-robin share spread across the 4 replicas inside 10% (100000 ppm).
-sat_line=$(grep '"name": "sat-low"' "$obs/r1.json")
+sat_line=$(grep '"name": "sat-low"' "$r1")
 echo "$sat_line" | grep -q '"success_rate_ppm": 1000000' \
   || { echo "FAIL: datacenter.sat-low dropped calls below saturation"; exit 1; }
 spread=$(echo "$sat_line" | sed -nE 's/.*"share_spread_ppm": ([0-9]+).*/\1/p')
@@ -146,7 +169,7 @@ spread=$(echo "$sat_line" | sed -nE 's/.*"share_spread_ppm": ([0-9]+).*/\1/p')
   || { echo "FAIL: datacenter.sat-low replica share spread ${spread:-?} ppm > 10%"; exit 1; }
 # The replica-crash job must stay oracle-clean, mark the dead replica down,
 # readmit it, and fully recover in the post-restart phase of the timeline.
-dc_line=$(grep '"name": "replica-crash-failover"' "$obs/r1.json")
+dc_line=$(grep '"name": "replica-crash-failover"' "$r1")
 echo "$dc_line" | grep -q '"oracle_double_exec": 0' \
   || { echo "FAIL: datacenter.replica-crash-failover reported double executions"; exit 1; }
 echo "$dc_line" | grep -q '"oracle_silent": 0' \
@@ -169,9 +192,9 @@ echo "== overload control: graceful degradation at 2.5x the knee =="
 # uncontrolled sat-overload job, but with deadlines + retry budget + caps +
 # backlog-bounded admission armed it must sustain >= 85% of the knee's
 # goodput, and >= 99% of the calls the system admitted must complete.
-knee_good=$(grep '"name": "sat-knee"' "$obs/r1.json" \
+knee_good=$(grep '"name": "sat-knee"' "$r1" \
   | sed -nE 's/.*"goodput_cps": ([0-9.eE+-]+).*/\1/p')
-ctrl_line=$(grep '"name": "sat-overload-controlled"' "$obs/r1.json")
+ctrl_line=$(grep '"name": "sat-overload-controlled"' "$r1")
 ctrl_good=$(echo "$ctrl_line" | sed -nE 's/.*"goodput_cps": ([0-9.eE+-]+).*/\1/p')
 awk -v c="$ctrl_good" -v k="$knee_good" 'BEGIN { exit !(k > 0 && c >= 0.85 * k) }' \
   || { echo "FAIL: controlled goodput ${ctrl_good:-?} cps < 85% of knee ${knee_good:-?}"; \
@@ -187,7 +210,7 @@ echo "$ctrl_line" | grep -q '"oracle_silent": 0' \
 # Hedged failover across a replica crash: at-most-once must hold even with
 # deliberate duplicate attempts in flight (hedged duplicates are reported as
 # their own class, never as violations).
-hedge_line=$(grep '"name": "hedged-crash-failover"' "$obs/r1.json")
+hedge_line=$(grep '"name": "hedged-crash-failover"' "$r1")
 echo "$hedge_line" | grep -Eq '"hedges": [1-9]' \
   || { echo "FAIL: hedged-crash-failover never hedged"; exit 1; }
 echo "$hedge_line" | grep -q '"oracle_double_exec": 0' \

@@ -1,7 +1,6 @@
 #include "src/stat/timeseries.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "src/core/kernel.h"
 #include "src/core/protocol.h"
@@ -263,16 +262,6 @@ std::string StatSampler::ToJsonl() const {
     out += '\n';
   }
   return out;
-}
-
-bool StatSampler::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string s = ToJsonl();
-  const bool ok = std::fwrite(s.data(), 1, s.size(), f) == s.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace xk

@@ -114,7 +114,6 @@ class StatSampler {
   // -- a canonical order independent of the order host probes and segment
   // transmissions emitted them.
   std::string ToJsonl() const;
-  bool WriteFile(const std::string& path) const;
   size_t num_samples() const;
 
   // --- thread default ---------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "src/trace/pcap.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "src/trace/json_util.h"
 
@@ -111,16 +110,6 @@ void PacketCapture::Clear() {
   for (uint64_t& c : verdict_counts_) {
     c = 0;
   }
-}
-
-bool PacketCapture::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string s = ToJsonl();
-  const bool ok = std::fwrite(s.data(), 1, s.size(), f) == s.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace xk

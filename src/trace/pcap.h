@@ -39,7 +39,6 @@ class PacketCapture {
   // JSON-lines, oldest record first; `seq` is the capture-order sequence
   // number (monotonic even after the ring wraps).
   std::string ToJsonl() const;
-  bool WriteFile(const std::string& path) const;
 
   void Clear();
 

@@ -1,7 +1,6 @@
 #include "src/trace/trace.h"
 
 #include <cassert>
-#include <cstdio>
 
 #include "src/core/kernel.h"
 #include "src/core/message.h"
@@ -252,16 +251,6 @@ std::string TraceSink::ToJsonl() const {
     out += "}\n";
   }
   return out;
-}
-
-bool TraceSink::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string s = ToJsonl();
-  const bool ok = std::fwrite(s.data(), 1, s.size(), f) == s.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace xk

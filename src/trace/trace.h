@@ -151,7 +151,6 @@ class TraceSink {
   // JSON-lines: one `{"k":"meta",...}` header line, then one line per record
   // in emission order. Deterministic for a deterministic simulation.
   std::string ToJsonl() const;
-  bool WriteFile(const std::string& path) const;
 
   // Drops buffered records (open spans keep nesting). Id counters are NOT
   // reset, so sessions tagged before the clear stay unique.

@@ -104,5 +104,28 @@ TEST(BenchFlagsTest, EmptyIntegerValueIsRejected) {
   EXPECT_NE(error.find("--session-scale"), std::string::npos) << error;
 }
 
+// Values past INT_MAX used to be truncated to int: 2^32 + 1 threads ran one
+// worker, 2^32 sessions added no job, and 10^11 threads aborted the run.
+TEST(BenchFlagsTest, ValuesAboveIntMaxAreRejected) {
+  for (const std::string arg : {"--threads=4294967297", "--threads=99999999999",
+                                "--threads=99999999999999999999999",
+                                "--session-scale=4294967296"}) {
+    Options opt;
+    std::string error;
+    EXPECT_FALSE(Parse({arg}, &opt, &error)) << arg;
+    EXPECT_NE(error.find(arg.substr(0, arg.find('=')) + ": bad value"), std::string::npos) << error;
+    EXPECT_NE(error.find("<= 2147483647"), std::string::npos) << error;
+    EXPECT_EQ(opt.threads, 1u) << arg;
+    EXPECT_EQ(opt.session_scale, 0) << arg;
+  }
+}
+
+TEST(BenchFlagsTest, IntMaxIsAccepted) {
+  Options opt;
+  std::string error;
+  ASSERT_TRUE(Parse({"--threads=2147483647"}, &opt, &error)) << error;
+  EXPECT_EQ(opt.threads, 2147483647u);
+}
+
 }  // namespace
 }  // namespace xk

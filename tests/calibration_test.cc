@@ -9,26 +9,24 @@
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.h"
-#include "src/proto/udp.h"
 
 namespace xk {
 namespace {
 
+const RpcBench::Builder kMEth = [](HostStack& h) { return BuildMRpc(h, Delivery::kEth); };
+const RpcBench::Builder kMIp = [](HostStack& h) { return BuildMRpc(h, Delivery::kIp); };
+const RpcBench::Builder kMVip = [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); };
+const RpcBench::Builder kLVip = [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); };
+const RpcBench::Builder kLDyn = [](HostStack& h) { return BuildLRpcDynamic(h); };
+
 // Measured once, shared across the assertions below.
 struct Measurements {
-  ConfigResult n_rpc = RpcBench::Measure(
-      "N_RPC", [](HostStack& h) { return BuildMRpc(h, Delivery::kEth); },
-      HostEnv::kNativeSprite);
-  ConfigResult m_eth =
-      RpcBench::Measure("M_RPC-ETH", [](HostStack& h) { return BuildMRpc(h, Delivery::kEth); });
-  ConfigResult m_ip =
-      RpcBench::Measure("M_RPC-IP", [](HostStack& h) { return BuildMRpc(h, Delivery::kIp); });
-  ConfigResult m_vip =
-      RpcBench::Measure("M_RPC-VIP", [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
-  ConfigResult l_vip =
-      RpcBench::Measure("L_RPC-VIP", [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
-  ConfigResult dynamic = RpcBench::Measure(
-      "SELECT-CHANNEL-VIPsize", [](HostStack& h) { return BuildLRpcDynamic(h); });
+  ConfigResult n_rpc = RpcBench::Measure(kMEth, HostEnv::kNativeSprite);
+  ConfigResult m_eth = RpcBench::Measure(kMEth);
+  ConfigResult m_ip = RpcBench::Measure(kMIp);
+  ConfigResult m_vip = RpcBench::Measure(kMVip);
+  ConfigResult l_vip = RpcBench::Measure(kLVip);
+  ConfigResult dynamic = RpcBench::Measure(kLDyn);
 };
 
 const Measurements& M() {
@@ -111,6 +109,57 @@ TEST(ShapeTableII, LayeredUsesSlightlyLessCpuOnBulk) {
             M().m_vip.client_cpu_ms + M().m_vip.server_cpu_ms);
 }
 
+// --- Table III -----------------------------------------------------------------
+
+// Null round trip through each partial stack; the full stack is Table II's
+// layered row.
+TEST(ShapeTableIII, FragmentAndChannelIncrementsNearPaper) {
+  const double vip = MeasurePartialLatency(0).ms;
+  const double fragment = MeasurePartialLatency(1).ms;
+  const double channel = MeasurePartialLatency(2).ms;
+  const double full = M().l_vip.latency_ms;
+  EXPECT_NEAR(fragment - vip, 0.21, 0.05);  // paper: +0.21
+  EXPECT_NEAR(channel - fragment, 0.49, 0.07);  // paper: +0.49
+  // CHANNEL's request/reply synchronization makes it the most expensive layer.
+  EXPECT_GT(channel - fragment, fragment - vip);
+  EXPECT_GT(channel - fragment, full - channel);
+}
+
+TEST(ShapeTableIII, FragmentStandaloneThroughputNearPaper) {
+  ExpectNear(MeasureFragmentThroughput().kbytes_per_sec, 865, 5, "FRAGMENT tput");
+}
+
+// --- Throughput sweep ----------------------------------------------------------
+
+TEST(ShapeSweep, OrderingSlopeAndLayeringHoldAtEverySize) {
+  const SweepSeries eth = MeasureSweep(kMEth), ip = MeasureSweep(kMIp),
+                    vip = MeasureSweep(kMVip), layered = MeasureSweep(kLVip);
+  ASSERT_EQ(eth.per_call_ms.size(), 16u);
+  for (size_t i = 0; i < eth.per_call_ms.size(); ++i) {
+    const size_t kb = i + 1;
+    EXPECT_LE(eth.per_call_ms[i], vip.per_call_ms[i]) << kb << "k";
+    EXPECT_LT(vip.per_call_ms[i], ip.per_call_ms[i]) << kb << "k";
+    // Layering costs a fraction of a millisecond at any size.
+    EXPECT_NEAR(layered.per_call_ms[i], vip.per_call_ms[i], 0.5) << kb << "k";
+  }
+  // Every x-kernel stack's incremental cost is ~1 ms per KB (paper: 1.03-1.05).
+  for (const SweepSeries* s : {&eth, &ip, &vip, &layered}) {
+    ExpectNear((s->per_call_ms.back() - s->per_call_ms.front()) / 15.0, 1.04, 10, "slope");
+  }
+}
+
+// --- Section 5 ablation (session caching) ----------------------------------------
+
+TEST(ShapeAblation, SessionSetupCostsMoreThanSteadyState) {
+  const ColdWarmResult mono = MeasureColdWarm(kMVip), layered = MeasureColdWarm(kLVip),
+                       dynamic = MeasureColdWarm(kLDyn);
+  for (const ColdWarmResult* cw : {&mono, &layered, &dynamic}) {
+    EXPECT_GT(cw->first_ms, cw->steady_ms);
+  }
+  // Three layers of sessions cost more to establish than one.
+  EXPECT_GT(layered.first_ms - layered.steady_ms, mono.first_ms - mono.steady_ms);
+}
+
 // --- Section 4.3 ----------------------------------------------------------------
 
 TEST(ShapeSec43, BypassingFragmentRecoversMonolithicLatency) {
@@ -122,41 +171,9 @@ TEST(ShapeSec43, BypassingFragmentRecoversMonolithicLatency) {
 
 // --- Section 1 (UDP cross-kernel) ------------------------------------------------
 
-double UdpEchoMs(HostEnv env) {
-  auto net = Internet::TwoHosts(env);
-  auto& ch = net->host("client");
-  auto& sh = net->host("server");
-  UdpProtocol* cudp = BuildUdp(ch);
-  UdpProtocol* sudp = BuildUdp(sh);
-  EchoAnchor* client = nullptr;
-  ch.kernel->RunTask(0, [&] {
-    client = &ch.kernel->Emplace<EchoAnchor>(*ch.kernel, false);
-    client->set_app_cost(ch.kernel->costs().user_kernel_cross);
-  });
-  sh.kernel->RunTask(0, [&] {
-    auto& server = sh.kernel->Emplace<EchoAnchor>(*sh.kernel, true);
-    server.set_app_cost(2 * sh.kernel->costs().user_kernel_cross);
-    ParticipantSet enable;
-    enable.local.port = 7;
-    (void)sudp->OpenEnable(server, enable);
-  });
-  SessionRef sess;
-  ch.kernel->RunTask(0, [&] {
-    ParticipantSet parts;
-    parts.local.port = 9;
-    parts.peer.host = sh.kernel->ip_addr();
-    parts.peer.port = 7;
-    sess = *cudp->Open(*client, parts);
-  });
-  CallFn call = [&](Message args, std::function<void(Result<Message>)> done) {
-    client->Send(sess, std::move(args), std::move(done));
-  };
-  return ToMsec(RpcWorkload::MeasureLatency(*net, *ch.kernel, call, 32).per_call);
-}
-
 TEST(ShapeSec1, UdpCrossKernelRatio) {
-  const double xk = UdpEchoMs(HostEnv::kXKernel);
-  const double sunos = UdpEchoMs(HostEnv::kSunOs);
+  const double xk = MeasureUdpEcho(HostEnv::kXKernel).ms;
+  const double sunos = MeasureUdpEcho(HostEnv::kSunOs).ms;
   EXPECT_NEAR(xk, 2.00, 0.25);
   EXPECT_NEAR(sunos, 5.36, 0.90);
   EXPECT_GT(sunos / xk, 2.0);  // paper: 2.68x
@@ -167,11 +184,9 @@ TEST(ShapeSec1, UdpCrossKernelRatio) {
 
 TEST(ShapeAblation, PerLayerAllocMuchWorse) {
   Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
-  ConfigResult adjust =
-      RpcBench::Measure("L_RPC", [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  ConfigResult adjust = RpcBench::Measure(kLVip);
   Message::set_default_alloc_policy(HeaderAllocPolicy::kPerLayerAlloc);
-  ConfigResult alloc =
-      RpcBench::Measure("L_RPC-old", [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  ConfigResult alloc = RpcBench::Measure(kLVip);
   Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
   // The paper: 0.11 -> 0.50 per layer, i.e. roughly +0.39/layer. Over the
   // whole stack (and the anchors' headers) the penalty is >1 ms of latency.
@@ -181,10 +196,8 @@ TEST(ShapeAblation, PerLayerAllocMuchWorse) {
 // --- determinism -----------------------------------------------------------------
 
 TEST(ShapeDeterminism, RepeatedMeasurementIsBitIdentical) {
-  ConfigResult a =
-      RpcBench::Measure("x", [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
-  ConfigResult b =
-      RpcBench::Measure("x", [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
+  ConfigResult a = RpcBench::Measure(kMVip);
+  ConfigResult b = RpcBench::Measure(kMVip);
   EXPECT_EQ(a.latency_ms, b.latency_ms);
   EXPECT_EQ(a.throughput_kbs, b.throughput_kbs);
 }

@@ -52,11 +52,11 @@ TEST(StatSampler, ZeroSimulatedCostOnManyPairs) {
 
 TEST(StatSampler, ZeroSimulatedCostOnTwoHostConfig) {
   const RpcBench::Builder builder = [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); };
-  const ConfigResult base = RpcBench::Measure("L_RPC", builder);
+  const ConfigResult base = RpcBench::Measure(builder);
 
   StatSampler sampler;
   StatSampler::set_thread_default(&sampler);
-  const ConfigResult obs = RpcBench::Measure("L_RPC", builder);
+  const ConfigResult obs = RpcBench::Measure(builder);
   StatSampler::set_thread_default(nullptr);
 
   EXPECT_GT(sampler.num_samples(), 0u);

@@ -35,14 +35,14 @@ struct ScopedObservers {
 // equality is deliberate -- the sinks must not charge costs, consume random
 // numbers, or schedule events.
 TEST(TraceZeroCost, TracedRunMatchesUntracedExactly) {
-  const ConfigResult plain = RpcBench::Measure("M_RPC-VIP", MVip());
+  const ConfigResult plain = RpcBench::Measure(MVip());
 
   TraceSink sink;
   PacketCapture capture;
   ConfigResult traced;
   {
     ScopedObservers obs(&sink, &capture);
-    traced = RpcBench::Measure("M_RPC-VIP", MVip());
+    traced = RpcBench::Measure(MVip());
   }
 
   EXPECT_EQ(plain.latency_ms, traced.latency_ms);
