@@ -25,7 +25,6 @@ struct Options {
   std::string arrivals;    // ArrivalSpec (--arrivals=): adds a datacenter.custom job
   int session_scale = 0;   // >0 adds a session_scale.nN job at this size
   bool list = false;
-  bool stable = false;     // omit wall-clock fields from the JSON
 };
 
 namespace bench_flags_internal {
@@ -88,8 +87,6 @@ inline bool ParseBenchArgs(int argc, char** argv, Options* opt, std::string* err
       opt->session_scale = n;
     } else if (std::strcmp(arg, "--list") == 0) {
       opt->list = true;
-    } else if (std::strcmp(arg, "--stable") == 0) {
-      opt->stable = true;
     } else {
       *error = "unknown flag '" + std::string(arg) + "'";
       return false;

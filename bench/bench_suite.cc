@@ -10,13 +10,13 @@
 //
 // Parallelism rule: parallel ACROSS instances, deterministic WITHIN an
 // instance. Each job builds its own Internet (its own EventQueue, kernels,
-// and sessions) and shares nothing mutable with other jobs, so its simulated
-// numbers are the same at any thread count. Only the host-side wall-clock
-// fields (wall_ms, events_per_sec, parallel_speedup) vary run to run.
+// and sessions) and shares nothing mutable with other jobs, so its numbers
+// are the same at any thread count. Everything reported is simulated: the
+// JSON and stdout are byte-identical run to run. Host speed is measured by
+// hostbench/, not here.
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -49,13 +49,9 @@ struct JobResult {
   std::string name;
   std::vector<Metric> metrics;
   uint64_t events_fired = 0;
-  double wall_ms = 0;  // host time, measured by the job runner
   Histogram latency_hist;  // per-call round trips ("percentiles" block)
   Histogram service_hist;  // server-side service times ("service_percentiles")
   std::string extra_json;  // extra deterministic fields, e.g. "segments": [...]
-  // Host-side (wall-clock) metrics: emitted only without --stable, and named
-  // so the regression differ skips them (see SkippedKey in bench_diff.h).
-  std::vector<Metric> host_metrics;
 };
 
 using JobFn = std::function<JobResult()>;
@@ -216,14 +212,14 @@ Job ManyHostJob(std::string name, double drop_rate) {
   return Job{"manyhost", std::move(name), std::move(fn)};
 }
 
-// Trace-overhead microbench: the same many-pairs workload twice back to
+// Zero-observer-effect check: the same many-pairs workload twice back to
 // back -- bare, then with a TraceSink capturing and the causal stitcher
-// consuming its output -- so the host-time cost of --trace + --flow is a
-// measured number. Recording charges zero simulated cost, so every simulated
-// metric must be identical across the two passes: trace_mismatch counts the
-// fields that differed (always 0) and rides the baseline so any tracing
-// Heisenberg effect fails the regression gate. The wall-clock overhead goes
-// to host_metrics, which --stable omits and the differ skips.
+// consuming its output. Recording charges zero simulated cost, so every
+// simulated metric must be identical across the two passes: the bare pass
+// exists for trace_mismatch, which counts the fields that differed (always 0)
+// and rides the baseline so any tracing Heisenberg effect fails the
+// regression gate. The host-time cost of tracing is hostbench's
+// trace.overhead_pct.
 Job ManyHostTracedJob() {
   JobFn fn = [] {
     constexpr int kTracedPairs = 8;
@@ -233,19 +229,15 @@ Job ManyHostTracedJob() {
     // measured against a sink this job owns.
     TraceSink* outer = TraceSink::thread_default();
     TraceSink::set_thread_default(nullptr);
-    const auto t0 = std::chrono::steady_clock::now();
     const ManyPairsBench bare = MeasureManyPairsBench(kTracedPairs, kManyHostBytes, kTracedIters);
-    const auto t1 = std::chrono::steady_clock::now();
     TraceSink sink;
     TraceSink::set_thread_default(&sink);
     const ManyPairsBench traced =
         MeasureManyPairsBench(kTracedPairs, kManyHostBytes, kTracedIters);
-    const auto t2 = std::chrono::steady_clock::now();
     TraceSink::set_thread_default(outer);
     const std::string jsonl = sink.ToJsonl();
     const tracetool::TraceFile tf = tracetool::Parse(jsonl);
     const causal::FlowAnalysis fa = causal::Stitch(tf);
-    const auto t3 = std::chrono::steady_clock::now();
     double mismatch = 0;
     mismatch += bare.completed != traced.completed ? 1 : 0;
     mismatch += bare.failed != traced.failed ? 1 : 0;
@@ -269,16 +261,6 @@ Job ManyHostTracedJob() {
     out.events_fired = traced.events_fired;
     out.latency_hist = traced.rtt;
     out.service_hist = traced.service;
-    const auto ms = [](auto a, auto b) {
-      return std::chrono::duration<double, std::milli>(b - a).count();
-    };
-    const double bare_ms = ms(t0, t1);
-    out.host_metrics = {
-        {"untraced_ms", bare_ms},
-        {"traced_ms", ms(t1, t2)},
-        {"stitch_ms", ms(t2, t3)},
-        {"trace_overhead_pct", bare_ms > 0 ? 100.0 * (ms(t1, t3) - bare_ms) / bare_ms : 0.0},
-    };
     return out;
   };
   return Job{"manyhost", "traced", std::move(fn)};
@@ -286,7 +268,8 @@ Job ManyHostTracedJob() {
 
 // Engine hot-path microbench: pure event churn plus frame-burst delivery,
 // no RPC stack in the way (see MeasureHotLoop). The simulated counts gate
-// against the baseline; events_per_sec is the host-side engine rate.
+// against the baseline; the host-side engine rate is hostbench's
+// sim.ns_per_event.
 Job HotLoopJob() {
   JobFn fn = [] {
     HotLoopBench b = MeasureHotLoop();
@@ -299,7 +282,6 @@ Job HotLoopJob() {
                     b.elapsed_sim_ms > 0
                         ? static_cast<double>(b.events_fired) / b.elapsed_sim_ms
                         : 0}};
-    out.host_metrics = {{"events_per_sec", b.events_per_sec}};
     out.events_fired = b.events_fired;
     return out;
   };
@@ -321,8 +303,8 @@ Job ColdWarmJob(std::string name, RpcBench::Builder builder) {
 
 // A fault campaign measured as availability: the oracle-checked chaos
 // workload under a declarative FaultPlan. Every metric is simulated and
-// deterministic, so chaos jobs are part of the --stable byte-identity
-// checks like everything else.
+// deterministic, so chaos jobs are part of the byte-identity checks like
+// everything else.
 Job ChaosJob(std::string name, FaultPlan plan, ChaosSpec spec, bool adaptive_rto = false) {
   JobFn fn = [plan = std::move(plan), spec, adaptive_rto] {
     ChaosBench b = MeasureChaosCampaign(plan, spec, adaptive_rto);
@@ -360,8 +342,7 @@ Job ChaosJob(std::string name, FaultPlan plan, ChaosSpec spec, bool adaptive_rto
 
 // A datacenter job: k client segments fanning through the core router into a
 // replica pool behind VPOOL, driven open-loop. Everything reported is
-// simulated and deterministic, so these jobs ride the --stable
-// byte-identity checks.
+// simulated and deterministic, so these jobs ride the byte-identity checks.
 Job DatacenterJob(std::string name, DatacenterSpec spec) {
   JobFn fn = [spec = std::move(spec)] {
     const DatacenterResult r = MeasureDatacenter(spec);
@@ -451,9 +432,8 @@ Job DatacenterJob(std::string name, DatacenterSpec spec) {
 
 // Connection-scale: N live sessions per side on pooled storage, a strided
 // echo sample with the population resident, then a timer-driven idle drain.
-// All simulated metrics (charged cost, evictions, slab and map geometry) are
-// deterministic; the wall-clock and RSS observations ride host_metrics so
-// --stable byte-identity is preserved.
+// Every metric (charged cost, evictions, slab and map geometry) is simulated
+// and deterministic; host-side session cost is hostbench's session-churn.
 Job SessionScaleJob(std::string name, SessionScaleSpec spec) {
   JobFn fn = [spec] {
     const SessionScaleBench b = MeasureSessionScale(spec);
@@ -474,14 +454,6 @@ Job SessionScaleJob(std::string name, SessionScaleSpec spec) {
         {"map_tombstones_after", static_cast<double>(b.map_tombstones_after)},
         {"map_max_probe_peak", static_cast<double>(b.map_max_probe_peak)},
         {"elapsed_sim_ms", ToMsec(b.elapsed)},
-    };
-    out.host_metrics = {
-        {"setup_wall_ms", b.setup_wall_ms},
-        {"call_wall_ns", b.call_wall_ns},
-        {"call_wall_cold_ns", b.call_wall_cold_ns},
-        {"rss_mb_after_setup", b.rss_mb_after_setup},
-        {"rss_mb_first_cycle", b.rss_mb_first_cycle},
-        {"rss_mb_after_drain", b.rss_mb_after_drain},
     };
     out.events_fired = b.events_fired;
     out.latency_hist = b.rtt;
@@ -664,7 +636,8 @@ std::vector<Job> BuildJobs() {
     jobs.push_back(DatacenterJob("hedged-crash-failover", std::move(hedged)));
   }
   // Connection scale: pooled session storage under growing populations, plus
-  // a churn soak whose slab capacity (and RSS) must plateau across cycles.
+  // a churn soak whose slab capacity and map geometry must plateau across
+  // cycles.
   // 10^6 sessions run the same harness via --session-scale=1000000 (too heavy
   // for the default suite, which check.sh replays under ASan).
   {
@@ -688,18 +661,17 @@ std::vector<Job> BuildJobs() {
 
 // --- JSON emission -------------------------------------------------------------
 
-void AppendJsonNumber(std::string& out, double v, const char* fmt = "%.10g") {
+void AppendJsonNumber(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
     return;
   }
   char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
+  std::snprintf(buf, sizeof(buf), "%.10g", v);
   out += buf;
 }
 
-std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& results,
-                   unsigned threads, double wall_ms, double serial_ms, bool stable) {
+std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& results) {
   uint64_t events_total = 0;
   for (const JobResult& r : results) {
     events_total += r.events_fired;
@@ -709,25 +681,7 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
   out += "  \"schema_version\": 2,\n";
   out += "  \"suite\": \"xkernel-rpc-bench\",\n";
   out += "  \"jobs\": " + std::to_string(jobs.size());
-  // --stable: only simulated (deterministic) quantities -- no wall clock, no
-  // thread counts -- so two stable files from any machine can be compared
-  // with cmp(1).
-  if (!stable) {
-    out += ",\n  \"threads\": " + std::to_string(threads);
-    out += ",\n  \"wall_ms\": ";
-    AppendJsonNumber(out, wall_ms, "%.1f");
-    out += ",\n  \"serial_estimate_ms\": ";
-    AppendJsonNumber(out, serial_ms, "%.1f");
-    out += ",\n  \"parallel_speedup\": ";
-    AppendJsonNumber(out, wall_ms > 0 ? serial_ms / wall_ms : 0, "%.2f");
-  }
   out += ",\n  \"events_fired_total\": " + std::to_string(events_total);
-  if (!stable) {
-    out += ",\n  \"events_per_sec\": ";
-    AppendJsonNumber(out,
-                     wall_ms > 0 ? static_cast<double>(events_total) / (wall_ms / 1000.0) : 0,
-                     "%.0f");
-  }
   out += ",\n  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const JobResult& r = results[i];
@@ -735,16 +689,6 @@ std::string ToJson(const std::vector<Job>& jobs, const std::vector<JobResult>& r
     JsonAppendEscaped(out, r.group);
     out += ", \"name\": ";
     JsonAppendEscaped(out, r.name);
-    if (!stable) {
-      out += ", \"wall_ms\": ";
-      AppendJsonNumber(out, r.wall_ms, "%.1f");
-      for (const Metric& m : r.host_metrics) {
-        out += ", ";
-        JsonAppendEscaped(out, m.name);
-        out += ": ";
-        AppendJsonNumber(out, m.value);
-      }
-    }
     out += ", \"events_fired\": " + std::to_string(r.events_fired);
     out += ", \"metrics\": {";
     for (size_t m = 0; m < r.metrics.size(); ++m) {
@@ -1009,17 +953,19 @@ std::string JobFileStem(const Job& job) {
   return s;
 }
 
-// Writes one observer artifact. Observers never change a result, so a failed
-// write warns on stderr and the run still exits 0.
-void WriteArtifact(const std::string& path, const std::string& text) {
+// Writes one output file, or warns on stderr naming it and returns false.
+// A failed --out write fails the run; a failed observer write does not,
+// because observers never change a result.
+bool WriteArtifact(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f != nullptr) {
     const bool written = std::fwrite(text.data(), 1, text.size(), f) == text.size();
     if (std::fclose(f) == 0 && written) {
-      return;
+      return true;
     }
   }
   std::fprintf(stderr, "bench_suite: failed to write %s\n", path.c_str());
+  return false;
 }
 
 // Options lives in bench/bench_flags.h so ParseBenchArgs is unit-testable.
@@ -1092,20 +1038,28 @@ int Run(const Options& opt) {
     std::fprintf(stderr, "bench_suite: bad --arrivals spec: %s\n", arrivals_error.c_str());
     return 2;
   }
+  if (jobs.empty()) {
+    std::fprintf(stderr, "bench_suite: --filter='%s' matches no job\n", opt.filter.c_str());
+    return 2;
+  }
   if (opt.list) {
     for (const Job& job : jobs) {
       std::printf("%s.%s\n", job.group.c_str(), job.name.c_str());
     }
     return 0;
   }
+  for (const std::string* dir : {&opt.trace_dir, &opt.pcap_dir, &opt.stats_dir, &opt.flow_dir}) {
+    std::error_code ec;
+    if (!dir->empty() && !std::filesystem::create_directories(*dir, ec) && ec) {
+      std::fprintf(stderr, "bench_suite: cannot create directory %s: %s\n", dir->c_str(),
+                   ec.message().c_str());
+    }
+  }
   // No more workers than jobs: each extra thread would find the queue empty.
-  const unsigned threads =
-      static_cast<unsigned>(std::min<size_t>(opt.threads, std::max<size_t>(jobs.size(), 1)));
-  const std::string& out_path = opt.out_path;
+  const unsigned threads = static_cast<unsigned>(std::min<size_t>(opt.threads, jobs.size()));
   std::vector<JobResult> results(jobs.size());
   std::atomic<size_t> next{0};
 
-  const auto suite_start = std::chrono::steady_clock::now();
   auto worker = [&] {
     for (;;) {
       const size_t i = next.fetch_add(1);
@@ -1136,9 +1090,7 @@ int Run(const Options& opt) {
         sampler = std::make_unique<StatSampler>();
         StatSampler::set_thread_default(sampler.get());
       }
-      const auto start = std::chrono::steady_clock::now();
       JobResult r = jobs[i].run();
-      const auto end = std::chrono::steady_clock::now();
       TraceSink::set_thread_default(nullptr);
       PacketCapture::set_thread_default(nullptr);
       StatSampler::set_thread_default(nullptr);
@@ -1163,7 +1115,6 @@ int Run(const Options& opt) {
       }
       r.group = jobs[i].group;
       r.name = jobs[i].name;
-      r.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
       results[i] = std::move(r);
     }
   };
@@ -1175,32 +1126,10 @@ int Run(const Options& opt) {
   for (std::thread& t : pool) {
     t.join();
   }
-  const auto suite_end = std::chrono::steady_clock::now();
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(suite_end - suite_start).count();
-
-  double serial_ms = 0;
-  for (const JobResult& r : results) {
-    serial_ms += r.wall_ms;
-  }
-  const std::string json = ToJson(jobs, results, threads, wall_ms, serial_ms, opt.stable);
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_suite: cannot open %s for writing\n", out_path.c_str());
+  if (!WriteArtifact(opt.out_path, ToJson(jobs, results))) {
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-
-  // --stable keeps stdout as deterministic as the JSON: no host-side figures.
-  if (opt.stable) {
-    std::printf("bench_suite: %zu jobs -> %s\n", jobs.size(), out_path.c_str());
-  } else {
-    std::printf("bench_suite: %zu jobs on %u threads in %.0f ms "
-                "(serial estimate %.0f ms, speedup %.2fx) -> %s\n",
-                jobs.size(), threads, wall_ms, serial_ms,
-                wall_ms > 0 ? serial_ms / wall_ms : 0.0, out_path.c_str());
-  }
+  std::printf("bench_suite: %zu jobs -> %s\n", jobs.size(), opt.out_path.c_str());
   PrintReport(results);
   return 0;
 }
@@ -1216,7 +1145,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argv[0], flag_error.c_str());
     std::fprintf(stderr,
                  "usage: %s [--threads=N] [--out=FILE] [--trace=DIR] [--pcap=DIR]\n"
-                 "          [--stats=DIR] [--flow=DIR] [--list] [--filter=REGEX] [--stable]\n"
+                 "          [--stats=DIR] [--flow=DIR] [--list] [--filter=REGEX]\n"
                  "          [--session-scale=N] (adds a session_scale.nN job at N sessions)\n"
                  "          [--faults=PLAN]   (e.g. crash:host=server,at=300ms,restart=700ms;\n"
                  "                             drop:seg=0,from=0ms,until=200ms,rate=0.05)\n"
@@ -1225,13 +1154,6 @@ int main(int argc, char** argv) {
                  "                             horizon=200ms -- runs datacenter.custom)\n",
                  argv[0]);
     return 2;
-  }
-  for (const std::string* dir : {&opt.trace_dir, &opt.pcap_dir, &opt.stats_dir, &opt.flow_dir}) {
-    std::error_code ec;
-    if (!dir->empty() && !std::filesystem::create_directories(*dir, ec) && ec) {
-      std::fprintf(stderr, "bench_suite: cannot create directory %s: %s\n", dir->c_str(),
-                   ec.message().c_str());
-    }
   }
   return xk::Run(opt);
 }

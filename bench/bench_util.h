@@ -12,7 +12,6 @@
 #ifndef XK_BENCH_BENCH_UTIL_H_
 #define XK_BENCH_BENCH_UTIL_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -434,16 +433,14 @@ inline ManyPairsBench MeasureManyPairsBench(int pairs, size_t bytes, int iters,
 // (one host broadcasting back-to-back frames; each broadcast lands on every
 // other station at the same instant, the case batched delivery folds into one
 // heap event, and every receiver echoes, contending on the bus). All counts
-// are simulated and deterministic; events_per_sec is the host-side rate
-// over RunAll and is what the hot-path work is measured by.
+// are simulated and deterministic; the host-side event rate is hostbench's
+// sim.ns_per_event.
 struct HotLoopBench {
-  uint64_t events_fired = 0;      // deterministic
-  uint64_t timer_pops = 0;        // deterministic: churn chain ticks executed
-  uint64_t frames_delivered = 0;  // deterministic: receiver-side frames in
-  uint64_t echoes = 0;            // deterministic: burst frames echoed back
-  double elapsed_sim_ms = 0;      // deterministic
-  double wall_ms = 0;             // host: RunAll wall clock
-  double events_per_sec = 0;      // host: events_fired / wall seconds
+  uint64_t events_fired = 0;
+  uint64_t timer_pops = 0;        // churn chain ticks executed
+  uint64_t frames_delivered = 0;  // receiver-side frames in
+  uint64_t echoes = 0;            // burst frames echoed back
+  double elapsed_sim_ms = 0;
 };
 
 namespace hotloop_internal {
@@ -553,9 +550,7 @@ inline HotLoopBench MeasureHotLoop(int hosts = 8, int chains_per_host = 4,
                            [&burst] { hotloop_internal::Fire(&burst); });
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
   net->RunAll();
-  const auto t1 = std::chrono::steady_clock::now();
 
   HotLoopBench out;
   out.events_fired = net->events_fired();
@@ -569,9 +564,6 @@ inline HotLoopBench MeasureHotLoop(int hosts = 8, int chains_per_host = 4,
     out.echoes += srv->echoes();
   }
   out.elapsed_sim_ms = ToMsec(net->events().now());
-  out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  out.events_per_sec =
-      out.wall_ms > 0 ? static_cast<double>(out.events_fired) / (out.wall_ms / 1000.0) : 0;
   return out;
 }
 

@@ -3,9 +3,10 @@
 //
 // The comparator is direction-aware: throughput-like metrics regress when
 // they DROP, latency-like metrics regress when they RISE, and utilization or
-// count-like metrics are compared two-sided. Host-dependent fields (wall
-// clock, thread counts, events/sec) are never compared, so a baseline written
-// with --stable on one machine gates runs on any other.
+// count-like metrics are compared two-sided. bench_suite reports simulated
+// quantities only, so a baseline written on one machine gates runs on any
+// other; the few fields that are bookkeeping rather than results (see
+// SkippedKey) are never compared.
 //
 // Header-only so the unit tests exercise exactly the code the CLI runs.
 
@@ -229,10 +230,10 @@ class JsonParser {
 
 // --- flattening -----------------------------------------------------------------
 
-// Fields that are host- or schema-dependent rather than simulated results.
+// Fields that are schema or job-set bookkeeping, or event and completion-time
+// sums that move with any change to the event schedule, rather than results.
 inline bool SkippedKey(std::string_view key) {
-  return key == "wall_ms" || key == "threads" || key == "serial_estimate_ms" ||
-         key == "parallel_speedup" || key == "events_per_sec" || key == "schema_version" || key == "jobs" || key == "events_fired" ||
+  return key == "schema_version" || key == "jobs" || key == "events_fired" ||
          key == "events_fired_total" || key == "sum_done_at_ns";
 }
 

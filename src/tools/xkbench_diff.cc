@@ -9,8 +9,8 @@
 //   --quiet                   no output, exit status only
 //
 // Exit status: 0 = within thresholds, 1 = regression (or missing metric),
-// 2 = usage/parse error. Host-dependent fields (wall_ms, threads, ...) are
-// never compared -- see SkippedKey in bench_diff.h.
+// 2 = usage/parse error. Bookkeeping fields (schema_version, jobs,
+// events_fired, ...) are never compared -- see SkippedKey in bench_diff.h.
 
 #include <cstdio>
 #include <cstring>

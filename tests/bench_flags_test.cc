@@ -28,7 +28,7 @@ TEST(BenchFlagsTest, ParsesEveryFlag) {
   ASSERT_TRUE(Parse({"--threads=3", "--out=o.json", "--trace=td", "--pcap=pd",
                      "--stats=sd", "--filter=^manyhost", "--faults=seed:7",
                      "--arrivals=poisson:rate=200,horizon=100ms", "--session-scale=1000",
-                     "--list", "--stable"},
+                     "--list"},
                     &opt, &error))
       << error;
   EXPECT_EQ(opt.threads, 3u);
@@ -41,7 +41,6 @@ TEST(BenchFlagsTest, ParsesEveryFlag) {
   EXPECT_EQ(opt.arrivals, "poisson:rate=200,horizon=100ms");
   EXPECT_EQ(opt.session_scale, 1000);
   EXPECT_TRUE(opt.list);
-  EXPECT_TRUE(opt.stable);
 }
 
 TEST(BenchFlagsTest, UnknownFlagIsNamed) {
@@ -75,7 +74,7 @@ TEST(BenchFlagsTest, ZeroThreadsIsRejectedWithBound) {
   EXPECT_NE(error.find(">= 1"), std::string::npos) << error;
 }
 
-// The deleted parallel engine's flags are rejected, not silently ignored.
+// Flags of deleted features are rejected as unknown, not silently ignored.
 TEST(BenchFlagsTest, EngineThreadsIsRejectedAsUnknown) {
   Options opt;
   std::string error;
@@ -95,6 +94,13 @@ TEST(BenchFlagsTest, EngineSpeedupIsRejectedAsUnknown) {
   std::string error;
   EXPECT_FALSE(Parse({"--engine-speedup=1"}, &opt, &error));
   EXPECT_NE(error.find("unknown flag '--engine-speedup=1'"), std::string::npos) << error;
+}
+
+TEST(BenchFlagsTest, StableIsRejectedAsUnknown) {
+  Options opt;
+  std::string error;
+  EXPECT_FALSE(Parse({"--stable"}, &opt, &error));
+  EXPECT_NE(error.find("unknown flag '--stable'"), std::string::npos) << error;
 }
 
 TEST(BenchFlagsTest, EmptyIntegerValueIsRejected) {

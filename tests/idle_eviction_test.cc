@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/session_scale.h"
 #include "src/proto/topology.h"
 #include "src/proto/udp.h"
 #include "tests/test_util.h"
@@ -220,6 +221,32 @@ TEST_F(IdleEvictionFixture, CountersAndGaugesExportEvictionState) {
     }
   });
   EXPECT_EQ(gauge_live, 0u);
+}
+
+// The churn soak's plateau, in simulated state rather than process RSS: a
+// second and third open -> drain cycle reuse cycle 1's slab slots and map
+// buckets, so the slot count, high-water, map capacity and tombstones after
+// three cycles equal those after one, and every session of every cycle is
+// evicted.
+TEST(SessionScaleSoak, SlotsAndMapGeometryPlateauAcrossCycles) {
+  for (const size_t n : {size_t{1000}, size_t{3000}}) {
+    SessionScaleSpec spec;
+    spec.sessions = n;
+    spec.cycles = 1;
+    const SessionScaleBench one = MeasureSessionScale(spec);
+    spec.cycles = 3;
+    const SessionScaleBench three = MeasureSessionScale(spec);
+    for (const SessionScaleBench* b : {&one, &three}) {
+      const uint64_t cycles = static_cast<uint64_t>(b->cycles);
+      EXPECT_EQ(b->client_slots, (n + 63) / 64 * 64) << "n=" << n << " cycles=" << cycles;
+      EXPECT_EQ(b->client_live_after, 0u) << "n=" << n << " cycles=" << cycles;
+      EXPECT_EQ(b->client_evicted, cycles * n) << "n=" << n << " cycles=" << cycles;
+    }
+    EXPECT_EQ(three.client_slots, one.client_slots) << "n=" << n;
+    EXPECT_EQ(three.client_high_water, one.client_high_water) << "n=" << n;
+    EXPECT_EQ(three.map_capacity_peak, one.map_capacity_peak) << "n=" << n;
+    EXPECT_EQ(three.map_tombstones_after, one.map_tombstones_after) << "n=" << n;
+  }
 }
 
 }  // namespace
