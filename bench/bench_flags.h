@@ -1,20 +1,20 @@
 // Command-line parsing for bench_suite, split out of main() so the error
 // paths are unit-testable (tests/bench_flags_test.cc). Every failure names
 // the offending flag and token instead of silently clamping (std::atoi
-// would turn --threads=abc into 1) or printing only a generic usage line.
+// would turn --session-scale=abc into 0) or printing only a generic usage
+// line.
 
 #ifndef XK_BENCH_BENCH_FLAGS_H_
 #define XK_BENCH_BENCH_FLAGS_H_
 
-#include <climits>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+
+#include "src/tools/flag_parse.h"
 
 namespace xk {
 
 struct Options {
-  unsigned threads = 1;
   std::string out_path = "BENCH_RESULTS.json";
   std::string trace_dir;
   std::string pcap_dir;
@@ -27,44 +27,13 @@ struct Options {
   bool list = false;
 };
 
-namespace bench_flags_internal {
-
-// Parses `value` as a base-10 integer in [`min`, INT_MAX]; on failure writes a
-// message naming the flag and the offending token.
-inline bool ParseFlagInt(const char* flag, const char* value, long min, int* out,
-                         std::string* error) {
-  char* end = nullptr;
-  const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') {
-    *error = std::string(flag) + ": bad value '" + value + "' (expected an integer)";
-    return false;
-  }
-  // strtol saturates at LONG_MAX, which is above INT_MAX too.
-  if (v < min || v > INT_MAX) {
-    *error = std::string(flag) + ": bad value '" + value + "' (must be >= " +
-             std::to_string(min) + " and <= " + std::to_string(INT_MAX) + ")";
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
-
-}  // namespace bench_flags_internal
-
 // Parses argv into `opt` (fields not mentioned keep their current values).
 // Returns true on success; on failure fills `error` with a message naming
 // the offending flag or token.
 inline bool ParseBenchArgs(int argc, char** argv, Options* opt, std::string* error) {
-  using bench_flags_internal::ParseFlagInt;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    int n = 0;
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      if (!ParseFlagInt("--threads", arg + 10, 1, &n, error)) {
-        return false;
-      }
-      opt->threads = static_cast<unsigned>(n);
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
+    if (std::strncmp(arg, "--out=", 6) == 0) {
       opt->out_path = arg + 6;
     } else if (std::strncmp(arg, "--trace=", 8) == 0) {
       opt->trace_dir = arg + 8;
@@ -81,10 +50,9 @@ inline bool ParseBenchArgs(int argc, char** argv, Options* opt, std::string* err
     } else if (std::strncmp(arg, "--arrivals=", 11) == 0) {
       opt->arrivals = arg + 11;
     } else if (std::strncmp(arg, "--session-scale=", 16) == 0) {
-      if (!ParseFlagInt("--session-scale", arg + 16, 1, &n, error)) {
+      if (!ParseFlagInt("--session-scale", arg + 16, 1, &opt->session_scale, error)) {
         return false;
       }
-      opt->session_scale = n;
     } else if (std::strcmp(arg, "--list") == 0) {
       opt->list = true;
     } else {

@@ -1,21 +1,19 @@
-// The benchmark suite: every experiment in one parallel binary.
+// The benchmark suite: every experiment in one binary.
 //
 // Runs each configuration of the paper's evaluation -- Tables I-III, the
 // Section 4.3 dynamic-removal stack, the Section 1 UDP/IP cross-kernel
 // comparison, the 1k..16k throughput sweep and both ablations -- plus the
 // many-host, chaos, datacenter and session-scale workloads, as independent
-// jobs on a host thread pool, one simulated Internet per job. Results are
-// written as JSON (BENCH_RESULTS.json) and then printed as the
+// jobs run in order on one thread, one simulated Internet per job. Results
+// are written as JSON (BENCH_RESULTS.json) and then printed as the
 // paper-vs-measured report.
 //
-// Parallelism rule: parallel ACROSS instances, deterministic WITHIN an
-// instance. Each job builds its own Internet (its own EventQueue, kernels,
-// and sessions) and shares nothing mutable with other jobs, so its numbers
-// are the same at any thread count. Everything reported is simulated: the
-// JSON and stdout are byte-identical run to run. Host speed is measured by
-// hostbench/, not here.
+// Isolation rule: each job builds its own Internet (its own EventQueue,
+// kernels, and sessions) and leaves nothing behind for the next, so its
+// numbers are the same run alone (--filter) as in the full suite.
+// Everything reported is simulated: the JSON and stdout are byte-identical
+// run to run. Host speed is measured by hostbench/, not here.
 
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstring>
@@ -23,7 +21,6 @@
 #include <map>
 #include <regex>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "bench/bench_flags.h"
@@ -224,7 +221,7 @@ Job ManyHostTracedJob() {
   JobFn fn = [] {
     constexpr int kTracedPairs = 8;
     constexpr int kTracedIters = 25;
-    // The worker may have installed a suite-wide sink (--trace/--flow); park
+    // The runner may have installed a suite-wide sink (--trace/--flow); park
     // it so the bare pass is genuinely untraced and the traced pass is
     // measured against a sink this job owns.
     TraceSink* outer = TraceSink::thread_default();
@@ -939,7 +936,7 @@ void PrintReport(const std::vector<JobResult>& results) {
   }
 }
 
-// --- the pool ------------------------------------------------------------------
+// --- the runner ----------------------------------------------------------------
 
 // "group.name" with anything outside [A-Za-z0-9._-] replaced, so every job
 // maps to a distinct, shell-safe file in the --trace= / --pcap= directories.
@@ -1055,76 +1052,56 @@ int Run(const Options& opt) {
                    ec.message().c_str());
     }
   }
-  // No more workers than jobs: each extra thread would find the queue empty.
-  const unsigned threads = static_cast<unsigned>(std::min<size_t>(opt.threads, jobs.size()));
   std::vector<JobResult> results(jobs.size());
-  std::atomic<size_t> next{0};
-
-  auto worker = [&] {
-    for (;;) {
-      const size_t i = next.fetch_add(1);
-      if (i >= jobs.size()) {
-        return;
-      }
-      // Reset per-thread simulation state a previous job on this pool thread
-      // may have left behind (the header-alloc ablation switches the policy).
-      // It is thread_local, so every pool thread has to reset it -- it does
-      // not inherit from main.
-      Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
-      // One observer pair per job: each job's Internet picks up the
-      // thread-default observers at construction, so traces never mix jobs.
-      std::unique_ptr<TraceSink> sink;
-      std::unique_ptr<PacketCapture> capture;
-      std::unique_ptr<StatSampler> sampler;
-      // --flow= needs the same records --trace= records, so either flag
-      // brings the sink up; --flow alone just skips writing the raw trace.
-      if (!opt.trace_dir.empty() || !opt.flow_dir.empty()) {
-        sink = std::make_unique<TraceSink>();
-        TraceSink::set_thread_default(sink.get());
-      }
-      if (!opt.pcap_dir.empty()) {
-        capture = std::make_unique<PacketCapture>();
-        PacketCapture::set_thread_default(capture.get());
-      }
-      if (!opt.stats_dir.empty()) {
-        sampler = std::make_unique<StatSampler>();
-        StatSampler::set_thread_default(sampler.get());
-      }
-      JobResult r = jobs[i].run();
-      TraceSink::set_thread_default(nullptr);
-      PacketCapture::set_thread_default(nullptr);
-      StatSampler::set_thread_default(nullptr);
-      const std::string stem = JobFileStem(jobs[i]);
-      const std::string trace = sink != nullptr ? sink->ToJsonl() : "";
-      if (!opt.trace_dir.empty()) {
-        WriteArtifact(opt.trace_dir + "/" + stem + ".trace.jsonl", trace);
-      }
-      if (!opt.flow_dir.empty()) {
-        // Stitch the per-call causal graphs observer-side and write both flow
-        // artifacts; both are deterministic functions of the (deterministic)
-        // trace, so they join the byte-identity gates in scripts/check.sh.
-        const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(trace));
-        WriteArtifact(opt.flow_dir + "/" + stem + ".flow.jsonl", causal::ToFlowJsonl(fa));
-        WriteArtifact(opt.flow_dir + "/" + stem + ".folded.txt", causal::ToFolded(fa));
-      }
-      if (capture != nullptr) {
-        WriteArtifact(opt.pcap_dir + "/" + stem + ".pcap.jsonl", capture->ToJsonl());
-      }
-      if (sampler != nullptr) {
-        WriteArtifact(opt.stats_dir + "/" + stem + ".stats.jsonl", sampler->ToJsonl());
-      }
-      r.group = jobs[i].group;
-      r.name = jobs[i].name;
-      results[i] = std::move(r);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    // The header-alloc ablation switches the default alloc policy; the
+    // reset keeps it from leaking into later jobs.
+    Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
+    // One observer pair per job: each job's Internet picks up the
+    // thread-default observers at construction, so traces never mix jobs.
+    std::unique_ptr<TraceSink> sink;
+    std::unique_ptr<PacketCapture> capture;
+    std::unique_ptr<StatSampler> sampler;
+    // --flow= needs the same records --trace= records, so either flag
+    // brings the sink up; --flow alone just skips writing the raw trace.
+    if (!opt.trace_dir.empty() || !opt.flow_dir.empty()) {
+      sink = std::make_unique<TraceSink>();
+      TraceSink::set_thread_default(sink.get());
     }
-  };
-  std::vector<std::thread> pool;
-  for (unsigned t = 1; t < threads; ++t) {
-    pool.emplace_back(worker);
-  }
-  worker();  // the main thread pulls jobs too
-  for (std::thread& t : pool) {
-    t.join();
+    if (!opt.pcap_dir.empty()) {
+      capture = std::make_unique<PacketCapture>();
+      PacketCapture::set_thread_default(capture.get());
+    }
+    if (!opt.stats_dir.empty()) {
+      sampler = std::make_unique<StatSampler>();
+      StatSampler::set_thread_default(sampler.get());
+    }
+    JobResult r = jobs[i].run();
+    TraceSink::set_thread_default(nullptr);
+    PacketCapture::set_thread_default(nullptr);
+    StatSampler::set_thread_default(nullptr);
+    const std::string stem = JobFileStem(jobs[i]);
+    const std::string trace = sink != nullptr ? sink->ToJsonl() : "";
+    if (!opt.trace_dir.empty()) {
+      WriteArtifact(opt.trace_dir + "/" + stem + ".trace.jsonl", trace);
+    }
+    if (!opt.flow_dir.empty()) {
+      // Stitch the per-call causal graphs observer-side and write both flow
+      // artifacts; both are deterministic functions of the (deterministic)
+      // trace, so they join the byte-identity gates in scripts/check.sh.
+      const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(trace));
+      WriteArtifact(opt.flow_dir + "/" + stem + ".flow.jsonl", causal::ToFlowJsonl(fa));
+      WriteArtifact(opt.flow_dir + "/" + stem + ".folded.txt", causal::ToFolded(fa));
+    }
+    if (capture != nullptr) {
+      WriteArtifact(opt.pcap_dir + "/" + stem + ".pcap.jsonl", capture->ToJsonl());
+    }
+    if (sampler != nullptr) {
+      WriteArtifact(opt.stats_dir + "/" + stem + ".stats.jsonl", sampler->ToJsonl());
+    }
+    r.group = jobs[i].group;
+    r.name = jobs[i].name;
+    results[i] = std::move(r);
   }
   if (!WriteArtifact(opt.out_path, ToJson(jobs, results))) {
     return 1;
@@ -1139,13 +1116,12 @@ int Run(const Options& opt) {
 
 int main(int argc, char** argv) {
   xk::Options opt;
-  opt.threads = std::max(1u, std::thread::hardware_concurrency());
   std::string flag_error;
   if (!xk::ParseBenchArgs(argc, argv, &opt, &flag_error)) {
     std::fprintf(stderr, "%s: %s\n", argv[0], flag_error.c_str());
     std::fprintf(stderr,
-                 "usage: %s [--threads=N] [--out=FILE] [--trace=DIR] [--pcap=DIR]\n"
-                 "          [--stats=DIR] [--flow=DIR] [--list] [--filter=REGEX]\n"
+                 "usage: %s [--out=FILE] [--trace=DIR] [--pcap=DIR] [--stats=DIR]\n"
+                 "          [--flow=DIR] [--list] [--filter=REGEX]\n"
                  "          [--session-scale=N] (adds a session_scale.nN job at N sessions)\n"
                  "          [--faults=PLAN]   (e.g. crash:host=server,at=300ms,restart=700ms;\n"
                  "                             drop:seg=0,from=0ms,until=200ms,rate=0.05)\n"

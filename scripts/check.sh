@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Full pre-merge check: the regular build + test suite, then an
 # ASan+UBSan-instrumented build of the same tests as a memory-safety smoke,
-# observability determinism diffs, the benchmark regression and scenario
-# gates, and a TSan pass over bench_suite's worker threads.
+# bench_suite's determinism and per-job isolation gates, flag-rejection
+# smokes, and the benchmark regression and scenario gates.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # tier-1 tests only
 #
-# Sanitizer builds live in build-asan/ and build-tsan/ so they never pollute
-# the primary build/ tree.
+# The sanitizer build lives in build-asan/ so it never pollutes the primary
+# build/ tree.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,57 +34,87 @@ UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
 echo
 echo "== sanitizer smoke: bench_suite under ASan+UBSan =="
 UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
-  ./build-asan/bench/bench_suite --threads=2 --out=/dev/null
+  ./build-asan/bench/bench_suite --out=/dev/null
 
 obs=$(mktemp -d)
 trap 'rm -rf "$obs"' EXIT
 root=$PWD
 
 echo
-echo "== observability determinism: bench_suite bit-identical at 1/2/4 threads =="
+echo "== determinism: two observed bench_suite runs are bit-identical =="
 # bench_suite reports simulated quantities only, so the results file, traces,
 # captures, time series, causal flows and stdout (summary line and report)
-# must be byte-identical across worker thread counts, no normalization
-# needed. Each run writes the same relative names in its own directory.
+# must be byte-identical run to run, no normalization needed. Each run
+# writes the same relative names in its own directory.
 suite() {
   local dir="$obs/$1"
   shift
   mkdir -p "$dir"
   (cd "$dir" && "$root/build/bench/bench_suite" --out=r.json "$@" > report.txt)
 }
-for t in 1 2 4; do
-  suite "t$t" --threads="$t" --trace=trace --pcap=pcap --stats=stats --flow=flow
+for run in a b; do
+  suite "$run" --trace=trace --pcap=pcap --stats=stats --flow=flow
 done
 # Zero observer effect: an unobserved run reports the same metrics and report.
-suite plain --threads=4
-for run in t2 t4 plain; do
-  cmp "$obs/t1/r.json" "$obs/$run/r.json"
-  cmp "$obs/t1/report.txt" "$obs/$run/report.txt"
+suite plain
+for run in b plain; do
+  cmp "$obs/a/r.json" "$obs/$run/r.json"
+  cmp "$obs/a/report.txt" "$obs/$run/report.txt"
 done
 for kind in trace pcap stats flow; do
-  diff -r "$obs/t1/$kind" "$obs/t2/$kind"
-  diff -r "$obs/t1/$kind" "$obs/t4/$kind"
+  diff -r "$obs/a/$kind" "$obs/b/$kind"
 done
-grep -q "Table III: Cost of Individual RPC Layers" "$obs/t1/report.txt"
-r1="$obs/t1/r.json"
+grep -q "Table III: Cost of Individual RPC Layers" "$obs/a/report.txt"
+r1="$obs/a/r.json"
 # The committed results are this code's results: a change to the simulation
 # must refresh BENCH_RESULTS.json in the same commit.
 cmp BENCH_RESULTS.json "$r1"
-trace1="$obs/t1/trace"
+trace1="$obs/a/trace"
+
+echo
+echo "== isolation: every job run alone reports what it reports in the suite =="
+# The jobs run in order on one thread, so state one job leaves behind (a
+# thread-default setting, a freelist) would shift the numbers of the jobs
+# after it. Each job's result line, run alone, must appear verbatim in the
+# full run (trailing commas stripped: the last line of a results list has
+# none).
+sed 's/,$//' "$r1" > "$obs/full.lines"
+alone=0
+leaks=0
+while read -r job; do
+  ./build/bench/bench_suite --filter="^${job//./\\.}\$" --out="$obs/alone.json" > /dev/null
+  line=$(grep '{"group": ' "$obs/alone.json" | sed 's/,$//')
+  alone=$((alone + 1))
+  if [[ -z "$line" ]] || ! grep -Fxq -- "$line" "$obs/full.lines"; then
+    echo "FAIL: $job run alone differs from the full run"
+    leaks=$((leaks + 1))
+  fi
+done < <(./build/bench/bench_suite --list)
+[ "$leaks" -eq 0 ] || exit 1
+echo "$alone jobs report the same result alone as in the full run"
 
 echo
 echo "== observability smoke: Table III from the suite's per-job traces =="
 # Depths go shallowest first; the two deltas are FRAGMENT's and CHANNEL's
 # layer costs, and CHANNEL is the most expensive layer.
 t3="$trace1/table3_layer_costs"
-[[ -s "$obs/t1/pcap/table3_layer_costs.VIP.pcap.jsonl" ]]
+[[ -s "$obs/a/pcap/table3_layer_costs.VIP.pcap.jsonl" ]]
 ./build/src/xktrace "$t3.VIP.trace.jsonl" | grep -q "per-call"
 ./build/src/xktrace --layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" \
   "$t3.CHANNEL-FRAGMENT-VIP.trace.jsonl" \
   | awk 'NR > 1 { d[NR] = $NF } END { exit !(NR == 4 && d[4] > d[3] && d[3] > 0) }'
 
+# usage_error WANT CMD...: CMD must exit 2 with WANT on stderr.
+usage_error() {
+  local want=$1 status=0
+  shift
+  "$@" > /dev/null 2> "$obs/usage.txt" || status=$?
+  [ "$status" -eq 2 ] && grep -qF -- "$want" "$obs/usage.txt" \
+    || { echo "FAIL: '$*' exited $status, want 2 and \"$want\""; exit 1; }
+}
+
 echo
-echo "== bench_suite: write failures, empty filters, worker count capped =="
+echo "== bench_suite: write failures and empty filters =="
 # Observers never change a result: an unwritable --trace= directory warns on
 # stderr, naming the directory and each file, and the run still exits 0.
 touch "$obs/not-a-dir"
@@ -99,18 +129,17 @@ status=0
 [ "$status" -eq 1 ] || { echo "FAIL: --out=/dev/full exited $status, want 1"; exit 1; }
 grep -q "failed to write /dev/full" "$obs/full.txt"
 # A --filter that matches no job exits 2 and writes no results file.
-status=0
-./build/bench/bench_suite --filter='^nomatch' --out="$obs/nomatch.json" \
-  > /dev/null 2> "$obs/nomatch.txt" || status=$?
-[ "$status" -eq 2 ] || { echo "FAIL: --filter='^nomatch' exited $status, want 2"; exit 1; }
-grep -q "'^nomatch' matches no job" "$obs/nomatch.txt"
+usage_error "'^nomatch' matches no job" \
+  ./build/bench/bench_suite --filter='^nomatch' --out="$obs/nomatch.json"
 [ ! -e "$obs/nomatch.json" ] || { echo "FAIL: --filter='^nomatch' wrote $obs/nomatch.json"; exit 1; }
-# More threads than jobs start one worker per job, with the same results.
-./build/bench/bench_suite --filter='^udp_crosskernel' --threads=1 \
-  --out="$obs/cap1.json" > /dev/null
-./build/bench/bench_suite --filter='^udp_crosskernel' --threads=1000000 \
-  --out="$obs/cap.json" > /dev/null
-cmp "$obs/cap1.json" "$obs/cap.json"
+
+echo
+echo "== tool flags: a malformed value exits 2 naming the flag and token =="
+usage_error "--slowest: bad value 'abc'" \
+  ./build/src/xkflow "$t3.VIP.trace.jsonl" --slowest=abc
+usage_error "--calls: bad value 'abc'" ./build/src/xktrace "$t3.VIP.trace.jsonl" --calls=abc
+usage_error "--default-threshold: bad value '5x'" \
+  ./build/src/xkbench_diff bench/baseline.json "$r1" --default-threshold=5x
 
 echo
 echo "== xkflow smoke: critical-path attribution reconstructs the bench RTT =="
@@ -157,8 +186,8 @@ echo
 echo "== chaos campaigns: oracle-clean crash/recovery =="
 # The scheduled mid-workload server crash must recover (boot_resets = 1) with
 # the at-most-once oracle reporting zero double executions and zero silent
-# failures. Byte-identity of the chaos jobs across worker threads is already
-# enforced by the r* cmp gates above, which include them.
+# failures. Byte-identity of the chaos jobs run to run, and alone versus in
+# the suite, is already enforced by the determinism and isolation gates.
 crash_line=$(grep '"name": "server-crash"' "$r1")
 echo "$crash_line" | grep -q '"oracle_double_exec": 0' \
   || { echo "FAIL: chaos.server-crash reported double executions"; exit 1; }
@@ -251,17 +280,6 @@ echo "$soak_line" | grep -q '"client_live_after": 0' \
 echo "$soak_line" | grep -q '"server_live_after": 0' \
   || { echo "FAIL: session_scale.soak left server sessions live after drain"; exit 1; }
 echo "soak: full reclamation"
-
-echo
-echo "== TSan: bench_suite worker-thread data-race check (build-tsan/) =="
-# bench_suite runs independent jobs on a pool of worker threads. The jobs
-# share no simulation; the state they keep per thread (thread_local object
-# pools, message chunk lists, oracle scratch buffers, default observers) must
-# stay per thread.
-cmake -B build-tsan -S . -DXK_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$jobs" --target bench_suite
-TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/bench_suite \
-  --filter='^(manyhost|chaos|datacenter)' --threads=4 --out=/dev/null
 
 echo
 echo "All checks passed."

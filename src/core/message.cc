@@ -8,9 +8,9 @@
 namespace xk {
 
 namespace {
-// thread_local so concurrent simulations (bench_suite runs one independent
-// Internet per worker thread) can ablate the policy without racing; within a
-// thread the semantics are unchanged.
+// A per-thread default, like the observer defaults. bench_suite's runner
+// resets it before every job, so the header-alloc ablation that switches it
+// cannot leak into later jobs.
 thread_local HeaderAllocPolicy g_default_policy = HeaderAllocPolicy::kPointerAdjust;
 
 // Parked chunk-tail buffers stay bounded, like the object pools.

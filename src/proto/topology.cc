@@ -1,7 +1,6 @@
 #include "src/proto/topology.h"
 
 #include <cassert>
-#include <cstdio>
 #include <stdexcept>
 
 #include "src/stat/timeseries.h"
@@ -15,7 +14,8 @@ Internet::Internet(HostEnv default_env, uint64_t seed)
       trace_(TraceSink::thread_default()),
       capture_(PacketCapture::thread_default()) {
   if (StatSampler* s = StatSampler::thread_default(); s != nullptr) {
-    AttachStats(s);
+    stats_ = s;
+    stat_net_ = s->AttachNet();
   }
 }
 
@@ -237,47 +237,6 @@ void Internet::SetDefaultGateway(const std::string& host_name, IpAddr gw) {
   e.stack.kernel->RunTask(events_.now(), [&]() { e.stack.ip->SetDefaultGateway(gw); });
 }
 
-void Internet::AttachTrace(TraceSink* trace) {
-  trace_ = trace;
-  for (auto& k : kernels_) {
-    k->set_trace_sink(trace);
-  }
-  for (auto& s : segments_) {
-    s->set_trace(trace);
-  }
-}
-
-void Internet::AttachPcap(PacketCapture* capture) {
-  capture_ = capture;
-  for (auto& s : segments_) {
-    s->set_capture(capture);
-  }
-}
-
-void Internet::AttachStats(StatSampler* stats) {
-  if (stats_ == stats) {
-    return;
-  }
-  if (stats_ != nullptr) {
-    for (auto& s : segments_) {
-      s->set_stats(nullptr);
-    }
-    stats_->DetachNet(stat_net_);
-    stat_net_ = -1;
-  }
-  stats_ = stats;
-  if (stats_ == nullptr) {
-    return;
-  }
-  stat_net_ = stats_->AttachNet();
-  for (auto& k : kernels_) {
-    stats_->RegisterKernel(stat_net_, *k);
-  }
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    segments_[i]->set_stats(stats_->RegisterSegment(stat_net_, static_cast<int>(i)));
-  }
-}
-
 std::string Internet::CountersJson() const {
   std::string out;
   out += "{\"schema_version\":1,\"hosts\":[";
@@ -326,16 +285,6 @@ std::string Internet::CountersJson() const {
   }
   out += "]}\n";
   return out;
-}
-
-bool Internet::WriteCountersJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string s = CountersJson();
-  const bool ok = std::fwrite(s.data(), 1, s.size(), f) == s.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 HostStack& Internet::host(const std::string& name) { return FindEntry(name).stack; }

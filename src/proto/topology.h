@@ -102,25 +102,14 @@ class Internet {
   static std::unique_ptr<Internet> TwoSegments(HostEnv env = HostEnv::kXKernel);
 
   // --- observability ----------------------------------------------------------
-  // Attaches a trace sink / packet capture to every kernel and segment, now
-  // and as later hosts/segments are added (null detaches). The Internet
-  // constructor picks up TraceSink::thread_default() and
-  // PacketCapture::thread_default() automatically, so the usual way to trace
-  // an experiment is to install thread defaults before building it.
-  void AttachTrace(TraceSink* trace);
-  void AttachPcap(PacketCapture* capture);
-  // Attaches a time-series sampler (src/stat) to every kernel and segment,
-  // now and as later hosts/segments are added (null detaches). The
-  // constructor picks up StatSampler::thread_default().
-  void AttachStats(StatSampler* stats);
-  TraceSink* trace() const { return trace_; }
-  PacketCapture* capture() const { return capture_; }
-  StatSampler* stats() const { return stats_; }
+  // The constructor picks up TraceSink::thread_default(),
+  // PacketCapture::thread_default() and StatSampler::thread_default() and
+  // attaches them to every kernel and segment added later: to observe an
+  // experiment, install the defaults before building it.
 
   // Per-protocol counters for every host plus per-link statistics (including
   // fault-injection outcomes), as one JSON document.
   std::string CountersJson() const;
-  bool WriteCountersJson(const std::string& path) const;
 
   // --- access -----------------------------------------------------------------
   // The simulation's single event queue, shared by every kernel and segment.

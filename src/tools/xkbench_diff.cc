@@ -18,6 +18,7 @@
 #include <sstream>
 
 #include "src/tools/bench_diff.h"
+#include "src/tools/flag_parse.h"
 
 namespace {
 
@@ -59,17 +60,27 @@ int main(int argc, char** argv) {
   const char* base_path = nullptr;
   const char* cur_path = nullptr;
   bool quiet = false;
+  std::string error;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    double pct = 0;
     if (std::strncmp(a, "--default-threshold=", 20) == 0) {
-      opt.default_threshold = std::atof(a + 20) / 100.0;
+      if (!xk::ParseFlagPercent("--default-threshold", a + 20, &pct, &error)) {
+        std::fprintf(stderr, "xkbench-diff: %s\n", error.c_str());
+        return Usage(argv[0]);
+      }
+      opt.default_threshold = pct / 100.0;
     } else if (std::strncmp(a, "--threshold=", 12) == 0) {
       const char* spec = a + 12;
       const char* eq = std::strrchr(spec, '=');
       if (eq == nullptr || eq == spec) {
         return Usage(argv[0]);
       }
-      opt.thresholds.emplace_back(std::string(spec, eq), std::atof(eq + 1) / 100.0);
+      if (!xk::ParseFlagPercent("--threshold", eq + 1, &pct, &error)) {
+        std::fprintf(stderr, "xkbench-diff: %s\n", error.c_str());
+        return Usage(argv[0]);
+      }
+      opt.thresholds.emplace_back(std::string(spec, eq), pct / 100.0);
     } else if (std::strcmp(a, "--allow-missing") == 0) {
       opt.allow_missing = true;
     } else if (std::strcmp(a, "--quiet") == 0) {

@@ -22,11 +22,11 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/tools/flag_parse.h"
 #include "src/tools/trace_reader.h"
 #include "src/trace/causal.h"
 
@@ -226,13 +226,22 @@ int main(int argc, char** argv) {
   bool flow = false;
   bool json = false;
   bool rejected = false;
+  std::string error;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--call=", 7) == 0) {
-      call_id = std::strtoull(a + 7, nullptr, 10);
+      if (!xk::ParseFlagUint64("--call", a + 7, &call_id, &error)) {
+        std::fprintf(stderr, "xkflow: %s\n", error.c_str());
+        return Usage();
+      }
       have_call = true;
     } else if (std::strncmp(a, "--slowest=", 10) == 0) {
-      slowest = std::strtoull(a + 10, nullptr, 10);
+      int n = 0;
+      if (!xk::ParseFlagInt("--slowest", a + 10, 1, &n, &error)) {
+        std::fprintf(stderr, "xkflow: %s\n", error.c_str());
+        return Usage();
+      }
+      slowest = static_cast<size_t>(n);
     } else if (std::strcmp(a, "--critical-path") == 0) {
       critical = true;
     } else if (std::strcmp(a, "--folded") == 0) {

@@ -15,11 +15,11 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/tools/flag_parse.h"
 #include "src/tools/trace_reader.h"
 
 namespace {
@@ -171,7 +171,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--layer-costs") == 0) {
       layer_costs = true;
     } else if (std::strncmp(a, "--calls=", 8) == 0) {
-      forced_calls = std::strtoull(a + 8, nullptr, 10);
+      int n = 0;
+      std::string error;
+      if (!xk::ParseFlagInt("--calls", a + 8, 1, &n, &error)) {
+        std::fprintf(stderr, "xktrace: %s\n", error.c_str());
+        return Usage();
+      }
+      forced_calls = static_cast<uint64_t>(n);
     } else if (a[0] == '-') {
       return Usage();
     } else {

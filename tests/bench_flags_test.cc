@@ -1,4 +1,5 @@
-// Tests for the bench_suite command-line parser (bench/bench_flags.h): every
+// Tests for the bench_suite command-line parser (bench/bench_flags.h) and the
+// flag value parsers it shares with the tools (src/tools/flag_parse.h): every
 // rejection path must name the offending flag and token -- no silent atoi
 // clamping, no anonymous "usage" bail-outs.
 
@@ -6,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace xk {
@@ -25,13 +28,12 @@ bool Parse(std::vector<std::string> args, Options* opt, std::string* error) {
 TEST(BenchFlagsTest, ParsesEveryFlag) {
   Options opt;
   std::string error;
-  ASSERT_TRUE(Parse({"--threads=3", "--out=o.json", "--trace=td", "--pcap=pd",
-                     "--stats=sd", "--filter=^manyhost", "--faults=seed:7",
+  ASSERT_TRUE(Parse({"--out=o.json", "--trace=td", "--pcap=pd", "--stats=sd",
+                     "--filter=^manyhost", "--faults=seed:7",
                      "--arrivals=poisson:rate=200,horizon=100ms", "--session-scale=1000",
                      "--list"},
                     &opt, &error))
       << error;
-  EXPECT_EQ(opt.threads, 3u);
   EXPECT_EQ(opt.out_path, "o.json");
   EXPECT_EQ(opt.trace_dir, "td");
   EXPECT_EQ(opt.pcap_dir, "pd");
@@ -50,58 +52,40 @@ TEST(BenchFlagsTest, UnknownFlagIsNamed) {
   EXPECT_NE(error.find("--wibble=3"), std::string::npos) << error;
 }
 
-TEST(BenchFlagsTest, NonIntegerThreadsNamesFlagAndToken) {
-  Options opt;
-  std::string error;
-  EXPECT_FALSE(Parse({"--threads=abc"}, &opt, &error));
-  EXPECT_NE(error.find("--threads"), std::string::npos) << error;
-  EXPECT_NE(error.find("'abc'"), std::string::npos) << error;
-}
-
-TEST(BenchFlagsTest, TrailingGarbageThreadsIsRejected) {
-  Options opt;
-  std::string error;
-  // std::atoi would silently read this as 4.
-  EXPECT_FALSE(Parse({"--threads=4x"}, &opt, &error));
-  EXPECT_NE(error.find("'4x'"), std::string::npos) << error;
-}
-
-TEST(BenchFlagsTest, ZeroThreadsIsRejectedWithBound) {
-  Options opt;
-  std::string error;
-  EXPECT_FALSE(Parse({"--threads=0"}, &opt, &error));
-  EXPECT_NE(error.find("--threads"), std::string::npos) << error;
-  EXPECT_NE(error.find(">= 1"), std::string::npos) << error;
-}
-
 // Flags of deleted features are rejected as unknown, not silently ignored.
-TEST(BenchFlagsTest, EngineThreadsIsRejectedAsUnknown) {
+// One table row per flag, each a test under its own name.
+void ExpectUnknown(const std::string& arg) {
   Options opt;
   std::string error;
-  EXPECT_FALSE(Parse({"--engine-threads=2"}, &opt, &error));
-  EXPECT_NE(error.find("unknown flag '--engine-threads=2'"), std::string::npos) << error;
+  EXPECT_FALSE(Parse({arg}, &opt, &error)) << arg;
+  EXPECT_NE(error.find("unknown flag '" + arg + "'"), std::string::npos) << error;
 }
+TEST(BenchFlagsTest, EngineThreadsIsRejectedAsUnknown) { ExpectUnknown("--engine-threads=2"); }
+TEST(BenchFlagsTest, BareEngineSpeedupIsRejectedAsUnknown) { ExpectUnknown("--engine-speedup"); }
+TEST(BenchFlagsTest, EngineSpeedupIsRejectedAsUnknown) { ExpectUnknown("--engine-speedup=1"); }
+TEST(BenchFlagsTest, StableIsRejectedAsUnknown) { ExpectUnknown("--stable"); }
+TEST(BenchFlagsTest, ThreadsIsRejectedAsUnknown) { ExpectUnknown("--threads=4"); }
 
-TEST(BenchFlagsTest, BareEngineSpeedupIsRejectedAsUnknown) {
+// The malformed values --threads was tested with: --threads itself is now an
+// unknown flag, and the same value on --session-scale, the remaining integer
+// flag, names the flag, the quoted token and why it was refused.
+void ExpectMalformedInteger(const std::string& value, const std::string& reason) {
+  ExpectUnknown("--threads=" + value);
   Options opt;
   std::string error;
-  EXPECT_FALSE(Parse({"--engine-speedup"}, &opt, &error));
-  EXPECT_NE(error.find("unknown flag '--engine-speedup'"), std::string::npos) << error;
+  EXPECT_FALSE(Parse({"--session-scale=" + value}, &opt, &error)) << value;
+  EXPECT_NE(error.find("--session-scale: bad value '" + value + "'"), std::string::npos) << error;
+  EXPECT_NE(error.find(reason), std::string::npos) << error;
+  EXPECT_EQ(opt.session_scale, 0) << value;
 }
-
-TEST(BenchFlagsTest, EngineSpeedupIsRejectedAsUnknown) {
-  Options opt;
-  std::string error;
-  EXPECT_FALSE(Parse({"--engine-speedup=1"}, &opt, &error));
-  EXPECT_NE(error.find("unknown flag '--engine-speedup=1'"), std::string::npos) << error;
+TEST(BenchFlagsTest, NonIntegerThreadsNamesFlagAndToken) {
+  ExpectMalformedInteger("abc", "expected an integer");
 }
-
-TEST(BenchFlagsTest, StableIsRejectedAsUnknown) {
-  Options opt;
-  std::string error;
-  EXPECT_FALSE(Parse({"--stable"}, &opt, &error));
-  EXPECT_NE(error.find("unknown flag '--stable'"), std::string::npos) << error;
+// std::atoi would silently read this as 4.
+TEST(BenchFlagsTest, TrailingGarbageThreadsIsRejected) {
+  ExpectMalformedInteger("4x", "expected an integer");
 }
+TEST(BenchFlagsTest, ZeroThreadsIsRejectedWithBound) { ExpectMalformedInteger("0", ">= 1"); }
 
 TEST(BenchFlagsTest, EmptyIntegerValueIsRejected) {
   Options opt;
@@ -110,18 +94,16 @@ TEST(BenchFlagsTest, EmptyIntegerValueIsRejected) {
   EXPECT_NE(error.find("--session-scale"), std::string::npos) << error;
 }
 
-// Values past INT_MAX used to be truncated to int: 2^32 + 1 threads ran one
-// worker, 2^32 sessions added no job, and 10^11 threads aborted the run.
+// Values past INT_MAX used to be truncated to int: 2^32 sessions added no
+// job.
 TEST(BenchFlagsTest, ValuesAboveIntMaxAreRejected) {
-  for (const std::string arg : {"--threads=4294967297", "--threads=99999999999",
-                                "--threads=99999999999999999999999",
-                                "--session-scale=4294967296"}) {
+  for (const std::string arg : {"--session-scale=2147483648", "--session-scale=4294967296",
+                                "--session-scale=99999999999999999999999"}) {
     Options opt;
     std::string error;
     EXPECT_FALSE(Parse({arg}, &opt, &error)) << arg;
-    EXPECT_NE(error.find(arg.substr(0, arg.find('=')) + ": bad value"), std::string::npos) << error;
+    EXPECT_NE(error.find("--session-scale: bad value"), std::string::npos) << error;
     EXPECT_NE(error.find("<= 2147483647"), std::string::npos) << error;
-    EXPECT_EQ(opt.threads, 1u) << arg;
     EXPECT_EQ(opt.session_scale, 0) << arg;
   }
 }
@@ -129,8 +111,49 @@ TEST(BenchFlagsTest, ValuesAboveIntMaxAreRejected) {
 TEST(BenchFlagsTest, IntMaxIsAccepted) {
   Options opt;
   std::string error;
-  ASSERT_TRUE(Parse({"--threads=2147483647"}, &opt, &error)) << error;
-  EXPECT_EQ(opt.threads, 2147483647u);
+  ASSERT_TRUE(Parse({"--session-scale=2147483647"}, &opt, &error)) << error;
+  EXPECT_EQ(opt.session_scale, 2147483647);
+}
+
+// xkflow --call=ID: call ids exceed INT_MAX.
+TEST(BenchFlagsTest, Uint64FlagTakesTheWholeToken) {
+  for (const auto& [value, want] :
+       {std::pair<const char*, uint64_t>{"0", 0}, {"8589934593", 8589934593u},
+        {"18446744073709551615", UINT64_MAX}}) {
+    uint64_t out = 1;
+    std::string error;
+    EXPECT_TRUE(ParseFlagUint64("--call", value, &out, &error)) << error;
+    EXPECT_EQ(out, want) << value;
+  }
+  for (const char* value : {"", "abc", "7x", "-1", "+1", " 1", "18446744073709551616"}) {
+    uint64_t out = 7;
+    std::string error;
+    EXPECT_FALSE(ParseFlagUint64("--call", value, &out, &error)) << value;
+    EXPECT_NE(error.find(std::string("--call: bad value '") + value + "'"), std::string::npos)
+        << error;
+    EXPECT_EQ(out, 7u) << value;
+  }
+}
+
+// xkbench_diff thresholds: atof read "5x" as 5 and "abc" as 0, and a negative
+// or NaN tolerance flagged unchanged metrics as regressions.
+TEST(BenchFlagsTest, PercentFlagIsFiniteAndNonNegative) {
+  for (const auto& [value, want] :
+       {std::pair<const char*, double>{"0", 0.0}, {"2", 2.0}, {"0.5", 0.5}, {"150", 150.0}}) {
+    double out = -1;
+    std::string error;
+    EXPECT_TRUE(ParseFlagPercent("--default-threshold", value, &out, &error)) << error;
+    EXPECT_EQ(out, want) << value;
+  }
+  for (const char* value : {"", "abc", "5x", "5%", "-5", "nan", "inf", "1e999"}) {
+    double out = -1;
+    std::string error;
+    EXPECT_FALSE(ParseFlagPercent("--default-threshold", value, &out, &error)) << value;
+    EXPECT_NE(error.find(std::string("--default-threshold: bad value '") + value + "'"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(out, -1) << value;
+  }
 }
 
 }  // namespace
