@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Full pre-merge check: the regular build + test suite, then an
-# ASan+UBSan-instrumented build of the same tests as a memory-safety smoke,
-# bench_suite's determinism and per-job isolation gates, flag-rejection
-# smokes, and the benchmark regression and scenario gates.
+# Full pre-merge check: the control-op lint, the regular build + test suite,
+# then an ASan+UBSan-instrumented build of the same tests as a memory-safety
+# smoke, bench_suite's determinism and per-job isolation gates, flag-rejection
+# and tool usage-error smokes (malformed values, xkflow's exclusive modes,
+# --json or --calls where they would be ignored), and the benchmark
+# regression and scenario gates.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh --fast     # tier-1 tests only
+#   scripts/check.sh --fast     # control-op lint + tier-1 tests only
 #
 # The sanitizer build lives in build-asan/ so it never pollutes the primary
 # build/ tree.
@@ -15,6 +17,28 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
+echo "== control-op lint: every ControlOp is handled and sent =="
+# The paper's "on the order of two dozen" control ops stays a checked claim:
+# each enumerator needs a handler in src/ (`case ControlOp::kX:` or
+# `op == ControlOp::kX`) and at least one other use -- a sender -- somewhere
+# in the tree. An op nothing sends, or nothing answers, is dead interface.
+lint_fail=0
+nops=0
+count() { { grep -rEo "$1" "${@:2}" || true; } | wc -l; }
+for op in $(sed -n '/^enum class ControlOp/,/^};/s/^ *\(k[A-Za-z0-9]*\),.*/\1/p' \
+              src/core/control.h); do
+  nops=$((nops + 1))
+  handlers=$(count "case ControlOp::$op:|op == ControlOp::$op\b" src)
+  senders=$(( $(count "ControlOp::$op\b" src bench tests examples hostbench) - handlers ))
+  if [ "$handlers" -eq 0 ] || [ "$senders" -eq 0 ]; then
+    echo "control op $op: handlers=$handlers senders=$senders"
+    lint_fail=1
+  fi
+done
+[ "$lint_fail" -eq 0 ] || exit 1
+echo "$nops control ops, each handled and sent"
+
+echo
 echo "== tier-1: build + ctest (build/) =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
@@ -134,12 +158,21 @@ usage_error "'^nomatch' matches no job" \
 [ ! -e "$obs/nomatch.json" ] || { echo "FAIL: --filter='^nomatch' wrote $obs/nomatch.json"; exit 1; }
 
 echo
-echo "== tool flags: a malformed value exits 2 naming the flag and token =="
+echo "== tool flags: a malformed value or an ignored flag exits 2 naming it =="
 usage_error "--slowest: bad value 'abc'" \
   ./build/src/xkflow "$t3.VIP.trace.jsonl" --slowest=abc
 usage_error "--calls: bad value 'abc'" ./build/src/xktrace "$t3.VIP.trace.jsonl" --calls=abc
 usage_error "--default-threshold: bad value '5x'" \
   ./build/src/xkbench_diff bench/baseline.json "$r1" --default-threshold=5x
+# A flag the chosen mode would ignore is refused, naming the conflict.
+usage_error "--rejected --critical-path are exclusive modes" \
+  ./build/src/xkflow "$t3.VIP.trace.jsonl" --rejected --critical-path
+usage_error "--json applies only to --critical-path" \
+  ./build/src/xkflow "$t3.VIP.trace.jsonl" --json
+usage_error "--layer-costs does not take --json" \
+  ./build/src/xktrace --layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" --json
+usage_error "--layer-costs does not take --calls" \
+  ./build/src/xktrace --layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" --calls=5
 
 echo
 echo "== xkflow smoke: critical-path attribution reconstructs the bench RTT =="

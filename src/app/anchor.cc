@@ -100,8 +100,10 @@ void RpcClient::SessionError(Session& lls, Status error) {
 }
 
 Status RpcClient::DoControl(ControlOp op, ControlArgs& args) {
+  // Asked by a virtual protocol directly below (VIP) at open time: an RPC
+  // client's messages are bounded only by the RPC layer under it.
   if (op == ControlOp::kGetMaxSendSize) {
-    args.u64 = max_send_size_;
+    args.u64 = UINT64_MAX;
     return OkStatus();
   }
   return ErrStatus(StatusCode::kUnsupported);
@@ -281,8 +283,10 @@ void EchoAnchor::SessionError(Session& lls, Status error) {
 }
 
 Status EchoAnchor::DoControl(ControlOp op, ControlArgs& args) {
+  // Asked by a virtual protocol directly below (VIP) at open time: one
+  // Ethernet payload.
   if (op == ControlOp::kGetMaxSendSize) {
-    args.u64 = max_send_size_;
+    args.u64 = 1500;
     return OkStatus();
   }
   return ErrStatus(StatusCode::kUnsupported);

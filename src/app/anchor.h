@@ -48,10 +48,6 @@ class RpcClient : public Protocol {
   // program, present in the paper's numbers too).
   void set_app_cost(SimTime t) { app_cost_ = t; }
 
-  // What this client reports when a virtual protocol asks how large its
-  // messages can get (relevant only when the client sits directly on VIP).
-  void set_max_send_size(uint64_t n) { max_send_size_ = n; }
-
   uint64_t calls_completed() const { return calls_completed_; }
   uint64_t calls_failed() const { return calls_failed_; }
 
@@ -67,7 +63,6 @@ class RpcClient : public Protocol {
  private:
   Protocol* rpc_;
   SimTime app_cost_ = Usec(45);
-  uint64_t max_send_size_ = UINT64_MAX;
   std::map<std::pair<IpAddr, uint16_t>, SessionRef> session_cache_;
   std::map<Session*, std::deque<RpcDone>> outstanding_;
   uint64_t calls_completed_ = 0;
@@ -160,7 +155,6 @@ class EchoAnchor : public Protocol {
   void Send(const SessionRef& sess, Message msg, RpcDone done);
 
   void set_app_cost(SimTime t) { app_cost_ = t; }
-  void set_max_send_size(uint64_t n) { max_send_size_ = n; }
   // Server role: echo only the first `n` bytes (null-reply throughput tests).
   void set_echo_limit(size_t n) { echo_limit_ = n; }
 
@@ -178,7 +172,6 @@ class EchoAnchor : public Protocol {
  private:
   bool server_role_;
   SimTime app_cost_ = Usec(45);
-  uint64_t max_send_size_ = 1500;
   size_t echo_limit_ = SIZE_MAX;
   std::map<Session*, std::deque<RpcDone>> outstanding_;
   uint64_t echoes_ = 0;

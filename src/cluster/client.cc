@@ -198,7 +198,7 @@ void ClusterClient::ExportGauges(const CounterEmit& emit) const {
 
 Status ClusterClient::DoControl(ControlOp op, ControlArgs& args) {
   if (op == ControlOp::kGetMaxSendSize) {
-    args.u64 = max_send_size_;
+    args.u64 = UINT64_MAX;
     return OkStatus();
   }
   return ErrStatus(StatusCode::kUnsupported);

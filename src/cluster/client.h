@@ -56,7 +56,6 @@ class ClusterClient : public Protocol {
   void Evict(IpAddr service, uint16_t command);
 
   void set_app_cost(SimTime t) { app_cost_ = t; }
-  void set_max_send_size(uint64_t n) { max_send_size_ = n; }
 
   // Enables hedging with `base` as the delay until 64 RTT samples exist
   // (then the client's own p99 takes over). 0 = off (the default).
@@ -71,7 +70,6 @@ class ClusterClient : public Protocol {
   uint64_t late_replies() const { return late_replies_; }
   uint64_t hedges() const { return hedges_; }
   uint64_t hedge_cancels() const { return hedge_cancels_; }
-  const Histogram& rtt_histogram() const { return rtt_; }
 
   void ExportCounters(const CounterEmit& emit) const override;
   void ExportGauges(const CounterEmit& emit) const override;
@@ -100,7 +98,6 @@ class ClusterClient : public Protocol {
 
   Protocol* rpc_;
   SimTime app_cost_ = Usec(45);
-  uint64_t max_send_size_ = UINT64_MAX;
   SimTime hedge_base_delay_ = 0;
   std::function<void(uint64_t)> hedge_notify_;
   std::map<std::pair<IpAddr, uint16_t>, SessionRef> session_cache_;

@@ -104,14 +104,8 @@ class VpoolProtocol final : public Protocol {
     breaker_trip_ppm_ = trip_ppm;
   }
 
-  IpAddr service_addr() const { return vip_; }
-  int num_replicas() const { return static_cast<int>(replicas_.size()); }
   bool replica_up(int i) const { return replicas_[static_cast<size_t>(i)].up; }
   uint64_t replica_calls(int i) const { return replicas_[static_cast<size_t>(i)].calls; }
-  uint64_t replica_errors(int i) const { return replicas_[static_cast<size_t>(i)].errors; }
-  uint64_t replica_outstanding(int i) const {
-    return replicas_[static_cast<size_t>(i)].outstanding;
-  }
   uint64_t down_marks() const { return down_marks_; }
   uint64_t readmits() const { return readmits_; }
   uint64_t rerouted_opens() const { return rerouted_opens_; }

@@ -4,7 +4,10 @@
 // operation ... used to read and set certain object-dependent parameters."
 // The paper's Discussion notes that "a relatively small number of control
 // operations is sufficient; i.e., on the order of two dozen" -- this is that
-// set for our protocol suite.
+// set for our protocol suite: 25 ops, each with a handler in src/ and a sender
+// somewhere in the tree (scripts/check.sh lints both, so an op nothing sends
+// or nothing answers cannot creep back in). Tunables nothing sets are
+// constants of their protocol, not ops.
 //
 // Instead of an untyped (buffer, length) pair we pass a small in/out struct;
 // each opcode documents which slots it reads and writes.
@@ -31,7 +34,6 @@ enum class ControlOp : uint8_t {
   kGetMyHostEth,    // out eth
   kGetPeerHostEth,  // out eth
   kGetMyProto,      // out u64: protocol number this session sends as
-  kGetPeerProto,    // out u64
   kGetMyPort,       // out u64
   kGetPeerPort,     // out u64
 
@@ -40,21 +42,8 @@ enum class ControlOp : uint8_t {
   kResolveTest,     // in ip, out u64(bool): is the host resolvable (cached)?
   kAddResolveEntry, // in ip + eth: install a static cache entry
 
-  // --- routing ----------------------------------------------------------------
-  kAddRoute,        // in ip (dest subnet) + ip2 (gateway)
-  kSetDefaultGateway,  // in ip
-
   // --- RPC --------------------------------------------------------------------
-  kGetBootId,          // out u64
   kGetLastCommand,     // out u64: command of the request a server session holds
-  kGetFreeChannels,    // out u64: channels not currently in use
-  kSetRetransmitLimit, // in u64
-  kSetTimeoutBase,     // in u64: base retransmit timeout, nanoseconds
-  kGetRetransmits,     // out u64: total retransmissions performed (stats)
-  kGetDuplicatesDropped,  // out u64: duplicate requests suppressed (stats)
-  kGetTimeouts,        // out u64: retransmit timer expirations (stats)
-  kSetAdaptiveTimeout, // in u64(bool): SRTT/RTTVAR adaptive RTO instead of the
-                       // paper's step-function timeout (default off)
   kFlushSessions,      // drop idle cached lower sessions (connection churn);
                        // out u64: sessions actually dropped
 
@@ -62,7 +51,6 @@ enum class ControlOp : uint8_t {
   kSetRetryBudget,     // in u64: packed burst<<32 | retry_ratio_ppm. Installs a
                        // per-stack retransmit token bucket on CHANNEL (0 ppm =
                        // disabled, the default). See README "Overload control".
-  kGetRetryBudgetTokens,  // out u64: current bucket level in ppm (stats)
   kSetAdmissionLimit,  // in u64: packed max_inflight<<32 | max_backlog_us.
                        // Bounds the RpcServer run queue; 0/0 = unbounded.
   kSetConcurrencyCap,  // in u64: VPOOL per-replica outstanding-call cap
@@ -87,10 +75,6 @@ enum class ControlOp : uint8_t {
   kGetIdleTimeout,  // out u64
   kEvictIdle,       // in u64: minimum idle ns (0 = every evictable session);
                     // out u64: sessions evicted now
-
-  // --- auth (Sun RPC optional layers) -----------------------------------------
-  kSetCredentials,  // in u64: packed uid<<32|gid
-  kGetCredentials,  // out u64
 };
 
 // In/out argument block for Control. Opcodes document which slots they use;
@@ -99,7 +83,6 @@ enum class ControlOp : uint8_t {
 struct ControlArgs {
   uint64_t u64 = 0;
   IpAddr ip{};
-  IpAddr ip2{};
   EthAddr eth{};
 };
 

@@ -95,8 +95,7 @@ Protocol* Kernel::Find(const std::string& name) const {
 }
 
 void Kernel::Tracef(int level, const char* fmt, ...) {
-  const bool to_stderr = level <= trace_level_;
-  if (trace_ == nullptr && !to_stderr) {
+  if (trace_ == nullptr) {
     return;
   }
   char buf[512];
@@ -104,12 +103,7 @@ void Kernel::Tracef(int level, const char* fmt, ...) {
   va_start(ap, fmt);
   std::vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
-  if (trace_ != nullptr) {
-    trace_->RecordLog(*this, level, buf);
-  }
-  if (to_stderr) {
-    std::fprintf(stderr, "[%10.3f ms] %-8s %s\n", ToMsec(events_.now()), host_name_.c_str(), buf);
-  }
+  trace_->RecordLog(*this, level, buf);
 }
 
 }  // namespace xk

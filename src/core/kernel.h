@@ -63,7 +63,6 @@ class Kernel {
   EventQueue& events() { return events_; }
   Cpu& cpu() { return cpu_; }
   const CostModel& costs() const { return costs_; }
-  CostModel& mutable_costs() { return costs_; }
   SimTime now() const { return cpu_.in_task() ? cpu_.now() : events_.now(); }
 
   // --- tasks ------------------------------------------------------------------
@@ -176,11 +175,6 @@ class Kernel {
   void ChargeMapUnbind() { cpu_.Charge(costs_.map_bind); }
   void ChargeSemOp() { cpu_.Charge(costs_.sem_op); }
   void ChargeProcessSwitch() { cpu_.Charge(costs_.process_switch); }
-  void ChargeUserKernelCross() { cpu_.Charge(costs_.user_kernel_cross); }
-  void ChargeCopy(size_t bytes) {
-    cpu_.Charge(static_cast<SimTime>(static_cast<double>(bytes) *
-                                     static_cast<double>(costs_.copy_per_byte)));
-  }
   void ChargeDevCopy(size_t bytes) {
     cpu_.Charge(static_cast<SimTime>(static_cast<double>(bytes) *
                                      static_cast<double>(costs_.dev_copy_per_byte)));
@@ -204,12 +198,8 @@ class Kernel {
   TraceSink* trace_sink() const { return trace_; }
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
-  // Legacy printf-style logging, now routed through the trace subsystem: a
-  // Tracef always records a structured log event when a sink is attached, and
-  // still prints to stderr when `level` <= trace_level (the pre-sink
-  // behavior, preserved as the human-readable fallback).
-  int trace_level() const { return trace_level_; }
-  void set_trace_level(int level) { trace_level_ = level; }
+  // printf-style logging into the trace subsystem: records a structured log
+  // event when a sink is attached, and does nothing otherwise.
   void Tracef(int level, const char* fmt, ...) __attribute__((format(printf, 3, 4)));
 
  private:
@@ -223,7 +213,6 @@ class Kernel {
   uint32_t boot_id_;
   uint64_t tasks_pending_ = 0;
   bool up_ = true;
-  int trace_level_ = 0;
   TraceSink* trace_ = nullptr;
 
   // Every pending task/timer handle, so Crash() can cancel the lot (their

@@ -232,7 +232,6 @@ class Protocol {
 
   // The i'th configured lower protocol (null if not configured).
   Protocol* lower(size_t i = 0) const { return i < lowers_.size() ? lowers_[i] : nullptr; }
-  size_t num_lowers() const { return lowers_.size(); }
 
   // --- observability ----------------------------------------------------------
 

@@ -35,7 +35,6 @@ constexpr SimTime Sec(int64_t s) { return s * 1000 * 1000 * 1000; }
 // Fractional microseconds, used by cost tables ("0.4 us per header byte").
 constexpr SimTime UsecF(double u) { return static_cast<SimTime>(u * 1000.0); }
 
-constexpr double ToUsec(SimTime t) { return static_cast<double>(t) / 1000.0; }
 constexpr double ToMsec(SimTime t) { return static_cast<double>(t) / 1.0e6; }
 
 // ---------------------------------------------------------------------------
@@ -124,7 +123,6 @@ class IpAddr {
       : addr_((uint32_t{a} << 24) | (uint32_t{b} << 16) | (uint32_t{c} << 8) | uint32_t{d}) {}
 
   constexpr uint32_t value() const { return addr_; }
-  constexpr bool IsZero() const { return addr_ == 0; }
 
   // True if `other` is on the same subnet under `mask_bits` (default /24,
   // which is how the simulated topologies are numbered).

@@ -63,7 +63,7 @@ void ArpProtocol::Resolve(IpAddr ip, ResolveCallback done) {
   }
   p.attempts = 1;
   SendRequest(ip);
-  p.timer = kernel().SetTimer(retry_timeout_, [this, ip]() { RetryOrFail(ip); });
+  p.timer = kernel().SetTimer(kRetryTimeout, [this, ip]() { RetryOrFail(ip); });
 }
 
 void ArpProtocol::RetryOrFail(IpAddr target) {
@@ -72,7 +72,7 @@ void ArpProtocol::RetryOrFail(IpAddr target) {
     return;
   }
   Pending& p = it->second;
-  if (p.attempts >= max_retries_) {
+  if (p.attempts >= kDefaultRetries) {
     std::vector<ResolveCallback> waiters = std::move(p.waiters);
     pending_.erase(it);
     for (auto& cb : waiters) {
@@ -82,7 +82,7 @@ void ArpProtocol::RetryOrFail(IpAddr target) {
   }
   ++p.attempts;
   SendRequest(target);
-  p.timer = kernel().SetTimer(retry_timeout_, [this, target]() { RetryOrFail(target); });
+  p.timer = kernel().SetTimer(kRetryTimeout, [this, target]() { RetryOrFail(target); });
 }
 
 void ArpProtocol::SendRequest(IpAddr target) {

@@ -28,6 +28,7 @@ class ArpProtocol : public Protocol {
  public:
   static constexpr size_t kPacketSize = 22;  // op + 2x(ip, eth)
   static constexpr int kDefaultRetries = 3;
+  static constexpr SimTime kRetryTimeout = Msec(100);
 
   // `eth` is the Ethernet protocol ARP broadcasts through. `my_ip` defaults
   // to the kernel's address; routers pass the interface's address (and a
@@ -46,9 +47,6 @@ class ArpProtocol : public Protocol {
 
   // Cache-only reverse lookup: which IP address advertised `eth`?
   std::optional<IpAddr> ReverseLookup(EthAddr eth) const;
-
-  void set_retry_timeout(SimTime t) { retry_timeout_ = t; }
-  void set_max_retries(int n) { max_retries_ = n; }
 
   uint64_t requests_sent() const { return requests_sent_; }
   uint64_t replies_sent() const { return replies_sent_; }
@@ -74,8 +72,6 @@ class ArpProtocol : public Protocol {
   std::map<IpAddr, EthAddr> cache_;
   std::map<IpAddr, Pending> pending_;
   SessionRef bcast_;
-  SimTime retry_timeout_ = Msec(100);
-  int max_retries_ = kDefaultRetries;
   uint64_t requests_sent_ = 0;
   uint64_t replies_sent_ = 0;
 };

@@ -44,7 +44,6 @@ class EthProtocol final : public Protocol, public FrameSink {
   void FrameArrived(const EthFrame& frame) override;
 
   // --- statistics -------------------------------------------------------------
-  uint64_t frames_out() const { return frames_out_; }
   uint64_t frames_in() const { return frames_in_; }
 
   void ExportCounters(const CounterEmit& emit) const override;

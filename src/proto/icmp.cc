@@ -39,7 +39,7 @@ void IcmpProtocol::Ping(IpAddr dest, size_t payload_len, PingCallback done) {
   Pending& p = pending_[id];
   p.sent_at = kernel().cpu().now();
   p.done = std::move(done);
-  p.timer = kernel().SetTimer(timeout_, [this, id]() {
+  p.timer = kernel().SetTimer(kTimeout, [this, id]() {
     auto it = pending_.find(id);
     if (it == pending_.end()) {
       return;

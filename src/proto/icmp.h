@@ -15,6 +15,7 @@ namespace xk {
 class IcmpProtocol : public Protocol {
  public:
   static constexpr size_t kHeaderSize = 8;  // type, code, checksum, id, seq
+  static constexpr SimTime kTimeout = Msec(500);  // echo reply wait
 
   // `ip` is the delivery protocol below (IP, or anything IP-semantics like
   // VIP).
@@ -25,8 +26,6 @@ class IcmpProtocol : public Protocol {
 
   // Sends an echo request with `payload_len` bytes; must run within a task.
   void Ping(IpAddr dest, size_t payload_len, PingCallback done);
-
-  void set_timeout(SimTime t) { timeout_ = t; }
 
   uint64_t echoes_answered() const { return echoes_answered_; }
 
@@ -42,7 +41,6 @@ class IcmpProtocol : public Protocol {
 
   uint16_t next_id_ = 1;
   std::map<uint16_t, Pending> pending_;
-  SimTime timeout_ = Msec(500);
   uint64_t echoes_answered_ = 0;
 };
 

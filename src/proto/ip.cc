@@ -392,12 +392,6 @@ Status IpProtocol::DoControl(ControlOp op, ControlArgs& args) {
     case ControlOp::kGetMyHost:
       args.ip = interfaces_.empty() ? IpAddr() : interfaces_[0].addr;
       return OkStatus();
-    case ControlOp::kAddRoute:
-      AddRoute(args.ip, args.ip2);
-      return OkStatus();
-    case ControlOp::kSetDefaultGateway:
-      SetDefaultGateway(args.ip);
-      return OkStatus();
     default:
       return ErrStatus(StatusCode::kUnsupported);
   }
@@ -483,7 +477,6 @@ Status IpSession::DoControl(ControlOp op, ControlArgs& args) {
       args.ip = peer_;
       return OkStatus();
     case ControlOp::kGetMyProto:
-    case ControlOp::kGetPeerProto:
       args.u64 = proto_;
       return OkStatus();
     default:

@@ -4,9 +4,39 @@
 #include <stdexcept>
 
 #include "src/stat/timeseries.h"
-#include "src/trace/counters.h"
+#include "src/trace/json_util.h"
 
 namespace xk {
+
+namespace {
+
+// Appends one host's `{"host":"client","protocols":[{"protocol":"eth",
+// "counters":{...}},...]}`: the generic traffic counters every Protocol keeps
+// at its entry points plus whatever its ExportCounters() override adds.
+void AppendHostCountersJson(std::string& out, const Kernel& kernel) {
+  out += "{\"host\":";
+  JsonAppendEscaped(out, kernel.host_name());
+  out += ",\"protocols\":[";
+  bool first_proto = true;
+  kernel.ForEachProtocol([&](const Protocol& p) {
+    if (!first_proto) {
+      out += ',';
+    }
+    first_proto = false;
+    out += "{\"protocol\":";
+    JsonAppendEscaped(out, p.name());
+    out += ",\"counters\":{";
+    bool first_field = true;
+    p.ExportCounters([&](std::string_view name, uint64_t value) {
+      JsonAppendField(out, name, value, first_field);
+      first_field = false;
+    });
+    out += "}}";
+  });
+  out += "]}";
+}
+
+}  // namespace
 
 Internet::Internet(HostEnv default_env, uint64_t seed)
     : default_env_(default_env),

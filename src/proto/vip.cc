@@ -308,7 +308,6 @@ Status VipSession::DoControl(ControlOp op, ControlArgs& args) {
       args.ip = kernel().ip_addr();
       return OkStatus();
     case ControlOp::kGetMyProto:
-    case ControlOp::kGetPeerProto:
       args.u64 = proto_;
       return OkStatus();
     default:

@@ -91,7 +91,6 @@ class PsyncConversation {
   void set_receive_handler(ReceiveHandler h) { on_receive_ = std::move(h); }
 
   // Context-graph queries.
-  bool Knows(PsyncMsgId id) const { return nodes_.count(id) != 0; }
   // True if `a` precedes `b` in conversation order (a is reachable from b
   // through context edges).
   bool Precedes(PsyncMsgId a, PsyncMsgId b) const;

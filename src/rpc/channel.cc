@@ -19,7 +19,7 @@ constexpr size_t kDeadlineExtSize = 8;
 // One whole retransmission token, in parts-per-million.
 constexpr uint64_t kTokenPpm = 1000000;
 
-// Adaptive-RTO bounds (consulted only with kSetAdaptiveTimeout on).
+// Adaptive-RTO bounds (consulted only after set_adaptive_timeout(true)).
 constexpr SimTime kRtoFloor = Msec(10);
 constexpr SimTime kRtoCap = Msec(2000);
 }  // namespace
@@ -66,16 +66,16 @@ SimTime ChannelProtocol::EvictQuarantine() const {
   // grows with the request's fragment count (covered up to 8 fragments here,
   // beyond every workload in the repo) and quadruples once the server has
   // explicitly acked; the adaptive path is bounded by the backoff cap plus
-  // its 1/8 jitter. The peer gives up after retry_limit_ retries, so after
-  // (retry_limit_ + 1) such waits of silence no duplicate can still arrive.
-  SimTime per_try = base_timeout_ * 8 * 4;
+  // its 1/8 jitter. The peer gives up after kRetryLimit retries, so after
+  // (kRetryLimit + 1) such waits of silence no duplicate can still arrive.
+  SimTime per_try = kBaseTimeout * 8 * 4;
   if (adaptive_timeout_) {
     const SimTime capped = kRtoCap + kRtoCap / 8;
     if (capped * 4 > per_try) {
       per_try = capped * 4;
     }
   }
-  return static_cast<SimTime>(retry_limit_ + 1) * per_try;
+  return static_cast<SimTime>(kRetryLimit + 1) * per_try;
 }
 
 bool ChannelSession::CanEvict() const {
@@ -192,31 +192,10 @@ Status ChannelProtocol::DoDemux(Session* lls, Message& msg) {
 
 Status ChannelProtocol::DoControl(ControlOp op, ControlArgs& args) {
   switch (op) {
-    case ControlOp::kGetRetransmits:
-      args.u64 = stats_.retransmissions;
-      return OkStatus();
-    case ControlOp::kGetDuplicatesDropped:
-      args.u64 = stats_.duplicates_suppressed;
-      return OkStatus();
-    case ControlOp::kSetTimeoutBase:
-      base_timeout_ = static_cast<SimTime>(args.u64);
-      return OkStatus();
-    case ControlOp::kSetRetransmitLimit:
-      retry_limit_ = static_cast<int>(args.u64);
-      return OkStatus();
-    case ControlOp::kGetTimeouts:
-      args.u64 = stats_.timeouts;
-      return OkStatus();
-    case ControlOp::kSetAdaptiveTimeout:
-      adaptive_timeout_ = args.u64 != 0;
-      return OkStatus();
     case ControlOp::kSetRetryBudget:
       retry_burst_ = args.u64 >> 32;
       retry_ratio_ppm_ = args.u64 & 0xFFFFFFFFu;
       retry_tokens_ppm_ = retry_burst_ * kTokenPpm;  // bucket starts full
-      return OkStatus();
-    case ControlOp::kGetRetryBudgetTokens:
-      args.u64 = retry_tokens_ppm_;
       return OkStatus();
     case ControlOp::kGetMaxSendSize:
       // CHANNEL adds a header but does not fragment; it depends on the layer
@@ -276,7 +255,7 @@ SimTime ChannelSession::TimeoutFor(const Message& msg) const {
     opt = args.u64;
   }
   const size_t frags = msg.length() / (opt + 1) + 1;
-  return chan_.base_timeout_ * static_cast<SimTime>(frags);
+  return ChannelProtocol::kBaseTimeout * static_cast<SimTime>(frags);
 }
 
 SimTime ChannelSession::AdaptiveRto() const {
@@ -346,7 +325,7 @@ void ChannelSession::OnTimeout() {
     FailPending(StatusCode::kDeadlineExceeded);
     return;
   }
-  if (pending_->retries >= chan_.retry_limit_) {
+  if (pending_->retries >= ChannelProtocol::kRetryLimit) {
     FailPending(StatusCode::kTimeout);
     return;
   }
@@ -579,11 +558,7 @@ Status ChannelSession::DoControl(ControlOp op, ControlArgs& args) {
       args.ip = kernel().ip_addr();
       return OkStatus();
     case ControlOp::kGetMyProto:
-    case ControlOp::kGetPeerProto:
       args.u64 = proto_;
-      return OkStatus();
-    case ControlOp::kGetBootId:
-      args.u64 = peer_boot_id_;
       return OkStatus();
     default:
       return ErrStatus(StatusCode::kUnsupported);

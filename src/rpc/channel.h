@@ -30,7 +30,7 @@
 // (client pending_ or server in_progress_) refuses eviction; one that only
 // holds a saved reply may be evicted, which narrows the duplicate-suppression
 // window -- configure the idle timeout well above the peers' full
-// retransmission budget (retry_limit x timeout) so an evicted channel cannot
+// retransmission budget (kRetryLimit x timeout) so an evicted channel cannot
 // see a late retransmit as a fresh request.
 
 #ifndef XK_SRC_RPC_CHANNEL_H_
@@ -60,7 +60,6 @@ class ChannelSession final : public Session {
                       Message& payload, Session* lls);
 
   uint16_t channel_id() const { return channel_; }
-  bool call_pending() const { return pending_.has_value(); }
 
  protected:
   // Push semantics depend on direction: with no request executing locally
@@ -115,8 +114,8 @@ class ChannelSession final : public Session {
   std::optional<PendingCall> pending_;
   uint32_t peer_boot_id_ = 0;
 
-  // Adaptive-RTO state (maintained always, consulted only when the protocol's
-  // adaptive_timeout_ is on). The jitter stream is seeded from the channel
+  // Adaptive-RTO state (maintained always, consulted only after the protocol's
+  // set_adaptive_timeout(true)). The jitter stream is seeded from the channel
   // identity so runs are deterministic.
   SimTime srtt_ = 0;
   SimTime rttvar_ = 0;
@@ -141,19 +140,19 @@ class ChannelSession final : public Session {
 class ChannelProtocol final : public Protocol {
  public:
   static constexpr size_t kHeaderSize = 18;
+  // Step-function retransmit timeout per fragment, and retries before a call
+  // fails with kTimeout.
+  static constexpr SimTime kBaseTimeout = Msec(50);
+  static constexpr int kRetryLimit = 5;
 
   // `lower` is FRAGMENT, VIP_SIZE, VIP, or IP -- anything host-addressed.
   ChannelProtocol(Kernel& kernel, Protocol* lower, std::string name = "channel");
 
-  void set_base_timeout(SimTime t) { base_timeout_ = t; }
-  void set_retry_limit(int n) { retry_limit_ = n; }
-
-  // Adaptive retransmission (kSetAdaptiveTimeout): per-session SRTT/RTTVAR
-  // estimation with Karn's rule and capped exponential backoff, instead of the
-  // paper's step-function timeout. Off by default so the paper's Table I-III
-  // timing behavior is untouched.
+  // Adaptive retransmission: per-session SRTT/RTTVAR estimation with Karn's
+  // rule and capped exponential backoff, instead of the paper's step-function
+  // timeout. Off by default so the paper's Table I-III timing behavior is
+  // untouched.
   void set_adaptive_timeout(bool on) { adaptive_timeout_ = on; }
-  bool adaptive_timeout() const { return adaptive_timeout_; }
 
   struct Stats {
     uint64_t calls_sent = 0;
@@ -231,8 +230,6 @@ class ChannelProtocol final : public Protocol {
   SlabPool<ChannelSession> pool_;
   DemuxMap<Key> active_;
   DemuxMap<RelProtoNum, Protocol*> passive_;
-  SimTime base_timeout_ = Msec(50);
-  int retry_limit_ = 5;
   bool adaptive_timeout_ = false;
   // Retry budget (kSetRetryBudget): a token bucket shared by every channel of
   // this stack. Each original call deposits retry_ratio_ppm_ tokens (capped at

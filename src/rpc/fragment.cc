@@ -290,7 +290,7 @@ void FragmentSession::OnGapTimer(uint32_t seq) {
   if (r == nullptr) {
     return;
   }
-  if (r->nacks >= frag_.max_nacks_) {
+  if (r->nacks >= FragmentProtocol::kMaxNacks) {
     // Give up; the higher level's own timeout will resend the whole message.
     Release(*r);
     ++frag_.stats_.reassembly_abandoned;
@@ -411,7 +411,6 @@ Status FragmentSession::DoControl(ControlOp op, ControlArgs& args) {
       args.ip = kernel().ip_addr();
       return OkStatus();
     case ControlOp::kGetMyProto:
-    case ControlOp::kGetPeerProto:
       args.u64 = proto_;
       return OkStatus();
     default:

@@ -44,14 +44,15 @@ class FragmentProtocol : public Protocol {
   static constexpr size_t kFragSize = 1056;
   static constexpr size_t kMaxFrags = 16;  // frag_mask is 16 bits
   static constexpr size_t kMaxMessage = kFragSize * kMaxFrags;
+  // NACKs a receiver sends for one message before abandoning its reassembly.
+  static constexpr int kMaxNacks = 3;
 
   // `lower` is any IP-semantics delivery protocol (VIP, IP, VIP_ADDR).
   FragmentProtocol(Kernel& kernel, Protocol* lower, std::string name = "fragment");
 
-  // Tuning knobs (tests shrink these).
+  // Timer knobs: a test shrinks both to reach the stale-NACK path.
   void set_send_cache_timeout(SimTime t) { send_cache_timeout_ = t; }
   void set_nack_delay(SimTime t) { nack_delay_ = t; }
-  void set_max_nacks(int n) { max_nacks_ = n; }
 
   struct Stats {
     uint64_t messages_sent = 0;
@@ -93,7 +94,6 @@ class FragmentProtocol : public Protocol {
   DemuxMap<RelProtoNum, Protocol*> passive_;
   SimTime send_cache_timeout_ = Msec(1000);
   SimTime nack_delay_ = Msec(20);
-  int max_nacks_ = 3;
   Stats stats_;
 };
 

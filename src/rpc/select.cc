@@ -221,9 +221,6 @@ void SelectProtocol::SessionCallError(Session& lls, Status error, const Message*
 
 Status SelectProtocol::DoControl(ControlOp op, ControlArgs& args) {
   switch (op) {
-    case ControlOp::kGetFreeChannels:
-      args.u64 = static_cast<uint64_t>(free_channels(args.ip));
-      return OkStatus();
     case ControlOp::kGetMaxSendSize:
       return lower(0)->Control(ControlOp::kGetMaxSendSize, args);
     default:
@@ -361,9 +358,6 @@ Status SelectSession::DoControl(ControlOp op, ControlArgs& args) {
       return OkStatus();
     case ControlOp::kGetLastCommand:
       args.u64 = command_;
-      return OkStatus();
-    case ControlOp::kGetFreeChannels:
-      args.u64 = static_cast<uint64_t>(sel_.free_channels(server_));
       return OkStatus();
     default:
       return ErrStatus(StatusCode::kUnsupported);

@@ -61,8 +61,6 @@ class SelectSession : public Session {
   // paths). Keeps the eviction pin (CanEvict) balanced with DoPush.
   void CallFinished();
 
-  int calls_outstanding() const { return outstanding_; }
-
  protected:
   Status DoPush(Message& msg) override;
   Status DoPop(Message& msg, Session* lls) override;

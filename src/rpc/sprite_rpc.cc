@@ -165,7 +165,7 @@ void SpriteRpcProtocol::ArmTimer(IpAddr server, size_t index) {
   ClientPool& pool = client_pools_.at(server);
   ClientChannel& chan = pool.channels[index];
   const SimTime step =
-      base_timeout_ * static_cast<SimTime>(chan.request_frags.size()) * (chan.acked ? 4 : 1);
+      kBaseTimeout * static_cast<SimTime>(chan.request_frags.size()) * (chan.acked ? 4 : 1);
   chan.timer = kernel().SetTimer(step, [this, server, index]() { OnTimeout(server, index); });
 }
 
@@ -184,7 +184,7 @@ void SpriteRpcProtocol::OnTimeout(IpAddr server, size_t index) {
     return;
   }
   ClientChannel& chan = it->second.channels[index];
-  if (chan.retries >= retry_limit_) {
+  if (chan.retries >= kRetryLimit) {
     ++stats_.call_failures;
     auto caller = chan.caller;
     ReleaseChannel(it->second, index);
@@ -487,18 +487,6 @@ Status SpriteRpcProtocol::DoControl(ControlOp op, ControlArgs& args) {
       return OkStatus();
     case ControlOp::kGetMaxPacket:
       args.u64 = kMaxMessage;
-      return OkStatus();
-    case ControlOp::kGetRetransmits:
-      args.u64 = stats_.retransmissions;
-      return OkStatus();
-    case ControlOp::kGetDuplicatesDropped:
-      args.u64 = stats_.duplicates_suppressed;
-      return OkStatus();
-    case ControlOp::kSetTimeoutBase:
-      base_timeout_ = static_cast<SimTime>(args.u64);
-      return OkStatus();
-    case ControlOp::kSetRetransmitLimit:
-      retry_limit_ = static_cast<int>(args.u64);
       return OkStatus();
     default:
       return ErrStatus(StatusCode::kUnsupported);

@@ -50,13 +50,14 @@ class SpriteRpcProtocol : public Protocol {
   static constexpr size_t kMaxMessage = kFragSize * kMaxFrags;  // 16 KB args/results
   static constexpr int kNumChannels = 8;
   static constexpr uint16_t kAnyCommand = 0xFFFF;
+  // Retransmit timeout per request fragment, and retries before a call fails
+  // with kTimeout.
+  static constexpr SimTime kBaseTimeout = Msec(50);
+  static constexpr int kRetryLimit = 5;
 
   // `lower` is any host-addressed delivery protocol: VIP, IP, or the
   // Ethernet open-time shim (for the M_RPC-ETH configuration).
   SpriteRpcProtocol(Kernel& kernel, Protocol* lower, std::string name = "sprite");
-
-  void set_base_timeout(SimTime t) { base_timeout_ = t; }
-  void set_retry_limit(int n) { retry_limit_ = n; }
 
   struct Stats {
     uint64_t calls_sent = 0;
@@ -186,8 +187,6 @@ class SpriteRpcProtocol : public Protocol {
   DemuxMap<uint16_t, Protocol*> passive_;      // command -> server hlp
   std::map<IpAddr, ClientPool> client_pools_;
   std::map<ServKey, ServerChannel> server_chans_;
-  SimTime base_timeout_ = Msec(50);
-  int retry_limit_ = 5;
   Stats stats_;
 };
 

@@ -102,18 +102,6 @@ Status RequestReplyProtocol::DoDemux(Session* lls, Message& msg) {
 
 Status RequestReplyProtocol::DoControl(ControlOp op, ControlArgs& args) {
   switch (op) {
-    case ControlOp::kGetRetransmits:
-      args.u64 = stats_.retransmissions;
-      return OkStatus();
-    case ControlOp::kGetTimeouts:
-      args.u64 = stats_.timeouts;
-      return OkStatus();
-    case ControlOp::kSetTimeoutBase:
-      timeout_ = static_cast<SimTime>(args.u64);
-      return OkStatus();
-    case ControlOp::kSetRetransmitLimit:
-      retry_limit_ = static_cast<int>(args.u64);
-      return OkStatus();
     case ControlOp::kGetMaxSendSize:
       return lower(0)->Control(ControlOp::kGetMaxPacket, args);
     default:
@@ -146,7 +134,8 @@ void RequestReplySession::ArmTimer(uint32_t xid) {
   if (it == pending_.end()) {
     return;
   }
-  it->second.timer = kernel().SetTimer(rr_.timeout_, [this, xid]() { OnTimeout(xid); });
+  it->second.timer =
+      kernel().SetTimer(RequestReplyProtocol::kTimeout, [this, xid]() { OnTimeout(xid); });
 }
 
 void RequestReplySession::OnTimeout(uint32_t xid) {
@@ -169,7 +158,7 @@ void RequestReplySession::OnTimeout(uint32_t xid) {
     }
     return;
   }
-  if (call.retries >= rr_.retry_limit_) {
+  if (call.retries >= RequestReplyProtocol::kRetryLimit) {
     ++rr_.stats_.call_failures;
     pending_.erase(it);
     if (hlp() != nullptr) {
@@ -245,7 +234,6 @@ Status RequestReplySession::DoControl(ControlOp op, ControlArgs& args) {
       args.ip = peer_;
       return OkStatus();
     case ControlOp::kGetMyProto:
-    case ControlOp::kGetPeerProto:
       args.u64 = proto_;
       return OkStatus();
     default:

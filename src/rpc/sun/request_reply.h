@@ -26,12 +26,12 @@ namespace xk {
 class RequestReplyProtocol : public Protocol {
  public:
   static constexpr size_t kHeaderSize = 9;
+  // Retransmit timeout, and retries before a call fails with kTimeout.
+  static constexpr SimTime kTimeout = Msec(100);
+  static constexpr int kRetryLimit = 4;
 
   // `lower` is FRAGMENT, VIP, or IP.
   RequestReplyProtocol(Kernel& kernel, Protocol* lower, std::string name = "reqrep");
-
-  void set_timeout(SimTime t) { timeout_ = t; }
-  void set_retry_limit(int n) { retry_limit_ = n; }
 
   struct Stats {
     uint64_t calls_sent = 0;
@@ -69,8 +69,6 @@ class RequestReplyProtocol : public Protocol {
 
   DemuxMap<Key> active_;
   DemuxMap<RelProtoNum, Protocol*> passive_;
-  SimTime timeout_ = Msec(100);
-  int retry_limit_ = 4;
   Stats stats_;
 };
 

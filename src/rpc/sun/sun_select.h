@@ -107,7 +107,6 @@ class SunSelectServerSession : public Session {
   SunSelectServerSession(SunSelectProtocol& owner, Protocol* hlp, SessionRef lower);
 
   void SetCurrent(uint32_t prog, uint16_t vers, uint16_t proc);
-  uint16_t last_proc() const { return proc_; }
 
  protected:
   Status DoPush(Message& msg) override;  // reply

@@ -12,11 +12,14 @@
 // Three environments reproduce the paper's cross-system comparisons:
 //  - kXKernel:      the x-kernel on SunOS 4.0 cc (all Section 4 numbers).
 //  - kNativeSprite: the Sprite kernel's native RPC (Table I, N_RPC row) --
-//                   same protocol, heavier per-layer costs (buffer allocation
-//                   per header, heavier process switches).
+//                   same protocol, heavier per-layer costs (buffer_alloc and
+//                   layer_cross_extra per crossing, heavier process switches,
+//                   map and device-copy costs).
 //  - kSunOs:        SunOS 4.0 sockets (the 5.36 ms UDP number in Section 1) --
-//                   mbuf allocation per layer, socket-layer process switches,
-//                   expensive user/kernel crossings.
+//                   mbuf-style buffer_alloc and layer_cross_extra per
+//                   crossing, heavier process switches, header, map and
+//                   device-copy costs; the bench charges user_kernel_cross as
+//                   the app cost.
 
 #ifndef XK_SRC_SIM_COST_MODEL_H_
 #define XK_SRC_SIM_COST_MODEL_H_
@@ -66,7 +69,6 @@ struct CostModel {
   // --- message tool ----------------------------------------------------------
   SimTime msg_slice = Usec(14);       // create a fragment view
   SimTime msg_join = Usec(12);        // append during reassembly
-  SimTime copy_per_byte = UsecF(0.55);  // memory copy bandwidth (~1.8 MB/s)
 
   // --- device / interrupt ----------------------------------------------------
   SimTime dev_start = Usec(153);          // program the LANCE, start DMA
@@ -83,9 +85,6 @@ struct CostModel {
 
   // Preset for each environment.
   static CostModel For(HostEnv env);
-  static CostModel XKernel();
-  static CostModel NativeSprite();
-  static CostModel SunOs();
 };
 
 // Shared-bus Ethernet parameters (isolated 10 Mbps segment, as in Section 4).

@@ -59,7 +59,6 @@ class Cpu {
   // Total CPU time charged since construction (the paper's "uses less CPU
   // time" comparisons read this).
   SimTime total_busy() const { return total_busy_; }
-  void ResetTotalBusy() { total_busy_ = 0; }
 
  private:
   SimTime now_ = 0;

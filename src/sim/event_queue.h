@@ -217,7 +217,6 @@ class EventQueue {
   // consulted on every fired event; it must outlive the queue or be removed
   // first.
   void set_stat_probe(StatProbe* probe) { stat_probe_ = probe; }
-  StatProbe* stat_probe() const { return stat_probe_; }
 
  private:
   friend class EventHandle;

@@ -16,6 +16,9 @@
 //   xkflow TRACE.jsonl --folded            flame-graph folded stacks to stdout
 //   xkflow TRACE.jsonl --flow              flow JSONL to stdout
 //
+// The modes exclude each other, and --json applies only to --critical-path:
+// a conflicting or ignored flag is a usage error (exit 2), not a silent pick.
+//
 // The input is a --trace= file from the bench suite; --flow= writes the same
 // flow/folded artifacts directly from the bench run.
 
@@ -46,8 +49,8 @@ using xk::causal::ToFolded;
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: xkflow TRACE.jsonl [--call=ID] [--slowest=N] [--rejected]\n"
-               "              [--critical-path] [--folded] [--flow] [--json]\n");
+               "usage: xkflow TRACE.jsonl [--call=ID | --slowest=N | --rejected | --folded\n"
+               "                           | --flow | --critical-path [--json]]\n");
   return 2;
 }
 
@@ -259,6 +262,25 @@ int main(int argc, char** argv) {
     } else {
       return Usage();
     }
+  }
+  std::string modes;
+  for (const auto& [on, name] : {std::pair<bool, const char*>{have_call, "--call"},
+                                 {slowest > 0, "--slowest"},
+                                 {rejected, "--rejected"},
+                                 {critical, "--critical-path"},
+                                 {folded, "--folded"},
+                                 {flow, "--flow"}}) {
+    if (on) {
+      modes += modes.empty() ? name : std::string(" ") + name;
+    }
+  }
+  if (modes.find(' ') != std::string::npos) {
+    std::fprintf(stderr, "xkflow: %s are exclusive modes; pick one\n", modes.c_str());
+    return Usage();
+  }
+  if (json && !critical) {
+    std::fprintf(stderr, "xkflow: --json applies only to --critical-path\n");
+    return Usage();
   }
   if (path.empty()) {
     return Usage();

@@ -12,6 +12,8 @@
 //
 // --layer-costs treats the traces as a depth sweep (shallowest first) and
 // prints each trace's per-call latency and the delta from the previous one.
+// It prints text only and infers each trace's call count, so --json or
+// --calls alongside it is a usage error (exit 2).
 
 #include <cinttypes>
 #include <cstdio>
@@ -185,6 +187,11 @@ int main(int argc, char** argv) {
     }
   }
   if (layer_costs) {
+    if (json || forced_calls > 0) {
+      std::fprintf(stderr, "xktrace: --layer-costs does not take %s\n",
+                   json ? "--json" : "--calls");
+      return Usage();
+    }
     return RunLayerCosts(paths);
   }
   if (paths.size() != 1) {

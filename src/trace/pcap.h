@@ -44,8 +44,6 @@ class PacketCapture {
 
   // Records currently held (<= capacity).
   size_t size() const { return ring_.size(); }
-  // Records ever captured, including ones the ring has since evicted.
-  uint64_t total_captured() const { return next_seq_; }
   uint64_t verdict_count(CaptureVerdict v) const {
     return verdict_counts_[static_cast<size_t>(v)];
   }

@@ -97,6 +97,8 @@ TEST_F(ChannelFixture, DeadServerFailsAfterRetries) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
   EXPECT_EQ(fix.cstack.channel->stats().call_failures, 1u);
+  EXPECT_EQ(fix.cstack.channel->stats().retransmissions,
+            static_cast<uint64_t>(ChannelProtocol::kRetryLimit));
   // The channel was released: a later call (with the network healed) works.
   fix.net->segment(0).set_drop_rate(0.0);
   Result<Message> r2 = fix.CallSync(7, Message());

@@ -232,6 +232,16 @@ TEST(SunRpcTest, LostRequestRetransmittedAndReExecuted) {
   EXPECT_GE(sun.fix.cstack.reqrep->stats().retransmissions, 1u);
 }
 
+TEST(SunRpcTest, DeadServerFailsAfterRetries) {
+  SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
+  sun.fix.net->segment(0).set_drop_rate(1.0);
+  Result<Message> r = sun.CallSync(Message());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(sun.fix.cstack.reqrep->stats().retransmissions,
+            static_cast<uint64_t>(RequestReplyProtocol::kRetryLimit));
+}
+
 TEST(SunRpcTest, AuthNoneLayerPassesThrough) {
   SunFixture sun(SunPairing::kRequestReply, SunAuth::kAuthNone);
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(50, 3)));

@@ -143,6 +143,8 @@ TEST_F(MRpcReliabilityTest, DeadServerFailsAndChannelRecovers) {
   Result<Message> r = fix.CallSync(42, Message());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(fix.cstack.sprite->stats().retransmissions,
+            static_cast<uint64_t>(SpriteRpcProtocol::kRetryLimit));
   fix.net->segment(0).set_drop_rate(0.0);
   EXPECT_TRUE(fix.CallSync(42, Message()).ok());
 }

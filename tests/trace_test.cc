@@ -119,8 +119,8 @@ TEST(TraceFaults, OutcomesCountedAndCaptured) {
   EXPECT_NE(json.find("\"fault_corruptions\":1"), std::string::npos);
 }
 
-// Tracef records a structured log event whenever a sink is attached, even at
-// levels the stderr fallback suppresses.
+// Tracef records a structured log event whenever a sink is attached, whatever
+// its level.
 TEST(TraceLog, TracefRoutesToSink) {
   TraceSink sink;
   std::unique_ptr<Internet> net;
@@ -129,7 +129,6 @@ TEST(TraceLog, TracefRoutesToSink) {
     net = Internet::TwoHosts();
   }
   Kernel& k = *net->host("client").kernel;
-  ASSERT_LT(k.trace_level(), 9);  // level 9 would not reach stderr
   k.Tracef(9, "trace test %d", 42);
   const std::string jsonl = sink.ToJsonl();
   EXPECT_NE(jsonl.find("\"k\":\"log\""), std::string::npos);
