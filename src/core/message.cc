@@ -20,7 +20,11 @@ constexpr size_t kMaxParkedTails = 64;
 // in thread teardown frees its tail instead of parking it. A plain bool, so
 // it stays readable after every non-trivial thread_local is gone.
 thread_local bool g_tails_closed = false;
+
+thread_local Message::WorkCounters g_work;
 }  // namespace
+
+Message::WorkCounters& Message::work_counters() { return g_work; }
 
 std::vector<std::vector<Message::Chunk>>& Message::ChunkVec::ParkedTails() {
   struct List {
@@ -75,7 +79,16 @@ Message Message::FromBytes(std::span<const uint8_t> bytes) {
     block->bytes.assign(bytes.begin(), bytes.end());
     m.chunks_.push_back(Chunk{std::move(block), 0, bytes.size()});
     m.length_ = bytes.size();
+    g_work.bytes_copied += bytes.size();
   }
+  return m;
+}
+
+Message Message::WireCopy() const {
+  Message m = *this;
+  m.trace_id_ = 0;
+  m.deadline_ = 0;
+  m.wire_error_ = 0;
   return m;
 }
 
@@ -87,11 +100,16 @@ void Message::EnsureOwnedArenaFor(size_t more) {
     arena_start_ = kHeaderArenaSize;
     arena_len_ = 0;
   }
-  const bool exclusive = arena_.use_count() == 1 && arena_->low == arena_start_;
-  if (exclusive && arena_start_ >= more) {
-    return;  // can extend in place
+  // Bytes below the low-water mark belong to no message (see Arena), so the
+  // holder at the mark extends in place whether or not siblings share the
+  // arena. A sole owner reclaims everything below its own start first.
+  if (arena_.use_count() == 1) {
+    arena_->low = arena_start_;
   }
-  // The live region must move to a fresh arena (shared with a sibling copy,
+  if (arena_->low == arena_start_ && arena_start_ >= more) {
+    return;
+  }
+  // The live region must move to a fresh arena (a sibling pushed below it,
   // or out of space). If even a fresh arena cannot hold it, spill the live
   // region into a payload chunk first.
   if (arena_len_ + more > kHeaderArenaSize) {
@@ -100,6 +118,7 @@ void Message::EnsureOwnedArenaFor(size_t more) {
       block->bytes.assign(arena_->buf.begin() + static_cast<ptrdiff_t>(arena_start_),
                           arena_->buf.begin() + static_cast<ptrdiff_t>(arena_start_ + arena_len_));
       chunks_.push_front(Chunk{std::move(block), 0, arena_len_});
+      g_work.bytes_copied += arena_len_;
     }
     arena_len_ = 0;
   }
@@ -108,7 +127,9 @@ void Message::EnsureOwnedArenaFor(size_t more) {
   const size_t new_start = fresh->buf.size() - arena_len_;
   if (arena_len_ > 0) {
     std::memcpy(fresh->buf.data() + new_start, arena_->buf.data() + arena_start_, arena_len_);
+    g_work.bytes_copied += arena_len_;
   }
+  ++g_work.arena_clones;
   fresh->low = new_start;
   arena_ = std::move(fresh);
   arena_start_ = new_start;
@@ -126,6 +147,7 @@ void Message::PushHeader(std::span<const uint8_t> header) {
       spill->bytes.assign(arena_->buf.begin() + static_cast<ptrdiff_t>(arena_start_),
                           arena_->buf.begin() + static_cast<ptrdiff_t>(arena_start_ + arena_len_));
       chunks_.push_front(Chunk{std::move(spill), 0, arena_len_});
+      g_work.bytes_copied += arena_len_;
       arena_.reset();
       arena_len_ = 0;
       arena_start_ = 0;
@@ -245,6 +267,7 @@ void Message::AppendArenaAsChunkTo(Message& dst, size_t skip, size_t take) const
       arena_->buf.begin() + static_cast<ptrdiff_t>(arena_start_ + skip + take));
   dst.chunks_.push_back(Chunk{std::move(block), 0, take});
   dst.length_ += take;
+  g_work.bytes_copied += take;
 }
 
 Message Message::Slice(size_t offset, size_t len) const {
@@ -295,14 +318,15 @@ void Message::Append(const Message& m) {
 }
 
 std::vector<uint8_t> Message::Flatten() const {
-  std::vector<uint8_t> out(length_);
-  CopyOut(out);
+  std::vector<uint8_t> out;
+  FlattenInto(out);
   return out;
 }
 
 void Message::FlattenInto(std::vector<uint8_t>& out) const {
   out.resize(length_);
   CopyOut(out);
+  g_work.bytes_copied += length_;
 }
 
 bool Message::ContentEquals(const Message& other) const {

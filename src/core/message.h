@@ -19,7 +19,9 @@
 // that "saves a copy of the fragments in the local state" (FRAGMENT) shares
 // the underlying bytes with the in-flight message. This mirrors the paper's
 // footnote: multiple protocol layers may hold references to pieces of the
-// same message.
+// same message. The simulated wire keeps the rule too: an Ethernet frame
+// carries a copy of the sender's Message, so crossing a segment copies no
+// payload byte on the host.
 
 #ifndef XK_SRC_CORE_MESSAGE_H_
 #define XK_SRC_CORE_MESSAGE_H_
@@ -113,6 +115,23 @@ class Message {
   // Byte-wise comparison of contents (for tests).
   bool ContentEquals(const Message& other) const;
 
+  // A copy carrying the byte sequence only: the host-side metadata below
+  // (trace id, deadline, wire error) starts cleared, as on a message rebuilt
+  // from bytes. What a frame puts on the wire.
+  Message WireCopy() const;
+
+  // Host work the message tool does, counted per thread and never charged to
+  // simulated time: bytes copied between buffers (Flatten, FlattenInto,
+  // FromBytes, an arena clone or spill, and an arena region sliced or
+  // appended into a payload chunk) and arena clones (a push that had to move
+  // the live header region to a fresh arena). Writing a pushed header and
+  // reading a popped one are not counted.
+  struct WorkCounters {
+    uint64_t bytes_copied = 0;
+    uint64_t arena_clones = 0;
+  };
+  static WorkCounters& work_counters();
+
   // Trace identity, assigned lazily by a TraceSink the first time the message
   // crosses an instrumented entry point (0 = never traced). Copies and moves
   // keep the id, so one logical message reads as one id up and down a stack.
@@ -168,8 +187,10 @@ class Message {
         }
         if (!other.rest_.empty()) {
           EnsureTail();
+          rest_ = other.rest_;
+        } else {
+          rest_.clear();  // keeps capacity; skips the out-of-line assignment
         }
-        rest_ = other.rest_;
         size_ = other.size_;
       }
       return *this;
@@ -265,11 +286,14 @@ class Message {
     size_t size_ = 0;
   };
 
-  // Header arena: headers are written at decreasing offsets. `start_` is the
-  // offset of the first valid byte for *this* message; `arena_len_` the number
-  // of valid arena bytes. The arena tracks its low-water mark so that a
-  // message whose start matches it (and that owns the arena exclusively) can
-  // extend in place; otherwise PushHeader clones the live region first.
+  // Header arena: headers are written at decreasing offsets. `arena_start_`
+  // is the offset of the first valid byte for *this* message; `arena_len_`
+  // the number of valid arena bytes. Copies share the arena, and every holder
+  // reads only at or above its own start, which is never below the arena's
+  // low-water mark `low`. So the bytes below `low` belong to no message: the
+  // holder whose start equals `low` may push in place even while siblings
+  // share the arena, and a sole owner may first raise `low` to its own start.
+  // Any other push clones the live region into a fresh arena first.
   struct Arena {
     std::vector<uint8_t> buf;
     size_t low = 0;  // lowest offset handed out so far

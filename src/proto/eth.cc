@@ -62,13 +62,15 @@ Status EthProtocol::OpenDisable(Protocol& hlp, const ParticipantSet& parts) {
 void EthProtocol::Transmit(Message& msg) {
   kernel().ChargeDevStart();
   kernel().ChargeDevCopy(msg.length());
-  // A pooled frame keeps its byte buffer across reuse, so flattening into it
-  // is a straight copy with no heap traffic in steady state.
+  // The frame carries a copy of the message, sharing its arena and payload
+  // chunks: the host copies no byte of it (the charge above is the device's
+  // copy). The caller keeps its message, and a later push on either side
+  // never scribbles on the other (Message's arena rule).
   auto frame = AcquirePooled<EthFrame>();
-  msg.FlattenInto(frame->bytes);
-  // Carry the message's trace identity on the frame (overwriting whatever a
-  // pooled frame held last). Zero wire bytes, zero simulated cost -- it lets
-  // wire records and the receiving host's spans name the sender's message.
+  frame->msg = msg.WireCopy();
+  // Carry the message's trace identity on the frame. Zero wire bytes, zero
+  // simulated cost -- it lets wire records and the receiving host's spans
+  // name the sender's message.
   frame->trace_msg_id = msg.trace_id();
   ++frames_out_;
   segment_.Transmit(attach_id_, std::move(frame), kernel().cpu().now());
@@ -81,11 +83,13 @@ void EthProtocol::FrameArrived(const EthFrame& frame) {
   kernel().RunTask(kernel().events().now(), [this, &frame]() {
     TraceSpan span(kernel().trace_sink(), kernel(), TraceOp::kIntr, *this, nullptr, nullptr);
     kernel().ChargeIntr();
-    kernel().ChargeDevCopy(frame.bytes.size());
+    kernel().ChargeDevCopy(frame.msg.length());
     ++frames_in_;
-    Message msg = Message::FromBytes(frame.bytes);
-    // The deserialized copy is the same logical message the sender pushed;
-    // let its spans read as one id across the wire.
+    // This host's own copy of the frame (wire bytes only), sharing storage
+    // with the sender's message and with other receivers of a broadcast.
+    Message msg = frame.msg;
+    // The received copy is the same logical message the sender pushed; let
+    // its spans read as one id across the wire.
     TraceSink::InheritTraceId(msg, frame.trace_msg_id);
     (void)span.Finish(Demux(nullptr, msg));
   });

@@ -169,19 +169,17 @@ Status FragmentSession::DoPush(Message& msg) {
   kernel().ChargeMapBind();  // enter the send cache
   SentSlot& slot = ClaimSent(seq);
   for (uint16_t i = 0; i < num_frags; ++i) {
-    Message piece;
     if (num_frags == 1) {
-      piece = msg;
+      slot.frags.push_back(msg);
     } else {
       kernel().ChargeMsgSlice();
-      piece = msg.Slice(static_cast<size_t>(i) * FragmentProtocol::kFragSize,
-                        FragmentProtocol::kFragSize);
+      slot.frags.push_back(msg.Slice(static_cast<size_t>(i) * FragmentProtocol::kFragSize,
+                                     FragmentProtocol::kFragSize));
     }
     // The cache shares the payload bytes with the in-flight packets (the
     // footnote in Section 3.2: multiple layers hold references to pieces of
     // the same message).
-    slot.frags.push_back(piece);
-    SendFragment(seq, num_frags, i, piece, kTypeData);
+    SendFragment(seq, num_frags, i, slot.frags.back(), kTypeData);
   }
   // "The sending host associates a timer with each message it sends and
   // discards the message when the timer expires."

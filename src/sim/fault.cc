@@ -447,8 +447,8 @@ DeliveryFault FaultEngine::Decide(int segment_id, const EthFrame& frame, SimTime
     out.verdict = LinkFault::kDrop;
   } else if (corrupt) {
     out.verdict = LinkFault::kCorrupt;
-    if (!frame.bytes.empty()) {
-      out.corrupt_offset = st.rng.NextBelow(frame.bytes.size());
+    if (!frame.msg.empty()) {
+      out.corrupt_offset = st.rng.NextBelow(frame.msg.length());
     }
   } else if (duplicate) {
     out.verdict = LinkFault::kDuplicate;

@@ -1,5 +1,7 @@
 #include "src/sim/link.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <utility>
 
@@ -11,19 +13,21 @@
 namespace xk {
 
 namespace {
-EthAddr AddrAt(const std::vector<uint8_t>& bytes, size_t off) {
+// The address at `off` (0 = destination, 6 = source); all zero if the frame
+// is too short to hold it.
+EthAddr AddrAt(const Message& msg, size_t off) {
+  std::array<uint8_t, 12> head = {};
   std::array<uint8_t, 6> a = {};
-  if (bytes.size() >= off + 6) {
-    for (size_t i = 0; i < 6; ++i) {
-      a[i] = bytes[off + i];
-    }
+  if (msg.length() >= off + 6) {
+    msg.CopyOut(head);
+    std::copy_n(head.begin() + static_cast<ptrdiff_t>(off), 6, a.begin());
   }
   return EthAddr(a);
 }
 }  // namespace
 
-EthAddr EthFrame::Dst() const { return AddrAt(bytes, 0); }
-EthAddr EthFrame::Src() const { return AddrAt(bytes, 6); }
+EthAddr EthFrame::Dst() const { return AddrAt(msg, 0); }
+EthAddr EthFrame::Src() const { return AddrAt(msg, 6); }
 
 EthernetSegment::EthernetSegment(EventQueue& events, WireModel wire, uint64_t fault_seed)
     : events_(events), wire_(wire), rng_(fault_seed) {}
@@ -70,12 +74,13 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
                                SimTime ready_at) {
   assert(sender_id >= 0 && static_cast<size_t>(sender_id) < stations_.size());
   const SimTime start = ready_at > bus_free_at_ ? ready_at : bus_free_at_;
-  const SimTime tx = wire_.TransmitTime(frame->bytes.size());
+  const size_t len = frame->msg.length();
+  const SimTime tx = wire_.TransmitTime(len);
   const SimTime end = start + tx;
   bus_free_at_ = end;
   bus_busy_time_ += tx;
   ++frames_sent_;
-  bytes_sent_ += frame->bytes.size();
+  bytes_sent_ += len;
 
   // Queueing statistics. Frames whose start is at or before our ready time
   // have begun transmitting; the rest (plus this frame, if it had to wait)
@@ -95,18 +100,22 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
   }
   queue_wait_.Record(wait);
 
-  // Receivers share one immutable buffer; only a corrupted delivery copies.
+  // Receivers share one immutable frame; only a corrupted delivery copies.
   const std::shared_ptr<const EthFrame> shared = std::move(frame);
   const EthAddr dst = shared->Dst();
   const bool broadcast = dst.IsBroadcast();
   const SimTime arrival = end + wire_.propagation;
 
   if (trace_ != nullptr) {
-    trace_->RecordWire(observer_id_, start, end, arrival, shared->bytes.size(), depth, wait,
+    trace_->RecordWire(observer_id_, start, end, arrival, len, depth, wait,
                        shared->trace_msg_id);
   }
   if (stats_ != nullptr) {
-    stats_->OnTransmit(start, tx, shared->bytes.size(), depth);
+    stats_->OnTransmit(start, tx, len, depth);
+  }
+  std::vector<uint8_t> captured;  // flat bytes, made only for a capture
+  if (capture_ != nullptr) {
+    shared->msg.FlattenInto(captured);
   }
 
   // With batching on, collect this transmission's deliveries and fold
@@ -156,14 +165,16 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
         case LinkFault::kCorrupt: {
           ++fault_corruptions_;
           verdict = CaptureVerdict::kCorrupted;
-          EthFrame bad = *shared;
-          if (!bad.bytes.empty()) {
+          // The one place a delivery copies frame bytes: flatten, flip, rebuild.
+          std::vector<uint8_t> bytes = shared->msg.Flatten();
+          if (!bytes.empty()) {
             const size_t off =
-                fault.corrupt_offset < bad.bytes.size() ? fault.corrupt_offset : bad.bytes.size() - 1;
-            bad.bytes[off] ^= 0xFF;
+                fault.corrupt_offset < bytes.size() ? fault.corrupt_offset : bytes.size() - 1;
+            bytes[off] ^= 0xFF;
           }
           auto bad_frame = AcquirePooled<EthFrame>();
-          *bad_frame = std::move(bad);
+          bad_frame->msg = Message::FromBytes(bytes);
+          bad_frame->trace_msg_id = shared->trace_msg_id;
           if (batched_delivery_) {
             batch_scratch_.push_back(BatchMember{at, rid, std::move(bad_frame)});
           } else {
@@ -181,7 +192,7 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
       }
     }
     if (capture_ != nullptr) {
-      capture_->Record(observer_id_, rid, start, arrival, shared->bytes, verdict);
+      capture_->Record(observer_id_, rid, start, arrival, captured, verdict);
     }
   }
   if (batched_delivery_ && !batch_scratch_.empty()) {

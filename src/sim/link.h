@@ -1,10 +1,16 @@
 // Shared-bus 10 Mbps Ethernet segment.
 //
-// The link carries flat byte frames between attached stations. Transmissions
-// serialize on the bus (a frame ready while the bus is busy queues behind it,
-// which is what lets back-to-back fragments of a 16 KB message saturate the
-// wire). Delivery filters on the destination address in the frame's first six
-// bytes; broadcast frames go to every station except the sender.
+// The link carries frames between attached stations. A frame holds a copy
+// of the sending driver's Message, not a flattened copy of its bytes: payload
+// chunks and the header arena are shared by reference from the sender's
+// stack to every receiver (the paper's message tool, carried across the
+// wire), so the host copies frame bytes only to corrupt one or to capture
+// it. Simulated cost is unaffected: the drivers charge the device copy the
+// real hardware makes. Transmissions serialize on the bus (a frame ready
+// while the bus is busy queues behind it, which is what lets back-to-back
+// fragments of a 16 KB message saturate the wire). Delivery filters on the
+// destination address in the frame's first six bytes; broadcast frames go to
+// every station except the sender.
 //
 // Fault injection: tests install a hook that can drop, duplicate, or corrupt
 // individual deliveries, and/or set a uniform drop rate, to drive every
@@ -19,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/message.h"
 #include "src/core/types.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/event_queue.h"
@@ -31,11 +38,13 @@ class PacketCapture;
 class SegmentSeries;
 class TraceSink;
 
-// A raw Ethernet frame on the wire: header (dst, src, type) + payload, as one
-// flat byte vector. Only the Ethernet protocol interprets the full framing;
-// the link peeks at the destination address for delivery filtering.
+// A raw Ethernet frame on the wire: header (dst, src, type) + payload, as a
+// Message holding wire bytes only (Message::WireCopy). Receivers demux their
+// own copies of it, which share its storage. Only the Ethernet protocol
+// interprets the full framing; the link peeks at the destination address for
+// delivery filtering.
 struct EthFrame {
-  std::vector<uint8_t> bytes;
+  Message msg;
 
   // Host-side observability bookkeeping, never serialized: the trace id of
   // the Message this frame carries, stamped by the transmitting driver so
@@ -45,6 +54,10 @@ struct EthFrame {
 
   EthAddr Dst() const;
   EthAddr Src() const;
+
+  // Called when a pooled frame is parked (AcquirePooled): a parked frame
+  // must not pin the arena and payload blocks of the message it carried.
+  void Park() { msg = Message(); }
 };
 
 // Implemented by network interfaces (device drivers) attached to a segment.
@@ -90,8 +103,8 @@ class EthernetSegment {
 
   // Queues `frame` for transmission; the frame was handed to the controller
   // at `ready_at` (the sending CPU's task clock). Transmission starts when
-  // the bus frees up. The frame buffer travels by shared_ptr the whole way
-  // (driver -> segment -> receivers), so a pooled frame is reused intact;
+  // the bus frees up. The frame travels by shared_ptr the whole way
+  // (driver -> segment -> receivers), so every receiver reads the same one;
   // the by-value overload wraps for callers that build frames ad hoc.
   void Transmit(int sender_id, std::shared_ptr<EthFrame> frame, SimTime ready_at);
   void Transmit(int sender_id, EthFrame frame, SimTime ready_at);

@@ -1,10 +1,14 @@
 // Thread-local object recycling for shared_ptr-managed hot-path objects.
 //
 // The simulation's steady state churns through three allocation patterns per
-// message: a header Arena, one or more payload Blocks, and a shared EthFrame
-// per transmission. Each lives behind a shared_ptr, so a plain make_shared
-// costs one heap round trip per object -- roughly a third of all mallocs on
-// the manyhost benchmark. AcquirePooled<T>() removes both the object and the
+// message: a header Arena (one per message that pushes a header, plus one per
+// clone when a push cannot extend a shared arena in place), one or more
+// payload Blocks (made where bytes enter a message: an application payload,
+// FromBytes, an arena region spilled or sliced into a chunk), and a shared
+// EthFrame per transmission (which references the sender's Message, so it
+// holds no byte buffer of its own). Each lives behind a shared_ptr, so a
+// plain make_shared costs one heap round trip per object -- roughly a third
+// of all mallocs on the manyhost benchmark. AcquirePooled<T>() removes both the object and the
 // shared_ptr control block from the allocator: retired objects park on a
 // thread-local freelist with their internal buffers (vector capacity) intact,
 // and control blocks recycle through a fixed-size pooling allocator.
@@ -14,10 +18,12 @@
 // it was acquired on simply migrates to the releasing thread's pool.
 //
 // Reuse contract: a recycled object is handed back exactly as it was
-// released (minus nothing -- no clearing). Callers must fully overwrite any
-// state they later read; every call site in this repository initializes via
-// assign()/resize()+memcpy before reading, so stale bytes are never
-// observable and determinism is unaffected.
+// released, except that a type with a Park() member has it called as the
+// object parks (EthFrame drops its Message there, so a parked frame pins no
+// arena or block). Callers must fully overwrite any state they later read;
+// every call site in this repository initializes via assign()/resize()+memcpy
+// or assignment before reading, so stale bytes are never observable and
+// determinism is unaffected.
 
 #ifndef XK_SRC_SIM_OBJECT_POOL_H_
 #define XK_SRC_SIM_OBJECT_POOL_H_
@@ -54,6 +60,9 @@ struct Recycle {
   void operator()(T* p) const {
     auto& pool = ObjectPool<T>::Get();
     if (pool.free.size() < kPoolCap) {
+      if constexpr (requires { p->Park(); }) {
+        p->Park();
+      }
       pool.free.push_back(p);
     } else {
       delete p;

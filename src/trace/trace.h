@@ -142,9 +142,10 @@ class TraceSink {
                    uint64_t call, const Message* msg, Session* sess, uint64_t detail,
                    StatusCode status = StatusCode::kOk);
 
-  // Copies a previously assigned trace id onto a freshly deserialized
-  // message (the receive path's Message::FromBytes), so one logical message
-  // reads as one id across the wire. Charges nothing; pure bookkeeping.
+  // Copies a previously assigned trace id onto a message that arrived off
+  // the wire (the receive path's copy of EthFrame::msg, which carries no
+  // trace id of its own), so one logical message reads as one id across the
+  // wire. Charges nothing; pure bookkeeping.
   static void InheritTraceId(const Message& msg, uint64_t id);
 
   // --- output -----------------------------------------------------------------

@@ -12,6 +12,9 @@
 //  * a routed VPOOL pool of four replicas fed by Poisson OpenLoopGen
 //    generators through ClusterClient, with every call tagged and checked by
 //    the at-most-once oracle (the datacenter sat-knee shape).
+//
+// The L_RPC-VIP shape also holds a copy budget: the bytes the message tool
+// copies and the header arenas it clones per call (Message::WorkCounters).
 
 #include <gtest/gtest.h>
 
@@ -152,6 +155,52 @@ TEST_P(PaperRpcBudget, SteadyStateCallsStayUnderOneAllocation) {
   RecordProperty("allocs_per_call", std::to_string(per_call));
   EXPECT_LE(per_call, 1.0) << allocs << " allocations over " << kMeasured << " calls of "
                            << bytes << " B";
+}
+
+// Host bytes the message tool copies per call, and header-arena clones
+// (Message::WorkCounters), at each request size. A frame carries the
+// sender's Message and a header push extends a shared arena in place, so no
+// payload byte is copied on the way through ETH; the budgets are exactly
+// what the steady state does, so a copy creeping back in fails here.
+struct CopyBudget {
+  size_t request;
+  uint64_t bytes_per_call;
+  uint64_t arena_clones_per_call;
+};
+constexpr CopyBudget kCopyBudgets[] = {
+    {0, 0, 0},
+    {1024, 0, 0},
+    {4096, 22, 0},  // the CHANNEL and SELECT headers, sliced into fragment 0
+    {16384, 22, 0},
+};
+
+TEST_P(PaperRpcBudget, SteadyStateCallsStayUnderCopyBudget) {
+  const size_t bytes = GetParam();
+  const CopyBudget* budget = nullptr;
+  for (const CopyBudget& b : kCopyBudgets) {
+    if (b.request == bytes) {
+      budget = &b;
+    }
+  }
+  ASSERT_NE(budget, nullptr);
+  PaperRpc rpc;
+  constexpr int kWarm = 64;
+  constexpr int kMeasured = 200;
+  for (int i = 0; i < kWarm; ++i) {
+    rpc.Call(bytes);
+  }
+  const Message::WorkCounters before = Message::work_counters();
+  for (int i = 0; i < kMeasured; ++i) {
+    rpc.Call(bytes);
+  }
+  const Message::WorkCounters& after = Message::work_counters();
+  EXPECT_EQ(rpc.failed, 0u);
+  const uint64_t copied = after.bytes_copied - before.bytes_copied;
+  const uint64_t clones = after.arena_clones - before.arena_clones;
+  RecordProperty("bytes_copied_per_call", std::to_string(static_cast<double>(copied) / kMeasured));
+  RecordProperty("arena_clones_per_call", std::to_string(static_cast<double>(clones) / kMeasured));
+  EXPECT_LE(copied, budget->bytes_per_call * kMeasured) << bytes << " B calls";
+  EXPECT_LE(clones, budget->arena_clones_per_call * kMeasured) << bytes << " B calls";
 }
 
 INSTANTIATE_TEST_SUITE_P(RequestSizes, PaperRpcBudget,

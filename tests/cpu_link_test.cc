@@ -49,7 +49,9 @@ class Recorder : public FrameSink {
     std::vector<uint8_t> bytes;
   };
   explicit Recorder(EventQueue& q) : q_(q) {}
-  void FrameArrived(const EthFrame& f) override { arrivals.push_back({q_.now(), f.bytes}); }
+  void FrameArrived(const EthFrame& f) override {
+    arrivals.push_back({q_.now(), f.msg.Flatten()});
+  }
   std::vector<Arrival> arrivals;
 
  private:
@@ -57,17 +59,19 @@ class Recorder : public FrameSink {
 };
 
 EthFrame MakeFrame(EthAddr dst, EthAddr src, size_t payload) {
-  EthFrame f;
+  std::vector<uint8_t> bytes;
   auto put = [&](const EthAddr& a) {
     for (uint8_t b : a.bytes()) {
-      f.bytes.push_back(b);
+      bytes.push_back(b);
     }
   };
   put(dst);
   put(src);
-  f.bytes.push_back(0x08);
-  f.bytes.push_back(0x00);
-  f.bytes.resize(14 + payload, 0xAB);
+  bytes.push_back(0x08);
+  bytes.push_back(0x00);
+  bytes.resize(14 + payload, 0xAB);
+  EthFrame f;
+  f.msg = Message::FromBytes(bytes);
   return f;
 }
 
@@ -164,6 +168,55 @@ TEST_F(LinkFixture, StatsCountFramesAndBytes) {
   seg.ResetStats();
   EXPECT_EQ(seg.frames_sent(), 0u);
   EXPECT_EQ(seg.bus_busy_time(), 0);
+}
+
+// A broadcast from A whose delivery to C alone is corrupted at `offset`;
+// returns the bytes sent and what B and C received.
+struct CorruptRun {
+  std::vector<uint8_t> sent;
+  std::vector<Recorder::Arrival> b;
+  std::vector<Recorder::Arrival> c;
+  uint64_t corruptions = 0;
+};
+
+CorruptRun CorruptBroadcastToC(size_t offset) {
+  EventQueue q;
+  EthernetSegment seg(q, WireModel{});
+  Recorder a(q), b(q), c(q);
+  const int ia = seg.Attach(EthAddr::FromIndex(1), &a);
+  seg.Attach(EthAddr::FromIndex(2), &b);
+  const int ic = seg.Attach(EthAddr::FromIndex(3), &c);
+  seg.set_fault_hook_ex([ic, offset](const EthFrame&, int receiver_id, uint64_t, SimTime) {
+    DeliveryFault fault;
+    if (receiver_id == ic) {
+      fault.verdict = LinkFault::kCorrupt;
+      fault.corrupt_offset = offset;
+    }
+    return fault;
+  });
+  EthFrame f = MakeFrame(EthAddr::Broadcast(), EthAddr::FromIndex(1), 50);
+  CorruptRun out;
+  out.sent = f.msg.Flatten();
+  seg.Transmit(ia, std::move(f), 0);
+  q.Run();
+  out.b = b.arrivals;
+  out.c = c.arrivals;
+  out.corruptions = seg.fault_corruptions();
+  return out;
+}
+
+TEST(LinkCorruptionTest, BroadcastCorruptsOnlyTheTargetedReceiver) {
+  for (const size_t offset : {size_t{20}, SIZE_MAX}) {
+    SCOPED_TRACE(offset);
+    const CorruptRun run = CorruptBroadcastToC(offset);
+    ASSERT_EQ(run.b.size(), 1u);
+    ASSERT_EQ(run.c.size(), 1u);
+    std::vector<uint8_t> expect = run.sent;
+    expect[offset == SIZE_MAX ? expect.size() - 1 : offset] ^= 0xFF;
+    EXPECT_EQ(run.c[0].bytes, expect);
+    EXPECT_EQ(run.b[0].bytes, run.sent);
+    EXPECT_EQ(run.corruptions, 1u);
+  }
 }
 
 // A wire whose transmit time is exactly 50us for every frame (the per-byte

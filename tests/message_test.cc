@@ -398,6 +398,83 @@ TEST_P(MessagePropertyTest, RandomOpsMatchReferenceModel) {
   EXPECT_EQ(m.Flatten(), model);
 }
 
+// Up to four live forks of one message, each taking random push, pop,
+// discard and truncate steps against its own reference model, every fork
+// checked after every step. Forks share the header arena, and the holder at
+// the arena's low-water mark pushes in place: a sibling must never see those
+// bytes, whichever forks are alive, dropped or sole owners at the time.
+TEST_P(MessagePropertyTest, LiveForksMatchTheirModels) {
+  Rng rng(GetParam());
+  PolicyGuard guard(HeaderAllocPolicy::kPointerAdjust);
+  struct Fork {
+    Message m;
+    std::vector<uint8_t> model;
+  };
+  constexpr size_t kMaxForks = 4;
+  std::vector<Fork> forks;
+  const auto initial = Pattern(rng.NextBelow(200), static_cast<uint8_t>(rng.NextU64()));
+  forks.push_back(Fork{Message::FromBytes(initial), initial});
+
+  for (int step = 0; step < 400; ++step) {
+    const size_t i = rng.NextBelow(forks.size());
+    switch (rng.NextBelow(6)) {
+      case 0: {  // fork: a new live copy (or one replacing a sibling)
+        Fork copy = forks[i];
+        if (forks.size() < kMaxForks) {
+          forks.push_back(std::move(copy));
+        } else {
+          forks[rng.NextBelow(forks.size())] = std::move(copy);
+        }
+        break;
+      }
+      case 1: {  // push
+        auto hdr = Pattern(rng.NextInRange(1, 48), static_cast<uint8_t>(rng.NextU64()));
+        forks[i].m.PushHeader(hdr);
+        forks[i].model.insert(forks[i].model.begin(), hdr.begin(), hdr.end());
+        break;
+      }
+      case 2: {  // pop
+        std::vector<uint8_t> out(rng.NextInRange(1, 64));
+        const bool ok = forks[i].m.PopHeader(out);
+        ASSERT_EQ(ok, out.size() <= forks[i].model.size()) << "step " << step;
+        if (ok) {
+          EXPECT_TRUE(std::equal(out.begin(), out.end(), forks[i].model.begin()));
+          forks[i].model.erase(forks[i].model.begin(),
+                               forks[i].model.begin() + static_cast<ptrdiff_t>(out.size()));
+        }
+        break;
+      }
+      case 3: {  // discard from the front
+        const size_t n = rng.NextInRange(0, 64);
+        const bool ok = forks[i].m.Discard(n);
+        ASSERT_EQ(ok, n <= forks[i].model.size()) << "step " << step;
+        if (ok) {
+          forks[i].model.erase(forks[i].model.begin(),
+                               forks[i].model.begin() + static_cast<ptrdiff_t>(n));
+        }
+        break;
+      }
+      case 4: {  // truncate
+        const size_t n = rng.NextBelow(forks[i].model.size() + 32);
+        forks[i].m.Truncate(n);
+        if (n < forks[i].model.size()) {
+          forks[i].model.resize(n);
+        }
+        break;
+      }
+      case 5:  // drop a fork, so a survivor can become the sole owner
+        if (forks.size() > 1) {
+          forks.erase(forks.begin() + static_cast<ptrdiff_t>(i));
+        }
+        break;
+    }
+    for (size_t f = 0; f < forks.size(); ++f) {
+      ASSERT_EQ(forks[f].m.length(), forks[f].model.size()) << "fork " << f << " step " << step;
+      ASSERT_EQ(forks[f].m.Flatten(), forks[f].model) << "fork " << f << " step " << step;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MessagePropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233));
 

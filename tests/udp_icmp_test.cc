@@ -81,6 +81,37 @@ TEST_F(UdpFixture, EchoReplyReturnsToClientPort) {
   EXPECT_EQ(ca->received[0], PatternBytes(48, 2));
 }
 
+// A call deadline and a wire error are host-side metadata of the sender's
+// message; only CHANNEL serializes them. A message that crossed the wire
+// carries the bytes and nothing else.
+TEST_F(UdpFixture, ReceivedMessageCarriesWireBytesOnly) {
+  SimTime server_deadline = -1;
+  int server_wire_error = -1;
+  std::vector<uint8_t> server_bytes;
+  RunIn(*server->kernel, [&] {
+    sa->on_receive = [&](Message& msg, Session* lls) {
+      server_deadline = msg.deadline();
+      server_wire_error = msg.wire_error();
+      server_bytes = msg.Flatten();
+      Message reply = msg;
+      EXPECT_TRUE(lls->Push(reply).ok());
+    };
+  });
+  SessionRef sess = OpenClientSession();
+  RunIn(*client->kernel, [&] {
+    Message msg = Message::FromBytes(PatternBytes(48, 3));
+    msg.set_deadline(Sec(5));
+    msg.set_wire_error(static_cast<uint8_t>(StatusCode::kBusy));
+    EXPECT_TRUE(sess->Push(msg).ok());
+  });
+  net->RunAll();
+  EXPECT_EQ(server_deadline, 0);
+  EXPECT_EQ(server_wire_error, 0);
+  EXPECT_EQ(server_bytes, PatternBytes(48, 3));
+  ASSERT_EQ(ca->received.size(), 1u);
+  EXPECT_EQ(ca->received[0], PatternBytes(48, 3));
+}
+
 TEST_F(UdpFixture, LargeDatagramRidesIpFragmentation) {
   Send(PatternBytes(16384, 5));
   net->RunAll();
