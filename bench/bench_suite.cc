@@ -123,15 +123,13 @@ Job SweepJob(std::string name, RpcBench::Builder builder, HostEnv env = HostEnv:
   return Job{"throughput_sweep", std::move(name), std::move(fn)};
 }
 
-Job HeaderAllocJob(std::string name, HeaderAllocPolicy policy) {
-  JobFn fn = [policy] {
-    // The policy is thread_local; the runner resets it before each job.
-    Message::set_default_alloc_policy(policy);
+Job HeaderAllocJob(std::string name, HostEnv env) {
+  JobFn fn = [env] {
     JobResult out;
-    PartialLatency base = MeasurePartialLatency(0);
-    PartialLatency chan = MeasurePartialLatency(2);
+    PartialLatency base = MeasurePartialLatency(0, env);
+    PartialLatency chan = MeasurePartialLatency(2, env);
     ConfigResult full =
-        RpcBench::Measure([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+        RpcBench::Measure([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); }, env);
     out.metrics = {{"vip_base_ms", base.ms},
                    {"full_stack_ms", full.latency_ms},
                    {"avg_per_layer_ms", (full.latency_ms - base.ms) / 3.0},
@@ -518,8 +516,8 @@ std::vector<Job> BuildJobs() {
   jobs.push_back(SweepJob("L_RPC-VIPsize", l_dyn));
   jobs.push_back(SweepJob("N_RPC", m_eth, HostEnv::kNativeSprite));
   // Ablations.
-  jobs.push_back(HeaderAllocJob("pointer-adjust", HeaderAllocPolicy::kPointerAdjust));
-  jobs.push_back(HeaderAllocJob("alloc-per-header", HeaderAllocPolicy::kPerLayerAlloc));
+  jobs.push_back(HeaderAllocJob("pointer-adjust", HostEnv::kXKernel));
+  jobs.push_back(HeaderAllocJob("alloc-per-header", HostEnv::kXKernelAllocPerHeader));
   jobs.push_back(ColdWarmJob("M_RPC-VIP", m_vip));
   jobs.push_back(ColdWarmJob("L_RPC-VIP", l_vip));
   jobs.push_back(ColdWarmJob("SELECT-CHANNEL-VIPsize", l_dyn));
@@ -977,6 +975,18 @@ std::vector<Job> SelectJobs(const Options& opt, std::string* fault_error,
     if (!FaultPlan::Parse(opt.faults, &plan, fault_error)) {
       return {};
     }
+    // The campaign runs on Internet::TwoHosts(): client and server on
+    // segment 0. A clause naming anything else would throw or never fire.
+    for (const FaultClause& c : plan.clauses) {
+      if (c.kind == FaultClause::Kind::kCrash && c.host != "client" && c.host != "server") {
+        *fault_error = "unknown host '" + c.host + "' (hosts: client, server)";
+        return {};
+      }
+      if (c.kind != FaultClause::Kind::kCrash && c.segment > 0) {
+        *fault_error = "unknown segment " + std::to_string(c.segment) + " (segments: 0)";
+        return {};
+      }
+    }
     ChaosSpec spec;
     spec.calls = 200;
     spec.gap = Msec(2);
@@ -1054,9 +1064,6 @@ int Run(const Options& opt) {
   }
   std::vector<JobResult> results(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    // The header-alloc ablation switches the default alloc policy; the
-    // reset keeps it from leaking into later jobs.
-    Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
     // One observer pair per job: each job's Internet picks up the
     // thread-default observers at construction, so traces never mix jobs.
     std::unique_ptr<TraceSink> sink;

@@ -137,9 +137,10 @@ struct EchoExperiment {
   }
 };
 
-inline EchoExperiment MakeEchoExperiment(int layers, bool null_replies = false) {
+inline EchoExperiment MakeEchoExperiment(int layers, bool null_replies = false,
+                                         HostEnv env = HostEnv::kXKernel) {
   EchoExperiment e;
-  e.net = Internet::TwoHosts();
+  e.net = Internet::TwoHosts(env);
   e.ch = &e.net->host("client");
   e.sh = &e.net->host("server");
   e.cstack = BuildPartial(*e.ch, layers);
@@ -171,8 +172,8 @@ struct PartialLatency {
 
 // Null round trip through a partial stack (Table III rows 1-3 and the
 // header-alloc ablation's base/channel measurements).
-inline PartialLatency MeasurePartialLatency(int layers) {
-  EchoExperiment e = MakeEchoExperiment(layers);
+inline PartialLatency MeasurePartialLatency(int layers, HostEnv env = HostEnv::kXKernel) {
+  EchoExperiment e = MakeEchoExperiment(layers, /*null_replies=*/false, env);
   LatencyResult lat = RpcWorkload::MeasureLatency(*e.net, *e.ch->kernel, e.MakeCall(), 64);
   return PartialLatency{ToMsec(lat.per_call), e.net->events_fired(), lat.rtt};
 }

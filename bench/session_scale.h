@@ -149,7 +149,7 @@ inline SessionScaleBench MeasureSessionScale(const SessionScaleSpec& spec) {
       const size_t stride = std::max<size_t>(1, spec.sessions / spec.calls);
       // Four passes over the same strided sample. The count is part of the
       // job's simulated result: completed, the RTT percentiles, elapsed_sim_ms
-      // and sim_cpu_ns_per_call all cover four passes, and bench/baseline.json
+      // and sim_cpu_ns_per_call all cover four passes, and BENCH_RESULTS.json
       // gates them.
       constexpr int kPasses = 4;
       for (int pass = 0; pass < kPasses; ++pass) {

@@ -163,7 +163,7 @@ usage_error "--slowest: bad value 'abc'" \
   ./build/src/xkflow "$t3.VIP.trace.jsonl" --slowest=abc
 usage_error "--calls: bad value 'abc'" ./build/src/xktrace "$t3.VIP.trace.jsonl" --calls=abc
 usage_error "--default-threshold: bad value '5x'" \
-  ./build/src/xkbench_diff bench/baseline.json "$r1" --default-threshold=5x
+  ./build/src/xkbench_diff BENCH_RESULTS.json "$r1" --default-threshold=5x
 # A flag the chosen mode would ignore is refused, naming the conflict.
 usage_error "--rejected --critical-path are exclusive modes" \
   ./build/src/xkflow "$t3.VIP.trace.jsonl" --rejected --critical-path
@@ -202,14 +202,16 @@ grep -Eq "retransmits: [1-9]" "$obs/crash.flow.txt"
 grep -Eq "replica_down" "$obs/crash.flow.txt"
 
 echo
-echo "== bench regression gate: xkbench-diff vs bench/baseline.json =="
+echo "== bench regression gate: xkbench-diff vs BENCH_RESULTS.json =="
 # Every simulated metric in the fresh run must sit within the per-metric
-# thresholds of the committed baseline (bookkeeping fields are skipped).
-./build/src/xkbench_diff bench/baseline.json "$r1"
+# thresholds of the committed results (bookkeeping fields are skipped). The
+# cmp above already holds them byte for byte here; the gate is what CI runs,
+# where another compiler may round differently.
+./build/src/xkbench_diff BENCH_RESULTS.json "$r1"
 # Negative test: an injected latency regression must fail the gate.
 sed -E 's/"latency_ms": [0-9.eE+-]+/"latency_ms": 9999/' "$r1" \
   > "$obs/tampered.json"
-if ./build/src/xkbench_diff --quiet bench/baseline.json "$obs/tampered.json"; then
+if ./build/src/xkbench_diff --quiet BENCH_RESULTS.json "$obs/tampered.json"; then
   echo "FAIL: xkbench-diff accepted an injected latency regression"
   exit 1
 fi
@@ -234,6 +236,12 @@ echo "$crash_line" | grep -q '"boot_resets": 1' \
   --filter='^chaos\.custom' --out="$obs/chaos_custom.json" >/dev/null
 grep -q '"oracle_double_exec": 0' "$obs/chaos_custom.json"
 grep -q '"oracle_silent": 0' "$obs/chaos_custom.json"
+# A clause naming a host or segment the chaos topology lacks is a usage error.
+usage_error "bad --faults spec: unknown host 'nohost'" \
+  ./build/bench/bench_suite --faults='crash:host=nohost,at=1ms' --out="$obs/bad.json"
+usage_error "bad --faults spec: unknown segment 99" \
+  ./build/bench/bench_suite --faults='drop:seg=99,from=0ms,until=1ms,rate=0.5' \
+  --out="$obs/bad.json"
 echo "server-crash and --faults= campaigns oracle-clean"
 
 echo

@@ -9,7 +9,6 @@ namespace xk {
 Kernel::Kernel(std::string host_name, EventQueue& events, HostEnv env, IpAddr ip, EthAddr eth)
     : host_name_(std::move(host_name)),
       events_(events),
-      env_(env),
       costs_(CostModel::For(env)),
       ip_(ip),
       eth_(eth),

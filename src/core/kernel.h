@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/message.h"
 #include "src/core/protocol.h"
 #include "src/core/types.h"
 #include "src/sim/cost_model.h"
@@ -38,7 +37,6 @@ class Kernel {
   const std::string& host_name() const { return host_name_; }
   IpAddr ip_addr() const { return ip_; }
   EthAddr eth_addr() const { return eth_; }
-  HostEnv env() const { return env_; }
 
   // Monotonic per-boot identifier (CHANNEL and Sprite RPC use it to detect
   // reboots).
@@ -150,22 +148,14 @@ class Kernel {
     cpu_.Charge(costs_.proc_call + costs_.layer_cross_extra + costs_.buffer_alloc);
   }
   void ChargeHdrStore(size_t bytes) {
-    SimTime cost = costs_.hdr_store_fixed +
-                   static_cast<SimTime>(static_cast<double>(bytes) *
-                                        static_cast<double>(costs_.hdr_store_per_byte));
-    if (Message::default_alloc_policy() == HeaderAllocPolicy::kPerLayerAlloc) {
-      cost += costs_.hdr_alloc_extra;
-    }
-    cpu_.Charge(cost);
+    cpu_.Charge(costs_.hdr_store_fixed + costs_.hdr_alloc_extra +
+                static_cast<SimTime>(static_cast<double>(bytes) *
+                                     static_cast<double>(costs_.hdr_store_per_byte)));
   }
   void ChargeHdrLoad(size_t bytes) {
-    SimTime cost = costs_.hdr_load_fixed +
-                   static_cast<SimTime>(static_cast<double>(bytes) *
-                                        static_cast<double>(costs_.hdr_load_per_byte));
-    if (Message::default_alloc_policy() == HeaderAllocPolicy::kPerLayerAlloc) {
-      cost += costs_.hdr_free_extra;
-    }
-    cpu_.Charge(cost);
+    cpu_.Charge(costs_.hdr_load_fixed + costs_.hdr_free_extra +
+                static_cast<SimTime>(static_cast<double>(bytes) *
+                                     static_cast<double>(costs_.hdr_load_per_byte)));
   }
   void ChargeMapResolve() { cpu_.Charge(costs_.map_resolve); }
   void ChargeMapBind() { cpu_.Charge(costs_.map_bind); }
@@ -205,7 +195,6 @@ class Kernel {
  private:
   std::string host_name_;
   EventQueue& events_;
-  HostEnv env_;
   CostModel costs_;
   Cpu cpu_;
   IpAddr ip_;

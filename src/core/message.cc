@@ -8,11 +8,6 @@
 namespace xk {
 
 namespace {
-// A per-thread default, like the observer defaults. bench_suite's runner
-// resets it before every job, so the header-alloc ablation that switches it
-// cannot leak into later jobs.
-thread_local HeaderAllocPolicy g_default_policy = HeaderAllocPolicy::kPointerAdjust;
-
 // Parked chunk-tail buffers stay bounded, like the object pools.
 constexpr size_t kMaxParkedTails = 64;
 
@@ -56,10 +51,6 @@ void Message::ChunkVec::ParkTail() {
     parked.push_back(std::move(rest_));
   }
 }
-
-HeaderAllocPolicy Message::default_alloc_policy() { return g_default_policy; }
-
-void Message::set_default_alloc_policy(HeaderAllocPolicy policy) { g_default_policy = policy; }
 
 Message::Message() = default;
 
@@ -137,25 +128,6 @@ void Message::EnsureOwnedArenaFor(size_t more) {
 
 void Message::PushHeader(std::span<const uint8_t> header) {
   if (header.empty()) {
-    return;
-  }
-  if (g_default_policy == HeaderAllocPolicy::kPerLayerAlloc) {
-    // Original x-kernel scheme: a fresh buffer per header. Spill any arena
-    // region so the new header chunk really is the front of the message.
-    if (arena_len_ > 0) {
-      auto spill = AcquirePooled<Block>();
-      spill->bytes.assign(arena_->buf.begin() + static_cast<ptrdiff_t>(arena_start_),
-                          arena_->buf.begin() + static_cast<ptrdiff_t>(arena_start_ + arena_len_));
-      chunks_.push_front(Chunk{std::move(spill), 0, arena_len_});
-      g_work.bytes_copied += arena_len_;
-      arena_.reset();
-      arena_len_ = 0;
-      arena_start_ = 0;
-    }
-    auto block = AcquirePooled<Block>();
-    block->bytes.assign(header.begin(), header.end());
-    chunks_.push_front(Chunk{std::move(block), 0, header.size()});
-    length_ += header.size();
     return;
   }
   EnsureOwnedArenaFor(header.size());

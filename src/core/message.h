@@ -10,9 +10,9 @@
 // credits for the 0.11 ms/layer floor: a single pre-allocated header arena is
 // shared by all layers, and pushing a header just adjusts a pointer downward
 // into that arena. The earlier x-kernel scheme -- allocating a fresh buffer
-// for every header, at 0.50 ms/layer -- is preserved as
-// HeaderAllocPolicy::kPerLayerAlloc so the ablation benchmark can measure the
-// difference.
+// for every header, at 0.50 ms/layer -- is a cost environment, not a second
+// code path: HostEnv::kXKernelAllocPerHeader charges the extra allocate and
+// free per header, and the bytes are pushed the same way.
 //
 // Payload bytes live in immutable, reference-counted chunks, so fragmentation
 // (Slice) and reassembly (Append) never copy payload data, and a protocol
@@ -35,24 +35,11 @@
 
 namespace xk {
 
-// How PushHeader obtains space for a new header.
-enum class HeaderAllocPolicy : uint8_t {
-  // Pre-allocated arena, pointer adjustment per header (current x-kernel
-  // scheme; 0.11 ms/layer on a Sun 3/75).
-  kPointerAdjust,
-  // A fresh buffer per header (the original x-kernel scheme; 0.50 ms/layer).
-  kPerLayerAlloc,
-};
-
 class Message {
  public:
   // Bytes reserved for the header arena. Large enough for the deepest stack
   // in this repository (SELECT+CHANNEL+FRAGMENT+IP+ETH < 100 bytes).
   static constexpr size_t kHeaderArenaSize = 192;
-
-  // Process-wide default allocation policy; the ablation bench flips this.
-  static HeaderAllocPolicy default_alloc_policy();
-  static void set_default_alloc_policy(HeaderAllocPolicy policy);
 
   // An empty message.
   Message();

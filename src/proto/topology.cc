@@ -83,10 +83,9 @@ int Internet::AddSegment(WireModel wire) {
   return id;
 }
 
-HostStack& Internet::AddHost(const std::string& name, int segment, IpAddr ip,
-                             std::optional<HostEnv> env) {
+HostStack& Internet::AddHost(const std::string& name, int segment, IpAddr ip) {
   const EthAddr mac = EthAddr::FromIndex(next_eth_index_++);
-  auto kernel = std::make_unique<Kernel>(name, events_, env.value_or(default_env_), ip, mac);
+  auto kernel = std::make_unique<Kernel>(name, events_, default_env_, ip, mac);
   Kernel* k = kernel.get();
   k->set_trace_sink(trace_);
   kernels_.push_back(std::move(kernel));
@@ -99,7 +98,6 @@ HostStack& Internet::AddHost(const std::string& name, int segment, IpAddr ip,
   entry.stack.kernel = k;
   entry.segment = segment;
   entry.ip = ip;
-  entry.env = env.value_or(default_env_);
   hosts_.push_back(std::move(entry));
   HostEntry& e = hosts_.back();
   // Protocol constructors perform open_enables, which charge the CPU, so the
@@ -237,7 +235,6 @@ HostStack& Internet::AddRouter(const std::string& name,
   entry.stack = stack;
   entry.segment = -1;  // multiple attachments; routers don't restart
   entry.ip = attachments[0].second;
-  entry.env = default_env_;
   hosts_.push_back(std::move(entry));
   return hosts_.back().stack;
 }

@@ -53,10 +53,9 @@ class Internet {
   // Adds an Ethernet segment; returns its id.
   int AddSegment(WireModel wire = WireModel{});
 
-  // Adds a host with the substrate stack on `segment`. The environment
-  // defaults to the Internet's.
-  HostStack& AddHost(const std::string& name, int segment, IpAddr ip,
-                     std::optional<HostEnv> env = std::nullopt);
+  // Adds a host with the substrate stack on `segment`, in the Internet's
+  // environment.
+  HostStack& AddHost(const std::string& name, int segment, IpAddr ip);
 
   // Adds a router attached to several segments (one (segment, address) pair
   // per interface), with IP forwarding enabled.
@@ -139,7 +138,6 @@ class Internet {
     HostStack stack;
     int segment = -1;  // -1: router (multiple attachments; restart unsupported)
     IpAddr ip{};
-    HostEnv env = HostEnv::kXKernel;
     std::optional<IpAddr> gateway;
     std::function<void(HostStack&)> restart_hook;
   };

@@ -7,6 +7,13 @@ CostModel CostModel::For(HostEnv env) {
   switch (env) {
     case HostEnv::kXKernel:
       break;
+    case HostEnv::kXKernelAllocPerHeader:
+      // The x-kernel's original message tool (paper, Section 5): a fresh
+      // buffer per header instead of a pointer adjustment into one
+      // pre-allocated stack. Calibrated against 0.50 ms/layer.
+      m.hdr_alloc_extra = Usec(130);
+      m.hdr_free_extra = Usec(65);
+      break;
     case HostEnv::kNativeSprite:
       // The Sprite kernel implements the same RPC algorithm, but in a "less
       // structured environment" (paper, Section 4.1): buffer handling

@@ -1,4 +1,4 @@
-// Calibrated cost model for a Sun 3/75 running protocols in three
+// Calibrated cost model for a Sun 3/75 running protocols in four
 // environments.
 //
 // Every protocol in this repository is functionally real (it builds real
@@ -9,8 +9,12 @@
 // a constant anywhere; it is what SELECT's four layer traversals of header
 // stores/loads and map lookups add up to.
 //
-// Three environments reproduce the paper's cross-system comparisons:
+// Four environments reproduce the paper's cross-system comparisons:
 //  - kXKernel:      the x-kernel on SunOS 4.0 cc (all Section 4 numbers).
+//  - kXKernelAllocPerHeader: the same x-kernel under its earlier header
+//                   scheme (Section 5's 0.50 ms/layer ablation) -- a fresh
+//                   buffer allocated per header pushed and freed per header
+//                   popped, charged as hdr_alloc_extra / hdr_free_extra.
 //  - kNativeSprite: the Sprite kernel's native RPC (Table I, N_RPC row) --
 //                   same protocol, heavier per-layer costs (buffer_alloc and
 //                   layer_cross_extra per crossing, heavier process switches,
@@ -31,6 +35,7 @@ namespace xk {
 // Which machine/OS environment a kernel instance models.
 enum class HostEnv : uint8_t {
   kXKernel,
+  kXKernelAllocPerHeader,
   kNativeSprite,
   kSunOs,
 };
@@ -46,10 +51,10 @@ struct CostModel {
   SimTime hdr_store_per_byte = UsecF(0.35);
   SimTime hdr_load_fixed = Usec(6);
   SimTime hdr_load_per_byte = UsecF(0.30);
-  // Additional cost when HeaderAllocPolicy::kPerLayerAlloc is in force
-  // (allocate a buffer per header / free it per pop).
-  SimTime hdr_alloc_extra = Usec(130);
-  SimTime hdr_free_extra = Usec(65);
+  // Allocating a buffer per header pushed / freeing it per header popped
+  // (kXKernelAllocPerHeader only).
+  SimTime hdr_alloc_extra = Usec(0);
+  SimTime hdr_free_extra = Usec(0);
   // mbuf-style buffer allocation charged per layer in non-x-kernel envs.
   SimTime buffer_alloc = Usec(0);
 
@@ -85,6 +90,8 @@ struct CostModel {
 
   // Preset for each environment.
   static CostModel For(HostEnv env);
+
+  bool operator==(const CostModel&) const = default;
 };
 
 // Shared-bus Ethernet parameters (isolated 10 Mbps segment, as in Section 4).

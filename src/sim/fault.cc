@@ -1,5 +1,8 @@
 #include "src/sim/fault.h"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -31,10 +34,11 @@ std::string RateStr(double r) {
   return buf;
 }
 
+// A time is finite, non-negative and fits a SimTime once scaled to ns.
 bool ParseTime(const std::string& v, SimTime* out) {
   char* end = nullptr;
   const double num = std::strtod(v.c_str(), &end);
-  if (end == v.c_str()) {
+  if (end == v.c_str() || !std::isfinite(num) || num < 0) {
     return false;
   }
   const std::string suffix(end);
@@ -50,14 +54,19 @@ bool ParseTime(const std::string& v, SimTime* out) {
   } else {
     return false;
   }
-  *out = static_cast<SimTime>(num * mult);
+  const double ns = num * mult;
+  if (ns >= 0x1p63) {  // 2^63: the first double past SimTime's range
+    return false;
+  }
+  *out = static_cast<SimTime>(ns);
   return true;
 }
 
-bool ParseDouble(const std::string& v, double* out) {
+// Every double-valued key is a per-frame probability.
+bool ParseProbability(const std::string& v, double* out) {
   char* end = nullptr;
   *out = std::strtod(v.c_str(), &end);
-  return end != v.c_str() && *end == '\0';
+  return end != v.c_str() && *end == '\0' && *out >= 0 && *out <= 1;
 }
 
 // Splits `s` on `sep`, keeping empty tokens out.
@@ -83,9 +92,12 @@ bool ParseClause(const std::string& token, FaultPlan* plan, std::string* error) 
   const std::string rest = colon == std::string::npos ? "" : token.substr(colon + 1);
 
   if (kind == "seed") {
-    char* end = nullptr;
-    plan->seed = std::strtoull(rest.c_str(), &end, 10);
-    if (end == rest.c_str() || *end != '\0') {
+    // Digits only: strtoull alone would take "-1" as 2^64-1.
+    const bool digits =
+        !rest.empty() && rest.find_first_not_of("0123456789") == std::string::npos;
+    errno = 0;
+    plan->seed = std::strtoull(rest.c_str(), nullptr, 10);
+    if (!digits || errno == ERANGE) {
       if (error != nullptr) {
         *error = "bad value '" + rest + "' for seed";
       }
@@ -130,24 +142,25 @@ bool ParseClause(const std::string& token, FaultPlan* plan, std::string* error) 
     if (key == "seg") {
       char* end = nullptr;
       const long seg = std::strtol(val.c_str(), &end, 10);
-      ok = end != val.c_str() && *end == '\0' && seg >= -1;  // -1 = all segments
+      ok = end != val.c_str() && *end == '\0' && seg >= -1 &&  // -1 = all segments
+           seg <= INT_MAX;
       c.segment = static_cast<int>(seg);
     } else if (key == "from") {
       ok = ParseTime(val, &c.from);
     } else if (key == "until") {
       ok = ParseTime(val, &c.until);
     } else if (key == "rate") {
-      ok = ParseDouble(val, &c.rate);
+      ok = ParseProbability(val, &c.rate);
     } else if (key == "delay") {
       ok = ParseTime(val, &c.delay);
     } else if (key == "p_enter") {
-      ok = ParseDouble(val, &c.p_enter);
+      ok = ParseProbability(val, &c.p_enter);
     } else if (key == "p_exit") {
-      ok = ParseDouble(val, &c.p_exit);
+      ok = ParseProbability(val, &c.p_exit);
     } else if (key == "loss_good") {
-      ok = ParseDouble(val, &c.loss_good);
+      ok = ParseProbability(val, &c.loss_good);
     } else if (key == "loss_bad") {
-      ok = ParseDouble(val, &c.loss_bad);
+      ok = ParseProbability(val, &c.loss_bad);
     } else if (key == "host") {
       c.host = val;
     } else if (key == "at") {

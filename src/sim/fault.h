@@ -83,6 +83,8 @@ struct FaultPlan {
   // Textual form, used by bench_suite's --faults= flag. Clauses are separated
   // by ';'; each is kind:key=value,... with times as <n>ns|us|ms|s. Example:
   //   crash:host=server,at=500ms,restart=900ms;drop:seg=0,from=100ms,until=300ms,rate=0.05;seed:42
+  // Rates and p_/loss_ keys are probabilities in [0, 1]; times are finite,
+  // non-negative and fit a SimTime; seg fits an int; seed is decimal digits.
   // Parse fills `out` and returns true, or returns false with a message in
   // `error`. ToString() emits the same form (Parse(ToString()) round-trips).
   static bool Parse(const std::string& spec, FaultPlan* out, std::string* error);

@@ -13,10 +13,6 @@
 // thread-local freelist with their internal buffers (vector capacity) intact,
 // and control blocks recycle through a fixed-size pooling allocator.
 //
-// Thread safety: each thread only ever touches its own freelists, so no
-// synchronization is needed. An object released on a different thread than
-// it was acquired on simply migrates to the releasing thread's pool.
-//
 // Reuse contract: a recycled object is handed back exactly as it was
 // released, except that a type with a Park() member has it called as the
 // object parks (EthFrame drops its Message there, so a parked frame pins no

@@ -164,7 +164,7 @@ class TraceSink {
   // An Internet constructed on this thread attaches the thread-default sink
   // to all its kernels and segments. Lets the bench harness trace helpers
   // that build their own topologies, without plumbing a sink through every
-  // signature. Mirrors Message::default_alloc_policy().
+  // signature.
   static TraceSink* thread_default();
   static void set_thread_default(TraceSink* sink);
 

@@ -183,11 +183,8 @@ TEST(ShapeSec1, UdpCrossKernelRatio) {
 // --- Section 5 ablation (header buffers) -----------------------------------------
 
 TEST(ShapeAblation, PerLayerAllocMuchWorse) {
-  Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
-  ConfigResult adjust = RpcBench::Measure(kLVip);
-  Message::set_default_alloc_policy(HeaderAllocPolicy::kPerLayerAlloc);
-  ConfigResult alloc = RpcBench::Measure(kLVip);
-  Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
+  ConfigResult adjust = RpcBench::Measure(kLVip, HostEnv::kXKernel);
+  ConfigResult alloc = RpcBench::Measure(kLVip, HostEnv::kXKernelAllocPerHeader);
   // The paper: 0.11 -> 0.50 per layer, i.e. roughly +0.39/layer. Over the
   // whole stack (and the anchors' headers) the penalty is >1 ms of latency.
   EXPECT_GT(alloc.latency_ms - adjust.latency_ms, 1.0);

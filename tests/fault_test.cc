@@ -80,14 +80,31 @@ TEST(FaultPlanTest, BuildersRoundTripThroughToString) {
 }
 
 TEST(FaultPlanTest, ParseRejectsMalformedSpecs) {
-  FaultPlan plan;
-  std::string error;
-  EXPECT_FALSE(FaultPlan::Parse("bogus:seg=0", &plan, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(FaultPlan::Parse("drop:seg=0,from=10xs", &plan, &error));
-  EXPECT_FALSE(FaultPlan::Parse("drop:seg=0,rate=abc", &plan, &error));
-  EXPECT_FALSE(FaultPlan::Parse("crash:at=10ms", &plan, &error));  // missing host
-  EXPECT_FALSE(FaultPlan::Parse("drop:wibble=3", &plan, &error));
+  for (const char* spec : {
+           "bogus:seg=0",
+           "drop:seg=0,from=10xs",
+           "drop:seg=0,rate=abc",
+           "crash:at=10ms",  // missing host
+           "drop:wibble=3",
+           "drop:seg=4294967296,rate=0.1",  // would wrap to segment 0
+           "drop:seg=0,from=1e30s",         // past SimTime's range
+           "drop:seg=0,until=nan",
+           "drop:seg=0,from=-5ms",
+           "crash:host=server,at=-5ms",
+           "delay:seg=0,rate=1,delay=inf",
+           "drop:seg=0,rate=1.5",
+           "drop:seg=0,rate=nan",
+           "ge:seg=0,p_enter=7",
+           "ge:seg=0,p_exit=-1",
+           "seed:-1",  // strtoull reads it as 2^64-1
+           "seed:+5",
+           "seed:18446744073709551616",  // 2^64
+       }) {
+    FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(FaultPlan::Parse(spec, &plan, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
 }
 
 TEST(FaultPlanTest, ParseErrorsNameTheOffendingToken) {

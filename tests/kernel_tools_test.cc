@@ -97,32 +97,46 @@ TEST_F(KernelFixture, CrashCancelsPendingTasksAndTimersAndClearsGraph) {
   EXPECT_EQ(protocols, 0);  // the protocol graph is gone
 }
 
+// The Section 5 ablation is a cost environment: the same header push and pop
+// cost the extra per-header allocate and free only under
+// kXKernelAllocPerHeader.
 TEST_F(KernelFixture, HeaderChargesFollowAllocPolicy) {
-  const CostModel& c = kernel.costs();
-  SimTime adjust_cost = 0;
-  SimTime alloc_cost = 0;
-  kernel.RunTask(0, [&] {
-    const SimTime t0 = kernel.cpu().total_busy();
-    Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
-    kernel.ChargeHdrStore(20);
-    adjust_cost = kernel.cpu().total_busy() - t0;
-    Message::set_default_alloc_policy(HeaderAllocPolicy::kPerLayerAlloc);
-    const SimTime t1 = kernel.cpu().total_busy();
-    kernel.ChargeHdrStore(20);
-    alloc_cost = kernel.cpu().total_busy() - t1;
-    Message::set_default_alloc_policy(HeaderAllocPolicy::kPointerAdjust);
-  });
-  EXPECT_EQ(alloc_cost - adjust_cost, c.hdr_alloc_extra);
+  Kernel alloc("alloc", events, HostEnv::kXKernelAllocPerHeader, IpAddr(10, 0, 0, 2),
+               EthAddr::FromIndex(2));
+  for (Kernel* k : {&kernel, &alloc}) {
+    k->RunTask(0, [k] { k->ChargeHdrStore(20); });
+  }
+  EXPECT_EQ(alloc.cpu().total_busy() - kernel.cpu().total_busy(), Usec(130));
+  for (Kernel* k : {&kernel, &alloc}) {
+    k->RunTask(0, [k] { k->ChargeHdrLoad(20); });
+  }
+  EXPECT_EQ(alloc.cpu().total_busy() - kernel.cpu().total_busy(), Usec(130 + 65));
+}
+
+// kXKernelAllocPerHeader is the x-kernel with only the header-buffer scheme
+// changed, so the ablation measures that and nothing else.
+TEST(CostModelTest, AllocPerHeaderDiffersFromXKernelOnlyInHeaderBuffers) {
+  CostModel expected = CostModel::For(HostEnv::kXKernel);
+  EXPECT_EQ(expected.hdr_alloc_extra, 0);
+  EXPECT_EQ(expected.hdr_free_extra, 0);
+  expected.hdr_alloc_extra = Usec(130);
+  expected.hdr_free_extra = Usec(65);
+  EXPECT_EQ(CostModel::For(HostEnv::kXKernelAllocPerHeader), expected);
 }
 
 TEST_F(KernelFixture, EnvironmentsHaveDistinctCostModels) {
   Kernel sprite("sprite", events, HostEnv::kNativeSprite, IpAddr(10, 0, 0, 3),
                 EthAddr::FromIndex(3));
   Kernel sunos("sunos", events, HostEnv::kSunOs, IpAddr(10, 0, 0, 4), EthAddr::FromIndex(4));
+  Kernel alloc("alloc", events, HostEnv::kXKernelAllocPerHeader, IpAddr(10, 0, 0, 5),
+               EthAddr::FromIndex(5));
   EXPECT_EQ(kernel.costs().layer_cross_extra, 0);
   EXPECT_GT(sprite.costs().layer_cross_extra, 0);
   EXPECT_GT(sunos.costs().layer_cross_extra, sprite.costs().layer_cross_extra);
   EXPECT_GT(sunos.costs().process_switch, kernel.costs().process_switch);
+  EXPECT_GT(alloc.costs().hdr_alloc_extra, 0);
+  EXPECT_EQ(sprite.costs().hdr_alloc_extra, 0);
+  EXPECT_EQ(sunos.costs().hdr_alloc_extra, 0);
 }
 
 // --- XSemaphore -----------------------------------------------------------------

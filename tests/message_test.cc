@@ -21,17 +21,6 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t seed = 0) {
   return v;
 }
 
-class PolicyGuard {
- public:
-  explicit PolicyGuard(HeaderAllocPolicy p) : saved_(Message::default_alloc_policy()) {
-    Message::set_default_alloc_policy(p);
-  }
-  ~PolicyGuard() { Message::set_default_alloc_policy(saved_); }
-
- private:
-  HeaderAllocPolicy saved_;
-};
-
 TEST(MessageTest, EmptyMessage) {
   Message m;
   EXPECT_EQ(m.length(), 0u);
@@ -257,39 +246,6 @@ TEST(MessageTest, ArenaOverflowSpillsGracefully) {
   EXPECT_EQ(m.Flatten(), Pattern(8));
 }
 
-TEST(MessageTest, PerLayerAllocPolicyFunctionallyIdentical) {
-  PolicyGuard guard(HeaderAllocPolicy::kPerLayerAlloc);
-  Message m = Message::FromBytes(Pattern(10));
-  auto h1 = Pattern(6, 1);
-  auto h2 = Pattern(7, 2);
-  m.PushHeader(h1);
-  m.PushHeader(h2);
-  EXPECT_EQ(m.length(), 23u);
-  std::vector<uint8_t> o2(7), o1(6);
-  ASSERT_TRUE(m.PopHeader(o2));
-  ASSERT_TRUE(m.PopHeader(o1));
-  EXPECT_EQ(o2, h2);
-  EXPECT_EQ(o1, h1);
-}
-
-TEST(MessageTest, MixedPolicySwitchMidMessage) {
-  Message m = Message::FromBytes(Pattern(5));
-  m.PushHeader(Pattern(4, 1));
-  {
-    PolicyGuard guard(HeaderAllocPolicy::kPerLayerAlloc);
-    m.PushHeader(Pattern(4, 2));
-  }
-  m.PushHeader(Pattern(4, 3));
-  std::vector<uint8_t> o(4);
-  ASSERT_TRUE(m.PopHeader(o));
-  EXPECT_EQ(o, Pattern(4, 3));
-  ASSERT_TRUE(m.PopHeader(o));
-  EXPECT_EQ(o, Pattern(4, 2));
-  ASSERT_TRUE(m.PopHeader(o));
-  EXPECT_EQ(o, Pattern(4, 1));
-  EXPECT_EQ(m.Flatten(), Pattern(5));
-}
-
 TEST(MessageTest, ContentEquals) {
   Message a = Message::FromBytes(Pattern(10));
   Message b = Message::FromBytes(Pattern(10));
@@ -308,9 +264,6 @@ class MessagePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MessagePropertyTest, RandomOpsMatchReferenceModel) {
   Rng rng(GetParam());
-  const bool per_layer = rng.Chance(0.3);
-  PolicyGuard guard(per_layer ? HeaderAllocPolicy::kPerLayerAlloc
-                              : HeaderAllocPolicy::kPointerAdjust);
 
   auto initial = Pattern(rng.NextBelow(200), static_cast<uint8_t>(rng.NextU64()));
   Message m = Message::FromBytes(initial);
@@ -405,7 +358,6 @@ TEST_P(MessagePropertyTest, RandomOpsMatchReferenceModel) {
 // bytes, whichever forks are alive, dropped or sole owners at the time.
 TEST_P(MessagePropertyTest, LiveForksMatchTheirModels) {
   Rng rng(GetParam());
-  PolicyGuard guard(HeaderAllocPolicy::kPointerAdjust);
   struct Fork {
     Message m;
     std::vector<uint8_t> model;
