@@ -219,7 +219,7 @@ Job ManyHostTracedJob() {
   JobFn fn = [] {
     constexpr int kTracedPairs = 8;
     constexpr int kTracedIters = 25;
-    // The runner may have installed a suite-wide sink (--trace/--flow); park
+    // The runner may have installed a suite-wide sink (--trace); park
     // it so the bare pass is genuinely untraced and the traced pass is
     // measured against a sink this job owns.
     TraceSink* outer = TraceSink::thread_default();
@@ -1055,7 +1055,7 @@ int Run(const Options& opt) {
     }
     return 0;
   }
-  for (const std::string* dir : {&opt.trace_dir, &opt.pcap_dir, &opt.stats_dir, &opt.flow_dir}) {
+  for (const std::string* dir : {&opt.trace_dir, &opt.pcap_dir, &opt.stats_dir}) {
     std::error_code ec;
     if (!dir->empty() && !std::filesystem::create_directories(*dir, ec) && ec) {
       std::fprintf(stderr, "bench_suite: cannot create directory %s: %s\n", dir->c_str(),
@@ -1069,9 +1069,7 @@ int Run(const Options& opt) {
     std::unique_ptr<TraceSink> sink;
     std::unique_ptr<PacketCapture> capture;
     std::unique_ptr<StatSampler> sampler;
-    // --flow= needs the same records --trace= records, so either flag
-    // brings the sink up; --flow alone just skips writing the raw trace.
-    if (!opt.trace_dir.empty() || !opt.flow_dir.empty()) {
+    if (!opt.trace_dir.empty()) {
       sink = std::make_unique<TraceSink>();
       TraceSink::set_thread_default(sink.get());
     }
@@ -1088,17 +1086,8 @@ int Run(const Options& opt) {
     PacketCapture::set_thread_default(nullptr);
     StatSampler::set_thread_default(nullptr);
     const std::string stem = JobFileStem(jobs[i]);
-    const std::string trace = sink != nullptr ? sink->ToJsonl() : "";
-    if (!opt.trace_dir.empty()) {
-      WriteArtifact(opt.trace_dir + "/" + stem + ".trace.jsonl", trace);
-    }
-    if (!opt.flow_dir.empty()) {
-      // Stitch the per-call causal graphs observer-side and write both flow
-      // artifacts; both are deterministic functions of the (deterministic)
-      // trace, so they join the byte-identity gates in scripts/check.sh.
-      const causal::FlowAnalysis fa = causal::Stitch(tracetool::Parse(trace));
-      WriteArtifact(opt.flow_dir + "/" + stem + ".flow.jsonl", causal::ToFlowJsonl(fa));
-      WriteArtifact(opt.flow_dir + "/" + stem + ".folded.txt", causal::ToFolded(fa));
+    if (sink != nullptr) {
+      WriteArtifact(opt.trace_dir + "/" + stem + ".trace.jsonl", sink->ToJsonl());
     }
     if (capture != nullptr) {
       WriteArtifact(opt.pcap_dir + "/" + stem + ".pcap.jsonl", capture->ToJsonl());
@@ -1128,7 +1117,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argv[0], flag_error.c_str());
     std::fprintf(stderr,
                  "usage: %s [--out=FILE] [--trace=DIR] [--pcap=DIR] [--stats=DIR]\n"
-                 "          [--flow=DIR] [--list] [--filter=REGEX]\n"
+                 "          [--list] [--filter=REGEX]\n"
                  "          [--session-scale=N] (adds a session_scale.nN job at N sessions)\n"
                  "          [--faults=PLAN]   (e.g. crash:host=server,at=300ms,restart=700ms;\n"
                  "                             drop:seg=0,from=0ms,until=200ms,rate=0.05)\n"

@@ -2,8 +2,8 @@
 # Full pre-merge check: the control-op lint, the regular build + test suite,
 # then an ASan+UBSan-instrumented build of the same tests as a memory-safety
 # smoke, bench_suite's determinism and per-job isolation gates, flag-rejection
-# and tool usage-error smokes (malformed values, xkflow's exclusive modes,
-# --json or --calls where they would be ignored), and the benchmark
+# and tool usage-error smokes (malformed values, unknown xktrace subcommands,
+# wrong argument counts, flags a subcommand does not take), and the benchmark
 # regression and scenario gates.
 #
 #   scripts/check.sh            # everything
@@ -67,8 +67,9 @@ root=$PWD
 echo
 echo "== determinism: two observed bench_suite runs are bit-identical =="
 # bench_suite reports simulated quantities only, so the results file, traces,
-# captures, time series, causal flows and stdout (summary line and report)
-# must be byte-identical run to run, no normalization needed. Each run
+# captures, time series and stdout (summary line and report) must be
+# byte-identical run to run, no normalization needed, and so must the causal
+# flows and folded stacks xktrace derives from each run's traces. Each run
 # writes the same relative names in its own directory.
 suite() {
   local dir="$obs/$1"
@@ -77,7 +78,13 @@ suite() {
   (cd "$dir" && "$root/build/bench/bench_suite" --out=r.json "$@" > report.txt)
 }
 for run in a b; do
-  suite "$run" --trace=trace --pcap=pcap --stats=stats --flow=flow
+  suite "$run" --trace=trace --pcap=pcap --stats=stats
+  mkdir -p "$obs/$run/flow"
+  for t in "$obs/$run"/trace/*.trace.jsonl; do
+    stem=$(basename "$t" .trace.jsonl)
+    ./build/src/xktrace flow "$t" > "$obs/$run/flow/$stem.flow.jsonl"
+    ./build/src/xktrace folded "$t" > "$obs/$run/flow/$stem.folded.txt"
+  done
 done
 # Zero observer effect: an unobserved run reports the same metrics and report.
 suite plain
@@ -123,8 +130,8 @@ echo "== observability smoke: Table III from the suite's per-job traces =="
 # layer costs, and CHANNEL is the most expensive layer.
 t3="$trace1/table3_layer_costs"
 [[ -s "$obs/a/pcap/table3_layer_costs.VIP.pcap.jsonl" ]]
-./build/src/xktrace "$t3.VIP.trace.jsonl" | grep -q "per-call"
-./build/src/xktrace --layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" \
+./build/src/xktrace layers "$t3.VIP.trace.jsonl" | grep -q "per-call"
+./build/src/xktrace layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" \
   "$t3.CHANNEL-FRAGMENT-VIP.trace.jsonl" \
   | awk 'NR > 1 { d[NR] = $NF } END { exit !(NR == 4 && d[4] > d[3] && d[3] > 0) }'
 
@@ -158,45 +165,47 @@ usage_error "'^nomatch' matches no job" \
 [ ! -e "$obs/nomatch.json" ] || { echo "FAIL: --filter='^nomatch' wrote $obs/nomatch.json"; exit 1; }
 
 echo
-echo "== tool flags: a malformed value or an ignored flag exits 2 naming it =="
-usage_error "--slowest: bad value 'abc'" \
-  ./build/src/xkflow "$t3.VIP.trace.jsonl" --slowest=abc
-usage_error "--calls: bad value 'abc'" ./build/src/xktrace "$t3.VIP.trace.jsonl" --calls=abc
+echo "== tool flags: a malformed value or a bad command line exits 2 naming it =="
+usage_error "slowest: N: bad value 'abc'" \
+  ./build/src/xktrace slowest "$t3.VIP.trace.jsonl" abc
+usage_error "--calls: bad value 'abc'" ./build/src/xktrace layers "$t3.VIP.trace.jsonl" --calls=abc
 usage_error "--default-threshold: bad value '5x'" \
   ./build/src/xkbench_diff BENCH_RESULTS.json "$r1" --default-threshold=5x
-# A flag the chosen mode would ignore is refused, naming the conflict.
-usage_error "--rejected --critical-path are exclusive modes" \
-  ./build/src/xkflow "$t3.VIP.trace.jsonl" --rejected --critical-path
-usage_error "--json applies only to --critical-path" \
-  ./build/src/xkflow "$t3.VIP.trace.jsonl" --json
-usage_error "--layer-costs does not take --json" \
-  ./build/src/xktrace --layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" --json
-usage_error "--layer-costs does not take --calls" \
-  ./build/src/xktrace --layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" --calls=5
+# One table of subcommands: a name not in it, the wrong number of
+# arguments, or a flag the subcommand does not take is refused, naming it.
+usage_error "unknown subcommand 'waterfall'" ./build/src/xktrace waterfall "$t3.VIP.trace.jsonl"
+usage_error "call takes TRACE ID, got 1 argument(s)" \
+  ./build/src/xktrace call "$t3.VIP.trace.jsonl"
+usage_error "rejected does not take --json" \
+  ./build/src/xktrace rejected "$t3.VIP.trace.jsonl" --json
+usage_error "layer-costs does not take --json" \
+  ./build/src/xktrace layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" --json
+usage_error "layer-costs does not take --calls=5" \
+  ./build/src/xktrace layer-costs "$t3.VIP.trace.jsonl" "$t3.FRAGMENT-VIP.trace.jsonl" --calls=5
 
 echo
-echo "== xkflow smoke: critical-path attribution reconstructs the bench RTT =="
+echo "== xktrace call views: critical-path attribution reconstructs the bench RTT =="
 # Stitch the sat-knee trace into per-call causal graphs and insist the mean
 # of the reconstructed RTTs matches the benchmark's own histogram mean within
 # 1% (the attribution partitions each call's [issue, done] exactly, so the
 # agreement is exact in practice -- 1% is the ISSUE acceptance bound).
-./build/src/xkflow "$trace1/datacenter.sat-knee.trace.jsonl" > "$obs/knee.flow.txt"
+./build/src/xktrace calls "$trace1/datacenter.sat-knee.trace.jsonl" > "$obs/knee.flow.txt"
 grep -q "aggregate attribution" "$obs/knee.flow.txt"
-flow_ms=$(./build/src/xkflow "$trace1/datacenter.sat-knee.trace.jsonl" \
-  --critical-path --json | sed -E 's/.*"mean_rtt_ms":([0-9.eE+-]+).*/\1/')
+flow_ms=$(./build/src/xktrace critical-path "$trace1/datacenter.sat-knee.trace.jsonl" \
+  --json | sed -E 's/.*"mean_rtt_ms":([0-9.eE+-]+).*/\1/')
 bench_ms=$(grep '"name": "sat-knee"' "$r1" \
   | sed -E 's/.*"mean_ms": ([0-9.eE+-]+).*/\1/')
 awk -v f="$flow_ms" -v b="$bench_ms" 'BEGIN {
   d = f > b ? f - b : b - f;
   if (b <= 0 || d > 0.01 * b) {
-    printf "FAIL: xkflow mean rtt %.6f ms vs bench %.6f ms\n", f, b; exit 1;
+    printf "FAIL: xktrace mean rtt %.6f ms vs bench %.6f ms\n", f, b; exit 1;
   }
-  printf "xkflow rtt %.6f ms vs bench %.6f ms (|delta| %.6f)\n", f, b, d;
+  printf "xktrace rtt %.6f ms vs bench %.6f ms (|delta| %.6f)\n", f, b, d;
 }'
 # The replica-crash campaign reads as a causal story: the crash, the VPOOL
 # down/readmit cycle, and cause-attributed retransmissions all surface.
-./build/src/xkflow "$trace1/datacenter.replica-crash-failover.trace.jsonl" \
-  --critical-path > "$obs/crash.flow.txt"
+./build/src/xktrace critical-path "$trace1/datacenter.replica-crash-failover.trace.jsonl" \
+  > "$obs/crash.flow.txt"
 grep -q "crash" "$obs/crash.flow.txt"
 grep -Eq "retransmits: [1-9]" "$obs/crash.flow.txt"
 grep -Eq "replica_down" "$obs/crash.flow.txt"

@@ -13,220 +13,18 @@
 #ifndef XK_SRC_TOOLS_BENCH_DIFF_H_
 #define XK_SRC_TOOLS_BENCH_DIFF_H_
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <regex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/tools/json_reader.h"
+
 namespace xk::benchdiff {
-
-// --- minimal JSON ---------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::vector<std::pair<std::string, JsonValue>> obj;  // insertion order
-
-  const JsonValue* Find(std::string_view key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : s_(text) {}
-
-  // Parses one document; returns false (with error()) on malformed input.
-  bool Parse(JsonValue& out) {
-    if (!ParseValue(out)) {
-      return false;
-    }
-    SkipWs();
-    if (pos_ != s_.size()) {
-      return Fail("trailing characters");
-    }
-    return true;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  bool Fail(const std::string& why) {
-    if (error_.empty()) {
-      error_ = why + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) {
-      return Fail("bad literal");
-    }
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool ParseString(std::string& out) {
-    if (pos_ >= s_.size() || s_[pos_] != '"') {
-      return Fail("expected string");
-    }
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) {
-          return Fail("bad escape");
-        }
-        char e = s_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          default: return Fail("unsupported escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= s_.size()) {
-      return Fail("unterminated string");
-    }
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ParseValue(JsonValue& out) {
-    SkipWs();
-    if (pos_ >= s_.size()) {
-      return Fail("unexpected end");
-    }
-    const char c = s_[pos_];
-    if (c == '{') {
-      out.kind = JsonValue::Kind::kObject;
-      ++pos_;
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      for (;;) {
-        SkipWs();
-        std::string key;
-        if (!ParseString(key)) {
-          return false;
-        }
-        SkipWs();
-        if (pos_ >= s_.size() || s_[pos_] != ':') {
-          return Fail("expected ':'");
-        }
-        ++pos_;
-        JsonValue v;
-        if (!ParseValue(v)) {
-          return false;
-        }
-        out.obj.emplace_back(std::move(key), std::move(v));
-        SkipWs();
-        if (pos_ < s_.size() && s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return Fail("expected ',' or '}'");
-      }
-    }
-    if (c == '[') {
-      out.kind = JsonValue::Kind::kArray;
-      ++pos_;
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      for (;;) {
-        JsonValue v;
-        if (!ParseValue(v)) {
-          return false;
-        }
-        out.arr.push_back(std::move(v));
-        SkipWs();
-        if (pos_ < s_.size() && s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (pos_ < s_.size() && s_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return Fail("expected ',' or ']'");
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return ParseString(out.str);
-    }
-    if (c == 't') {
-      out.kind = JsonValue::Kind::kBool;
-      out.b = true;
-      return Literal("true");
-    }
-    if (c == 'f') {
-      out.kind = JsonValue::Kind::kBool;
-      out.b = false;
-      return Literal("false");
-    }
-    if (c == 'n') {
-      out.kind = JsonValue::Kind::kNull;
-      return Literal("null");
-    }
-    // number
-    const size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Fail("expected value");
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    try {
-      out.num = std::stod(std::string(s_.substr(start, pos_ - start)));
-    } catch (...) {
-      return Fail("bad number");
-    }
-    return true;
-  }
-
-  std::string_view s_;
-  size_t pos_ = 0;
-  std::string error_;
-};
 
 // --- flattening -----------------------------------------------------------------
 
@@ -237,7 +35,7 @@ inline bool SkippedKey(std::string_view key) {
          key == "events_fired_total" || key == "sum_done_at_ns";
 }
 
-// Flattens every numeric leaf into path -> value. Entries of the "results"
+// Flattens every numeric leaf into path -> number. Entries of the "results"
 // array are keyed "<group>.<name>" rather than by index, so job reordering
 // never reads as a regression; "segments" entries are keyed "seg<id>".
 inline void FlattenInto(const JsonValue& v, const std::string& path,

@@ -1,5 +1,5 @@
 // Full-token flag value parsers shared by bench_suite and the trace and bench
-// tools (xktrace, xkflow, xkbench_diff). Each rejects the whole token or
+// tools (xktrace, xkbench_diff). Each rejects the whole token or
 // accepts it -- no silent prefix reads (std::atoi turns "4x" into 4 and "abc"
 // into 0) -- and on failure writes a message naming the flag and the token.
 

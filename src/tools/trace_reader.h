@@ -1,21 +1,22 @@
 // Reader + analyzer for the trace JSONL emitted by TraceSink (src/trace).
 //
 // Header-only and std-only so both the xktrace CLI and the tests can consume
-// traces without linking anything beyond the standard library. The parser
-// handles exactly the shape TraceSink writes: one flat JSON object per line
-// whose values are either quoted strings or decimal integers.
+// traces without linking anything beyond the standard library. Each line is
+// one JSON object, read with the shared reader in json_reader.h.
 
 #ifndef XK_SRC_TOOLS_TRACE_READER_H_
 #define XK_SRC_TOOLS_TRACE_READER_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include "src/tools/json_reader.h"
 
 namespace xk::tracetool {
 
@@ -76,231 +77,121 @@ struct TraceFile {
   std::vector<LogRec> logs;
   std::vector<EventRec> events;
   uint64_t dropped = 0;  // records the sink discarded at capacity
+  std::string error;     // non-empty: the file or a line could not be read
 };
 
 namespace detail {
 
-inline bool ParseQuoted(const std::string& s, size_t& i, std::string& out) {
-  if (i >= s.size() || s[i] != '"') {
-    return false;
-  }
-  ++i;
-  out.clear();
-  while (i < s.size()) {
-    const char c = s[i++];
-    if (c == '"') {
-      return true;
-    }
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (i >= s.size()) {
-      return false;
-    }
-    const char e = s[i++];
-    switch (e) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 4 > s.size()) {
-          return false;
-        }
-        unsigned v = 0;
-        for (int k = 0; k < 4; ++k) {
-          const char h = s[i++];
-          v <<= 4;
-          if (h >= '0' && h <= '9') {
-            v |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            v |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            v |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return false;
-          }
-        }
-        out += static_cast<char>(v);  // the writer only emits \u00xx
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return false;
-}
+// Reads one record's fields. A missing field reads as empty or zero; one of
+// the wrong type or range reads the same but names itself in `bad`.
+struct Fields {
+  const JsonValue& obj;
+  const char* bad = nullptr;
 
-// A flat object's fields, split by value type.
-struct FlatObj {
-  std::vector<std::pair<std::string, std::string>> strs;
-  std::vector<std::pair<std::string, int64_t>> ints;
-
-  const std::string* str(const char* key) const {
-    for (const auto& [k, v] : strs) {
-      if (k == key) {
-        return &v;
-      }
+  template <typename T>
+  T Get(const char* key) {
+    T out{};
+    const JsonValue* v = obj.Find(key);
+    if (v != nullptr && !v->Get(&out) && bad == nullptr) {
+      bad = key;
     }
-    return nullptr;
-  }
-  int64_t num(const char* key) const {
-    for (const auto& [k, v] : ints) {
-      if (k == key) {
-        return v;
-      }
-    }
-    return 0;
+    return out;
   }
 };
 
-inline bool ParseFlatObject(const std::string& line, FlatObj& obj) {
-  size_t i = 0;
-  while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) {
-    ++i;
-  }
-  if (i >= line.size() || line[i] != '{') {
-    return false;
-  }
-  ++i;
-  std::string key;
-  std::string sval;
-  while (i < line.size()) {
-    if (line[i] == '}') {
-      return true;
-    }
-    if (line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (!ParseQuoted(line, i, key)) {
-      return false;
-    }
-    if (i >= line.size() || line[i] != ':') {
-      return false;
-    }
-    ++i;
-    if (i < line.size() && line[i] == '"') {
-      if (!ParseQuoted(line, i, sval)) {
-        return false;
-      }
-      obj.strs.emplace_back(key, sval);
-    } else {
-      bool neg = false;
-      if (i < line.size() && line[i] == '-') {
-        neg = true;
-        ++i;
-      }
-      if (i >= line.size() || line[i] < '0' || line[i] > '9') {
-        return false;
-      }
-      int64_t v = 0;
-      while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-        v = v * 10 + (line[i] - '0');
-        ++i;
-      }
-      obj.ints.emplace_back(key, neg ? -v : v);
-    }
-  }
-  return false;
-}
-
-inline std::string StrOr(const FlatObj& o, const char* key) {
-  const std::string* s = o.str(key);
-  return s != nullptr ? *s : std::string();
-}
-
 }  // namespace detail
 
-// Parses a whole JSONL trace. Unknown record kinds and malformed lines are
-// skipped so newer writers stay readable.
-inline TraceFile Parse(const std::string& text) {
+// Parses a whole JSONL trace. Blank lines and unknown record kinds are
+// skipped so newer writers stay readable. A line that is not a JSON object,
+// or a field of the wrong type or range, ends the parse with `error` naming
+// the line.
+inline TraceFile Parse(std::string_view text) {
   TraceFile tf;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      nl = text.size();
-    }
-    const std::string line = text.substr(pos, nl - pos);
+  JsonValue obj;  // reused, so each line's fields land in kept capacity
+  for (size_t pos = 0, line_no = 1; pos < text.size(); ++line_no) {
+    const size_t nl = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, nl - pos);
     pos = nl + 1;
     if (line.empty()) {
       continue;
     }
-    detail::FlatObj o;
-    if (!detail::ParseFlatObject(line, o)) {
-      continue;
+    obj.obj.clear();
+    JsonParser parser(line);
+    if (!parser.Parse(obj) || obj.kind != JsonValue::Kind::kObject) {
+      tf.error = "line " + std::to_string(line_no) + ": " +
+                 (parser.error().empty() ? "not a JSON object" : parser.error());
+      return tf;
     }
-    const std::string kind = detail::StrOr(o, "k");
+    detail::Fields o{obj};
+    const std::string kind = o.Get<std::string>("k");
     if (kind == "span") {
       SpanRec r;
-      r.host = detail::StrOr(o, "host");
-      r.proto = detail::StrOr(o, "proto");
-      r.op = detail::StrOr(o, "op");
-      r.status = detail::StrOr(o, "status");
-      r.sess = static_cast<uint64_t>(o.num("sess"));
-      r.msg = static_cast<uint64_t>(o.num("msg"));
-      r.len = static_cast<uint64_t>(o.num("len"));
-      r.t0 = o.num("t0");
-      r.t1 = o.num("t1");
-      r.incl = o.num("incl");
-      r.excl = o.num("excl");
-      r.depth = static_cast<uint64_t>(o.num("depth"));
+      r.host = o.Get<std::string>("host");
+      r.proto = o.Get<std::string>("proto");
+      r.op = o.Get<std::string>("op");
+      r.status = o.Get<std::string>("status");
+      r.sess = o.Get<uint64_t>("sess");
+      r.msg = o.Get<uint64_t>("msg");
+      r.len = o.Get<uint64_t>("len");
+      r.t0 = o.Get<int64_t>("t0");
+      r.t1 = o.Get<int64_t>("t1");
+      r.incl = o.Get<int64_t>("incl");
+      r.excl = o.Get<int64_t>("excl");
+      r.depth = o.Get<uint64_t>("depth");
       tf.spans.push_back(std::move(r));
     } else if (kind == "wire") {
       WireRec r;
-      r.seg = o.num("seg");
-      r.t0 = o.num("t0");
-      r.t1 = o.num("t1");
-      r.arrive = o.num("arrive");
-      r.len = static_cast<uint64_t>(o.num("len"));
-      r.qdepth = static_cast<uint64_t>(o.num("qd"));
-      r.qwait = o.num("qw");
-      r.msg = static_cast<uint64_t>(o.num("msg"));
+      r.seg = o.Get<int64_t>("seg");
+      r.t0 = o.Get<int64_t>("t0");
+      r.t1 = o.Get<int64_t>("t1");
+      r.arrive = o.Get<int64_t>("arrive");
+      r.len = o.Get<uint64_t>("len");
+      r.qdepth = o.Get<uint64_t>("qd");
+      r.qwait = o.Get<int64_t>("qw");
+      r.msg = o.Get<uint64_t>("msg");
       tf.wires.push_back(r);
     } else if (kind == "ev") {
       EventRec r;
-      r.host = detail::StrOr(o, "host");
-      r.proto = detail::StrOr(o, "proto");
-      r.op = detail::StrOr(o, "op");
-      r.status = detail::StrOr(o, "status");
-      r.t = o.num("t");
-      r.call = static_cast<uint64_t>(o.num("call"));
-      r.msg = static_cast<uint64_t>(o.num("msg"));
-      r.sess = static_cast<uint64_t>(o.num("sess"));
-      r.detail = static_cast<uint64_t>(o.num("detail"));
+      r.host = o.Get<std::string>("host");
+      r.proto = o.Get<std::string>("proto");
+      r.op = o.Get<std::string>("op");
+      r.status = o.Get<std::string>("status");
+      r.t = o.Get<int64_t>("t");
+      r.call = o.Get<uint64_t>("call");
+      r.msg = o.Get<uint64_t>("msg");
+      r.sess = o.Get<uint64_t>("sess");
+      r.detail = o.Get<uint64_t>("detail");
       tf.events.push_back(std::move(r));
     } else if (kind == "log") {
       LogRec r;
-      r.host = detail::StrOr(o, "host");
-      r.text = detail::StrOr(o, "text");
-      r.t = o.num("t");
-      r.level = o.num("level");
+      r.host = o.Get<std::string>("host");
+      r.text = o.Get<std::string>("text");
+      r.t = o.Get<int64_t>("t");
+      r.level = o.Get<int64_t>("level");
       tf.logs.push_back(std::move(r));
     } else if (kind == "meta") {
-      tf.dropped += static_cast<uint64_t>(o.num("dropped"));
+      tf.dropped += o.Get<uint64_t>("dropped");
+    }
+    if (o.bad != nullptr) {
+      tf.error = "line " + std::to_string(line_no) + ": field '" + o.bad +
+                 "' has the wrong type or range";
+      return tf;
     }
   }
   return tf;
 }
 
-// Reads and parses a trace file; empty TraceFile on I/O error.
+// Reads and parses a trace file. `error` says why it could not: "cannot
+// read PATH", or PATH and the malformed line.
 inline TraceFile Load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return {};
-  }
   std::string text;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    text.append(buf, n);
+  TraceFile tf;
+  if (!ReadFile(path, &text)) {
+    tf.error = "cannot read " + path;
+  } else if (tf = Parse(text); !tf.error.empty()) {
+    tf.error = path + ": " + tf.error;
   }
-  std::fclose(f);
-  return Parse(text);
+  return tf;
 }
 
 // Aggregated exclusive cost of one (host, protocol, op) layer crossing.

@@ -14,24 +14,13 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "src/tools/bench_diff.h"
 #include "src/tools/flag_parse.h"
+#include "src/tools/json_reader.h"
 
 namespace {
-
-bool ReadFile(const char* path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
 
 const char* DirName(xk::benchdiff::Direction d) {
   switch (d) {
@@ -100,11 +89,11 @@ int main(int argc, char** argv) {
   }
 
   std::string base_json, cur_json;
-  if (!ReadFile(base_path, base_json)) {
+  if (!xk::ReadFile(base_path, &base_json)) {
     std::fprintf(stderr, "xkbench-diff: cannot read %s\n", base_path);
     return 2;
   }
-  if (!ReadFile(cur_path, cur_json)) {
+  if (!xk::ReadFile(cur_path, &cur_json)) {
     std::fprintf(stderr, "xkbench-diff: cannot read %s\n", cur_path);
     return 2;
   }

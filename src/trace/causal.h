@@ -27,8 +27,8 @@
 // (cpu > nic queue > wire > propagation), and uncovered gaps become either
 // retry backoff (the slice ends at a retransmission) or scheduling/host wait.
 // The per-category sums therefore reconstruct the RTT *exactly* -- the same
-// number the benchmark histogram recorded -- which is what the xkflow check
-// in scripts/check.sh verifies against the bench JSON.
+// number the benchmark histogram recorded -- which is what the `xktrace
+// critical-path` check in scripts/check.sh verifies against the bench JSON.
 
 #ifndef XK_SRC_TRACE_CAUSAL_H_
 #define XK_SRC_TRACE_CAUSAL_H_

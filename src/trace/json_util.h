@@ -1,5 +1,6 @@
 // Small JSON-emission helpers shared by the trace/pcap/counters writers.
-// Emission only -- the reader side lives in src/tools/trace_reader.h.
+// Emission only -- the reader side is src/tools/json_reader.h, which
+// src/tools/trace_reader.h reads each trace line with.
 
 #ifndef XK_SRC_TRACE_JSON_UTIL_H_
 #define XK_SRC_TRACE_JSON_UTIL_H_

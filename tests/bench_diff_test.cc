@@ -228,9 +228,12 @@ TEST(BenchDiff, JobReorderDoesNotCompareAcrossJobs) {
 }
 
 TEST(BenchDiff, ParseErrorReported) {
-  const Report r = Compare("{not json", SuiteJson(2.0, 400, 9000));
-  EXPECT_FALSE(r.error.empty());
-  EXPECT_EQ(r.compared, 0u);
+  // A number token must parse in full: no prefix reads of "1-2" as 1.
+  for (const char* bad : {"{not json", "{\"x\": 1-2}", "{\"x\": 1e}", "{\"x\": --1}"}) {
+    const Report r = Compare(bad, SuiteJson(2.0, 400, 9000));
+    EXPECT_FALSE(r.error.empty()) << bad;
+    EXPECT_EQ(r.compared, 0u) << bad;
+  }
   const Report r2 = Compare("{\"a\": \"strings only\"}", "{\"a\": \"strings only\"}");
   EXPECT_FALSE(r2.error.empty()) << "no numeric metrics must be an error";
 }

@@ -65,6 +65,7 @@ TEST(BenchFlagsTest, BareEngineSpeedupIsRejectedAsUnknown) { ExpectUnknown("--en
 TEST(BenchFlagsTest, EngineSpeedupIsRejectedAsUnknown) { ExpectUnknown("--engine-speedup=1"); }
 TEST(BenchFlagsTest, StableIsRejectedAsUnknown) { ExpectUnknown("--stable"); }
 TEST(BenchFlagsTest, ThreadsIsRejectedAsUnknown) { ExpectUnknown("--threads=4"); }
+TEST(BenchFlagsTest, FlowIsRejectedAsUnknown) { ExpectUnknown("--flow=x"); }
 
 // The malformed values --threads was tested with: --threads itself is now an
 // unknown flag, and the same value on --session-scale, the remaining integer
@@ -115,7 +116,7 @@ TEST(BenchFlagsTest, IntMaxIsAccepted) {
   EXPECT_EQ(opt.session_scale, 2147483647);
 }
 
-// xkflow --call=ID: call ids exceed INT_MAX.
+// xktrace call TRACE ID: call ids exceed INT_MAX.
 TEST(BenchFlagsTest, Uint64FlagTakesTheWholeToken) {
   for (const auto& [value, want] :
        {std::pair<const char*, uint64_t>{"0", 0}, {"8589934593", 8589934593u},
