@@ -261,28 +261,6 @@ Job ManyHostTracedJob() {
   return Job{"manyhost", "traced", std::move(fn)};
 }
 
-// Engine hot-path microbench: pure event churn plus frame-burst delivery,
-// no RPC stack in the way (see MeasureHotLoop). The simulated counts gate
-// against the baseline; the host-side engine rate is hostbench's
-// sim.ns_per_event.
-Job HotLoopJob() {
-  JobFn fn = [] {
-    HotLoopBench b = MeasureHotLoop();
-    JobResult out;
-    out.metrics = {{"timer_pop_count", static_cast<double>(b.timer_pops)},
-                   {"burst_frames", static_cast<double>(b.frames_delivered)},
-                   {"echo_count", static_cast<double>(b.echoes)},
-                   {"elapsed_sim_ms", b.elapsed_sim_ms},
-                   {"churn_throughput_keps",
-                    b.elapsed_sim_ms > 0
-                        ? static_cast<double>(b.events_fired) / b.elapsed_sim_ms
-                        : 0}};
-    out.events_fired = b.events_fired;
-    return out;
-  };
-  return Job{"hotloop", "churn-burst-8hosts", std::move(fn)};
-}
-
 Job ColdWarmJob(std::string name, RpcBench::Builder builder) {
   JobFn fn = [builder = std::move(builder)] {
     ColdWarmResult cw = MeasureColdWarm(builder);
@@ -525,8 +503,6 @@ std::vector<Job> BuildJobs() {
   jobs.push_back(ManyHostJob("L_RPC-VIP-32pairs", 0.0));
   jobs.push_back(ManyHostJob("L_RPC-VIP-32pairs-faults", 0.005));
   jobs.push_back(ManyHostTracedJob());
-  // The engine hot-path microbench (event churn + frame bursts).
-  jobs.push_back(HotLoopJob());
   // Chaos campaigns: availability under declared fault plans, verified by the
   // at-most-once oracle. The server crash lands mid-workload; the 400ms
   // outage exceeds CHANNEL's 5x50ms retry budget, so the call spanning it

@@ -269,31 +269,12 @@ struct ColdWarmResult {
 // (which establishes session state at every level; ARP is pre-warmed) versus
 // the steady-state call that reuses all of it.
 inline ColdWarmResult MeasureColdWarm(const RpcBench::Builder& builder) {
-  auto net = std::make_unique<Internet>();
-  const int seg = net->AddSegment();
-  net->AddHost("client", seg, IpAddr(10, 0, 1, 1));
-  net->AddHost("server", seg, IpAddr(10, 0, 1, 2));
-  net->WarmArp();  // address resolution warm; session state cold
-  auto& ch = net->host("client");
-  auto& sh = net->host("server");
-  RpcStack cstack = builder(ch);
-  RpcStack sstack = builder(sh);
-  RpcClient* client = nullptr;
-  ch.kernel->RunTask(net->events().now(),
-                     [&] { client = &ch.kernel->Emplace<RpcClient>(*ch.kernel, cstack.top); });
-  sh.kernel->RunTask(net->events().now(), [&] {
-    auto& server = sh.kernel->Emplace<RpcServer>(*sh.kernel, sstack.top);
-    (void)server.Export(RpcServer::kAny, [](uint16_t, Message&) { return Message(); });
-  });
-
-  CallFn call = [&](Message args, std::function<void(Result<Message>)> done) {
-    client->Call(sh.kernel->ip_addr(), 1, std::move(args), std::move(done));
-  };
+  RpcBench::Instance in = RpcBench::MakeInstance(builder);
   // First call: all session state is established on demand.
-  LatencyResult first = RpcWorkload::MeasureLatency(*net, *ch.kernel, call, 1);
+  LatencyResult first = RpcWorkload::MeasureLatency(*in.net, *in.ch->kernel, in.MakeCall(), 1);
   // Steady state: everything cached.
-  LatencyResult steady = RpcWorkload::MeasureLatency(*net, *ch.kernel, call, 64);
-  return ColdWarmResult{ToMsec(first.per_call), ToMsec(steady.per_call), net->events_fired()};
+  LatencyResult steady = RpcWorkload::MeasureLatency(*in.net, *in.ch->kernel, in.MakeCall(), 64);
+  return ColdWarmResult{ToMsec(first.per_call), ToMsec(steady.per_call), in.net->events_fired()};
 }
 
 // Per-segment link statistics for one finished run (see Internet::CountersJson
@@ -424,147 +405,6 @@ inline ManyPairsBench MeasureManyPairsBench(int pairs, size_t bytes, int iters,
     st.frames_dropped = seg.frames_dropped();
     out.segments.push_back(st);
   }
-  return out;
-}
-
-// --- hotloop microbench --------------------------------------------------------
-
-// Engine hot-path microbench: pure event churn (self-rearming timer chains on
-// every host, nothing but heap push/pop/dispatch) plus frame-burst delivery
-// (one host broadcasting back-to-back frames; each broadcast lands on every
-// other station at the same instant, the case batched delivery folds into one
-// heap event, and every receiver echoes, contending on the bus). All counts
-// are simulated and deterministic; the host-side event rate is hostbench's
-// sim.ns_per_event.
-struct HotLoopBench {
-  uint64_t events_fired = 0;
-  uint64_t timer_pops = 0;        // churn chain ticks executed
-  uint64_t frames_delivered = 0;  // receiver-side frames in
-  uint64_t echoes = 0;            // burst frames echoed back
-  double elapsed_sim_ms = 0;
-};
-
-namespace hotloop_internal {
-
-// Timer chains re-arm through a plain function taking a stable pointer, so
-// nothing captures itself and nothing leaks (the ASan suite pass runs this).
-struct Chain {
-  Kernel* kernel = nullptr;
-  int remaining = 0;
-  SimTime delay = 0;
-  uint64_t* pops = nullptr;  // per-host counter
-};
-
-inline void Tick(Chain* c) {
-  ++*c->pops;
-  if (--c->remaining > 0) {
-    c->kernel->SetTimer(c->delay, [c] { Tick(c); });
-  }
-}
-
-struct Burst {
-  Kernel* kernel = nullptr;
-  EchoAnchor* anchor = nullptr;
-  SessionRef sess;
-  int remaining = 0;
-  int size = 0;
-  size_t bytes = 0;
-  SimTime gap = 0;
-};
-
-inline void Fire(Burst* b) {
-  for (int i = 0; i < b->size; ++i) {
-    b->anchor->Send(b->sess, Message(b->bytes), [](Result<Message>) {});
-  }
-  if (--b->remaining > 0) {
-    b->kernel->SetTimer(b->gap, [b] { Fire(b); });
-  }
-}
-
-}  // namespace hotloop_internal
-
-inline HotLoopBench MeasureHotLoop(int hosts = 8, int chains_per_host = 4,
-                                   int pops_per_chain = 6000, int bursts = 256,
-                                   int burst_size = 4) {
-  // A private ETH type below the VIP range: the bursts ride raw ETH sessions
-  // with no upper stack, so the measurement is the engine, not the protocols.
-  constexpr EthType kHotLoopType = 0x3900;
-  auto net = std::make_unique<Internet>();
-  const int seg = net->AddSegment();
-  std::vector<HostStack*> hs;
-  for (int h = 0; h < hosts; ++h) {
-    hs.push_back(&net->AddHost("h" + std::to_string(h), seg,
-                               IpAddr(10, 0, 9, static_cast<uint8_t>(h + 1))));
-  }
-  net->WarmArp();
-
-  // Receivers: echo servers parked directly on ETH. The sender never enables
-  // the type, so the echoes die quietly at its demux -- the point is the
-  // delivery and bus-contention churn, not a request/reply protocol.
-  std::vector<EchoAnchor*> servers;
-  for (int h = 1; h < hosts; ++h) {
-    HostStack* s = hs[h];
-    s->kernel->RunTask(net->events().now(), [&] {
-      auto& srv = s->kernel->Emplace<EchoAnchor>(*s->kernel, /*server_role=*/true);
-      srv.set_app_cost(0);
-      ParticipantSet enable;
-      enable.local.eth_type = kHotLoopType;
-      (void)s->eth->OpenEnable(srv, enable);
-      servers.push_back(&srv);
-    });
-  }
-  hotloop_internal::Burst burst;
-  hs[0]->kernel->RunTask(net->events().now(), [&] {
-    auto& sender = hs[0]->kernel->Emplace<EchoAnchor>(*hs[0]->kernel, /*server_role=*/false);
-    sender.set_app_cost(0);
-    ParticipantSet parts;
-    parts.local.eth_type = kHotLoopType;
-    parts.peer.eth = EthAddr::Broadcast();
-    Result<SessionRef> r = hs[0]->eth->Open(sender, parts);
-    burst.kernel = hs[0]->kernel;
-    burst.anchor = &sender;
-    burst.sess = r.ok() ? *r : nullptr;
-    burst.remaining = bursts;
-    burst.size = burst_size;
-    burst.bytes = 128;
-    burst.gap = Usec(400);
-  });
-
-  std::vector<uint64_t> pops(static_cast<size_t>(hosts), 0);
-  std::vector<hotloop_internal::Chain> chains(
-      static_cast<size_t>(hosts) * static_cast<size_t>(chains_per_host));
-  for (int h = 0; h < hosts; ++h) {
-    for (int c = 0; c < chains_per_host; ++c) {
-      hotloop_internal::Chain& ch = chains[static_cast<size_t>(h * chains_per_host + c)];
-      ch.kernel = hs[h]->kernel;
-      ch.remaining = pops_per_chain;
-      // Co-prime-ish stagger so the heap sees interleaved, not lock-step, work.
-      ch.delay = Usec(5 + (h * chains_per_host + c) % 7);
-      ch.pops = &pops[static_cast<size_t>(h)];
-      hs[h]->kernel->RunTask(net->events().now(), [&ch] {
-        ch.kernel->SetTimer(ch.delay, [&ch] { hotloop_internal::Tick(&ch); });
-      });
-    }
-  }
-  if (burst.sess != nullptr) {
-    hs[0]->kernel->RunTask(net->events().now(),
-                           [&burst] { hotloop_internal::Fire(&burst); });
-  }
-
-  net->RunAll();
-
-  HotLoopBench out;
-  out.events_fired = net->events_fired();
-  for (uint64_t p : pops) {
-    out.timer_pops += p;
-  }
-  for (int h = 1; h < hosts; ++h) {
-    out.frames_delivered += hs[h]->eth->frames_in();
-  }
-  for (const EchoAnchor* srv : servers) {
-    out.echoes += srv->echoes();
-  }
-  out.elapsed_sim_ms = ToMsec(net->events().now());
   return out;
 }
 

@@ -62,7 +62,7 @@ void ExportCounter(World& w) {
 
 void CallOnceWithDuplicatedRequest(World& w) {
   // Duplicate the first frame on the wire: a classic retransmission hazard.
-  w.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  w.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDuplicate : LinkFault::kDeliver;
   });
   w.ch->kernel->ScheduleTask(0, [&] {

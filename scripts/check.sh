@@ -3,8 +3,8 @@
 # then an ASan+UBSan-instrumented build of the same tests as a memory-safety
 # smoke, bench_suite's determinism and per-job isolation gates, flag-rejection
 # and tool usage-error smokes (malformed values, unknown xktrace subcommands,
-# wrong argument counts, flags a subcommand does not take), and the benchmark
-# regression and scenario gates.
+# wrong argument counts, flags a subcommand does not take), the benchmark
+# regression and scenario gates, and the host benchmark's digest gate.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # control-op lint + tier-1 tests only
@@ -330,6 +330,15 @@ echo "$soak_line" | grep -q '"client_live_after": 0' \
 echo "$soak_line" | grep -q '"server_live_after": 0' \
   || { echo "FAIL: session_scale.soak left server sessions live after drain"; exit 1; }
 echo "soak: full reclamation"
+
+echo
+echo "== host benchmark digest gate: hostbench builds and its simulation is unchanged =="
+# Each run checks every episode's simulated digest against
+# hostbench/reference.txt and exits 1 on a mismatch, so a src/ change that
+# breaks hostbench's build or moves its simulation fails here as in CI.
+for w in paper-rpc cluster-openloop session-churn; do
+  python3 hostbench/run.py --workload "$w" --seconds 2 --trace 0
+done
 
 echo
 echo "All checks passed."

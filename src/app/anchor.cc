@@ -246,7 +246,6 @@ Status EchoAnchor::DoDemux(Session* lls, Message& msg) {
     if (lls == nullptr) {
       return ErrStatus(StatusCode::kInvalidArgument);
     }
-    ++echoes_;
     Message reply = echo_limit_ == SIZE_MAX ? msg : msg.Slice(0, echo_limit_);
     return lls->Push(reply);
   }

@@ -158,8 +158,6 @@ class EchoAnchor : public Protocol {
   // Server role: echo only the first `n` bytes (null-reply throughput tests).
   void set_echo_limit(size_t n) { echo_limit_ = n; }
 
-  uint64_t echoes() const { return echoes_; }
-
   // Sends awaiting their echo (client role; time-series gauge).
   void ExportGauges(const CounterEmit& emit) const override;
 
@@ -174,7 +172,6 @@ class EchoAnchor : public Protocol {
   SimTime app_cost_ = Usec(45);
   size_t echo_limit_ = SIZE_MAX;
   std::map<Session*, std::deque<RpcDone>> outstanding_;
-  uint64_t echoes_ = 0;
 };
 
 }  // namespace xk

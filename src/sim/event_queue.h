@@ -202,11 +202,6 @@ class EventQueue {
   // instrumentation; has no effect on simulated time).
   uint64_t fired_total() const { return fired_total_; }
 
-  // Counts `n` additional logical firings. A batched frame delivery fires as
-  // one heap event but reports one firing per member, so event counts match
-  // the unbatched schedule exactly.
-  void AddExtraFired(uint64_t n) { fired_total_ += n; }
-
   // Boot ids for kernels constructed over this queue. Per-queue (not
   // process-global) so a simulation's wire bytes depend only on its own
   // allocation order -- concurrent simulations in other threads can't

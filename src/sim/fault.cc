@@ -369,11 +369,8 @@ FaultEngine::FaultEngine(Internet& net, FaultPlan plan) : net_(net), plan_(std::
     hooks_installed_ = true;
     for (size_t i = 0; i < net_.num_segments(); ++i) {
       const int seg = static_cast<int>(i);
-      net_.segment(seg).set_fault_hook_ex(
-          [this, seg](const EthFrame& frame, int receiver_id, uint64_t delivery_index,
-                      SimTime arrival) {
-            (void)receiver_id;
-            (void)delivery_index;
+      net_.segment(seg).set_fault_hook(
+          [this, seg](const EthFrame& frame, int, uint64_t, SimTime arrival) {
             return Decide(seg, frame, arrival);
           });
     }
@@ -399,7 +396,7 @@ FaultEngine::FaultEngine(Internet& net, FaultPlan plan) : net_(net), plan_(std::
 FaultEngine::~FaultEngine() {
   if (hooks_installed_) {
     for (size_t i = 0; i < net_.num_segments(); ++i) {
-      net_.segment(static_cast<int>(i)).set_fault_hook_ex(nullptr);
+      net_.segment(static_cast<int>(i)).set_fault_hook(nullptr);
     }
   }
 }

@@ -118,8 +118,6 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
     shared->msg.FlattenInto(captured);
   }
 
-  // With batching on, collect this transmission's deliveries and fold
-  // same-time ones into a single heap event (FlushBatchedDeliveries).
   for (size_t i = 0; i < stations_.size(); ++i) {
     const int rid = static_cast<int>(i);
     if (rid == sender_id) {
@@ -135,12 +133,8 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
       ++random_drops_;
       verdict = CaptureVerdict::kDropped;
     } else {
-      DeliveryFault fault;
-      if (fault_hook_ex_) {
-        fault = fault_hook_ex_(*shared, rid, index, arrival);
-      } else if (fault_hook_) {
-        fault.verdict = fault_hook_(*shared, rid, index);
-      }
+      const DeliveryFault fault =
+          fault_hook_ ? fault_hook_(*shared, rid, index, arrival) : DeliveryFault();
       const SimTime at = arrival + fault.extra_delay;
       if (fault.extra_delay > 0) {
         ++fault_delays_;
@@ -154,13 +148,8 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
         case LinkFault::kDuplicate:
           ++fault_duplicates_;
           verdict = CaptureVerdict::kDuplicated;
-          if (batched_delivery_) {
-            batch_scratch_.push_back(BatchMember{at, rid, shared});
-            batch_scratch_.push_back(BatchMember{at + tx, rid, shared});
-          } else {
-            DeliverAt(at, shared, rid);
-            DeliverAt(at + tx, shared, rid);
-          }
+          DeliverAt(at, shared, rid);
+          DeliverAt(at + tx, shared, rid);
           break;
         case LinkFault::kCorrupt: {
           ++fault_corruptions_;
@@ -175,19 +164,11 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
           auto bad_frame = AcquirePooled<EthFrame>();
           bad_frame->msg = Message::FromBytes(bytes);
           bad_frame->trace_msg_id = shared->trace_msg_id;
-          if (batched_delivery_) {
-            batch_scratch_.push_back(BatchMember{at, rid, std::move(bad_frame)});
-          } else {
-            DeliverAt(at, std::move(bad_frame), rid);
-          }
+          DeliverAt(at, std::move(bad_frame), rid);
           break;
         }
         case LinkFault::kDeliver:
-          if (batched_delivery_) {
-            batch_scratch_.push_back(BatchMember{at, rid, shared});
-          } else {
-            DeliverAt(at, shared, rid);
-          }
+          DeliverAt(at, shared, rid);
           break;
       }
     }
@@ -195,57 +176,6 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
       capture_->Record(observer_id_, rid, start, arrival, captured, verdict);
     }
   }
-  if (batched_delivery_ && !batch_scratch_.empty()) {
-    FlushBatchedDeliveries();
-  }
-}
-
-void EthernetSegment::FlushBatchedDeliveries() {
-  // Greedy scan by first appearance: every member sharing a timestamp joins
-  // one event, fired in creation order -- which is exactly the order the
-  // unbatched schedule would fire them (they hold adjacent sequence numbers,
-  // and no other same-time event can sit between). Members folded into a
-  // group are marked rid = -1.
-  for (size_t i = 0; i < batch_scratch_.size(); ++i) {
-    BatchMember& head = batch_scratch_[i];
-    if (head.rid < 0) {
-      continue;
-    }
-    size_t n = 1;
-    for (size_t j = i + 1; j < batch_scratch_.size(); ++j) {
-      if (batch_scratch_[j].rid >= 0 && batch_scratch_[j].at == head.at) {
-        ++n;
-      }
-    }
-    if (n == 1) {
-      events_.ScheduleAt(head.at, [this, rid = head.rid, f = std::move(head.frame)]() {
-        FireDelivery(rid, *f);
-      });
-      head.rid = -1;
-      continue;
-    }
-    std::vector<BatchMember> group;
-    group.reserve(n);
-    group.push_back(std::move(head));
-    head.rid = -1;
-    for (size_t j = i + 1; j < batch_scratch_.size(); ++j) {
-      BatchMember& m = batch_scratch_[j];
-      if (m.rid >= 0 && m.at == group.front().at) {
-        group.push_back(std::move(m));
-        m.rid = -1;
-      }
-    }
-    const SimTime group_at = group.front().at;
-    events_.ScheduleAt(group_at, [this, g = std::move(group)]() {
-      for (const BatchMember& m : g) {
-        FireDelivery(m.rid, *m.frame);
-      }
-      // One scheduled event stands in for g.size() unbatched ones; keep the
-      // fired-event count identical to the unbatched schedule.
-      events_.AddExtraFired(g.size() - 1);
-    });
-  }
-  batch_scratch_.clear();
 }
 
 void EthernetSegment::ResetStats() {

@@ -12,9 +12,13 @@
 // destination address in the frame's first six bytes; broadcast frames go to
 // every station except the sender.
 //
-// Fault injection: tests install a hook that can drop, duplicate, or corrupt
-// individual deliveries, and/or set a uniform drop rate, to drive every
-// retransmission path in the protocols above.
+// Every delivery is one event on the queue, scheduled as Transmit walks the
+// stations in attachment order, so a broadcast reaches its receivers at the
+// same instant in station order.
+//
+// Fault injection: a uniform drop rate, and one hook (FaultEngine's, or a
+// test's) that can drop, duplicate, delay or corrupt individual deliveries,
+// to drive every retransmission path in the protocols above.
 
 #ifndef XK_SRC_SIM_LINK_H_
 #define XK_SRC_SIM_LINK_H_
@@ -76,14 +80,15 @@ enum class LinkFault : uint8_t {
   kDeliver,
   kDrop,
   kDuplicate,  // deliver twice (second copy one transmit-time later)
-  kCorrupt,    // deliver with the last byte's bits flipped
+  kCorrupt,    // deliver with one byte's bits flipped (default: the last)
 };
 
-// Extended per-delivery fault decision (FaultEngine): the verdict plus an
-// extra in-flight delay and, for kCorrupt, which byte to flip (SIZE_MAX =
-// the last byte, matching the legacy hook).
+// A per-delivery fault decision: the verdict plus an extra in-flight delay
+// and, for kCorrupt, which byte to flip (SIZE_MAX = the last byte). Converts
+// from a bare verdict, so a hook may return just a LinkFault.
 struct DeliveryFault {
-  LinkFault verdict = LinkFault::kDeliver;
+  DeliveryFault(LinkFault v = LinkFault::kDeliver) : verdict(v) {}  // NOLINT
+  LinkFault verdict;
   SimTime extra_delay = 0;
   size_t corrupt_offset = SIZE_MAX;
 };
@@ -109,33 +114,16 @@ class EthernetSegment {
   void Transmit(int sender_id, std::shared_ptr<EthFrame> frame, SimTime ready_at);
   void Transmit(int sender_id, EthFrame frame, SimTime ready_at);
 
-  // Batches the deliveries one transmission creates for the same arrival
-  // timestamp (a broadcast burst) into a single heap event that fires them
-  // in creation order. Provably invisible to the simulation: members occupy
-  // adjacent sequence numbers in the unbatched schedule (Transmit schedules
-  // them back-to-back with nothing in between), so no other same-time event
-  // can interleave, and fired-event counts are preserved via
-  // EventQueue::AddExtraFired. Default on.
-  void set_batched_delivery(bool on) { batched_delivery_ = on; }
-  bool batched_delivery() const { return batched_delivery_; }
-
   // Uniform random drop probability applied to every delivery.
   void set_drop_rate(double p) { drop_rate_ = p; }
 
-  // Test hook consulted per (frame, receiver) delivery; applied after the
-  // uniform drop rate. `delivery_index` counts deliveries since construction
-  // so tests can target "the 3rd frame".
-  using FaultHook = std::function<LinkFault(const EthFrame& frame, int receiver_id,
-                                            uint64_t delivery_index)>;
+  // Fault hook consulted per (frame, receiver) delivery, after the uniform
+  // drop rate. `delivery_index` counts deliveries since construction so tests
+  // can target "the 3rd frame"; `arrival` is the delivery's scheduled arrival
+  // time before any extra delay the hook adds. Null removes it.
+  using FaultHook = std::function<DeliveryFault(const EthFrame& frame, int receiver_id,
+                                                uint64_t delivery_index, SimTime arrival)>;
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
-
-  // Extended hook (FaultEngine): takes precedence over the legacy hook when
-  // set, sees the scheduled arrival time, and can additionally delay the
-  // delivery or pick the corrupted byte. Consulted at the same point in
-  // Transmit as the legacy hook.
-  using FaultHookEx = std::function<DeliveryFault(const EthFrame& frame, int receiver_id,
-                                                  uint64_t delivery_index, SimTime arrival)>;
-  void set_fault_hook_ex(FaultHookEx hook) { fault_hook_ex_ = std::move(hook); }
 
   const WireModel& wire() const { return wire_; }
 
@@ -159,7 +147,7 @@ class EthernetSegment {
   uint64_t fault_drops() const { return fault_drops_; }
   uint64_t fault_duplicates() const { return fault_duplicates_; }
   uint64_t fault_corruptions() const { return fault_corruptions_; }
-  // Deliveries the extended hook delayed (counted once per delayed copy).
+  // Deliveries the fault hook delayed (counted once per delayed copy).
   uint64_t fault_delays() const { return fault_delays_; }
   // Frames that arrived at a detached station (receiver host was down).
   // Not part of frames_dropped(): the wire delivered them; the NIC was gone.
@@ -195,15 +183,6 @@ class EthernetSegment {
   // rather than delivered through a dangling pointer.
   void FireDelivery(int receiver_id, const EthFrame& frame);
 
-  // One delivery pending inside the current Transmit call (batched path).
-  // rid < 0 marks a member already folded into a batch.
-  struct BatchMember {
-    SimTime at;
-    int rid;
-    std::shared_ptr<const EthFrame> frame;
-  };
-  void FlushBatchedDeliveries();
-
   EventQueue& events_;
   WireModel wire_;
   Rng rng_;
@@ -211,13 +190,7 @@ class EthernetSegment {
   SimTime bus_free_at_ = 0;
   double drop_rate_ = 0.0;
   FaultHook fault_hook_;
-  FaultHookEx fault_hook_ex_;
   uint64_t delivery_index_ = 0;
-  bool batched_delivery_ = true;
-  // Scratch for the batched path; reused across transmissions. Safe against
-  // reentrancy: it is drained before Transmit returns, and firing a
-  // batch iterates a captured copy, not this vector.
-  std::vector<BatchMember> batch_scratch_;
 
   TraceSink* trace_ = nullptr;
   PacketCapture* capture_ = nullptr;

@@ -1,7 +1,7 @@
 // Link-level packet capture: a pcap-style ring buffer attached to an
 // EthernetSegment. Every (frame, receiver) delivery decision is recorded with
 // simulated timestamps, the fault-injection verdict, and the leading frame
-// bytes, so tests and tools can see exactly what the fault hooks did to the
+// bytes, so tests and tools can see exactly what the fault hook did to the
 // wire. Like the trace sink, capturing charges zero simulated cost.
 
 #ifndef XK_SRC_TRACE_PCAP_H_

@@ -183,7 +183,7 @@ TEST_F(ArpFixture, ResolveUnknownHostFailsAfterRetries) {
 
 TEST_F(ArpFixture, LostRequestIsRetried) {
   // Drop the first broadcast; the retry succeeds.
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   Result<EthAddr> got = ErrStatus(StatusCode::kError);

@@ -47,7 +47,7 @@ TEST_F(ChannelFixture, LargeArgsAndResultsFragment) {
 }
 
 TEST_F(ChannelFixture, LostRequestRetransmitted) {
-  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   Result<Message> r = fix.CallSync(7, Message::FromBytes(PatternBytes(10)));
@@ -58,7 +58,7 @@ TEST_F(ChannelFixture, LostRequestRetransmitted) {
 TEST_F(ChannelFixture, LostReplyNotReExecuted) {
   // The reply is dropped; the client retransmits; the server answers from its
   // SAVED reply without re-executing -- at-most-once.
-  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   Result<Message> r = fix.CallSync(7, Message::FromBytes(PatternBytes(10)));
@@ -70,7 +70,7 @@ TEST_F(ChannelFixture, LostReplyNotReExecuted) {
 }
 
 TEST_F(ChannelFixture, DuplicatedRequestNotReExecuted) {
-  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDuplicate : LinkFault::kDeliver;
   });
   Result<Message> r = fix.CallSync(7, Message::FromBytes(PatternBytes(10)));
@@ -275,7 +275,7 @@ TEST(RdpTest, ReliableDatagramsDeliverExactlyOnceUnderLoss) {
     EXPECT_TRUE(srdp->OpenEnable(*sa, enable).ok());
   });
   // Drop some frames; CHANNEL below recovers; each datagram arrives once.
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return (index % 5 == 1) ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   SessionRef sess;

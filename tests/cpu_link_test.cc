@@ -51,8 +51,12 @@ class Recorder : public FrameSink {
   explicit Recorder(EventQueue& q) : q_(q) {}
   void FrameArrived(const EthFrame& f) override {
     arrivals.push_back({q_.now(), f.msg.Flatten()});
+    if (order != nullptr) {
+      order->push_back(this);
+    }
   }
   std::vector<Arrival> arrivals;
+  std::vector<const Recorder*>* order = nullptr;  // shared arrival log, if set
 
  private:
   EventQueue& q_;
@@ -94,11 +98,17 @@ TEST_F(LinkFixture, UnicastReachesOnlyDestination) {
 }
 
 TEST_F(LinkFixture, BroadcastReachesAllButSender) {
+  std::vector<const Recorder*> order;
+  a.order = b.order = c.order = &order;
   seg.Transmit(ia, MakeFrame(EthAddr::Broadcast(), EthAddr::FromIndex(1), 10), 0);
   q.Run();
   EXPECT_EQ(a.arrivals.size(), 0u);
-  EXPECT_EQ(b.arrivals.size(), 1u);
-  EXPECT_EQ(c.arrivals.size(), 1u);
+  ASSERT_EQ(b.arrivals.size(), 1u);
+  ASSERT_EQ(c.arrivals.size(), 1u);
+  // Same instant, station order, one heap event per delivery.
+  EXPECT_EQ(b.arrivals[0].at, c.arrivals[0].at);
+  EXPECT_EQ(order, (std::vector<const Recorder*>{&b, &c}));
+  EXPECT_EQ(q.fired_total(), 2u);
 }
 
 TEST_F(LinkFixture, ArrivalTimeMatchesWireModel) {
@@ -139,7 +149,7 @@ TEST_F(LinkFixture, DropRateDropsEverythingAtOne) {
 }
 
 TEST_F(LinkFixture, FaultHookCanTargetSpecificDelivery) {
-  seg.set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  seg.set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   const auto f = MakeFrame(EthAddr::FromIndex(2), EthAddr::FromIndex(1), 10);
@@ -153,7 +163,7 @@ TEST_F(LinkFixture, FaultHookCanTargetSpecificDelivery) {
 
 TEST_F(LinkFixture, FaultHookDuplicateDeliversTwice) {
   seg.set_fault_hook(
-      [](const EthFrame&, int, uint64_t) { return LinkFault::kDuplicate; });
+      [](const EthFrame&, int, uint64_t, SimTime) { return LinkFault::kDuplicate; });
   seg.Transmit(ia, MakeFrame(EthAddr::FromIndex(2), EthAddr::FromIndex(1), 10), 0);
   q.Run();
   EXPECT_EQ(b.arrivals.size(), 2u);
@@ -186,7 +196,7 @@ CorruptRun CorruptBroadcastToC(size_t offset) {
   const int ia = seg.Attach(EthAddr::FromIndex(1), &a);
   seg.Attach(EthAddr::FromIndex(2), &b);
   const int ic = seg.Attach(EthAddr::FromIndex(3), &c);
-  seg.set_fault_hook_ex([ic, offset](const EthFrame&, int receiver_id, uint64_t, SimTime) {
+  seg.set_fault_hook([ic, offset](const EthFrame&, int receiver_id, uint64_t, SimTime) {
     DeliveryFault fault;
     if (receiver_id == ic) {
       fault.verdict = LinkFault::kCorrupt;
@@ -268,7 +278,7 @@ ExactRun RunExactScenario(bool duplicate_to_a) {
   const int ia = seg.Attach(EthAddr::FromIndex(1), &a);
   b.id = seg.Attach(EthAddr::FromIndex(2), &b);
   if (duplicate_to_a) {
-    seg.set_fault_hook([ia](const EthFrame&, int receiver_id, uint64_t) {
+    seg.set_fault_hook([ia](const EthFrame&, int receiver_id, uint64_t, SimTime) {
       return receiver_id == ia ? LinkFault::kDuplicate : LinkFault::kDeliver;
     });
   }

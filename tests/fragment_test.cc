@@ -98,7 +98,7 @@ TEST_F(FragmentFixture, UnevenLastFragment) {
 TEST_F(FragmentFixture, LostFragmentRecoveredByNack) {
   // Persistence: a dropped middle fragment is requested and resent; the
   // message is still delivered, with NO positive acknowledgement ever sent.
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   SessionRef sess = OpenToServer();
@@ -116,7 +116,7 @@ TEST_F(FragmentFixture, NackServedAfterSendRingGrew) {
   // outruns it. Lose a fragment of the first message, then send enough more
   // to force growth before the receiver's NACK comes back: the resend must
   // still find the first message's slices where the grown ring rehomed them.
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   SessionRef sess = OpenToServer();
@@ -139,7 +139,7 @@ TEST_F(FragmentFixture, FragmentCountDisagreeingWithReassemblyIsRejected) {
   // message was given. Start a 4-fragment message (losing fragment 1 so it
   // stays open), then hand the server a fragment of "seq 1" claiming to be
   // index 10 of 16.
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   SessionRef sess = OpenToServer();
@@ -173,7 +173,7 @@ TEST_F(FragmentFixture, FragmentCountDisagreeingWithReassemblyIsRejected) {
 }
 
 TEST_F(FragmentFixture, MultipleLostFragmentsRecovered) {
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return (index == 0 || index == 2 || index == 5) ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   SessionRef sess = OpenToServer();
@@ -188,7 +188,7 @@ TEST_F(FragmentFixture, AllFragmentsLostAbandonsAfterMaxNacks) {
   // If the sender is gone (every frame dropped), the receiver's NACKs go
   // unanswered and reassembly is abandoned -- FRAGMENT stays unreliable.
   int delivered = 0;
-  net->segment(0).set_fault_hook([&](const EthFrame&, int receiver, uint64_t) {
+  net->segment(0).set_fault_hook([&](const EthFrame&, int receiver, uint64_t, SimTime) {
     // Let exactly one data fragment through to start reassembly, then cut
     // the client->server direction; NACKs (server->client) also die.
     (void)receiver;
@@ -207,7 +207,7 @@ TEST_F(FragmentFixture, StaleNackAfterCacheExpiry) {
   // Make the send cache expire before the receiver's NACK arrives.
   RunIn(*ch->kernel, [&] { cstack.fragment->set_send_cache_timeout(Msec(5)); });
   RunIn(*sh->kernel, [&] { sstack.fragment->set_nack_delay(Msec(50)); });
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   SessionRef sess = OpenToServer();
@@ -220,7 +220,7 @@ TEST_F(FragmentFixture, StaleNackAfterCacheExpiry) {
 }
 
 TEST_F(FragmentFixture, DuplicateFragmentsIgnoredDuringReassembly) {
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index < 2 ? LinkFault::kDuplicate : LinkFault::kDeliver;
   });
   SessionRef sess = OpenToServer();
@@ -234,7 +234,7 @@ TEST_F(FragmentFixture, LateDuplicateOfCompletedMessageSuppressed) {
   // Duplicate every frame: the second copies arrive after completion and must
   // not rebuild reassembly state or deliver twice (recent-window check).
   net->segment(0).set_fault_hook(
-      [](const EthFrame&, int, uint64_t) { return LinkFault::kDuplicate; });
+      [](const EthFrame&, int, uint64_t, SimTime) { return LinkFault::kDuplicate; });
   SessionRef sess = OpenToServer();
   Send(sess, PatternBytes(2048, 9));
   net->RunAll();
@@ -246,7 +246,7 @@ TEST_F(FragmentFixture, DuplicateOfSingleFragmentMessageDeliversTwice) {
   // delivered twice (the higher level filters). This distinguishes it from a
   // reliable protocol.
   net->segment(0).set_fault_hook(
-      [](const EthFrame&, int, uint64_t) { return LinkFault::kDuplicate; });
+      [](const EthFrame&, int, uint64_t, SimTime) { return LinkFault::kDuplicate; });
   SessionRef sess = OpenToServer();
   Send(sess, PatternBytes(100, 10));
   net->RunAll();
@@ -337,7 +337,7 @@ TEST_P(FragmentLossPropertyTest, RandomSizesSurviveRandomLoss) {
   });
   // Drop ~10% of frames, but never NACKs' retransmissions forever: cap drops.
   int drops_left = 6;
-  net->segment(0).set_fault_hook([&](const EthFrame&, int, uint64_t) {
+  net->segment(0).set_fault_hook([&](const EthFrame&, int, uint64_t, SimTime) {
     if (drops_left > 0 && rng.Chance(0.1)) {
       --drops_left;
       return LinkFault::kDrop;

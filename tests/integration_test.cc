@@ -80,7 +80,7 @@ TEST_F(DynamicStackTest, MixedTrafficSplitsCorrectly) {
 }
 
 TEST_F(DynamicStackTest, RecoversFromLossOnBothPaths) {
-  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return (index == 0 || index == 6) ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   ASSERT_TRUE(fix.CallSync(1, Message::FromBytes(PatternBytes(50, 1))).ok());

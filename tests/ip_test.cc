@@ -114,7 +114,7 @@ TEST(IpTest, OversizeDatagramRejected) {
 TEST(IpTest, LostFragmentTimesOutReassembly) {
   auto net = Internet::TwoHosts();
   // Drop the 3rd frame (a middle fragment).
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 2 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   IpPair p(*net);
@@ -126,7 +126,7 @@ TEST(IpTest, LostFragmentTimesOutReassembly) {
 
 TEST(IpTest, DuplicatedFragmentStillReassemblesOnce) {
   auto net = Internet::TwoHosts();
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 1 ? LinkFault::kDuplicate : LinkFault::kDeliver;
   });
   IpPair p(*net);

@@ -115,7 +115,7 @@ TEST_F(PsyncFixture, LargeMessageRidesFragment) {
 }
 
 TEST_F(PsyncFixture, LostFragmentRecoveredTransparently) {
-  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 3 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   std::vector<PsyncDelivery> got_b, got_c;
@@ -200,7 +200,7 @@ TEST(SunRpcTest, RequestReplyHasZeroOrMoreSemantics) {
   // A duplicated request is executed TWICE -- the defining contrast with
   // CHANNEL's at-most-once.
   SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
-  sun.fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  sun.fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDuplicate : LinkFault::kDeliver;
   });
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(10)));
@@ -213,7 +213,7 @@ TEST(SunRpcTest, SwappingInChannelGivesAtMostOnce) {
   // The mix-and-match payoff: replace REQUEST_REPLY with CHANNEL and the same
   // duplicated request is executed ONCE.
   SunFixture sun(SunPairing::kChannel, SunAuth::kNone);
-  sun.fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  sun.fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDuplicate : LinkFault::kDeliver;
   });
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(10)));
@@ -224,7 +224,7 @@ TEST(SunRpcTest, SwappingInChannelGivesAtMostOnce) {
 
 TEST(SunRpcTest, LostRequestRetransmittedAndReExecuted) {
   SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
-  sun.fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  sun.fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   Result<Message> r = sun.CallSync(Message());

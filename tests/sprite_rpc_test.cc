@@ -88,7 +88,7 @@ struct MRpcReliabilityTest : ::testing::Test {
 };
 
 TEST_F(MRpcReliabilityTest, LostRequestRetransmitted) {
-  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   ASSERT_TRUE(fix.CallSync(42, Message()).ok());
@@ -97,7 +97,7 @@ TEST_F(MRpcReliabilityTest, LostRequestRetransmitted) {
 }
 
 TEST_F(MRpcReliabilityTest, LostReplyAnsweredFromSavedReply) {
-  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   ASSERT_TRUE(fix.CallSync(42, Message::FromBytes(PatternBytes(5))).ok());
@@ -109,7 +109,7 @@ TEST_F(MRpcReliabilityTest, LostMiddleFragmentSelectivelyResent) {
   // Drop one fragment of a 16-fragment request. The client's retransmission
   // asks for an ack; the server's partial ack (mask of received fragments)
   // triggers a selective resend of only the missing fragment.
-  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 7 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   Result<Message> r = fix.CallSync(42, Message::FromBytes(PatternBytes(16384, 6)));
@@ -123,7 +123,7 @@ TEST_F(MRpcReliabilityTest, LostMiddleFragmentSelectivelyResent) {
 }
 
 TEST_F(MRpcReliabilityTest, DuplicateRequestSuppressed) {
-  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index) {
+  fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDuplicate : LinkFault::kDeliver;
   });
   ASSERT_TRUE(fix.CallSync(42, Message()).ok());
@@ -179,7 +179,7 @@ TEST_F(MRpcReliabilityTest, RandomLossPropertySweep) {
   // the server per executed transaction, and echoes are never corrupted.
   Rng rng(1234);
   int drops_left = 10;
-  fix.net->segment(0).set_fault_hook([&](const EthFrame&, int, uint64_t) {
+  fix.net->segment(0).set_fault_hook([&](const EthFrame&, int, uint64_t, SimTime) {
     if (drops_left > 0 && rng.Chance(0.08)) {
       --drops_left;
       return LinkFault::kDrop;

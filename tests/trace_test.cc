@@ -89,7 +89,7 @@ TEST(TraceFaults, OutcomesCountedAndCaptured) {
     ScopedObservers obs(nullptr, &capture);
     e = MakeEchoExperiment(/*layers=*/2);  // CHANNEL retransmits through drops
   }
-  e.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t delivery_index) {
+  e.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t delivery_index, SimTime) {
     switch (delivery_index) {
       case 2:
         return LinkFault::kDrop;
