@@ -4,7 +4,8 @@
 # smoke, bench_suite's determinism and per-job isolation gates, flag-rejection
 # and tool usage-error smokes (malformed values, unknown xktrace subcommands,
 # wrong argument counts, flags a subcommand does not take), the benchmark
-# regression and scenario gates, and the host benchmark's digest gate.
+# regression and scenario gates, and the host benchmark's selftest and digest
+# gates (untraced, and traced paper-rpc).
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # control-op lint + tier-1 tests only
@@ -333,12 +334,17 @@ echo "soak: full reclamation"
 
 echo
 echo "== host benchmark digest gate: hostbench builds and its simulation is unchanged =="
-# Each run checks every episode's simulated digest against
-# hostbench/reference.txt and exits 1 on a mismatch, so a src/ change that
-# breaks hostbench's build or moves its simulation fails here as in CI.
+# The benchmark's own tests first, then each run checks every episode's
+# simulated digest against hostbench/reference.txt and exits 1 on a mismatch,
+# so a src/ change that breaks hostbench's build or moves its simulation
+# fails here as in CI.
+python3 hostbench/run.py --selftest
 for w in paper-rpc cluster-openloop session-churn; do
   python3 hostbench/run.py --workload "$w" --seconds 2 --trace 0
 done
+# Observer effect: a traced run must still match the reference digests
+# (tracing, trace ids included, never moves the simulation).
+python3 hostbench/run.py --workload paper-rpc --seconds 2 --trace 1
 
 echo
 echo "All checks passed."

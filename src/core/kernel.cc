@@ -81,6 +81,20 @@ void Kernel::CancelTimer(EventHandle& handle) {
   }
 }
 
+bool Kernel::RearmTimer(EventHandle& handle, SimTime delay) {
+  if (!handle.pending()) {
+    return false;
+  }
+  cpu_.Charge(costs_.timer_cancel);
+  cpu_.Charge(costs_.timer_set);
+  const EventHandle moved = events_.Reschedule(handle, cpu_.now() + delay);
+  if (moved != handle) {
+    handle = moved;
+    TrackPending(handle);
+  }
+  return true;
+}
+
 Protocol& Kernel::Add(std::unique_ptr<Protocol> proto) {
   Protocol& ref = *proto;
   by_name_[ref.name()] = &ref;

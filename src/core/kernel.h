@@ -111,6 +111,14 @@ class Kernel {
   // Cancels a pending timer, charging timer_cancel if it was still pending.
   void CancelTimer(EventHandle& handle);
 
+  // Pushes a pending timer back to fire `delay` from now, keeping its
+  // closure. Charges timer_cancel plus timer_set and fires exactly where
+  // CancelTimer followed by SetTimer would have, but re-keys the queued
+  // event in place (EventQueue::Reschedule); `handle` is updated if the
+  // event had to be queued anew. Returns false, charging nothing, if the
+  // timer is no longer pending.
+  bool RearmTimer(EventHandle& handle, SimTime delay);
+
   // Tasks and timers scheduled on this kernel that have not yet started (the
   // host's ready/pending queue depth). Host-side gauge for the stat sampler;
   // maintained by ScheduleTask/SetTimer/CancelTimer, never charged.

@@ -3,6 +3,7 @@
 #include "src/sim/object_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace xk {
@@ -54,11 +55,19 @@ void Message::ChunkVec::ParkTail() {
 
 Message::Message() = default;
 
+const std::shared_ptr<const Message::Block>& Message::Zeros(size_t n) {
+  static thread_local std::shared_ptr<const Block> zeros;
+  if (zeros == nullptr || zeros->bytes.size() < n) {
+    auto grown = std::make_shared<Block>();
+    grown->bytes.assign(std::bit_ceil(n), 0);
+    zeros = std::move(grown);
+  }
+  return zeros;
+}
+
 Message::Message(size_t payload_len) {
   if (payload_len > 0) {
-    auto block = AcquirePooled<Block>();
-    block->bytes.assign(payload_len, 0);
-    chunks_.push_back(Chunk{std::move(block), 0, payload_len});
+    chunks_.push_back(Chunk{Zeros(payload_len), 0, payload_len});
     length_ = payload_len;
   }
 }

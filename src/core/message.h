@@ -44,7 +44,9 @@ class Message {
   // An empty message.
   Message();
 
-  // A message with `payload_len` zero bytes of payload.
+  // A message with `payload_len` zero bytes of payload. Payload blocks are
+  // immutable, so every such message views one shared block of zeros: the
+  // constructor neither allocates nor writes a byte in steady state.
   explicit Message(size_t payload_len);
 
   // A message whose payload is a copy of `bytes`.
@@ -152,6 +154,11 @@ class Message {
     size_t off = 0;
     size_t len = 0;
   };
+
+  // This thread's block of at least `n` zero bytes, regrown to the next
+  // power of two when a larger `n` is asked for (messages still viewing the
+  // outgrown block keep it alive).
+  static const std::shared_ptr<const Block>& Zeros(size_t n);
 
   // Chunk sequence with the first two elements stored inline. Almost every
   // message on the RPC datapath is one payload chunk plus at most one spilled

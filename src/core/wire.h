@@ -8,6 +8,7 @@
 #ifndef XK_SRC_CORE_WIRE_H_
 #define XK_SRC_CORE_WIRE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -136,6 +137,12 @@ class WireReader {
   size_t pos_ = 0;
   bool error_ = false;
 };
+
+// The fragment index a FRAGMENT or Sprite RPC fragment mask names: the sender
+// sets exactly one bit. Returns -1 unless exactly one bit is set.
+inline int SingleBitIndex(uint16_t mask) {
+  return std::has_single_bit(mask) ? std::countr_zero(mask) : -1;
+}
 
 }  // namespace xk
 

@@ -9,7 +9,6 @@ namespace xk {
 namespace {
 constexpr uint8_t kTypeData = 1;
 constexpr uint8_t kTypeNack = 2;
-constexpr size_t kRecentWindow = 64;
 constexpr size_t kMinSentRing = 8;
 
 uint16_t FullMask(uint16_t num_frags) {
@@ -260,6 +259,11 @@ void FragmentSession::Release(Reasm& r) {
   r.frags.clear();
 }
 
+bool FragmentSession::RecentlyDone(uint32_t seq) const {
+  const auto end = recent_done_.begin() + std::min<uint64_t>(recent_count_, kRecentWindow);
+  return std::find(recent_done_.begin(), end, seq) != end;
+}
+
 void FragmentSession::SendNack(uint32_t seq, uint16_t missing_mask) {
   uint8_t raw[FragmentProtocol::kHeaderSize];
   WireWriter w(raw);
@@ -324,12 +328,8 @@ Status FragmentSession::CompleteReassembly(Reasm& r) {
     whole.Append(r.frags[i]);
   }
   kernel().CancelTimer(r.gap_timer);
-  const uint32_t seq = r.seq;
+  recent_done_[recent_count_++ % kRecentWindow] = r.seq;
   Release(r);
-  recent_done_.push_back(seq);
-  if (recent_done_.size() > kRecentWindow) {
-    recent_done_.erase(recent_done_.begin());
-  }
   ++frag_.stats_.messages_delivered;
   return DeliverUp(whole);
 }
@@ -355,25 +355,19 @@ Status FragmentSession::HandlePacket(uint8_t type, uint32_t seq, uint16_t num_fr
     ++frag_.stats_.messages_delivered;
     return DeliverUp(payload);
   }
-  if (std::find(recent_done_.begin(), recent_done_.end(), seq) != recent_done_.end()) {
+  // A seq being reassembled is never in the done window: it enters the
+  // window only on completion, which frees its reassembly slot.
+  Reasm* found = FindReasm(seq);
+  if (found == nullptr && RecentlyDone(seq)) {
     return OkStatus();  // late duplicate of a completed message
   }
   kernel().ChargeMapResolve();
-  Reasm* found = FindReasm(seq);
   Reasm& r = found != nullptr ? *found : ClaimReasm(seq, num_frags);
-  if (found != nullptr) {
-    // New fragment: push the gap timer back.
-    kernel().CancelTimer(r.gap_timer);
+  // A new fragment of a message in progress pushes its gap timer back.
+  if (found == nullptr || !kernel().RearmTimer(r.gap_timer, frag_.nack_delay_)) {
+    ArmGapTimer(r);
   }
-  ArmGapTimer(r);
-  // Which fragment is this? The sender sets exactly one mask bit.
-  int index = -1;
-  for (int i = 0; i < 16; ++i) {
-    if (frag_mask == (1u << i)) {
-      index = i;
-      break;
-    }
-  }
+  const int index = SingleBitIndex(frag_mask);
   // A corrupted header can disagree with the first fragment's count.
   if (index < 0 || index >= num_frags || index >= r.num_frags) {
     return ErrStatus(StatusCode::kInvalidArgument);

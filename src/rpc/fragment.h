@@ -26,6 +26,8 @@
 #ifndef XK_SRC_RPC_FRAGMENT_H_
 #define XK_SRC_RPC_FRAGMENT_H_
 
+#include <array>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -153,6 +155,7 @@ class FragmentSession : public Session {
   // message still holds it.
   SentSlot& ClaimSent(uint32_t seq);
   Reasm* FindReasm(uint32_t seq);
+  bool RecentlyDone(uint32_t seq) const;
   Reasm& ClaimReasm(uint32_t seq, uint16_t num_frags);
   static void Release(SentSlot& slot);
   static void Release(Reasm& r);
@@ -164,9 +167,12 @@ class FragmentSession : public Session {
   uint32_t next_seq_ = 1;
   std::vector<SentSlot> sent_;  // ring: seq's slot is seq & (size - 1)
   std::vector<Reasm> reasm_;
-  // Recently completed sequence numbers (sliding window) so late duplicate
-  // fragments don't rebuild reassembly state.
-  std::vector<uint32_t> recent_done_;
+  // The last kRecentWindow completed sequence numbers (a ring; slot
+  // recent_count_ % kRecentWindow is the oldest once it is full) so late
+  // duplicate fragments don't rebuild reassembly state.
+  static constexpr size_t kRecentWindow = 64;
+  std::array<uint32_t, kRecentWindow> recent_done_{};
+  uint64_t recent_count_ = 0;  // completions so far
 };
 
 }  // namespace xk

@@ -321,13 +321,7 @@ Status SpriteRpcProtocol::HandleRequest(const Header& hdr, Message& payload, Ses
   if (chan.request.num_frags == 0) {
     chan.request.Reset(hdr.num_frags);
   }
-  int index = -1;
-  for (int i = 0; i < 16; ++i) {
-    if (hdr.frag_mask == (1u << i)) {
-      index = i;
-      break;
-    }
-  }
+  const int index = SingleBitIndex(hdr.frag_mask);
   if (index < 0 || index >= hdr.num_frags) {
     return ErrStatus(StatusCode::kInvalidArgument);
   }
@@ -446,13 +440,7 @@ Status SpriteRpcProtocol::HandleReplyOrAck(const Header& hdr, Message& payload) 
   if (chan.reply.num_frags == 0) {
     chan.reply.Reset(hdr.num_frags);
   }
-  int index = -1;
-  for (int i = 0; i < 16; ++i) {
-    if (hdr.frag_mask == (1u << i)) {
-      index = i;
-      break;
-    }
-  }
+  const int index = SingleBitIndex(hdr.frag_mask);
   if (index < 0 || index >= hdr.num_frags) {
     return ErrStatus(StatusCode::kInvalidArgument);
   }

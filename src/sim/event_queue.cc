@@ -19,10 +19,34 @@ EventHandle EventQueue::ScheduleAt(SimTime at, EventFn fn) {
   const uint32_t slot = AcquireSlot();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
+  s.at = at;
+  s.seq = next_seq_++;
   const uint32_t gen = s.generation;
-  HeapPush(Entry{at, next_seq_++, slot, gen});
+  HeapPush(Entry{at, s.seq, slot, gen});
   ++live_count_;
   return EventHandle(this, slot, gen);
+}
+
+EventHandle EventQueue::Reschedule(EventHandle h, SimTime at) {
+  if (!h.pending()) {
+    return h;
+  }
+  assert(h.queue_ == this);
+  if (at < now_) {
+    at = now_;
+  }
+  Slot& s = slots_[h.slot_];
+  if (at < s.at) {
+    // The heap entry would surface too late; only a new entry can fire
+    // earlier.
+    EventFn fn = std::move(s.fn);
+    CancelInternal(h.slot_, h.gen_);
+    return ScheduleAt(at, std::move(fn));
+  }
+  // The entry keeps its old, earlier key until SkimDead meets it at the top.
+  s.at = at;
+  s.seq = next_seq_++;
+  return h;
 }
 
 size_t EventQueue::Run(size_t max_events) {
@@ -93,6 +117,7 @@ bool EventQueue::CancelInternal(uint32_t index, uint32_t gen) {
   }
   RetireSlot(index);
   --live_count_;
+  ++cancels_;
   ++dead_in_heap_;  // its Entry is still queued; skipped or swept later
   MaybeSweepDead();
   return true;
@@ -101,6 +126,7 @@ bool EventQueue::CancelInternal(uint32_t index, uint32_t gen) {
 void EventQueue::HeapPush(Entry e) {
   // Hole-based lift: shift parents down into the hole and write the new
   // entry once at its final position (vs. one 24-byte swap per level).
+  ++heap_pushes_;
   heap_.push_back(e);
   size_t i = heap_.size() - 1;
   while (i > 0) {
@@ -153,12 +179,22 @@ void EventQueue::SiftDown(size_t i) {
 
 bool EventQueue::SkimDead() {
   while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    if (slots_[top.slot].generation == top.gen) {
+    Entry& top = heap_.front();
+    const Slot& s = slots_[top.slot];
+    if (s.generation != top.gen) {
+      --dead_in_heap_;
+      ++dead_skimmed_;
+      HeapPopTop();
+    } else if (s.seq != top.seq) {
+      // Re-keyed by Reschedule: the key only ever moved later, so sifting
+      // the entry down from here puts it where it belongs.
+      top.at = s.at;
+      top.seq = s.seq;
+      ++heap_pushes_;
+      SiftDown(0);
+    } else {
       return true;
     }
-    --dead_in_heap_;
-    HeapPopTop();
   }
   return false;
 }
@@ -177,6 +213,7 @@ void EventQueue::MaybeSweepDead() {
       heap_[w++] = e;
     }
   }
+  dead_skimmed_ += heap_.size() - w;
   heap_.resize(w);
   dead_in_heap_ = 0;
   if (w > 1) {

@@ -15,6 +15,13 @@
 // one generation bump, and the stale heap entry is skipped when it surfaces
 // (or swept out wholesale if the heap becomes mostly dead).
 //
+// The other pattern is a timer pushed back again and again (FRAGMENT's
+// reassembly gap timer, once per fragment). Reschedule() to a later time
+// re-keys the slot in place: the slot takes the new (time, seq) key, and its
+// heap entry, now keyed too early, is sifted down under the slot's key if it
+// ever reaches the top. The fire order is exactly that of cancelling the
+// event and scheduling it anew, without the second heap entry.
+//
 // Handles are {slot index, generation} pairs into the queue's slab; they must
 // not outlive the EventQueue they came from (in this repository queues always
 // outlive the kernels holding timers on them).
@@ -130,7 +137,9 @@ class EventFn {
 };
 
 // Handle used to cancel a pending event. Copies share fate: cancelling or
-// firing the event makes every copy report !pending().
+// firing the event makes every copy report !pending(). An event rescheduled
+// to a later time keeps its handle, so copies of a re-keyed handle stay
+// pending (see EventQueue::Reschedule).
 class EventHandle {
  public:
   EventHandle() = default;
@@ -140,6 +149,8 @@ class EventHandle {
 
   // Cancels the event if still pending. Returns true if it was pending.
   inline bool Cancel();
+
+  friend bool operator==(const EventHandle&, const EventHandle&) = default;
 
  private:
   friend class EventQueue;
@@ -180,6 +191,15 @@ class EventQueue {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
 
+  // Moves the pending event behind `h` to absolute time `at` (clamped to
+  // now()), taking a fresh sequence number, so it fires exactly where
+  // cancelling it and scheduling the same closure at `at` would put it. A
+  // move to a later or equal time re-keys the event in place and returns
+  // `h`; a move to an earlier time is that cancel and schedule, and returns
+  // the new handle (`h` then reads !pending()). A handle that is not pending
+  // is returned as it is.
+  EventHandle Reschedule(EventHandle h, SimTime at);
+
   // Runs events until the queue is empty or `max_events` have fired.
   // Returns the number of events fired.
   size_t Run(size_t max_events = SIZE_MAX);
@@ -202,6 +222,13 @@ class EventQueue {
   // instrumentation; has no effect on simulated time).
   uint64_t fired_total() const { return fired_total_; }
 
+  // Host-side work counters over this queue's lifetime (never charged):
+  // entries placed in the heap (schedules, and re-keyed entries sifted back
+  // down), events cancelled, and dead entries dropped from the heap.
+  uint64_t heap_pushes() const { return heap_pushes_; }
+  uint64_t cancels() const { return cancels_; }
+  uint64_t dead_skimmed() const { return dead_skimmed_; }
+
   // Boot ids for kernels constructed over this queue. Per-queue (not
   // process-global) so a simulation's wire bytes depend only on its own
   // allocation order -- concurrent simulations in other threads can't
@@ -220,9 +247,13 @@ class EventQueue {
 
   // One slab slot. `generation` advances every time the slot's event ends
   // (fires or is cancelled), so stale handles and stale heap entries are
-  // recognized by mismatch. While free, `next_free` links the freelist.
+  // recognized by mismatch. (`at`, `seq`) is the live event's key; a heap
+  // entry of the right generation but an older seq was re-keyed later by
+  // Reschedule. While free, `next_free` links the freelist.
   struct Slot {
     EventFn fn;
+    SimTime at = 0;
+    uint64_t seq = 0;
     uint32_t generation = 0;
     uint32_t next_free = kNil;
   };
@@ -252,7 +283,9 @@ class EventQueue {
   void HeapPush(Entry e);
   void HeapPopTop();
   void SiftDown(size_t i);
-  // Drops dead heap entries at the top; returns false if the heap drained.
+  // Drops dead heap entries at the top and sifts a re-keyed one down under
+  // its slot's key, until the top is live and current; returns false if the
+  // heap drained.
   bool SkimDead();
   void MaybeSweepDead();
 
@@ -263,6 +296,9 @@ class EventQueue {
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
   uint64_t fired_total_ = 0;
+  uint64_t heap_pushes_ = 0;
+  uint64_t cancels_ = 0;
+  uint64_t dead_skimmed_ = 0;
   uint32_t next_boot_id_ = 1000;
   StatProbe* stat_probe_ = nullptr;
 

@@ -14,7 +14,9 @@
 //    the at-most-once oracle (the datacenter sat-knee shape).
 //
 // The L_RPC-VIP shape also holds a copy budget: the bytes the message tool
-// copies and the header arenas it clones per call (Message::WorkCounters).
+// copies and the header arenas it clones per call (Message::WorkCounters);
+// and an event-queue budget: events fired, heap pushes, cancels and dead
+// entries skimmed per call (EventQueue's counters).
 
 #include <gtest/gtest.h>
 
@@ -98,6 +100,25 @@ TEST(AllocBudget, CountingOperatorNewSeesHeapTraffic) {
     EXPECT_EQ(p->size(), 100u);
   });
   EXPECT_EQ(n, 2u);  // the vector object and its buffer
+}
+
+TEST(AllocBudget, ZeroPayloadMessagesAllocateNothing) {
+  // Every Message(n) views one shared block of zeros, so once a message of
+  // the largest size has been built, building any number of them (alive at
+  // once, as a burst of requests is) allocates nothing.
+  (void)Message(16384);
+  std::vector<Message> live;
+  live.reserve(64);
+  const uint64_t n = AllocationsDuring([&] {
+    for (int i = 0; i < 16; ++i) {
+      for (size_t len : {size_t{1}, size_t{1024}, size_t{4096}, size_t{16384}}) {
+        live.emplace_back(len);
+      }
+    }
+  });
+  EXPECT_EQ(n, 0u);
+  ASSERT_EQ(live.size(), 64u);
+  EXPECT_EQ(live.back().Flatten(), std::vector<uint8_t>(16384, 0));
 }
 
 // --- L_RPC-VIP, RpcClient/RpcServer ----------------------------------------
@@ -201,6 +222,64 @@ TEST_P(PaperRpcBudget, SteadyStateCallsStayUnderCopyBudget) {
   RecordProperty("arena_clones_per_call", std::to_string(static_cast<double>(clones) / kMeasured));
   EXPECT_LE(copied, budget->bytes_per_call * kMeasured) << bytes << " B calls";
   EXPECT_LE(clones, budget->arena_clones_per_call * kMeasured) << bytes << " B calls";
+}
+
+// Event-queue work per call (EventQueue's host counters) at each request
+// size. FRAGMENT's receiver pushes its reassembly gap timer back on every
+// fragment; Reschedule re-keys it in place, so a push-back costs no heap
+// entry, no cancel and no dead entry to skim. What is left is the events
+// that fire, plus the two timers a call cancels: the receiver's gap timer on
+// completion and CHANNEL's retransmit timer when the reply beats it.
+struct QueueBudget {
+  size_t request;
+  uint64_t fired_per_call;
+  uint64_t heap_pushes_per_call;
+  uint64_t cancels_per_call;
+  uint64_t dead_skimmed_per_call;
+};
+constexpr QueueBudget kQueueBudgets[] = {
+    {0, 4, 5, 1, 1},  // one fragment: no gap timer
+    {1024, 4, 5, 1, 1},
+    {4096, 7, 9, 2, 2},
+    {16384, 19, 21, 2, 2},
+};
+
+TEST_P(PaperRpcBudget, SteadyStateCallsStayUnderQueueBudget) {
+  const size_t bytes = GetParam();
+  const QueueBudget* budget = nullptr;
+  for (const QueueBudget& b : kQueueBudgets) {
+    if (b.request == bytes) {
+      budget = &b;
+    }
+  }
+  ASSERT_NE(budget, nullptr);
+  PaperRpc rpc;
+  constexpr int kWarm = 64;
+  constexpr int kMeasured = 200;
+  for (int i = 0; i < kWarm; ++i) {
+    rpc.Call(bytes);
+  }
+  const EventQueue& q = rpc.net->events();
+  const uint64_t fired0 = q.fired_total();
+  const uint64_t pushes0 = q.heap_pushes();
+  const uint64_t cancels0 = q.cancels();
+  const uint64_t dead0 = q.dead_skimmed();
+  for (int i = 0; i < kMeasured; ++i) {
+    rpc.Call(bytes);
+  }
+  EXPECT_EQ(rpc.failed, 0u);
+  const uint64_t fired = q.fired_total() - fired0;
+  const uint64_t pushes = q.heap_pushes() - pushes0;
+  const uint64_t cancels = q.cancels() - cancels0;
+  const uint64_t dead = q.dead_skimmed() - dead0;
+  RecordProperty("fired_per_call", std::to_string(static_cast<double>(fired) / kMeasured));
+  RecordProperty("heap_pushes_per_call", std::to_string(static_cast<double>(pushes) / kMeasured));
+  RecordProperty("cancels_per_call", std::to_string(static_cast<double>(cancels) / kMeasured));
+  RecordProperty("dead_skimmed_per_call", std::to_string(static_cast<double>(dead) / kMeasured));
+  EXPECT_EQ(fired, budget->fired_per_call * kMeasured) << bytes << " B calls";
+  EXPECT_LE(pushes, budget->heap_pushes_per_call * kMeasured) << bytes << " B calls";
+  EXPECT_LE(cancels, budget->cancels_per_call * kMeasured) << bytes << " B calls";
+  EXPECT_LE(dead, budget->dead_skimmed_per_call * kMeasured) << bytes << " B calls";
 }
 
 INSTANTIATE_TEST_SUITE_P(RequestSizes, PaperRpcBudget,

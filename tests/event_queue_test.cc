@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace xk {
@@ -211,10 +213,13 @@ TEST(EventQueueTest, HandleStaysDeadAfterSlotReuse) {
 }
 
 TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
-  // Replay a long random schedule/cancel/run trace against a transparent
-  // reference implementation with the seed's priority-queue semantics
-  // ((at, seq) ordering, cancellation by flag). Firing order, firing times,
-  // cancel return values, and live counts must match exactly.
+  // Replay a long random schedule/cancel/reschedule/run trace against a
+  // transparent reference implementation with the seed's priority-queue
+  // semantics ((at, seq) ordering, cancellation by flag). A reschedule in the
+  // model is a cancel plus a schedule of the same closure: the id's older
+  // entries go stale and a new entry takes a fresh seq. Firing order, firing
+  // times, cancel return values, live counts and fired totals must match
+  // exactly.
   struct RefEvent {
     SimTime at;
     uint64_t seq;
@@ -226,14 +231,17 @@ TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
   };
   std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<RefEvent>>
       ref_heap;
-  std::vector<bool> ref_dead;  // id -> cancelled-or-fired
+  std::vector<bool> ref_dead;        // id -> cancelled-or-fired
+  std::vector<uint64_t> ref_cur;     // id -> seq of its current entry
+  std::vector<SimTime> ref_at;       // id -> time of its current entry
   SimTime ref_now = 0;
   uint64_t ref_seq = 0;
+  uint64_t ref_fired = 0;
 
   EventQueue q;
   std::vector<EventHandle> handles;
-  std::vector<int> fired_real;
-  std::vector<int> fired_ref;
+  std::vector<std::pair<int, SimTime>> fired_real;
+  std::vector<std::pair<int, SimTime>> fired_ref;
 
   auto ref_live = [&] {
     size_t n = 0;
@@ -248,44 +256,153 @@ TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
     while (fired < max_events && !ref_heap.empty()) {
       RefEvent ev = ref_heap.top();
       ref_heap.pop();
-      if (ref_dead[ev.id]) continue;
+      if (ref_dead[ev.id] || ev.seq != ref_cur[ev.id]) continue;
       ref_now = ev.at;
       ref_dead[ev.id] = true;
-      fired_ref.push_back(ev.id);
+      fired_ref.emplace_back(ev.id, ev.at);
       ++fired;
     }
+    ref_fired += fired;
     return fired;
   };
 
   std::mt19937 rng(20260806);
-  for (int step = 0; step < 4000; ++step) {
+  int later = 0;
+  int earlier = 0;
+  for (int step = 0; step < 6000; ++step) {
     const int op = static_cast<int>(rng() % 100);
-    if (op < 55) {  // schedule, sometimes in the "past" to exercise clamping
+    if (op < 45) {  // schedule, sometimes in the "past" to exercise clamping
       const SimTime at = ref_now + static_cast<SimTime>(rng() % 500) - 50;
       const int id = static_cast<int>(ref_dead.size());
       const SimTime clamped = at < ref_now ? ref_now : at;
-      ref_heap.push(RefEvent{clamped, ref_seq++, id});
+      ref_heap.push(RefEvent{clamped, ref_seq, id});
+      ref_cur.push_back(ref_seq++);
+      ref_at.push_back(clamped);
       ref_dead.push_back(false);
-      handles.push_back(
-          q.ScheduleAt(at, [&fired_real, id] { fired_real.push_back(id); }));
-    } else if (op < 85 && !handles.empty()) {  // cancel a random id
+      handles.push_back(q.ScheduleAt(
+          at, [&fired_real, &q, id] { fired_real.emplace_back(id, q.now()); }));
+    } else if (op < 65 && !handles.empty()) {  // cancel a random id
       const size_t victim = rng() % handles.size();
       const bool ref_was_live = !ref_dead[victim];
       ref_dead[victim] = true;
       EXPECT_EQ(handles[victim].Cancel(), ref_was_live) << "step " << step;
       EXPECT_FALSE(handles[victim].pending());
+    } else if (op < 85 && !handles.empty()) {  // reschedule, later or earlier
+      // Mostly a recent id, which is likely still pending.
+      const size_t victim =
+          handles.size() - 1 - rng() % std::min<size_t>(handles.size(), 16);
+      const SimTime at = ref_now + static_cast<SimTime>(rng() % 500) - 50;
+      const SimTime clamped = at < ref_now ? ref_now : at;
+      const EventHandle old = handles[victim];
+      handles[victim] = q.Reschedule(old, at);
+      if (ref_dead[victim]) {
+        EXPECT_EQ(handles[victim], old) << "step " << step;
+        EXPECT_FALSE(handles[victim].pending()) << "step " << step;
+      } else {
+        const bool moved_earlier = clamped < ref_at[victim];
+        ++(moved_earlier ? earlier : later);
+        ref_heap.push(RefEvent{clamped, ref_seq, static_cast<int>(victim)});
+        ref_cur[victim] = ref_seq++;
+        ref_at[victim] = clamped;
+        EXPECT_TRUE(handles[victim].pending()) << "step " << step;
+        EXPECT_EQ(handles[victim] == old, !moved_earlier) << "step " << step;
+        EXPECT_EQ(old.pending(), !moved_earlier) << "step " << step;
+      }
     } else {  // run a bounded burst
       const size_t burst = 1 + rng() % 8;
       EXPECT_EQ(q.Run(burst), ref_run(burst)) << "step " << step;
       EXPECT_EQ(q.now(), ref_now) << "step " << step;
     }
     EXPECT_EQ(q.pending_events(), ref_live()) << "step " << step;
+    EXPECT_EQ(q.fired_total(), ref_fired) << "step " << step;
   }
   q.Run();
   ref_run(SIZE_MAX);
   EXPECT_EQ(q.now(), ref_now);
   EXPECT_EQ(fired_real, fired_ref);
+  EXPECT_EQ(q.fired_total(), ref_fired);
   EXPECT_TRUE(q.empty());
+  // Both kinds of move were exercised, many times.
+  EXPECT_GT(later, 100);
+  EXPECT_GT(earlier, 100);
+}
+
+TEST(EventQueueTest, RescheduleHandles) {
+  EventQueue q;
+  std::vector<int> order;
+  EventHandle a = q.ScheduleAt(Usec(10), [&] { order.push_back(1); });
+  EventHandle b = q.ScheduleAt(Usec(20), [&] { order.push_back(2); });
+  const EventHandle a_copy = a;
+
+  // Later: re-keyed in place; the handle and every copy of it stay pending.
+  EXPECT_EQ(q.Reschedule(a, Usec(30)), a);
+  EXPECT_TRUE(a.pending());
+  EXPECT_TRUE(a_copy.pending());
+  EXPECT_EQ(q.pending_events(), 2u);
+
+  // Earlier: a new handle; the old one (and its copies) read !pending().
+  EventHandle b2 = q.Reschedule(b, Usec(5));
+  EXPECT_FALSE(b2 == b);
+  EXPECT_TRUE(b2.pending());
+  EXPECT_FALSE(b.pending());
+  EXPECT_FALSE(b.Cancel());
+  EXPECT_EQ(q.pending_events(), 2u);
+
+  q.Run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(q.now(), Usec(30));
+  EXPECT_FALSE(a_copy.pending());
+
+  // Cancelling a re-keyed handle (through a copy) stops it firing, and its
+  // stale heap entry is dropped when it surfaces.
+  bool fired = false;
+  EventHandle c = q.ScheduleIn(Usec(10), [&] { fired = true; });
+  EventHandle c_copy = c;
+  EXPECT_EQ(q.Reschedule(c, q.now() + Usec(50)), c);
+  EXPECT_TRUE(c_copy.Cancel());
+  EXPECT_FALSE(c.pending());
+  EXPECT_TRUE(q.empty());
+  q.Run();
+  EXPECT_FALSE(fired);
+
+  // A handle that is no longer pending is returned as it is.
+  EXPECT_EQ(q.Reschedule(c, q.now() + Usec(1)), c);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, RescheduledEventRunsUntilAtItsNewTime) {
+  // RunUntil must not stop at (or fire) the stale, earlier key.
+  EventQueue q;
+  SimTime fired_at = -1;
+  EventHandle h = q.ScheduleAt(Usec(10), [&] { fired_at = q.now(); });
+  q.Reschedule(h, Usec(40));
+  EXPECT_EQ(q.RunUntil(Usec(39)), 0u);
+  EXPECT_TRUE(h.pending());
+  EXPECT_EQ(q.RunUntil(Usec(40)), 1u);
+  EXPECT_EQ(fired_at, Usec(40));
+}
+
+TEST(EventQueueTest, CountersTrackHeapWork) {
+  EventQueue q;
+  EventHandle h = q.ScheduleAt(Usec(10), [] {});
+  q.ScheduleAt(Usec(20), [] {});
+  EXPECT_EQ(q.heap_pushes(), 2u);
+  // Pushed back in place: no new entry until the stale one surfaces.
+  q.Reschedule(h, Usec(30));
+  EXPECT_EQ(q.heap_pushes(), 2u);
+  EXPECT_EQ(q.cancels(), 0u);
+  q.Run();
+  EXPECT_EQ(q.heap_pushes(), 3u);  // the stale entry sifted down once
+  EXPECT_EQ(q.dead_skimmed(), 0u);
+  EXPECT_EQ(q.fired_total(), 2u);
+  // Pulled earlier: a cancel, a second entry, and a dead one to skim.
+  EventHandle g = q.ScheduleIn(Usec(50), [] {});
+  q.Reschedule(g, q.now() + Usec(5));
+  EXPECT_EQ(q.heap_pushes(), 5u);
+  EXPECT_EQ(q.cancels(), 1u);
+  q.Run();
+  EXPECT_EQ(q.dead_skimmed(), 1u);
+  EXPECT_EQ(q.fired_total(), 3u);
 }
 
 TEST(EventQueueTest, CountsFiredEvents) {

@@ -111,6 +111,29 @@ TEST_F(FragmentFixture, LostFragmentRecoveredByNack) {
   EXPECT_EQ(cstack.fragment->stats().fragments_resent, 1u);
 }
 
+TEST_F(FragmentFixture, LostMiddleFragmentCompletesAtExactTime) {
+  // The receiver pushes its gap timer back on every fragment, so the one
+  // NACK goes out nack_delay after the last fragment that did arrive, and
+  // the message completes when the resent fragment lands. The completion
+  // time is pinned to the nanosecond: a push-back that re-keys the pending
+  // timer must fire it exactly where cancelling and re-setting it did.
+  net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
+    return index == 7 ? LinkFault::kDrop : LinkFault::kDeliver;
+  });
+  SimTime completed_at = -1;
+  sa->on_receive = [&](Message&, Session*) { completed_at = sh->kernel->now(); };
+  SessionRef sess = OpenToServer();
+  Send(sess, PatternBytes(16384, 3));
+  net->RunAll();
+  ASSERT_EQ(sa->received.size(), 1u);
+  EXPECT_EQ(sa->received[0], PatternBytes(16384, 3));
+  EXPECT_EQ(sstack.fragment->stats().nacks_sent, 1u);
+  EXPECT_EQ(cstack.fragment->stats().nacks_received, 1u);
+  EXPECT_EQ(cstack.fragment->stats().fragments_resent, 1u);
+  // Measured when each push-back cancelled the timer and set a new one.
+  EXPECT_EQ(completed_at, SimTime{41275310});
+}
+
 TEST_F(FragmentFixture, NackServedAfterSendRingGrew) {
   // The send cache is a seq-indexed ring that doubles when the live window
   // outruns it. Lose a fragment of the first message, then send enough more

@@ -71,6 +71,69 @@ TEST_F(KernelFixture, CancelledTimerNeverFiresAndChargesCancel) {
   EXPECT_EQ(kernel.cpu().total_busy(), before2);
 }
 
+TEST(KernelTimerTest, RearmedTimerFiresWhereCancelAndSetWouldAndCharges) {
+  // The same push-back done both ways on fresh hosts: RearmTimer, and the
+  // CancelTimer + SetTimer pair it replaces. Fire time and CPU charge match.
+  struct Outcome {
+    SimTime fired_at = -1;
+    SimTime busy = 0;
+  };
+  auto run = [](bool rearm) {
+    EventQueue events;
+    Kernel kernel{"host", events, HostEnv::kXKernel, IpAddr(10, 0, 0, 1), EthAddr::FromIndex(1)};
+    Outcome out;
+    auto body = [&] { out.fired_at = events.now(); };
+    EventHandle h;
+    kernel.RunTask(0, [&] { h = kernel.SetTimer(Usec(50), body); });
+    const EventHandle original = h;
+    kernel.RunTask(Usec(10), [&] {
+      if (rearm) {
+        EXPECT_TRUE(kernel.RearmTimer(h, Usec(50)));
+        EXPECT_EQ(h, original);  // pushed back in place
+      } else {
+        kernel.CancelTimer(h);
+        h = kernel.SetTimer(Usec(50), body);
+      }
+    });
+    EXPECT_EQ(kernel.tasks_pending(), 1u);
+    events.Run();
+    out.busy = kernel.cpu().total_busy();
+    // A timer that already fired is not re-armed, and nothing is charged.
+    kernel.RunTask(events.now(), [&] { EXPECT_FALSE(kernel.RearmTimer(h, Usec(50))); });
+    EXPECT_EQ(kernel.cpu().total_busy(), out.busy);
+    return out;
+  };
+  const Outcome rearmed = run(true);
+  const Outcome pair = run(false);
+  EXPECT_GT(rearmed.fired_at, Usec(60));
+  EXPECT_EQ(rearmed.fired_at, pair.fired_at);
+  EXPECT_EQ(rearmed.busy, pair.busy);
+}
+
+TEST_F(KernelFixture, CrashCancelsRearmedTimers) {
+  // One timer pushed back in place, one pulled earlier (re-queued under a
+  // new handle): the crash must cancel both.
+  int fired = 0;
+  EventHandle later, earlier;
+  kernel.RunTask(0, [&] {
+    later = kernel.SetTimer(Usec(20), [&] { ++fired; });
+    earlier = kernel.SetTimer(Usec(500), [&] { ++fired; });
+  });
+  const EventHandle earlier_before = earlier;
+  kernel.RunTask(Usec(5), [&] {
+    EXPECT_TRUE(kernel.RearmTimer(later, Usec(100)));
+    EXPECT_TRUE(kernel.RearmTimer(earlier, Usec(100)));
+  });
+  EXPECT_FALSE(earlier == earlier_before);
+  EXPECT_FALSE(earlier_before.pending());
+  EXPECT_EQ(kernel.tasks_pending(), 2u);
+  kernel.Crash();
+  EXPECT_FALSE(later.pending());
+  EXPECT_FALSE(earlier.pending());
+  events.Run();
+  EXPECT_EQ(fired, 0);
+}
+
 TEST_F(KernelFixture, BootIdsAreUniqueAndBumpOnRestart) {
   Kernel other("other", events, HostEnv::kXKernel, IpAddr(10, 0, 0, 2), EthAddr::FromIndex(2));
   EXPECT_NE(kernel.boot_id(), other.boot_id());

@@ -75,6 +75,21 @@ TEST(WireTest, SkipAndZeros) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(WireTest, SingleBitIndexNamesTheOneSetBit) {
+  // A fragment mask names its fragment by its one set bit; anything else
+  // (no bit, or several) names none.
+  struct Row {
+    uint16_t mask;
+    int index;
+  };
+  constexpr Row kRows[] = {
+      {0, -1}, {1, 0}, {1u << 15, 15}, {3, -1}, {1u << 7, 7}, {0xFFFF, -1},
+  };
+  for (const Row& row : kRows) {
+    EXPECT_EQ(SingleBitIndex(row.mask), row.index) << "mask " << row.mask;
+  }
+}
+
 TEST(WireTest, IpAddrHelpers) {
   IpAddr a(10, 0, 1, 17);
   EXPECT_EQ(a.ToString(), "10.0.1.17");
