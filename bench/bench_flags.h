@@ -18,7 +18,6 @@ struct Options {
   std::string out_path = "BENCH_RESULTS.json";
   std::string trace_dir;
   std::string pcap_dir;
-  std::string stats_dir;   // per-job time-series JSONL (--stats=DIR)
   std::string filter;      // ECMAScript regex matched against "group.name"
   std::string faults;      // FaultPlan spec (--faults=): adds a chaos.custom job
   std::string arrivals;    // ArrivalSpec (--arrivals=): adds a datacenter.custom job
@@ -38,8 +37,6 @@ inline bool ParseBenchArgs(int argc, char** argv, Options* opt, std::string* err
       opt->trace_dir = arg + 8;
     } else if (std::strncmp(arg, "--pcap=", 7) == 0) {
       opt->pcap_dir = arg + 7;
-    } else if (std::strncmp(arg, "--stats=", 8) == 0) {
-      opt->stats_dir = arg + 8;
     } else if (std::strncmp(arg, "--filter=", 9) == 0) {
       opt->filter = arg + 9;
     } else if (std::strncmp(arg, "--faults=", 9) == 0) {

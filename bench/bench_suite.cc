@@ -27,7 +27,6 @@
 #include "bench/bench_util.h"
 #include "bench/session_scale.h"
 #include "src/cluster/datacenter.h"
-#include "src/stat/timeseries.h"
 #include "src/trace/causal.h"
 #include "src/trace/json_util.h"
 #include "src/trace/pcap.h"
@@ -1031,7 +1030,7 @@ int Run(const Options& opt) {
     }
     return 0;
   }
-  for (const std::string* dir : {&opt.trace_dir, &opt.pcap_dir, &opt.stats_dir}) {
+  for (const std::string* dir : {&opt.trace_dir, &opt.pcap_dir}) {
     std::error_code ec;
     if (!dir->empty() && !std::filesystem::create_directories(*dir, ec) && ec) {
       std::fprintf(stderr, "bench_suite: cannot create directory %s: %s\n", dir->c_str(),
@@ -1044,7 +1043,6 @@ int Run(const Options& opt) {
     // thread-default observers at construction, so traces never mix jobs.
     std::unique_ptr<TraceSink> sink;
     std::unique_ptr<PacketCapture> capture;
-    std::unique_ptr<StatSampler> sampler;
     if (!opt.trace_dir.empty()) {
       sink = std::make_unique<TraceSink>();
       TraceSink::set_thread_default(sink.get());
@@ -1053,23 +1051,15 @@ int Run(const Options& opt) {
       capture = std::make_unique<PacketCapture>();
       PacketCapture::set_thread_default(capture.get());
     }
-    if (!opt.stats_dir.empty()) {
-      sampler = std::make_unique<StatSampler>();
-      StatSampler::set_thread_default(sampler.get());
-    }
     JobResult r = jobs[i].run();
     TraceSink::set_thread_default(nullptr);
     PacketCapture::set_thread_default(nullptr);
-    StatSampler::set_thread_default(nullptr);
     const std::string stem = JobFileStem(jobs[i]);
     if (sink != nullptr) {
       WriteArtifact(opt.trace_dir + "/" + stem + ".trace.jsonl", sink->ToJsonl());
     }
     if (capture != nullptr) {
       WriteArtifact(opt.pcap_dir + "/" + stem + ".pcap.jsonl", capture->ToJsonl());
-    }
-    if (sampler != nullptr) {
-      WriteArtifact(opt.stats_dir + "/" + stem + ".stats.jsonl", sampler->ToJsonl());
     }
     r.group = jobs[i].group;
     r.name = jobs[i].name;
@@ -1092,7 +1082,7 @@ int main(int argc, char** argv) {
   if (!xk::ParseBenchArgs(argc, argv, &opt, &flag_error)) {
     std::fprintf(stderr, "%s: %s\n", argv[0], flag_error.c_str());
     std::fprintf(stderr,
-                 "usage: %s [--out=FILE] [--trace=DIR] [--pcap=DIR] [--stats=DIR]\n"
+                 "usage: %s [--out=FILE] [--trace=DIR] [--pcap=DIR]\n"
                  "          [--list] [--filter=REGEX]\n"
                  "          [--session-scale=N] (adds a session_scale.nN job at N sessions)\n"
                  "          [--faults=PLAN]   (e.g. crash:host=server,at=300ms,restart=700ms;\n"

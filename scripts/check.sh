@@ -68,10 +68,10 @@ root=$PWD
 echo
 echo "== determinism: two observed bench_suite runs are bit-identical =="
 # bench_suite reports simulated quantities only, so the results file, traces,
-# captures, time series and stdout (summary line and report) must be
-# byte-identical run to run, no normalization needed, and so must the causal
-# flows and folded stacks xktrace derives from each run's traces. Each run
-# writes the same relative names in its own directory.
+# captures and stdout (summary line and report) must be byte-identical run to
+# run, no normalization needed, and so must the causal flows and folded stacks
+# xktrace derives from each run's traces. Each run writes the same relative
+# names in its own directory.
 suite() {
   local dir="$obs/$1"
   shift
@@ -79,7 +79,7 @@ suite() {
   (cd "$dir" && "$root/build/bench/bench_suite" --out=r.json "$@" > report.txt)
 }
 for run in a b; do
-  suite "$run" --trace=trace --pcap=pcap --stats=stats
+  suite "$run" --trace=trace --pcap=pcap
   mkdir -p "$obs/$run/flow"
   for t in "$obs/$run"/trace/*.trace.jsonl; do
     stem=$(basename "$t" .trace.jsonl)
@@ -93,7 +93,7 @@ for run in b plain; do
   cmp "$obs/a/r.json" "$obs/$run/r.json"
   cmp "$obs/a/report.txt" "$obs/$run/report.txt"
 done
-for kind in trace pcap stats flow; do
+for kind in trace pcap flow; do
   diff -r "$obs/a/$kind" "$obs/b/$kind"
 done
 grep -q "Table III: Cost of Individual RPC Layers" "$obs/a/report.txt"
@@ -164,6 +164,8 @@ grep -q "failed to write /dev/full" "$obs/full.txt"
 usage_error "'^nomatch' matches no job" \
   ./build/bench/bench_suite --filter='^nomatch' --out="$obs/nomatch.json"
 [ ! -e "$obs/nomatch.json" ] || { echo "FAIL: --filter='^nomatch' wrote $obs/nomatch.json"; exit 1; }
+# The deleted time-series observer's flag is rejected, not silently ignored.
+usage_error "unknown flag '--stats=x'" ./build/bench/bench_suite --stats=x
 
 echo
 echo "== tool flags: a malformed value or a bad command line exits 2 naming it =="

@@ -79,16 +79,8 @@ Status RpcClient::DoDemux(Session* lls, Message& msg) {
   return OkStatus();
 }
 
-void RpcClient::ExportGauges(const CounterEmit& emit) const {
-  uint64_t outstanding = 0;
-  for (const auto& [sess, queue] : outstanding_) {
-    (void)sess;
-    outstanding += queue.size();
-  }
-  emit("outstanding_calls", outstanding);
-}
-
-void RpcClient::SessionError(Session& lls, Status error) {
+void RpcClient::SessionError(Session& lls, Status error, const Message* request) {
+  (void)request;
   auto it = outstanding_.find(&lls);
   if (it == outstanding_.end() || it->second.empty()) {
     return;
@@ -259,19 +251,8 @@ Status EchoAnchor::DoDemux(Session* lls, Message& msg) {
   return OkStatus();
 }
 
-void EchoAnchor::ExportGauges(const CounterEmit& emit) const {
-  if (server_role_) {
-    return;
-  }
-  uint64_t outstanding = 0;
-  for (const auto& [sess, queue] : outstanding_) {
-    (void)sess;
-    outstanding += queue.size();
-  }
-  emit("outstanding_sends", outstanding);
-}
-
-void EchoAnchor::SessionError(Session& lls, Status error) {
+void EchoAnchor::SessionError(Session& lls, Status error, const Message* request) {
+  (void)request;
   auto it = outstanding_.find(&lls);
   if (it == outstanding_.end() || it->second.empty()) {
     return;

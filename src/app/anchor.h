@@ -51,10 +51,7 @@ class RpcClient : public Protocol {
   uint64_t calls_completed() const { return calls_completed_; }
   uint64_t calls_failed() const { return calls_failed_; }
 
-  // Calls issued but not yet completed or failed (time-series gauge).
-  void ExportGauges(const CounterEmit& emit) const override;
-
-  void SessionError(Session& lls, Status error) override;
+  void SessionError(Session& lls, Status error, const Message* request) override;
 
  protected:
   Status DoDemux(Session* lls, Message& msg) override;
@@ -158,10 +155,7 @@ class EchoAnchor : public Protocol {
   // Server role: echo only the first `n` bytes (null-reply throughput tests).
   void set_echo_limit(size_t n) { echo_limit_ = n; }
 
-  // Sends awaiting their echo (client role; time-series gauge).
-  void ExportGauges(const CounterEmit& emit) const override;
-
-  void SessionError(Session& lls, Status error) override;
+  void SessionError(Session& lls, Status error, const Message* request) override;
 
  protected:
   Status DoDemux(Session* lls, Message& msg) override;

@@ -137,15 +137,11 @@ Status ClusterClient::DoDemux(Session* lls, Message& msg) {
   return OkStatus();
 }
 
-void ClusterClient::SessionError(Session& lls, Status error) {
-  SessionCallError(lls, error, nullptr);
-}
-
-void ClusterClient::SessionCallError(Session& lls, Status error, const Message* request) {
+void ClusterClient::SessionError(Session& lls, Status error, const Message* request) {
   // The failing request's first 8 bytes are the call id, so out-of-order
-  // rejects complete the right call. Without a request (legacy SessionError)
-  // fall back to the session's lowest outstanding id -- CHANNEL surfaces
-  // giveups in issue order.
+  // rejects complete the right call. Without a request fall back to the
+  // session's lowest outstanding id -- CHANNEL surfaces giveups in issue
+  // order.
   uint64_t id = request != nullptr ? AmoOracle::ExtractId(*request) : 0;
   if (request == nullptr || !pending_.Contains({&lls, id})) {
     bool any = false;
@@ -190,10 +186,6 @@ void ClusterClient::ExportCounters(const CounterEmit& emit) const {
   emit("late_replies", late_replies_);
   emit("hedges", hedges_);
   emit("hedge_cancels", hedge_cancels_);
-}
-
-void ClusterClient::ExportGauges(const CounterEmit& emit) const {
-  emit("outstanding_calls", pending_.size());
 }
 
 Status ClusterClient::DoControl(ControlOp op, ControlArgs& args) {

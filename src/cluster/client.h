@@ -10,10 +10,10 @@
 // Pending calls sit in one flat table keyed by (session, call id), so a call
 // costs no heap allocation once the table has reached its size.
 //
-// Errors: the SessionCallError upcall carries the failing request, whose
-// first 8 bytes are the call id, so failures complete the exact call that
-// died even when rejects arrive out of issue order. A legacy SessionError
-// (no request) falls back to completing the session's lowest outstanding id.
+// Errors: the SessionError upcall carries the failing request, whose first 8
+// bytes are the call id, so failures complete the exact call that died even
+// when rejects arrive out of issue order. An error without a request falls
+// back to completing the session's lowest outstanding id.
 // A reply for an id that is no longer pending (it already failed, or its
 // hedge twin won) is counted in `late_replies` and dropped; at-most-once stays
 // observable because failure outcomes need no echo match.
@@ -72,9 +72,7 @@ class ClusterClient : public Protocol {
   uint64_t hedge_cancels() const { return hedge_cancels_; }
 
   void ExportCounters(const CounterEmit& emit) const override;
-  void ExportGauges(const CounterEmit& emit) const override;
-  void SessionError(Session& lls, Status error) override;
-  void SessionCallError(Session& lls, Status error, const Message* request) override;
+  void SessionError(Session& lls, Status error, const Message* request) override;
 
  protected:
   Status DoDemux(Session* lls, Message& msg) override;

@@ -240,11 +240,7 @@ Status VpoolProtocol::DoDemux(Session* lls, Message& msg) {
   return sess->Pop(msg, lls);
 }
 
-void VpoolProtocol::SessionError(Session& lls, Status error) {
-  SessionCallError(lls, error, nullptr);
-}
-
-void VpoolProtocol::SessionCallError(Session& lls, Status error, const Message* request) {
+void VpoolProtocol::SessionError(Session& lls, Status error, const Message* request) {
   SessionRef sess = by_lls_.Peek(&lls);
   if (sess == nullptr) {
     return;
@@ -275,7 +271,7 @@ void VpoolProtocol::SessionCallError(Session& lls, Status error, const Message* 
   if (sess->hlp() != nullptr) {
     // Headerless layer: the failing request passes up unchanged, so the
     // client above can identify WHICH call died (not just "the oldest").
-    sess->hlp()->SessionCallError(*sess, error, request);
+    sess->hlp()->SessionError(*sess, error, request);
   }
 }
 
@@ -380,18 +376,6 @@ void VpoolProtocol::ExportCounters(const CounterEmit& emit) const {
     const std::string prefix = "r" + std::to_string(i);
     emit(prefix + "_calls", replicas_[i].calls);
     emit(prefix + "_errors", replicas_[i].errors);
-  }
-}
-
-void VpoolProtocol::ExportGauges(const CounterEmit& emit) const {
-  uint64_t up = 0;
-  for (const Replica& r : replicas_) {
-    up += r.up ? 1 : 0;
-  }
-  emit("replicas_up", up);
-  emit("live_sessions", sessions_.live());
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    emit("r" + std::to_string(i) + "_outstanding", replicas_[i].outstanding);
   }
 }
 

@@ -16,7 +16,7 @@
 // every policy and readmitted on probation after `readmit_after`; a replica
 // that is still dead just fails its next probe call and is marked down again.
 // Per-replica balance and failover counters export through the standard
-// ExportCounters/ExportGauges observability hooks.
+// ExportCounters observability hook.
 //
 // Sessions are slab-pooled and idle-tracked (the session class precedes the
 // protocol so the pool member sees a complete type). Eviction reuses the same
@@ -117,10 +117,8 @@ class VpoolProtocol final : public Protocol {
   // Live VpoolSessions (slab-pooled).
   size_t live_sessions() const { return sessions_.live(); }
 
-  void SessionError(Session& lls, Status error) override;
-  void SessionCallError(Session& lls, Status error, const Message* request) override;
+  void SessionError(Session& lls, Status error, const Message* request) override;
   void ExportCounters(const CounterEmit& emit) const override;
-  void ExportGauges(const CounterEmit& emit) const override;
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;

@@ -1,5 +1,6 @@
 #include "src/core/kernel.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/trace/trace.h"
@@ -28,8 +29,10 @@ Kernel::~Kernel() {
 
 void Kernel::TrackPending(EventHandle handle) {
   // Host bookkeeping only (never charged): keep the registry from growing
-  // without bound by squeezing out fired/cancelled handles once they dominate.
-  if (pending_handles_.size() >= 64 && pending_handles_.size() >= 2 * tasks_pending_) {
+  // without bound by squeezing out fired/cancelled handles. The next squeeze
+  // waits until the registry has doubled past what survived this one, so each
+  // costs O(1) per handle pushed since the last.
+  if (pending_handles_.size() >= compact_at_) {
     size_t kept = 0;
     for (EventHandle& h : pending_handles_) {
       if (h.pending()) {
@@ -37,6 +40,7 @@ void Kernel::TrackPending(EventHandle handle) {
       }
     }
     pending_handles_.resize(kept);
+    compact_at_ = std::max<size_t>(64, 2 * kept);
   }
   pending_handles_.push_back(handle);
 }
@@ -52,7 +56,6 @@ void Kernel::Crash() {
     h.Cancel();
   }
   pending_handles_.clear();
-  tasks_pending_ = 0;
   while (!protocols_.empty()) {
     protocols_.pop_back();
   }
@@ -75,9 +78,6 @@ void Kernel::Restart() {
 void Kernel::CancelTimer(EventHandle& handle) {
   if (handle.Cancel()) {
     cpu_.Charge(costs_.timer_cancel);
-    if (tasks_pending_ > 0) {
-      --tasks_pending_;
-    }
   }
 }
 

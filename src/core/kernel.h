@@ -79,11 +79,7 @@ class Kernel {
   // the slab slot) rather than through a std::function indirection.
   template <typename F>
   EventHandle ScheduleTask(SimTime delay, F fn) {
-    ++tasks_pending_;
     EventHandle h = events_.ScheduleIn(delay, [this, fn = std::move(fn)]() mutable {
-      if (tasks_pending_ > 0) {
-        --tasks_pending_;
-      }
       RunTask(events_.now(), fn);
     });
     TrackPending(h);
@@ -97,11 +93,7 @@ class Kernel {
   EventHandle SetTimer(SimTime delay, F fn) {
     cpu_.Charge(costs_.timer_set);
     const SimTime fire_at = cpu_.now() + delay;
-    ++tasks_pending_;
     EventHandle h = events_.ScheduleAt(fire_at, [this, fn = std::move(fn)]() mutable {
-      if (tasks_pending_ > 0) {
-        --tasks_pending_;
-      }
       RunTask(events_.now(), fn);
     });
     TrackPending(h);
@@ -118,11 +110,6 @@ class Kernel {
   // event had to be queued anew. Returns false, charging nothing, if the
   // timer is no longer pending.
   bool RearmTimer(EventHandle& handle, SimTime delay);
-
-  // Tasks and timers scheduled on this kernel that have not yet started (the
-  // host's ready/pending queue depth). Host-side gauge for the stat sampler;
-  // maintained by ScheduleTask/SetTimer/CancelTimer, never charged.
-  uint64_t tasks_pending() const { return tasks_pending_; }
 
   // --- protocol graph ---------------------------------------------------------
   // Takes ownership; protocols are destroyed in reverse insertion order
@@ -208,14 +195,15 @@ class Kernel {
   IpAddr ip_;
   EthAddr eth_;
   uint32_t boot_id_;
-  uint64_t tasks_pending_ = 0;
   bool up_ = true;
   TraceSink* trace_ = nullptr;
 
   // Every pending task/timer handle, so Crash() can cancel the lot (their
   // closures capture protocol objects the crash destroys). Fired and
-  // cancelled handles are compacted lazily.
+  // cancelled handles are compacted lazily, once the registry reaches
+  // `compact_at_` entries.
   std::vector<EventHandle> pending_handles_;
+  size_t compact_at_ = 64;
   void TrackPending(EventHandle handle);
 
   std::vector<std::unique_ptr<Protocol>> protocols_;

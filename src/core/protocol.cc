@@ -129,9 +129,10 @@ Status Protocol::OpenDoneUp(Protocol& llp, SessionRef lls, const ParticipantSet&
   return OkStatus();
 }
 
-void Protocol::SessionError(Session& lls, Status error) {
+void Protocol::SessionError(Session& lls, Status error, const Message* request) {
   (void)lls;
   (void)error;
+  (void)request;
 }
 
 Status Protocol::Control(ControlOp op, ControlArgs& args) {

@@ -208,18 +208,12 @@ class Protocol {
 
   // Upcall: an operation pending inside lower session `lls` failed
   // asynchronously (e.g. a CHANNEL call exhausted its retransmissions).
-  // Default: ignore.
-  virtual void SessionError(Session& lls, Status error);
-
-  // Like SessionError, but carries the failing request message when the lower
-  // layer still holds it, so multiplexing layers (SELECT, ClusterClient) can
+  // `request` is the failing request message when the lower layer still holds
+  // it (null otherwise), so multiplexing layers (SELECT, ClusterClient) can
   // identify WHICH call failed instead of guessing. Overload-control rejects
   // (BUSY, DEADLINE_EXCEEDED) arrive out of order relative to issue, so
-  // identity matters there. Default: degrade to SessionError.
-  virtual void SessionCallError(Session& lls, Status error, const Message* request) {
-    (void)request;
-    SessionError(lls, error);
-  }
+  // identity matters there. Default: ignore.
+  virtual void SessionError(Session& lls, Status error, const Message* request);
 
   // --- control ----------------------------------------------------------------
 
@@ -243,12 +237,6 @@ class Protocol {
   // Emits every counter this protocol maintains, generic ones first.
   // Overrides call the base, then emit their protocol-specific statistics.
   virtual void ExportCounters(const CounterEmit& emit) const;
-
-  // Emits instantaneous state (queue depths, calls in flight, retransmit
-  // counts) for the time-series sampler. Unlike ExportCounters this is called
-  // repeatedly mid-run, so overrides must be read-only and cheap. Default:
-  // nothing.
-  virtual void ExportGauges(const CounterEmit& emit) const { (void)emit; }
 
   // --- idle-session eviction --------------------------------------------------
   //

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "src/stat/timeseries.h"
 #include "src/trace/json_util.h"
 
 namespace xk {
@@ -42,31 +41,13 @@ Internet::Internet(HostEnv default_env, uint64_t seed)
     : default_env_(default_env),
       seed_(seed),
       trace_(TraceSink::thread_default()),
-      capture_(PacketCapture::thread_default()) {
-  if (StatSampler* s = StatSampler::thread_default(); s != nullptr) {
-    stats_ = s;
-    stat_net_ = s->AttachNet();
-  }
-}
+      capture_(PacketCapture::thread_default()) {}
 
 Internet::~Internet() {
-  // Detach the sampler while the event queues it probes are still alive.
-  if (stats_ != nullptr) {
-    stats_->DetachNet(stat_net_);
-  }
   // Kernels (and the protocols inside them) may hold sessions referring to
   // segments; destroy kernels first.
   kernels_.clear();
   segments_.clear();
-}
-
-size_t Internet::RunAll() {
-  const size_t fired = events_.Run();
-  // Emit the trailing sample boundaries.
-  if (stats_ != nullptr) {
-    stats_->FlushNet(stat_net_, events_.now());
-  }
-  return fired;
 }
 
 int Internet::AddSegment(WireModel wire) {
@@ -76,9 +57,6 @@ int Internet::AddSegment(WireModel wire) {
   segments_.back()->set_observer_id(id);
   segments_.back()->set_trace(trace_);
   segments_.back()->set_capture(capture_);
-  if (stats_ != nullptr) {
-    segments_.back()->set_stats(stats_->RegisterSegment(stat_net_, id));
-  }
   attachments_.emplace_back();
   return id;
 }
@@ -89,9 +67,6 @@ HostStack& Internet::AddHost(const std::string& name, int segment, IpAddr ip) {
   Kernel* k = kernel.get();
   k->set_trace_sink(trace_);
   kernels_.push_back(std::move(kernel));
-  if (stats_ != nullptr) {
-    stats_->RegisterKernel(stat_net_, *k);
-  }
 
   HostEntry entry;
   entry.name = name;
@@ -206,9 +181,6 @@ HostStack& Internet::AddRouter(const std::string& name,
   Kernel* k = kernel.get();
   k->set_trace_sink(trace_);
   kernels_.push_back(std::move(kernel));
-  if (stats_ != nullptr) {
-    stats_->RegisterKernel(stat_net_, *k);
-  }
 
   HostStack stack;
   stack.kernel = k;

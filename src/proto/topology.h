@@ -29,8 +29,6 @@
 
 namespace xk {
 
-class StatSampler;
-
 // The substrate protocols of one node. Higher layers (VIP, RPC, ...) are
 // added by the stack builders in src/app.
 struct HostStack {
@@ -101,10 +99,10 @@ class Internet {
   static std::unique_ptr<Internet> TwoSegments(HostEnv env = HostEnv::kXKernel);
 
   // --- observability ----------------------------------------------------------
-  // The constructor picks up TraceSink::thread_default(),
-  // PacketCapture::thread_default() and StatSampler::thread_default() and
-  // attaches them to every kernel and segment added later: to observe an
-  // experiment, install the defaults before building it.
+  // The constructor picks up TraceSink::thread_default() and
+  // PacketCapture::thread_default() and attaches them to every kernel and
+  // segment added later: to observe an experiment, install the defaults
+  // before building it.
 
   // Per-protocol counters for every host plus per-link statistics (including
   // fault-injection outcomes), as one JSON document.
@@ -123,7 +121,7 @@ class Internet {
   uint64_t events_fired() const { return events_.fired_total(); }
 
   // Runs the simulation to quiescence; returns events fired.
-  size_t RunAll();
+  size_t RunAll() { return events_.Run(); }
 
  private:
   struct Attachment {
@@ -152,8 +150,6 @@ class Internet {
   uint64_t seed_;
   TraceSink* trace_ = nullptr;
   PacketCapture* capture_ = nullptr;
-  StatSampler* stats_ = nullptr;
-  int stat_net_ = -1;  // this Internet's id within stats_
   uint32_t next_eth_index_ = 1;
   std::vector<std::unique_ptr<EthernetSegment>> segments_;
   std::vector<std::vector<Attachment>> attachments_;  // per segment

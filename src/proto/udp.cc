@@ -39,10 +39,6 @@ UdpProtocol::UdpProtocol(Kernel& kernel, Protocol* ip, std::string name)
   (void)lower(0)->OpenEnable(*this, enable);
 }
 
-void UdpProtocol::ExportGauges(const CounterEmit& emit) const {
-  emit("live_sessions", pool_.live());
-}
-
 bool UdpProtocol::EvictSession(Session& s) {
   auto& us = static_cast<UdpSession&>(s);
   // Only the active map may hold the session; an anchor protocol caching its

@@ -67,15 +67,13 @@ class UdpProtocol : public Protocol {
 
   uint64_t checksum_failures() const { return checksum_failures_; }
 
-  // Live UdpSessions (slab-pooled; also exported as the live_sessions gauge).
+  // Live UdpSessions (slab-pooled).
   size_t live_sessions() const { return pool_.live(); }
 
   // Demux-table and slab introspection for the session_scale bench.
   const DemuxMap<std::tuple<IpAddr, uint16_t, uint16_t>>& active_map() const { return active_; }
   size_t session_slots() const { return pool_.capacity(); }
   size_t session_high_water() const { return pool_.high_water(); }
-
-  void ExportGauges(const CounterEmit& emit) const override;
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;

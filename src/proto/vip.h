@@ -80,10 +80,6 @@ class VipProtocol final : public Protocol {
   // Live VipSessions (slab-pooled).
   size_t live_sessions() const { return pool_.live(); }
 
-  void ExportGauges(const CounterEmit& emit) const override {
-    emit("live_sessions", pool_.live());
-  }
-
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;
   Status DoOpenEnable(Protocol& hlp, const ParticipantSet& parts) override;

@@ -310,7 +310,7 @@ void ChannelSession::FailPending(StatusCode code) {
   // so the now-idle channel ages out normally.
   NoteActivity();
   if (hlp() != nullptr) {
-    hlp()->SessionCallError(*this, ErrStatus(code), &req);
+    hlp()->SessionError(*this, ErrStatus(code), &req);
   }
 }
 
@@ -498,7 +498,7 @@ Status ChannelSession::HandleReply(uint16_t flags, uint32_t seq, uint16_t error,
     kernel().ChargeSemOp();
     kernel().ChargeProcessSwitch();
     if (hlp() != nullptr) {
-      hlp()->SessionCallError(*this, ErrStatus(static_cast<StatusCode>(error)), &req);
+      hlp()->SessionError(*this, ErrStatus(static_cast<StatusCode>(error)), &req);
     }
     return OkStatus();
   }

@@ -97,8 +97,8 @@ class ChannelSession final : public Session {
   void ArmTimer();
   void OnTimeout();
   // Fails the pending call with `code`, tracing the giveup and delivering
-  // SessionCallError (with the request, so multiplexed callers can identify
-  // the victim) to the high-level protocol.
+  // SessionError (with the request, so multiplexed callers can identify the
+  // victim) to the high-level protocol.
   void FailPending(StatusCode code);
   Status HandleRequest(uint32_t seq, uint32_t boot_id, Message& payload, Session* lls);
   Status HandleReply(uint16_t flags, uint32_t seq, uint16_t error, Message& payload);
@@ -203,13 +203,6 @@ class ChannelProtocol final : public Protocol {
     emit("budget_giveups", stats_.budget_giveups);
     emit("reject_replies", stats_.reject_replies);
     emit("abandoned_replies", stats_.abandoned_replies);
-  }
-
-  void ExportGauges(const CounterEmit& emit) const override {
-    const uint64_t settled = stats_.replies_received + stats_.call_failures;
-    emit("calls_in_flight", stats_.calls_sent > settled ? stats_.calls_sent - settled : 0);
-    emit("retransmissions", stats_.retransmissions);
-    emit("live_sessions", pool_.live());
   }
 
  protected:

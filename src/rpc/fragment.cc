@@ -355,6 +355,12 @@ Status FragmentSession::HandlePacket(uint8_t type, uint32_t seq, uint16_t num_fr
     ++frag_.stats_.messages_delivered;
     return DeliverUp(payload);
   }
+  // A corrupted mask that names no fragment of its own message is rejected
+  // before it can claim a reassembly slot or arm a gap timer.
+  const int index = SingleBitIndex(frag_mask);
+  if (index < 0 || index >= num_frags) {
+    return ErrStatus(StatusCode::kInvalidArgument);
+  }
   // A seq being reassembled is never in the done window: it enters the
   // window only on completion, which frees its reassembly slot.
   Reasm* found = FindReasm(seq);
@@ -362,15 +368,14 @@ Status FragmentSession::HandlePacket(uint8_t type, uint32_t seq, uint16_t num_fr
     return OkStatus();  // late duplicate of a completed message
   }
   kernel().ChargeMapResolve();
+  // A corrupted header can also disagree with the first fragment's count.
+  if (found != nullptr && index >= found->num_frags) {
+    return ErrStatus(StatusCode::kInvalidArgument);
+  }
   Reasm& r = found != nullptr ? *found : ClaimReasm(seq, num_frags);
   // A new fragment of a message in progress pushes its gap timer back.
   if (found == nullptr || !kernel().RearmTimer(r.gap_timer, frag_.nack_delay_)) {
     ArmGapTimer(r);
-  }
-  const int index = SingleBitIndex(frag_mask);
-  // A corrupted header can disagree with the first fragment's count.
-  if (index < 0 || index >= num_frags || index >= r.num_frags) {
-    return ErrStatus(StatusCode::kInvalidArgument);
   }
   if ((r.have_mask & (1u << index)) == 0) {
     r.have_mask |= static_cast<uint16_t>(1u << index);

@@ -125,14 +125,14 @@ Status RdpProtocol::DoDemux(Session* lls, Message& msg) {
   return delivered;
 }
 
-void RdpProtocol::SessionError(Session& lls, Status error) {
-  (void)error;
+void RdpProtocol::SessionError(Session& lls, Status error, const Message* request) {
+  (void)request;
   if (SessionRef sender = sends_.Take(&lls)) {
     ReleaseChannelFor(&lls);
     ++stats_.send_failures;
     auto* sess = static_cast<RdpSession*>(sender.get());
     if (sess->hlp() != nullptr) {
-      sess->hlp()->SessionError(*sess, error);
+      sess->hlp()->SessionError(*sess, error, nullptr);
     }
   }
 }

@@ -27,7 +27,7 @@ class RdpProtocol : public Protocol {
   // `lower` is CHANNEL.
   RdpProtocol(Kernel& kernel, Protocol* lower, std::string name = "rdp");
 
-  void SessionError(Session& lls, Status error) override;
+  void SessionError(Session& lls, Status error, const Message* request) override;
 
   struct Stats {
     uint64_t datagrams_sent = 0;

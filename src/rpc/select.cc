@@ -184,11 +184,7 @@ Status SelectProtocol::DoDemux(Session* lls, Message& msg) {
   return ErrStatus(StatusCode::kInvalidArgument);
 }
 
-void SelectProtocol::SessionError(Session& lls, Status error) {
-  SessionCallError(lls, error, nullptr);
-}
-
-void SelectProtocol::SessionCallError(Session& lls, Status error, const Message* request) {
+void SelectProtocol::SessionError(Session& lls, Status error, const Message* request) {
   // A channel call failed (retransmissions exhausted, deadline, reject).
   // Release the channel and propagate to whoever was calling through it,
   // forwarding the request -- minus our header -- so multiplexed callers
@@ -212,9 +208,9 @@ void SelectProtocol::SessionCallError(Session& lls, Status error, const Message*
     if (request != nullptr && request->length() >= kHeaderSize) {
       Message req = *request;
       (void)req.Discard(kHeaderSize);
-      sess->hlp()->SessionCallError(*sess, error, &req);
+      sess->hlp()->SessionError(*sess, error, &req);
     } else {
-      sess->hlp()->SessionCallError(*sess, error, nullptr);
+      sess->hlp()->SessionError(*sess, error, nullptr);
     }
   }
 }
@@ -264,7 +260,7 @@ Status SelectSession::DoPush(Message& request) {
       }
       CallFinished();
       if (hlp() != nullptr) {
-        hlp()->SessionCallError(*this, ErrStatus(StatusCode::kDeadlineExceeded), &msg);
+        hlp()->SessionError(*this, ErrStatus(StatusCode::kDeadlineExceeded), &msg);
       }
       return;
     }
@@ -289,7 +285,7 @@ Status SelectSession::DoPush(Message& request) {
       // ran): unwind through the normal call-error path so the channel is
       // released and the caller learns which call died, instead of leaking a
       // busy channel and a silent call.
-      sel_.SessionCallError(*channel, pushed, &msg);
+      sel_.SessionError(*channel, pushed, &msg);
     }
   });
   return OkStatus();
@@ -339,7 +335,7 @@ Status SelectSession::CompleteCall(Session* channel, uint8_t status, Message& re
   }
   if (status != SelectProtocol::kStatusOk) {
     if (hlp() != nullptr) {
-      hlp()->SessionError(*this, ErrStatus(StatusCode::kNotFound));
+      hlp()->SessionError(*this, ErrStatus(StatusCode::kNotFound), nullptr);
     }
     return OkStatus();
   }

@@ -132,8 +132,7 @@ class SelectProtocol : public Protocol {
   SelectProtocol(Kernel& kernel, Protocol* lower, std::string name = "select",
                  RelProtoNum rel_proto = kRelProtoSelect);
 
-  void SessionError(Session& lls, Status error) override;
-  void SessionCallError(Session& lls, Status error, const Message* request) override;
+  void SessionError(Session& lls, Status error, const Message* request) override;
 
   struct Stats {
     uint64_t calls = 0;
@@ -156,10 +155,6 @@ class SelectProtocol : public Protocol {
     emit("no_such_command", stats_.no_such_command);
     emit("blocked_on_channel", stats_.blocked_on_channel);
     emit("expired_in_queue", stats_.expired_in_queue);
-  }
-
-  void ExportGauges(const CounterEmit& emit) const override {
-    emit("live_sessions", live_sessions());
   }
 
   int free_channels(IpAddr server) const;

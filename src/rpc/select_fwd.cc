@@ -55,7 +55,7 @@ Status SelectFwdProtocol::FollowForward(Session* lls, uint16_t command, Message&
   if (sess->forward_hops() >= kMaxHops) {
     sess->CallFinished();
     if (sess->hlp() != nullptr) {
-      sess->hlp()->SessionError(*sess, ErrStatus(StatusCode::kUnreachable));
+      sess->hlp()->SessionError(*sess, ErrStatus(StatusCode::kUnreachable), nullptr);
     }
     return OkStatus();
   }
@@ -69,7 +69,7 @@ Status SelectFwdProtocol::FollowForward(Session* lls, uint16_t command, Message&
   if (!pool_r.ok()) {
     sess->CallFinished();
     if (sess->hlp() != nullptr) {
-      sess->hlp()->SessionError(*sess, pool_r.status());
+      sess->hlp()->SessionError(*sess, pool_r.status(), nullptr);
     }
     return pool_r.status();
   }

@@ -189,7 +189,7 @@ void SpriteRpcProtocol::OnTimeout(IpAddr server, size_t index) {
     auto caller = chan.caller;
     ReleaseChannel(it->second, index);
     if (caller != nullptr && caller->hlp() != nullptr) {
-      caller->hlp()->SessionError(*caller, ErrStatus(StatusCode::kTimeout));
+      caller->hlp()->SessionError(*caller, ErrStatus(StatusCode::kTimeout), nullptr);
     }
     return;
   }

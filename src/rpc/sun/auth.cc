@@ -76,7 +76,7 @@ Status AuthProtocolBase::DoDemux(Session* lls, Message& msg) {
   if (flavor == kFlavorReject) {
     ++stats_.reject_notices;
     if (sess != nullptr && sess->hlp() != nullptr) {
-      sess->hlp()->SessionError(*sess, ErrStatus(StatusCode::kRejected));
+      sess->hlp()->SessionError(*sess, ErrStatus(StatusCode::kRejected), nullptr);
     }
     return OkStatus();
   }

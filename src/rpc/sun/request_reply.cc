@@ -154,7 +154,7 @@ void RequestReplySession::OnTimeout(uint32_t xid) {
     ++rr_.stats_.call_failures;
     pending_.erase(it);
     if (hlp() != nullptr) {
-      hlp()->SessionError(*this, ErrStatus(StatusCode::kDeadlineExceeded));
+      hlp()->SessionError(*this, ErrStatus(StatusCode::kDeadlineExceeded), nullptr);
     }
     return;
   }
@@ -162,7 +162,7 @@ void RequestReplySession::OnTimeout(uint32_t xid) {
     ++rr_.stats_.call_failures;
     pending_.erase(it);
     if (hlp() != nullptr) {
-      hlp()->SessionError(*this, ErrStatus(StatusCode::kTimeout));
+      hlp()->SessionError(*this, ErrStatus(StatusCode::kTimeout), nullptr);
     }
     return;
   }

@@ -118,7 +118,7 @@ Status SunSelectProtocol::DoDemux(Session* lls, Message& msg) {
     kernel().ChargeMapResolve();
     if (status != kStatusOk) {
       if (caller->hlp() != nullptr) {
-        caller->hlp()->SessionError(*caller, ErrStatus(StatusCode::kNotFound));
+        caller->hlp()->SessionError(*caller, ErrStatus(StatusCode::kNotFound), nullptr);
       }
       return OkStatus();
     }
@@ -163,7 +163,8 @@ Status SunSelectProtocol::DoDemux(Session* lls, Message& msg) {
   return server_sess->Pop(msg, lls);
 }
 
-void SunSelectProtocol::SessionError(Session& lls, Status error) {
+void SunSelectProtocol::SessionError(Session& lls, Status error, const Message* request) {
+  (void)request;
   // A lower-level call failed. Fail the oldest waiter bound to that lower
   // session's peer (all procedures share the lower session, so fail them
   // all -- the conservative interpretation).
@@ -176,7 +177,7 @@ void SunSelectProtocol::SessionError(Session& lls, Status error) {
     if (std::get<0>(it->first) == peer) {
       for (SessionRef& caller : it->second) {
         if (caller->hlp() != nullptr) {
-          caller->hlp()->SessionError(*caller, error);
+          caller->hlp()->SessionError(*caller, error, nullptr);
         }
       }
       it = waiting_.erase(it);

@@ -34,7 +34,7 @@ class SunSelectProtocol : public Protocol {
   // any request/reply session works. Optional auth layers go in between.
   SunSelectProtocol(Kernel& kernel, Protocol* lower, std::string name = "sunselect");
 
-  void SessionError(Session& lls, Status error) override;
+  void SessionError(Session& lls, Status error, const Message* request) override;
 
   struct Stats {
     uint64_t calls = 0;

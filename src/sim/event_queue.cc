@@ -54,9 +54,6 @@ size_t EventQueue::Run(size_t max_events) {
   Entry e;
   EventFn fn;
   while (fired < max_events && PopNext(e, fn)) {
-    if (stat_probe_ != nullptr) {
-      stat_probe_->BeforeFire(e.at);
-    }
     now_ = e.at;
     ++fired;
     fn();
@@ -75,9 +72,6 @@ size_t EventQueue::RunUntil(SimTime deadline) {
     Entry e;
     if (!PopNext(e, fn)) {
       break;
-    }
-    if (stat_probe_ != nullptr) {
-      stat_probe_->BeforeFire(e.at);
     }
     now_ = e.at;
     ++fired;

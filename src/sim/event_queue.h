@@ -164,18 +164,6 @@ class EventHandle {
 
 class EventQueue {
  public:
-  // Zero-cost sampling hook (src/stat/timeseries.h). BeforeFire is invoked
-  // with the firing time of each event just before the event executes, in
-  // both run loops, so a sampler can emit samples for every boundary
-  // <= that time knowing state reflects exactly the events that fired
-  // earlier. The probe must only read simulation state -- it must never
-  // schedule, cancel, charge, or touch an Rng, or determinism breaks.
-  class StatProbe {
-   public:
-    virtual ~StatProbe() = default;
-    virtual void BeforeFire(SimTime at) = 0;
-  };
-
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -234,11 +222,6 @@ class EventQueue {
   // allocation order -- concurrent simulations in other threads can't
   // perturb them.
   uint32_t AllocateBootId() { return next_boot_id_++; }
-
-  // Installs (or with null, removes) the sampling probe. The probe is
-  // consulted on every fired event; it must outlive the queue or be removed
-  // first.
-  void set_stat_probe(StatProbe* probe) { stat_probe_ = probe; }
 
  private:
   friend class EventHandle;
@@ -300,7 +283,6 @@ class EventQueue {
   uint64_t cancels_ = 0;
   uint64_t dead_skimmed_ = 0;
   uint32_t next_boot_id_ = 1000;
-  StatProbe* stat_probe_ = nullptr;
 
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNil;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/sim/object_pool.h"
-#include "src/stat/timeseries.h"
 #include "src/trace/pcap.h"
 #include "src/trace/trace.h"
 
@@ -109,9 +108,6 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
   if (trace_ != nullptr) {
     trace_->RecordWire(observer_id_, start, end, arrival, len, depth, wait,
                        shared->trace_msg_id);
-  }
-  if (stats_ != nullptr) {
-    stats_->OnTransmit(start, tx, len, depth);
   }
   std::vector<uint8_t> captured;  // flat bytes, made only for a capture
   if (capture_ != nullptr) {

@@ -39,7 +39,6 @@
 namespace xk {
 
 class PacketCapture;
-class SegmentSeries;
 class TraceSink;
 
 // A raw Ethernet frame on the wire: header (dst, src, type) + payload, as a
@@ -132,8 +131,6 @@ class EthernetSegment {
   // charges simulated cost or advances the simulated clock.
   void set_trace(TraceSink* trace) { trace_ = trace; }
   void set_capture(PacketCapture* capture) { capture_ = capture; }
-  // Time-series hook fed one record per bus acquisition (src/stat).
-  void set_stats(SegmentSeries* stats) { stats_ = stats; }
   // Segment id stamped into wire/capture records (set by the topology).
   void set_observer_id(int id) { observer_id_ = id; }
 
@@ -194,7 +191,6 @@ class EthernetSegment {
 
   TraceSink* trace_ = nullptr;
   PacketCapture* capture_ = nullptr;
-  SegmentSeries* stats_ = nullptr;
   int observer_id_ = 0;
 
   uint64_t frames_sent_ = 0;

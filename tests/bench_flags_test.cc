@@ -28,16 +28,14 @@ bool Parse(std::vector<std::string> args, Options* opt, std::string* error) {
 TEST(BenchFlagsTest, ParsesEveryFlag) {
   Options opt;
   std::string error;
-  ASSERT_TRUE(Parse({"--out=o.json", "--trace=td", "--pcap=pd", "--stats=sd",
-                     "--filter=^manyhost", "--faults=seed:7",
-                     "--arrivals=poisson:rate=200,horizon=100ms", "--session-scale=1000",
-                     "--list"},
+  ASSERT_TRUE(Parse({"--out=o.json", "--trace=td", "--pcap=pd", "--filter=^manyhost",
+                     "--faults=seed:7", "--arrivals=poisson:rate=200,horizon=100ms",
+                     "--session-scale=1000", "--list"},
                     &opt, &error))
       << error;
   EXPECT_EQ(opt.out_path, "o.json");
   EXPECT_EQ(opt.trace_dir, "td");
   EXPECT_EQ(opt.pcap_dir, "pd");
-  EXPECT_EQ(opt.stats_dir, "sd");
   EXPECT_EQ(opt.filter, "^manyhost");
   EXPECT_EQ(opt.faults, "seed:7");
   EXPECT_EQ(opt.arrivals, "poisson:rate=200,horizon=100ms");
@@ -66,6 +64,7 @@ TEST(BenchFlagsTest, EngineSpeedupIsRejectedAsUnknown) { ExpectUnknown("--engine
 TEST(BenchFlagsTest, StableIsRejectedAsUnknown) { ExpectUnknown("--stable"); }
 TEST(BenchFlagsTest, ThreadsIsRejectedAsUnknown) { ExpectUnknown("--threads=4"); }
 TEST(BenchFlagsTest, FlowIsRejectedAsUnknown) { ExpectUnknown("--flow=x"); }
+TEST(BenchFlagsTest, StatsIsRejectedAsUnknown) { ExpectUnknown("--stats=x"); }
 
 // The malformed values --threads was tested with: --threads itself is now an
 // unknown flag, and the same value on --session-scale, the remaining integer

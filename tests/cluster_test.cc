@@ -504,16 +504,16 @@ TEST(ClusterClientTest, SessionErrorWithoutRequestFailsTheLowestOutstandingId) {
   });
   ASSERT_EQ(sink.opened.size(), 2u);
   Session& first = *sink.opened[0];
-  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout)); });
+  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout), nullptr); });
   ASSERT_EQ(settled.size(), 1u);
   EXPECT_EQ(settled[0], std::make_pair(uint64_t{10}, StatusCode::kTimeout));
-  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout)); });
+  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout), nullptr); });
   ASSERT_EQ(settled.size(), 2u);
   EXPECT_EQ(settled[1].first, 20u);
 
   // A request-carrying error for an id no longer pending is a late reply.
   Message stale = AmoOracle::MakeRequest(10, 8);
-  RunIn(kernel, [&] { client.SessionCallError(first, ErrStatus(StatusCode::kTimeout), &stale); });
+  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout), &stale); });
   EXPECT_EQ(settled.size(), 2u);
   EXPECT_EQ(client.late_replies(), 1u);
   // A reply settles its own id, which leaves nothing for the fallback.
@@ -521,7 +521,7 @@ TEST(ClusterClientTest, SessionErrorWithoutRequestFailsTheLowestOutstandingId) {
   RunIn(kernel, [&] { (void)first.Pop(reply, nullptr); });
   ASSERT_EQ(settled.size(), 3u);
   EXPECT_EQ(settled[2], std::make_pair(uint64_t{30}, StatusCode::kOk));
-  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout)); });
+  RunIn(kernel, [&] { client.SessionError(first, ErrStatus(StatusCode::kTimeout), nullptr); });
   EXPECT_EQ(settled.size(), 3u);  // nothing left on the first session
   EXPECT_EQ(client.calls_completed(), 1u);
   EXPECT_EQ(client.calls_failed(), 2u);

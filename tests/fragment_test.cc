@@ -195,6 +195,44 @@ TEST_F(FragmentFixture, FragmentCountDisagreeingWithReassemblyIsRejected) {
   EXPECT_EQ(sa->received[0], PatternBytes(4096, 4));
 }
 
+TEST_F(FragmentFixture, CorruptFragmentMaskClaimsNoReassembly) {
+  // A damaged header whose mask names no fragment of its own message (two
+  // bits set, or a bit past its fragment count) is rejected before it claims
+  // a reassembly slot: no gap timer is armed, so no NACK for a message the
+  // client never sent goes out, and nothing is later abandoned.
+  SessionRef sess = OpenToServer();
+  Send(sess, PatternBytes(4096, 4));
+  net->RunAll();
+  ASSERT_EQ(sa->received.size(), 1u);
+
+  for (const uint16_t mask : {uint16_t{3}, uint16_t{1u << 5}}) {
+    Status injected;
+    RunIn(*sh->kernel, [&] {
+      const std::vector<uint8_t> payload = PatternBytes(64, 99);
+      uint8_t raw[FragmentProtocol::kHeaderSize];
+      WireWriter w(raw);
+      w.PutU8(1);  // data
+      w.PutIpAddr(ch->kernel->ip_addr());
+      w.PutIpAddr(sh->kernel->ip_addr());
+      w.PutU32(kRelProtoRawTest);
+      w.PutU32(77);  // a seq the client never sent
+      w.PutU16(4);   // num_frags
+      w.PutU16(mask);
+      w.PutU16(static_cast<uint16_t>(payload.size()));
+      Message pkt = Message::FromBytes(payload);
+      pkt.PushHeader(raw);
+      injected = sstack.fragment->Demux(nullptr, pkt);
+    });
+    EXPECT_EQ(injected.code(), StatusCode::kInvalidArgument) << "mask " << mask;
+  }
+
+  net->RunAll();
+  EXPECT_EQ(sstack.fragment->stats().nacks_sent, 0u);
+  EXPECT_EQ(sstack.fragment->stats().reassembly_abandoned, 0u);
+  EXPECT_EQ(cstack.fragment->stats().stale_nacks, 0u);
+  EXPECT_EQ(sa->received.size(), 1u);
+}
+
 TEST_F(FragmentFixture, MultipleLostFragmentsRecovered) {
   net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return (index == 0 || index == 2 || index == 5) ? LinkFault::kDrop : LinkFault::kDeliver;

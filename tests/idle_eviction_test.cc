@@ -2,7 +2,7 @@
 // through UDP -- the simplest slab-pooled, idle-capable protocol. Pins the
 // control-op surface (kSetIdleTimeout / kGetIdleTimeout / kEvictIdle), the
 // external-reference veto, LRU ordering, park-and-relink for declined
-// sessions, and the live_sessions gauge the session-owning protocols export.
+// sessions, and the live-session count the session-owning protocols keep.
 
 #include <gtest/gtest.h>
 
@@ -193,13 +193,7 @@ TEST_F(IdleEvictionFixture, CountersAndGaugesExportEvictionState) {
   for (uint16_t p = 100; p < 103; ++p) {
     OpenAndDrop(p);
   }
-  uint64_t gauge_live = UINT64_MAX;
-  cudp->ExportGauges([&](std::string_view name, uint64_t v) {
-    if (name == "live_sessions") {
-      gauge_live = v;
-    }
-  });
-  EXPECT_EQ(gauge_live, 3u);
+  EXPECT_EQ(cudp->live_sessions(), 3u);
 
   EXPECT_TRUE(SetIdleTimeout(*cudp, Msec(5)).ok());
   net->RunAll();
@@ -215,12 +209,7 @@ TEST_F(IdleEvictionFixture, CountersAndGaugesExportEvictionState) {
   });
   EXPECT_EQ(ctr_evicted, 3u);
   EXPECT_EQ(ctr_declined, 0u);
-  cudp->ExportGauges([&](std::string_view name, uint64_t v) {
-    if (name == "live_sessions") {
-      gauge_live = v;
-    }
-  });
-  EXPECT_EQ(gauge_live, 0u);
+  EXPECT_EQ(cudp->live_sessions(), 0u);
 }
 
 // The churn soak's plateau, in simulated state rather than process RSS: a

@@ -95,7 +95,7 @@ TEST(KernelTimerTest, RearmedTimerFiresWhereCancelAndSetWouldAndCharges) {
         h = kernel.SetTimer(Usec(50), body);
       }
     });
-    EXPECT_EQ(kernel.tasks_pending(), 1u);
+    EXPECT_EQ(events.pending_events(), 1u);
     events.Run();
     out.busy = kernel.cpu().total_busy();
     // A timer that already fired is not re-armed, and nothing is charged.
@@ -126,7 +126,7 @@ TEST_F(KernelFixture, CrashCancelsRearmedTimers) {
   });
   EXPECT_FALSE(earlier == earlier_before);
   EXPECT_FALSE(earlier_before.pending());
-  EXPECT_EQ(kernel.tasks_pending(), 2u);
+  EXPECT_EQ(events.pending_events(), 2u);
   kernel.Crash();
   EXPECT_FALSE(later.pending());
   EXPECT_FALSE(earlier.pending());
@@ -150,14 +150,33 @@ TEST_F(KernelFixture, CrashCancelsPendingTasksAndTimersAndClearsGraph) {
   bool fired = false;
   kernel.ScheduleTask(Usec(10), [&] { fired = true; });
   kernel.RunTask(0, [&] { kernel.SetTimer(Usec(20), [&] { fired = true; }); });
-  EXPECT_EQ(kernel.tasks_pending(), 2u);
+  EXPECT_EQ(events.pending_events(), 2u);
   kernel.Crash();
-  EXPECT_EQ(kernel.tasks_pending(), 0u);
+  EXPECT_EQ(events.pending_events(), 0u);
   events.Run();
   EXPECT_FALSE(fired);  // cancelled events never fire after the crash
   int protocols = 0;
   kernel.ForEachProtocol([&](const Protocol&) { ++protocols; });
   EXPECT_EQ(protocols, 0);  // the protocol graph is gone
+}
+
+TEST_F(KernelFixture, CrashCancelsTasksKeptAcrossRegistryCompaction) {
+  // The pending-handle registry squeezes out fired handles as it grows; a
+  // squeeze must keep every live one, or Crash() would miss it.
+  int fired = 0;
+  for (int i = 0; i < 100; ++i) {
+    kernel.ScheduleTask(Usec(1), [&] { ++fired; });
+  }
+  events.Run();
+  ASSERT_EQ(fired, 100);
+  for (int i = 0; i < 200; ++i) {
+    kernel.ScheduleTask(Usec(10), [&] { ++fired; });
+  }
+  EXPECT_EQ(events.pending_events(), 200u);
+  kernel.Crash();
+  EXPECT_EQ(events.pending_events(), 0u);
+  events.Run();
+  EXPECT_EQ(fired, 100);
 }
 
 // The Section 5 ablation is a cost environment: the same header push and pop
