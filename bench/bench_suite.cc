@@ -73,17 +73,17 @@ JobResult FromConfig(const ConfigResult& r) {
   return out;
 }
 
-Job MeasureJob(std::string group, std::string name, RpcBench::Builder builder,
+Job MeasureJob(std::string group, std::string name, std::string_view spec,
                HostEnv env = HostEnv::kXKernel) {
-  JobFn fn = [builder = std::move(builder), env] {
-    return FromConfig(RpcBench::Measure(builder, env));
+  JobFn fn = [spec, env] {
+    return FromConfig(RpcBench::Measure(spec, env));
   };
   return Job{std::move(group), std::move(name), std::move(fn)};
 }
 
-Job PartialLatencyJob(std::string name, int layers) {
-  JobFn fn = [layers] {
-    PartialLatency p = MeasurePartialLatency(layers);
+Job PartialLatencyJob(std::string name, std::string_view spec) {
+  JobFn fn = [spec] {
+    PartialLatency p = MeasurePartialLatency(spec);
     JobResult out;
     out.metrics = {{"latency_ms", p.ms}};
     out.events_fired = p.events_fired;
@@ -105,9 +105,9 @@ Job UdpJob(std::string name, HostEnv env) {
   return Job{"udp_crosskernel", std::move(name), std::move(fn)};
 }
 
-Job SweepJob(std::string name, RpcBench::Builder builder, HostEnv env = HostEnv::kXKernel) {
-  JobFn fn = [builder = std::move(builder), env] {
-    const SweepSeries sweep = MeasureSweep(builder, env);
+Job SweepJob(std::string name, std::string_view spec, HostEnv env = HostEnv::kXKernel) {
+  JobFn fn = [spec, env] {
+    const SweepSeries sweep = MeasureSweep(spec, env);
     const std::vector<double>& per_call = sweep.per_call_ms;
     JobResult out;
     for (size_t kb = 1; kb <= per_call.size(); ++kb) {
@@ -125,10 +125,9 @@ Job SweepJob(std::string name, RpcBench::Builder builder, HostEnv env = HostEnv:
 Job HeaderAllocJob(std::string name, HostEnv env) {
   JobFn fn = [env] {
     JobResult out;
-    PartialLatency base = MeasurePartialLatency(0, env);
-    PartialLatency chan = MeasurePartialLatency(2, env);
-    ConfigResult full =
-        RpcBench::Measure([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); }, env);
+    PartialLatency base = MeasurePartialLatency("vip", env);
+    PartialLatency chan = MeasurePartialLatency("channel/fragment/vip", env);
+    ConfigResult full = RpcBench::Measure(kLRpcVip, env);
     out.metrics = {{"vip_base_ms", base.ms},
                    {"full_stack_ms", full.latency_ms},
                    {"avg_per_layer_ms", (full.latency_ms - base.ms) / 3.0},
@@ -260,9 +259,9 @@ Job ManyHostTracedJob() {
   return Job{"manyhost", "traced", std::move(fn)};
 }
 
-Job ColdWarmJob(std::string name, RpcBench::Builder builder) {
-  JobFn fn = [builder = std::move(builder)] {
-    ColdWarmResult cw = MeasureColdWarm(builder);
+Job ColdWarmJob(std::string name, std::string_view spec) {
+  JobFn fn = [spec] {
+    ColdWarmResult cw = MeasureColdWarm(spec);
     JobResult out;
     out.metrics = {{"first_call_ms", cw.first_ms},
                    {"steady_state_ms", cw.steady_ms},
@@ -455,26 +454,20 @@ DatacenterSpec SaturationSpec(double rate_cps) {
 }
 
 std::vector<Job> BuildJobs() {
-  auto m_eth = [](HostStack& h) { return BuildMRpc(h, Delivery::kEth); };
-  auto m_ip = [](HostStack& h) { return BuildMRpc(h, Delivery::kIp); };
-  auto m_vip = [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); };
-  auto l_vip = [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); };
-  auto l_dyn = [](HostStack& h) { return BuildLRpcDynamic(h); };
-
   std::vector<Job> jobs;
   // Table I: Evaluating VIP.
-  jobs.push_back(MeasureJob("table1_vip", "N_RPC", m_eth, HostEnv::kNativeSprite));
-  jobs.push_back(MeasureJob("table1_vip", "M_RPC-ETH", m_eth));
-  jobs.push_back(MeasureJob("table1_vip", "M_RPC-IP", m_ip));
-  jobs.push_back(MeasureJob("table1_vip", "M_RPC-VIP", m_vip));
+  jobs.push_back(MeasureJob("table1_vip", "N_RPC", kMRpcEth, HostEnv::kNativeSprite));
+  jobs.push_back(MeasureJob("table1_vip", "M_RPC-ETH", kMRpcEth));
+  jobs.push_back(MeasureJob("table1_vip", "M_RPC-IP", kMRpcIp));
+  jobs.push_back(MeasureJob("table1_vip", "M_RPC-VIP", kMRpcVip));
   // Table II: Monolithic versus Layered RPC (M_RPC-VIP is shared with Table I).
-  jobs.push_back(MeasureJob("table2_layering", "L_RPC-VIP", l_vip));
+  jobs.push_back(MeasureJob("table2_layering", "L_RPC-VIP", kLRpcVip));
   // Section 4.3: Dynamically Removing Layers.
-  jobs.push_back(MeasureJob("sec43_dynamic", "SELECT-CHANNEL-VIPsize", l_dyn));
+  jobs.push_back(MeasureJob("sec43_dynamic", "SELECT-CHANNEL-VIPsize", kLRpcVipSize));
   // Table III: Cost of Individual RPC Layers.
-  jobs.push_back(PartialLatencyJob("VIP", 0));
-  jobs.push_back(PartialLatencyJob("FRAGMENT-VIP", 1));
-  jobs.push_back(PartialLatencyJob("CHANNEL-FRAGMENT-VIP", 2));
+  jobs.push_back(PartialLatencyJob("VIP", "vip"));
+  jobs.push_back(PartialLatencyJob("FRAGMENT-VIP", "fragment/vip"));
+  jobs.push_back(PartialLatencyJob("CHANNEL-FRAGMENT-VIP", "channel/fragment/vip"));
   jobs.push_back(Job{"table3_layer_costs", "FRAGMENT-throughput", [] {
                        FragmentThroughput f = MeasureFragmentThroughput();
                        JobResult out;
@@ -486,18 +479,18 @@ std::vector<Job> BuildJobs() {
   jobs.push_back(UdpJob("UDP-xkernel", HostEnv::kXKernel));
   jobs.push_back(UdpJob("UDP-sunos", HostEnv::kSunOs));
   // Throughput sweep, 1k..16k for every stack.
-  jobs.push_back(SweepJob("M_RPC-ETH", m_eth));
-  jobs.push_back(SweepJob("M_RPC-IP", m_ip));
-  jobs.push_back(SweepJob("M_RPC-VIP", m_vip));
-  jobs.push_back(SweepJob("L_RPC-VIP", l_vip));
-  jobs.push_back(SweepJob("L_RPC-VIPsize", l_dyn));
-  jobs.push_back(SweepJob("N_RPC", m_eth, HostEnv::kNativeSprite));
+  jobs.push_back(SweepJob("M_RPC-ETH", kMRpcEth));
+  jobs.push_back(SweepJob("M_RPC-IP", kMRpcIp));
+  jobs.push_back(SweepJob("M_RPC-VIP", kMRpcVip));
+  jobs.push_back(SweepJob("L_RPC-VIP", kLRpcVip));
+  jobs.push_back(SweepJob("L_RPC-VIPsize", kLRpcVipSize));
+  jobs.push_back(SweepJob("N_RPC", kMRpcEth, HostEnv::kNativeSprite));
   // Ablations.
   jobs.push_back(HeaderAllocJob("pointer-adjust", HostEnv::kXKernel));
   jobs.push_back(HeaderAllocJob("alloc-per-header", HostEnv::kXKernelAllocPerHeader));
-  jobs.push_back(ColdWarmJob("M_RPC-VIP", m_vip));
-  jobs.push_back(ColdWarmJob("L_RPC-VIP", l_vip));
-  jobs.push_back(ColdWarmJob("SELECT-CHANNEL-VIPsize", l_dyn));
+  jobs.push_back(ColdWarmJob("M_RPC-VIP", kMRpcVip));
+  jobs.push_back(ColdWarmJob("L_RPC-VIP", kLRpcVip));
+  jobs.push_back(ColdWarmJob("SELECT-CHANNEL-VIPsize", kLRpcVipSize));
   // The many-host workload, clean and with link faults.
   jobs.push_back(ManyHostJob("L_RPC-VIP-32pairs", 0.0));
   jobs.push_back(ManyHostJob("L_RPC-VIP-32pairs-faults", 0.005));

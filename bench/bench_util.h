@@ -13,9 +13,12 @@
 #define XK_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/app/anchor.h"
@@ -23,7 +26,6 @@
 #include "src/app/stacks.h"
 #include "src/app/workload.h"
 #include "src/proto/topology.h"
-#include "src/proto/udp.h"
 #include "src/sim/fault.h"
 #include "src/stat/histogram.h"
 
@@ -41,8 +43,6 @@ struct ConfigResult {
 };
 
 struct RpcBench {
-  using Builder = std::function<RpcStack(HostStack&)>;
-
   // One fully-wired experiment instance.
   struct Instance {
     std::unique_ptr<Internet> net;
@@ -59,13 +59,13 @@ struct RpcBench {
     }
   };
 
-  static Instance MakeInstance(const Builder& builder, HostEnv env = HostEnv::kXKernel) {
+  static Instance MakeInstance(std::string_view spec, HostEnv env = HostEnv::kXKernel) {
     Instance in;
     in.net = Internet::TwoHosts(env);
     in.ch = &in.net->host("client");
     in.sh = &in.net->host("server");
-    in.cstack = builder(*in.ch);
-    in.sstack = builder(*in.sh);
+    in.cstack = BuildStack(*in.ch, spec);
+    in.sstack = BuildStack(*in.sh, spec);
     in.ch->kernel->RunTask(in.net->events().now(), [&] {
       in.client = &in.ch->kernel->Emplace<RpcClient>(*in.ch->kernel, in.cstack.top);
     });
@@ -77,12 +77,12 @@ struct RpcBench {
     return in;
   }
 
-  // Measures the standard three columns for `builder` under `env`.
-  static ConfigResult Measure(const Builder& builder, HostEnv env = HostEnv::kXKernel) {
+  // Measures the standard three columns for `spec` under `env`.
+  static ConfigResult Measure(std::string_view spec, HostEnv env = HostEnv::kXKernel) {
     ConfigResult result;
 
     {
-      Instance in = MakeInstance(builder, env);
+      Instance in = MakeInstance(spec, env);
       LatencyResult lat = RpcWorkload::MeasureLatency(*in.net, *in.ch->kernel, in.MakeCall(), 64);
       result.latency_ms = ToMsec(lat.per_call);
       result.latency_rtt = lat.rtt;
@@ -90,7 +90,7 @@ struct RpcBench {
       result.events_fired += in.net->events_fired();
     }
     {
-      Instance in = MakeInstance(builder, env);
+      Instance in = MakeInstance(spec, env);
       ThroughputResult t16 = RpcWorkload::MeasureThroughput(
           *in.net, *in.ch->kernel, *in.sh->kernel, in.MakeCall(), 16 * 1024, 16);
       result.throughput_kbs = t16.kbytes_per_sec;
@@ -99,11 +99,11 @@ struct RpcBench {
       result.events_fired += in.net->events_fired();
     }
     {
-      Instance in = MakeInstance(builder, env);
+      Instance in = MakeInstance(spec, env);
       ThroughputResult t1 = RpcWorkload::MeasureThroughput(*in.net, *in.ch->kernel,
                                                            *in.sh->kernel, in.MakeCall(),
                                                            1 * 1024, 16);
-      Instance in2 = MakeInstance(builder, env);
+      Instance in2 = MakeInstance(spec, env);
       ThroughputResult t16 = RpcWorkload::MeasureThroughput(
           *in2.net, *in2.ch->kernel, *in2.sh->kernel, in2.MakeCall(), 16 * 1024, 16);
       const double ms1 = ToMsec(t1.elapsed) / t1.completed;
@@ -120,14 +120,15 @@ struct RpcBench {
 // The configurations bench_suite runs as jobs; the shape tests in
 // tests/calibration_test.cc call the same helpers.
 
-// An echo experiment over a partial RPC stack driven by EchoAnchors
-// (layers: 0 = VIP, 1 = FRAGMENT-VIP, 2 = CHANNEL-FRAGMENT-VIP).
+// An echo experiment over a stack spec driven by EchoAnchors (Table III's
+// partial stacks: "vip", "fragment/vip", "channel/fragment/vip").
 struct EchoExperiment {
   std::unique_ptr<Internet> net;
   HostStack* ch = nullptr;
   HostStack* sh = nullptr;
   RpcStack cstack, sstack;
   EchoAnchor* client = nullptr;
+  EchoAnchor* server = nullptr;
   SessionRef sess;
 
   CallFn MakeCall() {
@@ -137,29 +138,36 @@ struct EchoExperiment {
   }
 };
 
-inline EchoExperiment MakeEchoExperiment(int layers, bool null_replies = false,
+inline EchoExperiment MakeEchoExperiment(std::string_view spec, bool null_replies = false,
                                          HostEnv env = HostEnv::kXKernel) {
+  // The spec is a literal in code: an echo set-up that fails is a bug.
+  auto check = [spec](const char* what, Status s) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "MakeEchoExperiment(\"%.*s\"): %s failed: %s\n",
+                   static_cast<int>(spec.size()), spec.data(), what, StatusCodeName(s.code()));
+      std::abort();
+    }
+  };
   EchoExperiment e;
   e.net = Internet::TwoHosts(env);
   e.ch = &e.net->host("client");
   e.sh = &e.net->host("server");
-  e.cstack = BuildPartial(*e.ch, layers);
-  e.sstack = BuildPartial(*e.sh, layers);
+  e.cstack = BuildStack(*e.ch, spec);
+  e.sstack = BuildStack(*e.sh, spec);
   e.ch->kernel->RunTask(e.net->events().now(), [&] {
     e.client = &e.ch->kernel->Emplace<EchoAnchor>(*e.ch->kernel, /*server_role=*/false);
   });
   e.sh->kernel->RunTask(e.net->events().now(), [&] {
-    auto& server = e.sh->kernel->Emplace<EchoAnchor>(*e.sh->kernel, /*server_role=*/true);
+    e.server = &e.sh->kernel->Emplace<EchoAnchor>(*e.sh->kernel, /*server_role=*/true);
     if (null_replies) {
-      server.set_echo_limit(0);
+      e.server->set_echo_limit(0);
     }
-    (void)EnableEcho(e.sstack, server);
+    check("EnableEcho", EnableEcho(e.sstack, *e.server));
   });
   e.ch->kernel->RunTask(e.net->events().now(), [&] {
     Result<SessionRef> r = OpenEchoSession(e.cstack, *e.client, e.sh->kernel->ip_addr());
-    if (r.ok()) {
-      e.sess = *r;
-    }
+    check("OpenEchoSession", r.status());
+    e.sess = *r;
   });
   return e;
 }
@@ -172,8 +180,9 @@ struct PartialLatency {
 
 // Null round trip through a partial stack (Table III rows 1-3 and the
 // header-alloc ablation's base/channel measurements).
-inline PartialLatency MeasurePartialLatency(int layers, HostEnv env = HostEnv::kXKernel) {
-  EchoExperiment e = MakeEchoExperiment(layers, /*null_replies=*/false, env);
+inline PartialLatency MeasurePartialLatency(std::string_view spec,
+                                            HostEnv env = HostEnv::kXKernel) {
+  EchoExperiment e = MakeEchoExperiment(spec, /*null_replies=*/false, env);
   LatencyResult lat = RpcWorkload::MeasureLatency(*e.net, *e.ch->kernel, e.MakeCall(), 64);
   return PartialLatency{ToMsec(lat.per_call), e.net->events_fired(), lat.rtt};
 }
@@ -185,7 +194,7 @@ struct FragmentThroughput {
 
 // FRAGMENT standalone throughput: 16 KB messages, null (0-byte) echoes.
 inline FragmentThroughput MeasureFragmentThroughput() {
-  EchoExperiment e = MakeEchoExperiment(/*layers=*/1, /*null_replies=*/true);
+  EchoExperiment e = MakeEchoExperiment("fragment/vip", /*null_replies=*/true);
   ThroughputResult t = RpcWorkload::MeasureThroughput(*e.net, *e.ch->kernel, *e.sh->kernel,
                                                       e.MakeCall(), 16 * 1024, 16);
   return FragmentThroughput{t.kbytes_per_sec, e.net->events_fired()};
@@ -199,11 +208,10 @@ struct SweepSeries {
 
 // The 1k..16k request-size series behind every "Incremental Cost" column:
 // per-call time for 8 calls at each size, each size on a fresh instance.
-inline SweepSeries MeasureSweep(const RpcBench::Builder& builder,
-                                HostEnv env = HostEnv::kXKernel) {
+inline SweepSeries MeasureSweep(std::string_view spec, HostEnv env = HostEnv::kXKernel) {
   SweepSeries out;
   for (size_t kb = 1; kb <= 16; ++kb) {
-    RpcBench::Instance in = RpcBench::MakeInstance(builder, env);
+    RpcBench::Instance in = RpcBench::MakeInstance(spec, env);
     ThroughputResult t = RpcWorkload::MeasureThroughput(*in.net, *in.ch->kernel, *in.sh->kernel,
                                                         in.MakeCall(), kb * 1024, 8);
     out.per_call_ms.push_back(ToMsec(t.elapsed) / t.completed);
@@ -222,41 +230,11 @@ struct UdpEcho {
 // Section 1's user-to-user UDP/IP echo: each send and receive pays a
 // user/kernel boundary crossing.
 inline UdpEcho MeasureUdpEcho(HostEnv env) {
-  auto net = Internet::TwoHosts(env);
-  auto& ch = net->host("client");
-  auto& sh = net->host("server");
-  UdpProtocol* cudp = BuildUdp(ch);
-  UdpProtocol* sudp = BuildUdp(sh);
-
-  EchoAnchor* client = nullptr;
-  ch.kernel->RunTask(net->events().now(), [&] {
-    client = &ch.kernel->Emplace<EchoAnchor>(*ch.kernel, /*server_role=*/false);
-    // User process: each send/receive crosses the user/kernel boundary.
-    client->set_app_cost(ch.kernel->costs().user_kernel_cross);
-  });
-  sh.kernel->RunTask(net->events().now(), [&] {
-    auto& server = sh.kernel->Emplace<EchoAnchor>(*sh.kernel, /*server_role=*/true);
-    server.set_app_cost(2 * sh.kernel->costs().user_kernel_cross);  // in + out
-    ParticipantSet enable;
-    enable.local.port = 7;
-    (void)sudp->OpenEnable(server, enable);
-  });
-  SessionRef sess;
-  ch.kernel->RunTask(net->events().now(), [&] {
-    ParticipantSet parts;
-    parts.local.port = 1234;
-    parts.peer.host = sh.kernel->ip_addr();
-    parts.peer.port = 7;
-    Result<SessionRef> r = cudp->Open(*client, parts);
-    if (r.ok()) {
-      sess = *r;
-    }
-  });
-  CallFn call = [&](Message args, std::function<void(Result<Message>)> done) {
-    client->Send(sess, std::move(args), std::move(done));
-  };
-  LatencyResult lat = RpcWorkload::MeasureLatency(*net, *ch.kernel, call, 64);
-  return UdpEcho{ToMsec(lat.per_call), net->events_fired(), lat.rtt};
+  EchoExperiment e = MakeEchoExperiment("udp/ip", /*null_replies=*/false, env);
+  e.client->set_app_cost(e.ch->kernel->costs().user_kernel_cross);
+  e.server->set_app_cost(2 * e.sh->kernel->costs().user_kernel_cross);  // in + out
+  LatencyResult lat = RpcWorkload::MeasureLatency(*e.net, *e.ch->kernel, e.MakeCall(), 64);
+  return UdpEcho{ToMsec(lat.per_call), e.net->events_fired(), lat.rtt};
 }
 
 struct ColdWarmResult {
@@ -268,8 +246,8 @@ struct ColdWarmResult {
 // Session-caching ablation: the first call on a freshly configured stack
 // (which establishes session state at every level; ARP is pre-warmed) versus
 // the steady-state call that reuses all of it.
-inline ColdWarmResult MeasureColdWarm(const RpcBench::Builder& builder) {
-  RpcBench::Instance in = RpcBench::MakeInstance(builder);
+inline ColdWarmResult MeasureColdWarm(std::string_view spec) {
+  RpcBench::Instance in = RpcBench::MakeInstance(spec);
   // First call: all session state is established on demand.
   LatencyResult first = RpcWorkload::MeasureLatency(*in.net, *in.ch->kernel, in.MakeCall(), 1);
   // Steady state: everything cached.
@@ -349,8 +327,8 @@ inline ManyPairsBench MeasureManyPairsBench(int pairs, size_t bytes, int iters,
   std::vector<Kernel*> clients;
   std::vector<CallFn> calls;
   for (Pair& pr : ps) {
-    pr.cstack = BuildLRpc(*pr.ch, Delivery::kVip);
-    pr.sstack = BuildLRpc(*pr.sh, Delivery::kVip);
+    pr.cstack = BuildStack(*pr.ch, kLRpcVip);
+    pr.sstack = BuildStack(*pr.sh, kLRpcVip);
     pr.ch->kernel->RunTask(net->events().now(), [&] {
       pr.client = &pr.ch->kernel->Emplace<RpcClient>(*pr.ch->kernel, pr.cstack.top);
     });
@@ -431,21 +409,20 @@ struct ChaosBench {
 inline ChaosBench MeasureChaosCampaign(const FaultPlan& plan, const ChaosSpec& spec,
                                        bool adaptive_rto = false) {
   AmoOracle oracle;
-  auto builder = [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); };
-  RpcBench::Instance in = RpcBench::MakeInstance(builder);
+  RpcBench::Instance in = RpcBench::MakeInstance(kLRpcVip);
   in.sh->kernel->RunTask(in.net->events().now(), [&] {
     (void)in.server->Export(RpcServer::kAny, oracle.WrapEcho(in.sh->kernel));
   });
   if (adaptive_rto) {
-    in.cstack.channel->set_adaptive_timeout(true);
-    in.sstack.channel->set_adaptive_timeout(true);
+    in.cstack.Get<ChannelProtocol>()->set_adaptive_timeout(true);
+    in.sstack.Get<ChannelProtocol>()->set_adaptive_timeout(true);
   }
-  in.net->set_restart_hook("server", [&in, builder, &oracle, adaptive_rto](HostStack& h) {
-    in.sstack = builder(h);
+  in.net->set_restart_hook("server", [&in, &oracle, adaptive_rto](HostStack& h) {
+    in.sstack = BuildStack(h, kLRpcVip);
     in.server = &h.kernel->Emplace<RpcServer>(*h.kernel, in.sstack.top);
     (void)in.server->Export(RpcServer::kAny, oracle.WrapEcho(h.kernel));
     if (adaptive_rto) {
-      in.sstack.channel->set_adaptive_timeout(true);
+      in.sstack.Get<ChannelProtocol>()->set_adaptive_timeout(true);
     }
   });
 
@@ -454,7 +431,7 @@ inline ChaosBench MeasureChaosCampaign(const FaultPlan& plan, const ChaosSpec& s
   out.run = RpcWorkload::RunChaos(*in.net, *in.ch->kernel, in.MakeCall(), oracle, spec);
   out.oracle = oracle.Finish();
   out.events_fired = in.net->events_fired();
-  const ChannelProtocol::Stats& st = in.cstack.channel->stats();
+  const ChannelProtocol::Stats& st = in.cstack.Get<ChannelProtocol>()->stats();
   out.boot_resets = st.boot_resets;
   out.retransmissions = st.retransmissions;
   out.timeouts = st.timeouts;

@@ -110,8 +110,8 @@ int main() {
   auto net = Internet::TwoHosts();
   HostStack& ch = net->host("client");
   HostStack& sh = net->host("server");
-  RpcStack cstack = BuildLRpc(ch);
-  RpcStack sstack = BuildLRpc(sh);
+  RpcStack cstack = BuildStack(ch, kLRpcVip);
+  RpcStack sstack = BuildStack(sh, kLRpcVip);
 
   FileStore store;
   sh.kernel->RunTask(0, [&] {
@@ -192,6 +192,6 @@ int main() {
                 64.0 / secs);
   }
   std::printf("fragments sent by client FRAGMENT layer: %lu\n",
-              static_cast<unsigned long>(cstack.fragment->stats().fragments_sent));
+              static_cast<unsigned long>(cstack.Get<FragmentProtocol>()->stats().fragments_sent));
   return failures == 0 ? 0 : 1;
 }

@@ -2,9 +2,9 @@
 //
 // Decomposed Sun RPC lets you assemble a transport from parts:
 //
-//   SUN_SELECT - REQUEST_REPLY - FRAGMENT - VIP     faithful Sun semantics
-//   SUN_SELECT - AUTH_CRED - REQUEST_REPLY - ...    with authentication
-//   SUN_SELECT - CHANNEL - FRAGMENT - VIP           at-most-once Sun RPC
+//   sunselect/reqrep/fragment/vip             faithful Sun semantics
+//   sunselect/authcred/reqrep/fragment/vip    with authentication
+//   sunselect/channel/fragment/vip            at-most-once Sun RPC
 //
 // This example runs the same duplicated-request experiment against the first
 // and third stacks: with REQUEST_REPLY the server executes the call twice
@@ -16,8 +16,6 @@
 #include "src/app/anchor.h"
 #include "src/app/stacks.h"
 #include "src/proto/topology.h"
-#include "src/rpc/sun/auth.h"
-#include "src/rpc/sun/sun_select.h"
 
 using namespace xk;
 
@@ -37,13 +35,13 @@ struct World {
   int executions = 0;
 };
 
-World Build(SunPairing pairing, SunAuth auth) {
+World Build(std::string_view spec) {
   World w;
   w.net = Internet::TwoHosts();
   w.ch = &w.net->host("client");
   w.sh = &w.net->host("server");
-  w.cstack = BuildSunRpc(*w.ch, pairing, auth);
-  w.sstack = BuildSunRpc(*w.sh, pairing, auth);
+  w.cstack = BuildStack(*w.ch, spec);
+  w.sstack = BuildStack(*w.sh, spec);
   w.ch->kernel->RunTask(0, [&] {
     w.client = &w.ch->kernel->Emplace<RpcClient>(*w.ch->kernel, w.cstack.top);
   });
@@ -77,7 +75,7 @@ void CallOnceWithDuplicatedRequest(World& w) {
 int main() {
   std::printf("=== duplicated request, REQUEST_REPLY pairing (zero-or-more) ===\n");
   {
-    World w = Build(SunPairing::kRequestReply, SunAuth::kNone);
+    World w = Build("sunselect/reqrep/fragment/vip");
     ExportCounter(w);
     CallOnceWithDuplicatedRequest(w);
     std::printf("procedure executed %d time(s)  <- duplicates re-execute\n\n", w.executions);
@@ -85,7 +83,7 @@ int main() {
 
   std::printf("=== same experiment, CHANNEL swapped in (at-most-once) ===\n");
   {
-    World w = Build(SunPairing::kChannel, SunAuth::kNone);
+    World w = Build("sunselect/channel/fragment/vip");
     ExportCounter(w);
     CallOnceWithDuplicatedRequest(w);
     std::printf("procedure executed %d time(s)  <- CHANNEL suppressed the duplicate\n\n",
@@ -94,13 +92,13 @@ int main() {
 
   std::printf("=== AUTH_CRED inserted as an optional layer ===\n");
   {
-    World w = Build(SunPairing::kRequestReply, SunAuth::kAuthCred);
+    World w = Build("sunselect/authcred/reqrep/fragment/vip");
     ExportCounter(w);
     w.ch->kernel->RunTask(0, [&] {
-      static_cast<AuthCredProtocol*>(w.cstack.auth)->SetCredentials(1001, 100);
+      w.cstack.Get<AuthCredProtocol>()->SetCredentials(1001, 100);
     });
     w.sh->kernel->RunTask(0, [&] {
-      static_cast<AuthCredProtocol*>(w.sstack.auth)->AllowUid(42);  // 1001 NOT allowed
+      w.sstack.Get<AuthCredProtocol>()->AllowUid(42);  // 1001 NOT allowed
     });
     bool rejected = false;
     w.ch->kernel->ScheduleTask(0, [&] {

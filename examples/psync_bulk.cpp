@@ -9,10 +9,9 @@
 #include <cstdio>
 #include <string>
 
+#include "src/app/stacks.h"
 #include "src/proto/topology.h"
-#include "src/proto/vip.h"
 #include "src/psync/psync.h"
-#include "src/rpc/fragment.h"
 
 using namespace xk;
 
@@ -38,9 +37,8 @@ int main() {
   FragmentProtocol* frag[3];
   for (int i = 0; i < 3; ++i) {
     HostStack* h = hosts[i];
+    frag[i] = BuildStack(*h, "fragment/vip").Get<FragmentProtocol>();
     h->kernel->RunTask(0, [&, i] {
-      auto& vip = h->kernel->Emplace<VipProtocol>(*h->kernel, h->eth, h->ip, h->arp);
-      frag[i] = &h->kernel->Emplace<FragmentProtocol>(*h->kernel, &vip);
       psync[i] = &h->kernel->Emplace<PsyncProtocol>(*h->kernel, frag[i]);
       std::vector<IpAddr> others;
       for (int j = 0; j < 3; ++j) {

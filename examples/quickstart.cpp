@@ -36,8 +36,8 @@ int main() {
   HostStack& server_host = net->host("server");
 
   // 2. The protocol graph: layered Sprite RPC over the virtual protocol.
-  RpcStack client_stack = BuildLRpc(client_host);
-  RpcStack server_stack = BuildLRpc(server_host);
+  RpcStack client_stack = BuildStack(client_host, kLRpcVip);
+  RpcStack server_stack = BuildStack(server_host, kLRpcVip);
 
   // 3. The server side: export a procedure.
   server_host.kernel->RunTask(0, [&] {

@@ -36,13 +36,13 @@ int main() {
   net->SetDefaultGateway("remote", IpAddr(10, 0, 2, 254));
 
   HostStack& ch = net->host("client");
-  RpcStack cstack = BuildMRpc(ch, Delivery::kVip);
+  RpcStack cstack = BuildStack(ch, kMRpcVip);
   RpcClient* client = nullptr;
   ch.kernel->RunTask(0, [&] { client = &ch.kernel->Emplace<RpcClient>(*ch.kernel, cstack.top); });
 
   for (const char* name : {"local", "remote"}) {
     HostStack& sh = net->host(name);
-    RpcStack sstack = BuildMRpc(sh, Delivery::kVip);
+    RpcStack sstack = BuildStack(sh, kMRpcVip);
     sh.kernel->RunTask(0, [&] {
       auto& server = sh.kernel->Emplace<RpcServer>(*sh.kernel, sstack.top);
       (void)server.Export(RpcServer::kAny, [](uint16_t, Message&) { return Message(); });

@@ -80,44 +80,34 @@ DatacenterResult MeasureDatacenter(const DatacenterSpec& spec) {
     }
     ControlArgs args;
     args.u64 = static_cast<uint64_t>(spec.idle_timeout);
-    if (stack.select != nullptr) {
-      (void)stack.select->Control(ControlOp::kSetIdleTimeout, args);
-    }
-    if (stack.channel != nullptr) {
-      (void)stack.channel->Control(ControlOp::kSetIdleTimeout, args);
-    }
-    if (stack.vip != nullptr) {
-      (void)stack.vip->Control(ControlOp::kSetIdleTimeout, args);
-    }
+    (void)stack.Get<SelectProtocol>()->Control(ControlOp::kSetIdleTimeout, args);
+    (void)stack.Get<ChannelProtocol>()->Control(ControlOp::kSetIdleTimeout, args);
+    (void)stack.Get<VipProtocol>()->Control(ControlOp::kSetIdleTimeout, args);
   };
 
   // Replica stacks: the standard layered L_RPC serving the oracle's echo.
   // The restart hook rebuilds the same configuration on the fresh substrate
   // (it runs inside the host's reboot task, so no RunTask wrapper there).
   AmoOracle oracle;
+  auto serve = [&oracle, &spec, &arm_idle](HostStack& h, const RpcStack& stack) {
+    auto& server = h.kernel->Emplace<RpcServer>(*h.kernel, stack.top);
+    server.set_service_delay(spec.service_delay);
+    server.set_admission_limit(spec.max_inflight, spec.max_backlog);
+    (void)server.Export(kEchoCommand, oracle.WrapEcho(h.kernel));
+    arm_idle(stack);
+  };
   for (const std::string& name : replica_names) {
     HostStack& h = net.host(name);
-    RpcStack stack = BuildLRpc(h, Delivery::kVip);
-    h.kernel->RunTask(net.events().now(), [&] {
-      auto& server = h.kernel->Emplace<RpcServer>(*h.kernel, stack.top);
-      server.set_service_delay(spec.service_delay);
-      server.set_admission_limit(spec.max_inflight, spec.max_backlog);
-      (void)server.Export(kEchoCommand, oracle.WrapEcho(h.kernel));
-      arm_idle(stack);
-    });
-    net.set_restart_hook(name, [&oracle, &spec, &arm_idle](HostStack& fresh) {
-      RpcStack rebuilt = BuildLRpc(fresh, Delivery::kVip);
-      auto& server = fresh.kernel->Emplace<RpcServer>(*fresh.kernel, rebuilt.top);
-      server.set_service_delay(spec.service_delay);
-      server.set_admission_limit(spec.max_inflight, spec.max_backlog);
-      (void)server.Export(kEchoCommand, oracle.WrapEcho(fresh.kernel));
-      arm_idle(rebuilt);
+    const RpcStack stack = BuildStack(h, kLRpcVip);
+    h.kernel->RunTask(net.events().now(), [&] { serve(h, stack); });
+    net.set_restart_hook(name, [&serve](HostStack& fresh) {
+      serve(fresh, BuildStack(fresh, kLRpcVip));
     });
   }
 
   // Client stacks: L_RPC, VPOOL spreading over the pool, ClusterClient on top.
   for (ClientNode& node : clients) {
-    node.stack = BuildLRpc(*node.hs, Delivery::kVip);
+    node.stack = BuildStack(*node.hs, kLRpcVip);
     Kernel* k = node.hs->kernel;
     k->RunTask(net.events().now(), [&] {
       node.vpool = &k->Emplace<VpoolProtocol>(*k, node.stack.top);
@@ -130,11 +120,11 @@ DatacenterResult MeasureDatacenter(const DatacenterSpec& spec) {
         node.client->set_hedge_delay(spec.hedge_delay);
         node.client->set_hedge_notify([&oracle](uint64_t id) { oracle.RecordHedged(id); });
       }
-      if (spec.retry_ratio_ppm > 0 && node.stack.channel != nullptr) {
+      if (spec.retry_ratio_ppm > 0) {
         ControlArgs budget;
         budget.u64 = (static_cast<uint64_t>(spec.retry_burst) << 32) |
                      static_cast<uint64_t>(spec.retry_ratio_ppm);
-        (void)node.stack.channel->Control(ControlOp::kSetRetryBudget, budget);
+        (void)node.stack.Get<ChannelProtocol>()->Control(ControlOp::kSetRetryBudget, budget);
       }
       if (spec.idle_timeout != 0) {
         ControlArgs args;
@@ -207,14 +197,8 @@ DatacenterResult MeasureDatacenter(const DatacenterSpec& spec) {
     out.capped_rejects += node.vpool->capped_rejects();
     out.breaker_trips += node.vpool->breaker_trips();
     out.idle_evictions += node.vpool->idle_evictions();
-    if (node.stack.select != nullptr) {
-      out.idle_evictions += node.stack.select->idle_evictions();
-    }
-    if (node.stack.channel != nullptr) {
-      out.idle_evictions += node.stack.channel->idle_evictions();
-    }
-    if (node.stack.vip != nullptr) {
-      out.idle_evictions += node.stack.vip->idle_evictions();
+    for (const Protocol* p : node.stack.layers) {
+      out.idle_evictions += p != nullptr ? p->idle_evictions() : 0;
     }
   }
   out.success_ppm = out.issued > 0 ? out.completed * 1000000u / out.issued : 0;

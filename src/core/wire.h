@@ -144,6 +144,11 @@ inline int SingleBitIndex(uint16_t mask) {
   return std::has_single_bit(mask) ? std::countr_zero(mask) : -1;
 }
 
+// The mask with one bit set for each of a message's `num_frags` fragments.
+inline uint16_t FullMask(uint16_t num_frags) {
+  return static_cast<uint16_t>(num_frags >= 16 ? 0xFFFFu : (1u << num_frags) - 1u);
+}
+
 }  // namespace xk
 
 #endif  // XK_SRC_CORE_WIRE_H_

@@ -10,10 +10,6 @@ namespace {
 constexpr uint8_t kTypeData = 1;
 constexpr uint8_t kTypeNack = 2;
 constexpr size_t kMinSentRing = 8;
-
-uint16_t FullMask(uint16_t num_frags) {
-  return num_frags >= 16 ? 0xFFFF : static_cast<uint16_t>((1u << num_frags) - 1);
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------

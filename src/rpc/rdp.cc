@@ -31,10 +31,14 @@ Result<RdpProtocol::Pool*> RdpProtocol::PoolFor(IpAddr peer) {
   }
   Pool pool;
   pool.available = std::make_unique<XSemaphore>(kernel(), kNumChannels);
+  // CHANNEL names a channel by (peer, id) whichever side opened it, so two
+  // peers sending to each other need disjoint ids: the lower address takes
+  // 100.., the higher 100 + kNumChannels.. (all above SELECT's).
+  const int base = kernel().ip_addr() < peer ? 100 : 100 + kNumChannels;
   for (int i = 0; i < kNumChannels; ++i) {
     ParticipantSet parts;
     parts.peer.host = peer;
-    parts.local.channel = static_cast<uint16_t>(i + 100);  // distinct from SELECT's
+    parts.local.channel = static_cast<uint16_t>(base + i);
     parts.local.rel_proto = kRelProtoRdp;
     Result<SessionRef> chan = lower(0)->Open(*this, parts);
     if (!chan.ok()) {
@@ -95,11 +99,9 @@ Status RdpProtocol::DoDemux(Session* lls, Message& msg) {
     ReleaseChannelFor(lls);
     return OkStatus();  // delivery confirmed; nothing to surface
   }
-  // Otherwise it is an incoming datagram: deliver it, then acknowledge by
-  // replying (empty) on the channel.
-  if (enabled_hlp_ == nullptr) {
-    return ErrStatus(StatusCode::kNotFound);
-  }
+  // Otherwise it is an incoming datagram: deliver it to the peer's session
+  // (opened or passively created), then acknowledge by replying (empty) on
+  // the channel.
   IpAddr peer;
   ControlArgs args;
   if (lls->Control(ControlOp::kGetPeerHost, args).ok()) {
@@ -107,6 +109,9 @@ Status RdpProtocol::DoDemux(Session* lls, Message& msg) {
   }
   SessionRef sess = active_.Resolve(peer);
   if (sess == nullptr) {
+    if (enabled_hlp_ == nullptr) {
+      return ErrStatus(StatusCode::kNotFound);
+    }
     kernel().ChargeSessionCreate();
     sess = std::make_shared<RdpSession>(*this, enabled_hlp_, peer);
     active_.Bind(peer, sess);

@@ -11,10 +11,6 @@ constexpr uint16_t kFlagRequest = 0x1;
 constexpr uint16_t kFlagReply = 0x2;
 constexpr uint16_t kFlagAck = 0x4;
 constexpr uint16_t kFlagPleaseAck = 0x8;
-
-uint16_t FullMask(uint16_t num_frags) {
-  return num_frags >= 16 ? 0xFFFF : static_cast<uint16_t>((1u << num_frags) - 1);
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/app/anchor.h"
 #include "src/app/oracle.h"
 #include "src/app/stacks.h"
@@ -123,35 +124,21 @@ TEST(AllocBudget, ZeroPayloadMessagesAllocateNothing) {
 
 // --- L_RPC-VIP, RpcClient/RpcServer ----------------------------------------
 
+// The benchmark's L_RPC-VIP instance: RpcClient against a null-reply RpcServer.
 struct PaperRpc {
-  std::unique_ptr<Internet> net = Internet::TwoHosts();
-  HostStack& ch = net->host("client");
-  HostStack& sh = net->host("server");
-  RpcClient* client = nullptr;
+  RpcBench::Instance in = RpcBench::MakeInstance(kLRpcVip);
   uint64_t completed = 0;
   uint64_t failed = 0;
 
-  PaperRpc() {
-    const RpcStack cstack = BuildLRpc(ch);
-    const RpcStack sstack = BuildLRpc(sh);
-    sh.kernel->RunTask(net->events().now(), [&] {
-      auto& server = sh.kernel->Emplace<RpcServer>(*sh.kernel, sstack.top);
-      (void)server.Export(RpcServer::kAny, [](uint16_t, Message&) { return Message(); });
-    });
-    ch.kernel->RunTask(net->events().now(), [&] {
-      client = &ch.kernel->Emplace<RpcClient>(*ch.kernel, cstack.top);
-    });
-  }
-
   // One closed-loop call of `bytes`, run to quiescence.
   void Call(size_t bytes) {
-    const IpAddr server_ip = sh.kernel->ip_addr();
-    ch.kernel->RunTask(net->events().now(), [&] {
-      client->Call(server_ip, kCommand, Message(bytes), [this](Result<Message> r) {
+    const IpAddr server_ip = in.sh->kernel->ip_addr();
+    in.ch->kernel->RunTask(in.net->events().now(), [&] {
+      in.client->Call(server_ip, kCommand, Message(bytes), [this](Result<Message> r) {
         ++(r.ok() && r->length() == 0 ? completed : failed);
       });
     });
-    net->RunAll();
+    in.net->RunAll();
   }
 };
 
@@ -259,7 +246,7 @@ TEST_P(PaperRpcBudget, SteadyStateCallsStayUnderQueueBudget) {
   for (int i = 0; i < kWarm; ++i) {
     rpc.Call(bytes);
   }
-  const EventQueue& q = rpc.net->events();
+  const EventQueue& q = rpc.in.net->events();
   const uint64_t fired0 = q.fired_total();
   const uint64_t pushes0 = q.heap_pushes();
   const uint64_t cancels0 = q.cancels();
@@ -337,7 +324,7 @@ struct SatKnee {
     }
     net->WarmArp();
     for (HostStack* h : replicas) {
-      const RpcStack stack = BuildLRpc(*h);
+      const RpcStack stack = BuildStack(*h, kLRpcVip);
       h->kernel->RunTask(net->events().now(), [&] {
         auto& server = h->kernel->Emplace<RpcServer>(*h->kernel, stack.top);
         (void)server.Export(kCommand, oracle.WrapEcho(h->kernel));
@@ -345,7 +332,7 @@ struct SatKnee {
     }
     for (size_t idx = 0; idx < clients.size(); ++idx) {
       Kernel* k = clients[idx]->kernel;
-      const RpcStack stack = BuildLRpc(*clients[idx]);
+      const RpcStack stack = BuildStack(*clients[idx], kLRpcVip);
       ClusterClient* cc = nullptr;
       k->RunTask(net->events().now(), [&] {
         auto& vpool = k->Emplace<VpoolProtocol>(*k, stack.top);

@@ -13,20 +13,14 @@
 namespace xk {
 namespace {
 
-const RpcBench::Builder kMEth = [](HostStack& h) { return BuildMRpc(h, Delivery::kEth); };
-const RpcBench::Builder kMIp = [](HostStack& h) { return BuildMRpc(h, Delivery::kIp); };
-const RpcBench::Builder kMVip = [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); };
-const RpcBench::Builder kLVip = [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); };
-const RpcBench::Builder kLDyn = [](HostStack& h) { return BuildLRpcDynamic(h); };
-
 // Measured once, shared across the assertions below.
 struct Measurements {
-  ConfigResult n_rpc = RpcBench::Measure(kMEth, HostEnv::kNativeSprite);
-  ConfigResult m_eth = RpcBench::Measure(kMEth);
-  ConfigResult m_ip = RpcBench::Measure(kMIp);
-  ConfigResult m_vip = RpcBench::Measure(kMVip);
-  ConfigResult l_vip = RpcBench::Measure(kLVip);
-  ConfigResult dynamic = RpcBench::Measure(kLDyn);
+  ConfigResult n_rpc = RpcBench::Measure(kMRpcEth, HostEnv::kNativeSprite);
+  ConfigResult m_eth = RpcBench::Measure(kMRpcEth);
+  ConfigResult m_ip = RpcBench::Measure(kMRpcIp);
+  ConfigResult m_vip = RpcBench::Measure(kMRpcVip);
+  ConfigResult l_vip = RpcBench::Measure(kLRpcVip);
+  ConfigResult dynamic = RpcBench::Measure(kLRpcVipSize);
 };
 
 const Measurements& M() {
@@ -114,9 +108,9 @@ TEST(ShapeTableII, LayeredUsesSlightlyLessCpuOnBulk) {
 // Null round trip through each partial stack; the full stack is Table II's
 // layered row.
 TEST(ShapeTableIII, FragmentAndChannelIncrementsNearPaper) {
-  const double vip = MeasurePartialLatency(0).ms;
-  const double fragment = MeasurePartialLatency(1).ms;
-  const double channel = MeasurePartialLatency(2).ms;
+  const double vip = MeasurePartialLatency("vip").ms;
+  const double fragment = MeasurePartialLatency("fragment/vip").ms;
+  const double channel = MeasurePartialLatency("channel/fragment/vip").ms;
   const double full = M().l_vip.latency_ms;
   EXPECT_NEAR(fragment - vip, 0.21, 0.05);  // paper: +0.21
   EXPECT_NEAR(channel - fragment, 0.49, 0.07);  // paper: +0.49
@@ -132,8 +126,8 @@ TEST(ShapeTableIII, FragmentStandaloneThroughputNearPaper) {
 // --- Throughput sweep ----------------------------------------------------------
 
 TEST(ShapeSweep, OrderingSlopeAndLayeringHoldAtEverySize) {
-  const SweepSeries eth = MeasureSweep(kMEth), ip = MeasureSweep(kMIp),
-                    vip = MeasureSweep(kMVip), layered = MeasureSweep(kLVip);
+  const SweepSeries eth = MeasureSweep(kMRpcEth), ip = MeasureSweep(kMRpcIp),
+                    vip = MeasureSweep(kMRpcVip), layered = MeasureSweep(kLRpcVip);
   ASSERT_EQ(eth.per_call_ms.size(), 16u);
   for (size_t i = 0; i < eth.per_call_ms.size(); ++i) {
     const size_t kb = i + 1;
@@ -151,8 +145,8 @@ TEST(ShapeSweep, OrderingSlopeAndLayeringHoldAtEverySize) {
 // --- Section 5 ablation (session caching) ----------------------------------------
 
 TEST(ShapeAblation, SessionSetupCostsMoreThanSteadyState) {
-  const ColdWarmResult mono = MeasureColdWarm(kMVip), layered = MeasureColdWarm(kLVip),
-                       dynamic = MeasureColdWarm(kLDyn);
+  const ColdWarmResult mono = MeasureColdWarm(kMRpcVip), layered = MeasureColdWarm(kLRpcVip),
+                       dynamic = MeasureColdWarm(kLRpcVipSize);
   for (const ColdWarmResult* cw : {&mono, &layered, &dynamic}) {
     EXPECT_GT(cw->first_ms, cw->steady_ms);
   }
@@ -183,8 +177,8 @@ TEST(ShapeSec1, UdpCrossKernelRatio) {
 // --- Section 5 ablation (header buffers) -----------------------------------------
 
 TEST(ShapeAblation, PerLayerAllocMuchWorse) {
-  ConfigResult adjust = RpcBench::Measure(kLVip, HostEnv::kXKernel);
-  ConfigResult alloc = RpcBench::Measure(kLVip, HostEnv::kXKernelAllocPerHeader);
+  ConfigResult adjust = RpcBench::Measure(kLRpcVip, HostEnv::kXKernel);
+  ConfigResult alloc = RpcBench::Measure(kLRpcVip, HostEnv::kXKernelAllocPerHeader);
   // The paper: 0.11 -> 0.50 per layer, i.e. roughly +0.39/layer. Over the
   // whole stack (and the anchors' headers) the penalty is >1 ms of latency.
   EXPECT_GT(alloc.latency_ms - adjust.latency_ms, 1.0);
@@ -193,8 +187,8 @@ TEST(ShapeAblation, PerLayerAllocMuchWorse) {
 // --- determinism -----------------------------------------------------------------
 
 TEST(ShapeDeterminism, RepeatedMeasurementIsBitIdentical) {
-  ConfigResult a = RpcBench::Measure(kMVip);
-  ConfigResult b = RpcBench::Measure(kMVip);
+  ConfigResult a = RpcBench::Measure(kMRpcVip);
+  ConfigResult b = RpcBench::Measure(kMRpcVip);
   EXPECT_EQ(a.latency_ms, b.latency_ms);
   EXPECT_EQ(a.throughput_kbs, b.throughput_kbs);
 }

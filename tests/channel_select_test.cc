@@ -13,14 +13,10 @@
 namespace xk {
 namespace {
 
-RpcFixture::Builder LayeredVip() {
-  return [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); };
-}
-
 // --- CHANNEL semantics (via the full layered stack) ---------------------------
 
 struct ChannelFixture : ::testing::Test {
-  void SetUp() override { fix.Build(LayeredVip()); }
+  void SetUp() override { fix.Build(kLRpcVip); }
   RpcFixture fix;
 };
 
@@ -28,8 +24,8 @@ TEST_F(ChannelFixture, NullCallRoundTrips) {
   Result<Message> r = fix.CallSync(7, Message());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->length(), 0u);
-  EXPECT_EQ(fix.cstack.channel->stats().calls_sent, 1u);
-  EXPECT_EQ(fix.sstack.channel->stats().requests_executed, 1u);
+  EXPECT_EQ(fix.cstack.Get<ChannelProtocol>()->stats().calls_sent, 1u);
+  EXPECT_EQ(fix.sstack.Get<ChannelProtocol>()->stats().requests_executed, 1u);
 }
 
 TEST_F(ChannelFixture, PayloadEchoes) {
@@ -42,8 +38,8 @@ TEST_F(ChannelFixture, LargeArgsAndResultsFragment) {
   Result<Message> r = fix.CallSync(7, Message::FromBytes(PatternBytes(16384, 2)));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Flatten(), PatternBytes(16384, 2));
-  EXPECT_GE(fix.cstack.fragment->stats().fragments_sent, 16u);
-  EXPECT_GE(fix.sstack.fragment->stats().fragments_sent, 16u);  // the echo back
+  EXPECT_GE(fix.cstack.Get<FragmentProtocol>()->stats().fragments_sent, 16u);
+  EXPECT_GE(fix.sstack.Get<FragmentProtocol>()->stats().fragments_sent, 16u);  // the echo back
 }
 
 TEST_F(ChannelFixture, LostRequestRetransmitted) {
@@ -52,7 +48,7 @@ TEST_F(ChannelFixture, LostRequestRetransmitted) {
   });
   Result<Message> r = fix.CallSync(7, Message::FromBytes(PatternBytes(10)));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(fix.cstack.channel->stats().retransmissions, 1u);
+  EXPECT_GE(fix.cstack.Get<ChannelProtocol>()->stats().retransmissions, 1u);
 }
 
 TEST_F(ChannelFixture, LostReplyNotReExecuted) {
@@ -63,10 +59,10 @@ TEST_F(ChannelFixture, LostReplyNotReExecuted) {
   });
   Result<Message> r = fix.CallSync(7, Message::FromBytes(PatternBytes(10)));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(fix.sstack.channel->stats().requests_executed, 1u);
+  EXPECT_EQ(fix.sstack.Get<ChannelProtocol>()->stats().requests_executed, 1u);
   EXPECT_EQ(fix.server->requests_served(), 1u);  // the handler ran ONCE
-  EXPECT_GE(fix.sstack.channel->stats().duplicates_suppressed, 1u);
-  EXPECT_GE(fix.sstack.channel->stats().replies_resent, 1u);
+  EXPECT_GE(fix.sstack.Get<ChannelProtocol>()->stats().duplicates_suppressed, 1u);
+  EXPECT_GE(fix.sstack.Get<ChannelProtocol>()->stats().replies_resent, 1u);
 }
 
 TEST_F(ChannelFixture, DuplicatedRequestNotReExecuted) {
@@ -76,7 +72,7 @@ TEST_F(ChannelFixture, DuplicatedRequestNotReExecuted) {
   Result<Message> r = fix.CallSync(7, Message::FromBytes(PatternBytes(10)));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(fix.server->requests_served(), 1u);
-  EXPECT_GE(fix.sstack.channel->stats().duplicates_suppressed, 1u);
+  EXPECT_GE(fix.sstack.Get<ChannelProtocol>()->stats().duplicates_suppressed, 1u);
 }
 
 TEST_F(ChannelFixture, SlowServerElicitsExplicitAck) {
@@ -86,8 +82,8 @@ TEST_F(ChannelFixture, SlowServerElicitsExplicitAck) {
   RunIn(*fix.sh->kernel, [&] { fix.server->set_service_delay(Msec(180)); });
   Result<Message> r = fix.CallSync(7, Message::FromBytes(PatternBytes(10)));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(fix.sstack.channel->stats().explicit_acks_sent, 1u);
-  EXPECT_GE(fix.cstack.channel->stats().explicit_acks_received, 1u);
+  EXPECT_GE(fix.sstack.Get<ChannelProtocol>()->stats().explicit_acks_sent, 1u);
+  EXPECT_GE(fix.cstack.Get<ChannelProtocol>()->stats().explicit_acks_received, 1u);
   EXPECT_EQ(fix.server->requests_served(), 1u);
 }
 
@@ -96,8 +92,8 @@ TEST_F(ChannelFixture, DeadServerFailsAfterRetries) {
   Result<Message> r = fix.CallSync(7, Message());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
-  EXPECT_EQ(fix.cstack.channel->stats().call_failures, 1u);
-  EXPECT_EQ(fix.cstack.channel->stats().retransmissions,
+  EXPECT_EQ(fix.cstack.Get<ChannelProtocol>()->stats().call_failures, 1u);
+  EXPECT_EQ(fix.cstack.Get<ChannelProtocol>()->stats().retransmissions,
             static_cast<uint64_t>(ChannelProtocol::kRetryLimit));
   // The channel was released: a later call (with the network healed) works.
   fix.net->segment(0).set_drop_rate(0.0);
@@ -110,8 +106,8 @@ TEST_F(ChannelFixture, ImplicitAckDiscardsSavedReply) {
   ASSERT_TRUE(fix.CallSync(7, Message()).ok());
   // Two calls on (potentially) the same channel: the second request
   // implicitly acknowledged the first reply. No explicit acks were needed.
-  EXPECT_EQ(fix.sstack.channel->stats().explicit_acks_sent, 0u);
-  EXPECT_EQ(fix.cstack.channel->stats().retransmissions, 0u);
+  EXPECT_EQ(fix.sstack.Get<ChannelProtocol>()->stats().explicit_acks_sent, 0u);
+  EXPECT_EQ(fix.cstack.Get<ChannelProtocol>()->stats().retransmissions, 0u);
 }
 
 TEST_F(ChannelFixture, ClientCrashRestartResetsServerChannelState) {
@@ -123,13 +119,13 @@ TEST_F(ChannelFixture, ClientCrashRestartResetsServerChannelState) {
   fix.net->RestartHost("client");
   EXPECT_TRUE(fix.ch->kernel->is_up());
   ASSERT_TRUE(fix.CallSync(7, Message()).ok());
-  EXPECT_GE(fix.sstack.channel->stats().boot_resets, 1u);
+  EXPECT_GE(fix.sstack.Get<ChannelProtocol>()->stats().boot_resets, 1u);
 }
 
 // --- SELECT -------------------------------------------------------------------
 
 struct SelectFixture : ::testing::Test {
-  void SetUp() override { fix.Build(LayeredVip(), /*export_echo=*/false); }
+  void SetUp() override { fix.Build(kLRpcVip, /*export_echo=*/false); }
   RpcFixture fix;
 };
 
@@ -160,7 +156,7 @@ TEST_F(SelectFixture, UnknownCommandFails) {
   });
   Result<Message> r = fix.CallSync(99, Message());
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(fix.sstack.select->stats().no_such_command, 1u);
+  EXPECT_EQ(fix.sstack.Get<SelectProtocol>()->stats().no_such_command, 1u);
 }
 
 TEST_F(SelectFixture, ChannelPoolLimitsConcurrency) {
@@ -183,8 +179,9 @@ TEST_F(SelectFixture, ChannelPoolLimitsConcurrency) {
   });
   fix.net->RunAll();
   EXPECT_EQ(completed, kCalls);
-  EXPECT_GE(fix.cstack.select->stats().blocked_on_channel, 4u);
-  EXPECT_EQ(fix.cstack.select->free_channels(fix.server_addr()), SelectProtocol::kNumChannels);
+  EXPECT_GE(fix.cstack.Get<SelectProtocol>()->stats().blocked_on_channel, 4u);
+  EXPECT_EQ(fix.cstack.Get<SelectProtocol>()->free_channels(fix.server_addr()),
+            SelectProtocol::kNumChannels);
 }
 
 TEST_F(SelectFixture, SessionsAreCachedAcrossCalls) {
@@ -215,9 +212,9 @@ TEST(SelectFwdTest, CallIsForwardedTransparently) {
   auto& ch = net->host("client");
   auto& fh = net->host("server");
   auto& bh = net->host("backend");
-  RpcStack cs = BuildLRpcForwarding(ch);
-  RpcStack fs = BuildLRpcForwarding(fh);
-  RpcStack bs = BuildLRpcForwarding(bh);
+  RpcStack cs = BuildStack(ch, "selectfwd/channel/fragment/vip");
+  RpcStack fs = BuildStack(fh, "selectfwd/channel/fragment/vip");
+  RpcStack bs = BuildStack(bh, "selectfwd/channel/fragment/vip");
 
   RpcClient* client = nullptr;
   RunIn(*ch.kernel, [&] { client = &ch.kernel->Emplace<RpcClient>(*ch.kernel, cs.top); });
@@ -258,18 +255,14 @@ TEST(RdpTest, ReliableDatagramsDeliverExactlyOnceUnderLoss) {
   auto net = Internet::TwoHosts();
   auto& ch = net->host("client");
   auto& sh = net->host("server");
-  RpcStack cs = BuildPartial(ch, 2);  // CHANNEL-FRAGMENT-VIP
-  RpcStack ss = BuildPartial(sh, 2);
-  RdpProtocol* crdp = nullptr;
-  RdpProtocol* srdp = nullptr;
+  RpcStack cs = BuildStack(ch, "rdp/channel/fragment/vip");
+  RpcStack ss = BuildStack(sh, "rdp/channel/fragment/vip");
+  auto* crdp = cs.Get<RdpProtocol>();
+  auto* srdp = ss.Get<RdpProtocol>();
   TestAnchor* ca = nullptr;
   TestAnchor* sa = nullptr;
-  RunIn(*ch.kernel, [&] {
-    crdp = &ch.kernel->Emplace<RdpProtocol>(*ch.kernel, cs.channel);
-    ca = &ch.kernel->Emplace<TestAnchor>(*ch.kernel);
-  });
+  RunIn(*ch.kernel, [&] { ca = &ch.kernel->Emplace<TestAnchor>(*ch.kernel); });
   RunIn(*sh.kernel, [&] {
-    srdp = &sh.kernel->Emplace<RdpProtocol>(*sh.kernel, ss.channel);
     sa = &sh.kernel->Emplace<TestAnchor>(*sh.kernel);
     ParticipantSet enable;
     EXPECT_TRUE(srdp->OpenEnable(*sa, enable).ok());

@@ -59,7 +59,7 @@ class PoolFixture {
       servers.push_back(InstallServer(h, delay));
       net->set_restart_hook(names[static_cast<size_t>(r)], [this, r, delay](HostStack& fresh) {
         // Runs inside the host's reboot task: build directly, no RunIn.
-        RpcStack rebuilt = BuildLRpc(fresh, Delivery::kVip);
+        RpcStack rebuilt = BuildStack(fresh, kLRpcVip);
         auto& server = fresh.kernel->Emplace<RpcServer>(*fresh.kernel, rebuilt.top);
         server.set_service_delay(delay);
         (void)server.Export(RpcServer::kAny, oracle.WrapEcho(fresh.kernel));
@@ -67,7 +67,7 @@ class PoolFixture {
       });
     }
 
-    cstack = BuildLRpc(*ch, Delivery::kVip);
+    cstack = BuildStack(*ch, kLRpcVip);
     RunIn(*ch->kernel, [&] {
       vpool = &ch->kernel->Emplace<VpoolProtocol>(*ch->kernel, cstack.top);
       vpool->BindService(kVip, addrs, opt.policy, opt.weights);
@@ -115,7 +115,7 @@ class PoolFixture {
   }
 
   RpcServer* InstallServer(HostStack& h, SimTime delay) {
-    RpcStack stack = BuildLRpc(h, Delivery::kVip);
+    RpcStack stack = BuildStack(h, kLRpcVip);
     RpcServer* server = nullptr;
     RunIn(*h.kernel, [&] {
       server = &h.kernel->Emplace<RpcServer>(*h.kernel, stack.top);

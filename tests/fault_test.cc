@@ -184,7 +184,7 @@ TEST(FaultPlanTest, ParseRejectsGarbageSegment) {
 // Runs a fixed echo workload and returns (CountersJson, events_fired).
 std::pair<std::string, uint64_t> RunEchoWorkload(const FaultPlan* plan) {
   RpcFixture fix;
-  fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  fix.Build(kLRpcVip);
   std::optional<FaultEngine> engine;
   if (plan != nullptr) {
     engine.emplace(*fix.net, *plan);
@@ -226,7 +226,7 @@ TEST(FaultEngineTest, SamePlanSameSeedIsReproducible) {
 
 TEST(FaultEngineTest, PartitionHealsAndCallCompletes) {
   RpcFixture fix;
-  fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  fix.Build(kLRpcVip);
 
   FaultPlan plan;
   plan.Partition(0, 0, Msec(80));
@@ -236,14 +236,14 @@ TEST(FaultEngineTest, PartitionHealsAndCallCompletes) {
   // and the retry that lands after the heal completes the call.
   Result<Message> r = fix.CallSync(1, Message::FromBytes(PatternBytes(64, 1)));
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(fix.cstack.channel->stats().retransmissions, 1u);
+  EXPECT_GE(fix.cstack.Get<ChannelProtocol>()->stats().retransmissions, 1u);
   EXPECT_GT(fix.net->segment(0).fault_drops(), 0u);
   EXPECT_GT(faults.decisions(), 0u);
 }
 
 TEST(FaultEngineTest, DuplicateStormIsSuppressedByChannel) {
   RpcFixture fix;
-  fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  fix.Build(kLRpcVip);
 
   FaultPlan plan;
   plan.DuplicateStorm(0, 0, 0, 1.0);  // open-ended: duplicate every frame
@@ -254,9 +254,9 @@ TEST(FaultEngineTest, DuplicateStormIsSuppressedByChannel) {
   }
   EXPECT_GT(fix.net->segment(0).fault_duplicates(), 0u);
   // Every request arrived twice; the server executed each exactly once.
-  EXPECT_EQ(fix.sstack.channel->stats().requests_executed, 4u);
-  EXPECT_GE(fix.sstack.channel->stats().duplicates_suppressed +
-                fix.sstack.channel->stats().stale_drops,
+  EXPECT_EQ(fix.sstack.Get<ChannelProtocol>()->stats().requests_executed, 4u);
+  EXPECT_GE(fix.sstack.Get<ChannelProtocol>()->stats().duplicates_suppressed +
+                fix.sstack.Get<ChannelProtocol>()->stats().stale_drops,
             1u);
 }
 
@@ -265,15 +265,14 @@ TEST(FaultEngineTest, DuplicateStormIsSuppressedByChannel) {
 TEST(FaultEngineTest, ServerCrashCampaignIsOracleCleanAndRecovers) {
   AmoOracle oracle;
   RpcFixture fix;
-  RpcFixture::Builder builder = [](HostStack& h) { return BuildLRpc(h, Delivery::kVip); };
-  fix.Build(builder, /*export_echo=*/false);
+  fix.Build(kLRpcVip, /*export_echo=*/false);
   RunIn(*fix.sh->kernel, [&] {
     EXPECT_TRUE(fix.server->Export(RpcServer::kAny, oracle.WrapEcho(fix.sh->kernel)).ok());
   });
   // Replace the fixture's restart hook so the rebuilt server records
   // executions in the same oracle (under its new boot id).
-  fix.net->set_restart_hook("server", [&fix, builder, &oracle](HostStack& h) {
-    fix.sstack = builder(h);
+  fix.net->set_restart_hook("server", [&fix, &oracle](HostStack& h) {
+    fix.sstack = BuildStack(h, kLRpcVip);
     fix.server = &h.kernel->Emplace<RpcServer>(*h.kernel, fix.sstack.top);
     (void)fix.server->Export(RpcServer::kAny, oracle.WrapEcho(h.kernel));
   });
@@ -319,7 +318,7 @@ TEST(FaultEngineTest, ServerCrashCampaignIsOracleCleanAndRecovers) {
   // The restart bumped the boot id; the client observed it via CHANNEL and
   // its retransmissions into the outage died at the detached station.
   EXPECT_EQ(fix.sh->kernel->boot_id(), boot_before + 1);
-  EXPECT_GE(fix.cstack.channel->stats().boot_resets, 1u);
+  EXPECT_GE(fix.cstack.Get<ChannelProtocol>()->stats().boot_resets, 1u);
   EXPECT_GT(fix.net->segment(0).down_drops(), 0u);
 }
 

@@ -20,24 +20,19 @@ struct FragmentFixture : ::testing::Test {
     net = Internet::TwoHosts();
     ch = &net->host("client");
     sh = &net->host("server");
-    cstack = BuildPartial(*ch, 1);
-    sstack = BuildPartial(*sh, 1);
+    cstack = BuildStack(*ch, "fragment/vip");
+    sstack = BuildStack(*sh, "fragment/vip");
     RunIn(*ch->kernel, [&] { ca = &ch->kernel->Emplace<TestAnchor>(*ch->kernel); });
     RunIn(*sh->kernel, [&] {
       sa = &sh->kernel->Emplace<TestAnchor>(*sh->kernel);
-      ParticipantSet enable;
-      enable.local.rel_proto = kRelProtoRawTest;
-      EXPECT_TRUE(sstack.fragment->OpenEnable(*sa, enable).ok());
+      EXPECT_TRUE(EnableEcho(sstack, *sa).ok());
     });
   }
 
   SessionRef OpenToServer() {
     SessionRef out;
     RunIn(*ch->kernel, [&] {
-      ParticipantSet parts;
-      parts.peer.host = sh->kernel->ip_addr();
-      parts.local.rel_proto = kRelProtoRawTest;
-      Result<SessionRef> sess = cstack.fragment->Open(*ca, parts);
+      Result<SessionRef> sess = OpenEchoSession(cstack, *ca, sh->kernel->ip_addr());
       ASSERT_TRUE(sess.ok());
       out = *sess;
     });
@@ -65,7 +60,7 @@ TEST_F(FragmentFixture, SingleFragmentFastPath) {
   net->RunAll();
   ASSERT_EQ(sa->received.size(), 1u);
   EXPECT_EQ(sa->received[0], PatternBytes(512, 1));
-  EXPECT_EQ(cstack.fragment->stats().fragments_sent, 1u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().fragments_sent, 1u);
 }
 
 TEST_F(FragmentFixture, SixteenKMessageIsSixteenFragments) {
@@ -75,7 +70,7 @@ TEST_F(FragmentFixture, SixteenKMessageIsSixteenFragments) {
   net->RunAll();
   ASSERT_EQ(sa->received.size(), 1u);
   EXPECT_EQ(sa->received[0], PatternBytes(16384, 2));
-  EXPECT_EQ(cstack.fragment->stats().fragments_sent, 16u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().fragments_sent, 16u);
 }
 
 TEST_F(FragmentFixture, OversizeRejected) {
@@ -92,7 +87,7 @@ TEST_F(FragmentFixture, UnevenLastFragment) {
   net->RunAll();
   ASSERT_EQ(sa->received.size(), 1u);
   EXPECT_EQ(sa->received[0], PatternBytes(2500, 3));
-  EXPECT_EQ(cstack.fragment->stats().fragments_sent, 3u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().fragments_sent, 3u);
 }
 
 TEST_F(FragmentFixture, LostFragmentRecoveredByNack) {
@@ -106,9 +101,9 @@ TEST_F(FragmentFixture, LostFragmentRecoveredByNack) {
   net->RunAll();
   ASSERT_EQ(sa->received.size(), 1u);
   EXPECT_EQ(sa->received[0], PatternBytes(4096, 4));
-  EXPECT_GE(sstack.fragment->stats().nacks_sent, 1u);
-  EXPECT_GE(cstack.fragment->stats().nacks_received, 1u);
-  EXPECT_EQ(cstack.fragment->stats().fragments_resent, 1u);
+  EXPECT_GE(sstack.Get<FragmentProtocol>()->stats().nacks_sent, 1u);
+  EXPECT_GE(cstack.Get<FragmentProtocol>()->stats().nacks_received, 1u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().fragments_resent, 1u);
 }
 
 TEST_F(FragmentFixture, LostMiddleFragmentCompletesAtExactTime) {
@@ -127,9 +122,9 @@ TEST_F(FragmentFixture, LostMiddleFragmentCompletesAtExactTime) {
   net->RunAll();
   ASSERT_EQ(sa->received.size(), 1u);
   EXPECT_EQ(sa->received[0], PatternBytes(16384, 3));
-  EXPECT_EQ(sstack.fragment->stats().nacks_sent, 1u);
-  EXPECT_EQ(cstack.fragment->stats().nacks_received, 1u);
-  EXPECT_EQ(cstack.fragment->stats().fragments_resent, 1u);
+  EXPECT_EQ(sstack.Get<FragmentProtocol>()->stats().nacks_sent, 1u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().nacks_received, 1u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().fragments_resent, 1u);
   // Measured when each push-back cancelled the timer and set a new one.
   EXPECT_EQ(completed_at, SimTime{41275310});
 }
@@ -151,9 +146,9 @@ TEST_F(FragmentFixture, NackServedAfterSendRingGrew) {
   net->RunAll();
   ASSERT_EQ(sa->received.size(), static_cast<size_t>(kMore + 1));
   EXPECT_EQ(sa->received.back(), PatternBytes(4096, 4));  // completed last, after the NACK
-  EXPECT_EQ(cstack.fragment->stats().nacks_received, 1u);
-  EXPECT_EQ(cstack.fragment->stats().stale_nacks, 0u);
-  EXPECT_EQ(cstack.fragment->stats().fragments_resent, 1u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().nacks_received, 1u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().stale_nacks, 0u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().fragments_resent, 1u);
 }
 
 TEST_F(FragmentFixture, FragmentCountDisagreeingWithReassemblyIsRejected) {
@@ -185,7 +180,7 @@ TEST_F(FragmentFixture, FragmentCountDisagreeingWithReassemblyIsRejected) {
     w.PutU16(static_cast<uint16_t>(payload.size()));
     Message pkt = Message::FromBytes(payload);
     pkt.PushHeader(raw);
-    injected = sstack.fragment->Demux(nullptr, pkt);
+    injected = sstack.Get<FragmentProtocol>()->Demux(nullptr, pkt);
   });
   EXPECT_EQ(injected.code(), StatusCode::kInvalidArgument);
 
@@ -221,15 +216,15 @@ TEST_F(FragmentFixture, CorruptFragmentMaskClaimsNoReassembly) {
       w.PutU16(static_cast<uint16_t>(payload.size()));
       Message pkt = Message::FromBytes(payload);
       pkt.PushHeader(raw);
-      injected = sstack.fragment->Demux(nullptr, pkt);
+      injected = sstack.Get<FragmentProtocol>()->Demux(nullptr, pkt);
     });
     EXPECT_EQ(injected.code(), StatusCode::kInvalidArgument) << "mask " << mask;
   }
 
   net->RunAll();
-  EXPECT_EQ(sstack.fragment->stats().nacks_sent, 0u);
-  EXPECT_EQ(sstack.fragment->stats().reassembly_abandoned, 0u);
-  EXPECT_EQ(cstack.fragment->stats().stale_nacks, 0u);
+  EXPECT_EQ(sstack.Get<FragmentProtocol>()->stats().nacks_sent, 0u);
+  EXPECT_EQ(sstack.Get<FragmentProtocol>()->stats().reassembly_abandoned, 0u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().stale_nacks, 0u);
   EXPECT_EQ(sa->received.size(), 1u);
 }
 
@@ -242,7 +237,7 @@ TEST_F(FragmentFixture, MultipleLostFragmentsRecovered) {
   net->RunAll();
   ASSERT_EQ(sa->received.size(), 1u);
   EXPECT_EQ(sa->received[0], PatternBytes(8192, 5));
-  EXPECT_EQ(cstack.fragment->stats().fragments_resent, 3u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().fragments_resent, 3u);
 }
 
 TEST_F(FragmentFixture, AllFragmentsLostAbandonsAfterMaxNacks) {
@@ -259,15 +254,15 @@ TEST_F(FragmentFixture, AllFragmentsLostAbandonsAfterMaxNacks) {
   Send(sess, PatternBytes(4096, 6));
   net->RunAll();
   EXPECT_EQ(sa->received.size(), 0u);
-  EXPECT_EQ(sstack.fragment->stats().reassembly_abandoned, 1u);
-  EXPECT_EQ(sstack.fragment->stats().nacks_sent,
+  EXPECT_EQ(sstack.Get<FragmentProtocol>()->stats().reassembly_abandoned, 1u);
+  EXPECT_EQ(sstack.Get<FragmentProtocol>()->stats().nacks_sent,
             static_cast<uint64_t>(3));  // max_nacks default
 }
 
 TEST_F(FragmentFixture, StaleNackAfterCacheExpiry) {
   // Make the send cache expire before the receiver's NACK arrives.
-  RunIn(*ch->kernel, [&] { cstack.fragment->set_send_cache_timeout(Msec(5)); });
-  RunIn(*sh->kernel, [&] { sstack.fragment->set_nack_delay(Msec(50)); });
+  RunIn(*ch->kernel, [&] { cstack.Get<FragmentProtocol>()->set_send_cache_timeout(Msec(5)); });
+  RunIn(*sh->kernel, [&] { sstack.Get<FragmentProtocol>()->set_nack_delay(Msec(50)); });
   net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 1 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
@@ -275,9 +270,9 @@ TEST_F(FragmentFixture, StaleNackAfterCacheExpiry) {
   Send(sess, PatternBytes(3000, 7));
   net->RunAll();
   EXPECT_EQ(sa->received.size(), 0u);  // never completed
-  EXPECT_EQ(cstack.fragment->stats().cache_expirations, 1u);
-  EXPECT_GE(cstack.fragment->stats().stale_nacks, 1u);
-  EXPECT_EQ(sstack.fragment->stats().reassembly_abandoned, 1u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().cache_expirations, 1u);
+  EXPECT_GE(cstack.Get<FragmentProtocol>()->stats().stale_nacks, 1u);
+  EXPECT_EQ(sstack.Get<FragmentProtocol>()->stats().reassembly_abandoned, 1u);
 }
 
 TEST_F(FragmentFixture, DuplicateFragmentsIgnoredDuringReassembly) {
@@ -322,7 +317,7 @@ TEST_F(FragmentFixture, ResendIsIndependentMessage) {
   Send(sess, PatternBytes(64, 11));  // higher level resends the same bytes
   net->RunAll();
   EXPECT_EQ(sa->received.size(), 2u);
-  EXPECT_EQ(cstack.fragment->stats().messages_sent, 2u);
+  EXPECT_EQ(cstack.Get<FragmentProtocol>()->stats().messages_sent, 2u);
 }
 
 TEST_F(FragmentFixture, InterleavedMessagesReassembleIndependently) {
@@ -355,12 +350,12 @@ TEST_F(FragmentFixture, BidirectionalTrafficOnOneSession) {
 TEST_F(FragmentFixture, ControlOps) {
   RunIn(*ch->kernel, [&] {
     ControlArgs args;
-    EXPECT_TRUE(cstack.fragment->Control(ControlOp::kGetMaxPacket, args).ok());
+    EXPECT_TRUE(cstack.Get<FragmentProtocol>()->Control(ControlOp::kGetMaxPacket, args).ok());
     EXPECT_EQ(args.u64, FragmentProtocol::kMaxMessage);
-    EXPECT_TRUE(cstack.fragment->Control(ControlOp::kGetOptPacket, args).ok());
+    EXPECT_TRUE(cstack.Get<FragmentProtocol>()->Control(ControlOp::kGetOptPacket, args).ok());
     EXPECT_EQ(args.u64, FragmentProtocol::kFragSize);
     // What FRAGMENT tells VIP at open time: one fragment + header.
-    EXPECT_TRUE(cstack.fragment->Control(ControlOp::kGetMaxSendSize, args).ok());
+    EXPECT_TRUE(cstack.Get<FragmentProtocol>()->Control(ControlOp::kGetMaxSendSize, args).ok());
     EXPECT_EQ(args.u64, FragmentProtocol::kFragSize + FragmentProtocol::kHeaderSize);
   });
 }
@@ -378,24 +373,11 @@ TEST_F(FragmentFixture, VipSeesFragmentAsSmallSender) {
 // Property: random payload sizes survive random loss patterns (within the
 // NACK budget) or are cleanly abandoned -- never corrupted, never duplicated
 // for multi-fragment messages.
-class FragmentLossPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+class FragmentLossPropertyTest : public FragmentFixture,
+                                 public ::testing::WithParamInterface<uint64_t> {};
 
 TEST_P(FragmentLossPropertyTest, RandomSizesSurviveRandomLoss) {
   Rng rng(GetParam());
-  auto net = Internet::TwoHosts();
-  auto& ch = net->host("client");
-  auto& sh = net->host("server");
-  RpcStack cstack = BuildPartial(ch, 1);
-  RpcStack sstack = BuildPartial(sh, 1);
-  TestAnchor* ca = nullptr;
-  TestAnchor* sa = nullptr;
-  RunIn(*ch.kernel, [&] { ca = &ch.kernel->Emplace<TestAnchor>(*ch.kernel); });
-  RunIn(*sh.kernel, [&] {
-    sa = &sh.kernel->Emplace<TestAnchor>(*sh.kernel);
-    ParticipantSet enable;
-    enable.local.rel_proto = kRelProtoRawTest;
-    EXPECT_TRUE(sstack.fragment->OpenEnable(*sa, enable).ok());
-  });
   // Drop ~10% of frames, but never NACKs' retransmissions forever: cap drops.
   int drops_left = 6;
   net->segment(0).set_fault_hook([&](const EthFrame&, int, uint64_t, SimTime) {
@@ -407,22 +389,10 @@ TEST_P(FragmentLossPropertyTest, RandomSizesSurviveRandomLoss) {
   });
 
   std::vector<std::vector<uint8_t>> sent;
-  SessionRef sess;
-  RunIn(*ch.kernel, [&] {
-    ParticipantSet parts;
-    parts.peer.host = sh.kernel->ip_addr();
-    parts.local.rel_proto = kRelProtoRawTest;
-    Result<SessionRef> r = cstack.fragment->Open(*ca, parts);
-    ASSERT_TRUE(r.ok());
-    sess = *r;
-  });
+  SessionRef sess = OpenToServer();
   for (int i = 0; i < 8; ++i) {
-    auto payload = PatternBytes(rng.NextInRange(1, 16384), static_cast<uint8_t>(i));
-    sent.push_back(payload);
-    RunIn(*ch.kernel, [&] {
-      Message msg = Message::FromBytes(payload);
-      EXPECT_TRUE(sess->Push(msg).ok());
-    });
+    sent.push_back(PatternBytes(rng.NextInRange(1, 16384), static_cast<uint8_t>(i)));
+    Send(sess, sent.back());
     net->RunAll();
   }
   // Every delivered message must exactly equal one of the sent ones, in

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench/session_scale.h"
+#include "src/app/stacks.h"
 #include "src/proto/topology.h"
 #include "src/proto/udp.h"
 #include "tests/test_util.h"
@@ -22,12 +23,10 @@ struct IdleEvictionFixture : ::testing::Test {
     net = Internet::TwoHosts();
     client = &net->host("client");
     server = &net->host("server");
-    RunIn(*client->kernel, [&] {
-      cudp = &client->kernel->Emplace<UdpProtocol>(*client->kernel, client->ip);
-      ca = &client->kernel->Emplace<TestAnchor>(*client->kernel);
-    });
+    cudp = BuildStack(*client, "udp/ip").Get<UdpProtocol>();
+    sudp = BuildStack(*server, "udp/ip").Get<UdpProtocol>();
+    RunIn(*client->kernel, [&] { ca = &client->kernel->Emplace<TestAnchor>(*client->kernel); });
     RunIn(*server->kernel, [&] {
-      sudp = &server->kernel->Emplace<UdpProtocol>(*server->kernel, server->ip);
       sa = &server->kernel->Emplace<TestAnchor>(*server->kernel);
       ParticipantSet enable;
       enable.local.port = 7;

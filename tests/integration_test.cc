@@ -15,18 +15,9 @@ namespace {
 class RoutedRpcTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RoutedRpcTest, CallsWorkAcrossSegments) {
+  static constexpr std::string_view kSpecs[] = {kMRpcVip, kLRpcVip, kLRpcVipSize};
   RpcFixture fix(Internet::TwoSegments());
-  switch (GetParam()) {
-    case 0:
-      fix.Build([](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
-      break;
-    case 1:
-      fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
-      break;
-    case 2:
-      fix.Build([](HostStack& h) { return BuildLRpcDynamic(h); });
-      break;
-  }
+  fix.Build(kSpecs[GetParam()]);
   Result<Message> small = fix.CallSync(3, Message::FromBytes(PatternBytes(64, 1)));
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(small->Flatten(), PatternBytes(64, 1));
@@ -48,7 +39,7 @@ INSTANTIATE_TEST_SUITE_P(Stacks, RoutedRpcTest, ::testing::Values(0, 1, 2), Rout
 // --- Section 4.3 configuration under mixed traffic --------------------------------
 
 struct DynamicStackTest : ::testing::Test {
-  void SetUp() override { fix.Build([](HostStack& h) { return BuildLRpcDynamic(h); }); }
+  void SetUp() override { fix.Build(kLRpcVipSize); }
   RpcFixture fix;
 };
 
@@ -57,16 +48,16 @@ TEST_F(DynamicStackTest, SmallCallsBypassFragment) {
     ASSERT_TRUE(fix.CallSync(1, Message::FromBytes(PatternBytes(100, uint8_t(i)))).ok());
   }
   // VIP_SIZE routed everything down the direct path: FRAGMENT idle.
-  EXPECT_EQ(fix.cstack.fragment->stats().messages_sent, 0u);
-  EXPECT_EQ(fix.sstack.fragment->stats().messages_sent, 0u);
+  EXPECT_EQ(fix.cstack.Get<FragmentProtocol>()->stats().messages_sent, 0u);
+  EXPECT_EQ(fix.sstack.Get<FragmentProtocol>()->stats().messages_sent, 0u);
 }
 
 TEST_F(DynamicStackTest, LargeCallsUseFragment) {
   Result<Message> r = fix.CallSync(1, Message::FromBytes(PatternBytes(9000, 7)));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Flatten(), PatternBytes(9000, 7));
-  EXPECT_GE(fix.cstack.fragment->stats().messages_sent, 1u);  // the request
-  EXPECT_GE(fix.sstack.fragment->stats().messages_sent, 1u);  // the echo back
+  EXPECT_GE(fix.cstack.Get<FragmentProtocol>()->stats().messages_sent, 1u);  // the request
+  EXPECT_GE(fix.sstack.Get<FragmentProtocol>()->stats().messages_sent, 1u);  // the echo back
 }
 
 TEST_F(DynamicStackTest, MixedTrafficSplitsCorrectly) {
@@ -75,8 +66,8 @@ TEST_F(DynamicStackTest, MixedTrafficSplitsCorrectly) {
   ASSERT_TRUE(fix.CallSync(1, Message::FromBytes(PatternBytes(60, 3))).ok());
   ASSERT_TRUE(fix.CallSync(1, Message::FromBytes(PatternBytes(16000, 4))).ok());
   // Exactly the two large requests (and their echoes) used FRAGMENT.
-  EXPECT_EQ(fix.cstack.fragment->stats().messages_sent, 2u);
-  EXPECT_EQ(fix.sstack.fragment->stats().messages_sent, 2u);
+  EXPECT_EQ(fix.cstack.Get<FragmentProtocol>()->stats().messages_sent, 2u);
+  EXPECT_EQ(fix.sstack.Get<FragmentProtocol>()->stats().messages_sent, 2u);
 }
 
 TEST_F(DynamicStackTest, RecoversFromLossOnBothPaths) {
@@ -91,7 +82,7 @@ TEST_F(DynamicStackTest, RecoversFromLossOnBothPaths) {
 
 TEST(WorkloadTest, LatencyIsSteadyStatePerCall) {
   RpcFixture fix;
-  fix.Build([](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
+  fix.Build(kMRpcVip);
   CallFn call = [&](Message args, std::function<void(Result<Message>)> done) {
     fix.client->Call(fix.server_addr(), 1, std::move(args), std::move(done));
   };
@@ -109,7 +100,7 @@ TEST(WorkloadTest, LatencyIsSteadyStatePerCall) {
 
 TEST(WorkloadTest, ThroughputAccountsCpuAndBytes) {
   RpcFixture fix;
-  fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); }, false);
+  fix.Build(kLRpcVip, false);
   RunIn(*fix.sh->kernel, [&] {
     EXPECT_TRUE(
         fix.server->Export(RpcServer::kAny, [](uint16_t, Message&) { return Message(); }).ok());
@@ -144,7 +135,7 @@ TEST(ZeroTimeWireTest, CallsCompleteWithoutHanging) {
   net->AddHost("server", seg, IpAddr(10, 0, 1, 2));
   net->WarmArp();
   RpcFixture fix(std::move(net));
-  fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  fix.Build(kLRpcVip);
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(fix.CallSync(1, Message::FromBytes(PatternBytes(600, uint8_t(i)))).ok());
   }
@@ -154,12 +145,12 @@ TEST(ZeroTimeWireTest, CallsCompleteWithoutHanging) {
 TEST(CompositionTest, SubstitutabilityAcrossDeliveries) {
   // The same M_RPC code runs over three different delivery protocols and
   // yields byte-identical results -- the uniform-interface claim.
-  for (Delivery d : {Delivery::kEth, Delivery::kIp, Delivery::kVip}) {
+  for (std::string_view spec : {kMRpcEth, kMRpcIp, kMRpcVip}) {
     RpcFixture fix;
-    fix.Build([d](HostStack& h) { return BuildMRpc(h, d); });
+    fix.Build(spec);
     Result<Message> r = fix.CallSync(9, Message::FromBytes(PatternBytes(5000, 9)));
-    ASSERT_TRUE(r.ok()) << static_cast<int>(d);
-    EXPECT_EQ(r->Flatten(), PatternBytes(5000, 9)) << static_cast<int>(d);
+    ASSERT_TRUE(r.ok()) << spec;
+    EXPECT_EQ(r->Flatten(), PatternBytes(5000, 9)) << spec;
   }
 }
 
@@ -168,7 +159,7 @@ TEST(CompositionTest, MultipleClientsOfFragmentCoexist) {
   // demultiplexed by FRAGMENT's own protocol number field -- the reason the
   // layered headers carry one.
   RpcFixture fix;
-  fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  fix.Build(kLRpcVip);
   TestAnchor* ca = nullptr;
   TestAnchor* sa = nullptr;
   RunIn(*fix.ch->kernel, [&] { ca = &fix.ch->kernel->Emplace<TestAnchor>(*fix.ch->kernel); });
@@ -176,14 +167,14 @@ TEST(CompositionTest, MultipleClientsOfFragmentCoexist) {
     sa = &fix.sh->kernel->Emplace<TestAnchor>(*fix.sh->kernel);
     ParticipantSet enable;
     enable.local.rel_proto = kRelProtoRawTest;
-    EXPECT_TRUE(fix.sstack.fragment->OpenEnable(*sa, enable).ok());
+    EXPECT_TRUE(fix.sstack.Get<FragmentProtocol>()->OpenEnable(*sa, enable).ok());
   });
   // Raw bulk message and an RPC, interleaved over the same FRAGMENT.
   RunIn(*fix.ch->kernel, [&] {
     ParticipantSet parts;
     parts.peer.host = fix.server_addr();
     parts.local.rel_proto = kRelProtoRawTest;
-    Result<SessionRef> sess = fix.cstack.fragment->Open(*ca, parts);
+    Result<SessionRef> sess = fix.cstack.Get<FragmentProtocol>()->Open(*ca, parts);
     ASSERT_TRUE(sess.ok());
     Message bulk = Message::FromBytes(PatternBytes(5000, 5));
     EXPECT_TRUE((*sess)->Push(bulk).ok());
@@ -199,14 +190,14 @@ TEST(CompositionTest, ControlOpsTraverseTheWholeStack) {
   // kGetPeerHostEth asked of a CHANNEL session must travel down through
   // FRAGMENT and VIP to the Ethernet level that knows the answer.
   RpcFixture fix;
-  fix.Build([](HostStack& h) { return BuildLRpc(h, Delivery::kVip); });
+  fix.Build(kLRpcVip);
   ASSERT_TRUE(fix.CallSync(1, Message()).ok());
   RunIn(*fix.ch->kernel, [&] {
     ParticipantSet parts;
     parts.peer.host = fix.server_addr();
     parts.local.channel = 0;
     parts.local.rel_proto = kRelProtoSelect;
-    Result<SessionRef> chan = fix.cstack.channel->Open(*fix.client, parts);
+    Result<SessionRef> chan = fix.cstack.Get<ChannelProtocol>()->Open(*fix.client, parts);
     ASSERT_TRUE(chan.ok());
     ControlArgs args;
     EXPECT_TRUE((*chan)->Control(ControlOp::kGetPeerHostEth, args).ok());

@@ -25,10 +25,9 @@ struct PsyncFixture : ::testing::Test {
     net->WarmArp();
     for (int i = 0; i < 3; ++i) {
       HostStack* h = hosts[i];
+      const RpcStack stack = BuildStack(*h, "fragment/vip");
       RunIn(*h->kernel, [&, i] {
-        auto& vip = h->kernel->Emplace<VipProtocol>(*h->kernel, h->eth, h->ip, h->arp);
-        auto& frag = h->kernel->Emplace<FragmentProtocol>(*h->kernel, &vip);
-        psync[i] = &h->kernel->Emplace<PsyncProtocol>(*h->kernel, &frag);
+        psync[i] = &h->kernel->Emplace<PsyncProtocol>(*h->kernel, stack.top);
         std::vector<IpAddr> others;
         for (int j = 0; j < 3; ++j) {
           if (j != i) {
@@ -133,9 +132,8 @@ constexpr uint16_t kVers = 2;
 constexpr uint16_t kProcRead = 6;
 
 struct SunFixture {
-  explicit SunFixture(SunPairing pairing, SunAuth auth) {
-    fix.Build([=](HostStack& h) { return BuildSunRpc(h, pairing, auth); },
-              /*export_echo=*/false);
+  explicit SunFixture(std::string_view spec) {
+    fix.Build(spec, /*export_echo=*/false);
     RunIn(*fix.sh->kernel, [&] {
       EXPECT_TRUE(fix.server
                       ->ExportParts(SunProgService(kProg, kVers),
@@ -163,24 +161,24 @@ struct SunFixture {
 };
 
 TEST(SunRpcTest, BasicCallOverRequestReply) {
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
+  SunFixture sun("sunselect/reqrep/fragment/vip");
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(200, 1)));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Flatten(), PatternBytes(200, 1));
-  EXPECT_EQ(sun.fix.cstack.reqrep->stats().calls_sent, 1u);
-  EXPECT_EQ(sun.fix.sstack.reqrep->stats().requests_executed, 1u);
+  EXPECT_EQ(sun.fix.cstack.Get<RequestReplyProtocol>()->stats().calls_sent, 1u);
+  EXPECT_EQ(sun.fix.sstack.Get<RequestReplyProtocol>()->stats().requests_executed, 1u);
 }
 
 TEST(SunRpcTest, LargeArgsRideFragment) {
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
+  SunFixture sun("sunselect/reqrep/fragment/vip");
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(8192, 2)));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Flatten(), PatternBytes(8192, 2));
-  EXPECT_GE(sun.fix.cstack.fragment->stats().fragments_sent, 8u);
+  EXPECT_GE(sun.fix.cstack.Get<FragmentProtocol>()->stats().fragments_sent, 8u);
 }
 
 TEST(SunRpcTest, UnknownProgramFails) {
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
+  SunFixture sun("sunselect/reqrep/fragment/vip");
   Result<Message> result = ErrStatus(StatusCode::kError);
   bool done = false;
   RunIn(*sun.fix.ch->kernel, [&] {
@@ -193,95 +191,95 @@ TEST(SunRpcTest, UnknownProgramFails) {
   sun.fix.net->RunAll();
   ASSERT_TRUE(done);
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(sun.fix.sstack.sunselect->stats().prog_unavail, 1u);
+  EXPECT_EQ(sun.fix.sstack.Get<SunSelectProtocol>()->stats().prog_unavail, 1u);
 }
 
 TEST(SunRpcTest, RequestReplyHasZeroOrMoreSemantics) {
   // A duplicated request is executed TWICE -- the defining contrast with
   // CHANNEL's at-most-once.
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
+  SunFixture sun("sunselect/reqrep/fragment/vip");
   sun.fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDuplicate : LinkFault::kDeliver;
   });
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(10)));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(sun.fix.sstack.reqrep->stats().requests_executed, 2u);
+  EXPECT_EQ(sun.fix.sstack.Get<RequestReplyProtocol>()->stats().requests_executed, 2u);
   EXPECT_EQ(sun.fix.server->requests_served(), 2u);
 }
 
 TEST(SunRpcTest, SwappingInChannelGivesAtMostOnce) {
   // The mix-and-match payoff: replace REQUEST_REPLY with CHANNEL and the same
   // duplicated request is executed ONCE.
-  SunFixture sun(SunPairing::kChannel, SunAuth::kNone);
+  SunFixture sun("sunselect/channel/fragment/vip");
   sun.fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDuplicate : LinkFault::kDeliver;
   });
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(10)));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(sun.fix.server->requests_served(), 1u);
-  EXPECT_GE(sun.fix.sstack.channel->stats().duplicates_suppressed, 1u);
+  EXPECT_GE(sun.fix.sstack.Get<ChannelProtocol>()->stats().duplicates_suppressed, 1u);
 }
 
 TEST(SunRpcTest, LostRequestRetransmittedAndReExecuted) {
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
+  SunFixture sun("sunselect/reqrep/fragment/vip");
   sun.fix.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t index, SimTime) {
     return index == 0 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   Result<Message> r = sun.CallSync(Message());
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(sun.fix.cstack.reqrep->stats().retransmissions, 1u);
+  EXPECT_GE(sun.fix.cstack.Get<RequestReplyProtocol>()->stats().retransmissions, 1u);
 }
 
 TEST(SunRpcTest, DeadServerFailsAfterRetries) {
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
+  SunFixture sun("sunselect/reqrep/fragment/vip");
   sun.fix.net->segment(0).set_drop_rate(1.0);
   Result<Message> r = sun.CallSync(Message());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
-  EXPECT_EQ(sun.fix.cstack.reqrep->stats().retransmissions,
+  EXPECT_EQ(sun.fix.cstack.Get<RequestReplyProtocol>()->stats().retransmissions,
             static_cast<uint64_t>(RequestReplyProtocol::kRetryLimit));
 }
 
 TEST(SunRpcTest, AuthNoneLayerPassesThrough) {
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kAuthNone);
+  SunFixture sun("sunselect/authnone/reqrep/fragment/vip");
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(50, 3)));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Flatten(), PatternBytes(50, 3));
-  EXPECT_GE(sun.fix.cstack.auth->stats().attached, 1u);
-  EXPECT_GE(sun.fix.sstack.auth->stats().verified, 1u);
+  EXPECT_GE(sun.fix.cstack.Get<AuthProtocolBase>()->stats().attached, 1u);
+  EXPECT_GE(sun.fix.sstack.Get<AuthProtocolBase>()->stats().verified, 1u);
 }
 
 TEST(SunRpcTest, AuthCredAcceptsAllowedUid) {
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kAuthCred);
+  SunFixture sun("sunselect/authcred/reqrep/fragment/vip");
   RunIn(*sun.fix.ch->kernel, [&] {
-    static_cast<AuthCredProtocol*>(sun.fix.cstack.auth)->SetCredentials(1001, 100);
+    sun.fix.cstack.Get<AuthCredProtocol>()->SetCredentials(1001, 100);
   });
   RunIn(*sun.fix.sh->kernel, [&] {
-    static_cast<AuthCredProtocol*>(sun.fix.sstack.auth)->AllowUid(1001);
+    sun.fix.sstack.Get<AuthCredProtocol>()->AllowUid(1001);
   });
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(20, 4)));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(sun.fix.sstack.auth->stats().verified, 1u);
-  EXPECT_EQ(sun.fix.sstack.auth->stats().rejected, 0u);
+  EXPECT_EQ(sun.fix.sstack.Get<AuthProtocolBase>()->stats().verified, 1u);
+  EXPECT_EQ(sun.fix.sstack.Get<AuthProtocolBase>()->stats().rejected, 0u);
 }
 
 TEST(SunRpcTest, AuthCredRejectsUnknownUid) {
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kAuthCred);
+  SunFixture sun("sunselect/authcred/reqrep/fragment/vip");
   RunIn(*sun.fix.ch->kernel, [&] {
-    static_cast<AuthCredProtocol*>(sun.fix.cstack.auth)->SetCredentials(666, 666);
+    sun.fix.cstack.Get<AuthCredProtocol>()->SetCredentials(666, 666);
   });
   RunIn(*sun.fix.sh->kernel, [&] {
-    static_cast<AuthCredProtocol*>(sun.fix.sstack.auth)->AllowUid(1001);
+    sun.fix.sstack.Get<AuthCredProtocol>()->AllowUid(1001);
   });
   Result<Message> r = sun.CallSync(Message::FromBytes(PatternBytes(20, 5)));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kRejected);
-  EXPECT_GE(sun.fix.sstack.auth->stats().rejected, 1u);
+  EXPECT_GE(sun.fix.sstack.Get<AuthProtocolBase>()->stats().rejected, 1u);
   EXPECT_EQ(sun.fix.server->requests_served(), 0u);  // never reached the service
 }
 
 TEST(SunRpcTest, DistinctProceduresPairIndependently) {
-  SunFixture sun(SunPairing::kRequestReply, SunAuth::kNone);
+  SunFixture sun("sunselect/reqrep/fragment/vip");
   Result<Message> r1 = ErrStatus(StatusCode::kError);
   Result<Message> r2 = ErrStatus(StatusCode::kError);
   RunIn(*sun.fix.ch->kernel, [&] {

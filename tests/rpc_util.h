@@ -5,8 +5,9 @@
 #ifndef XK_TESTS_RPC_UTIL_H_
 #define XK_TESTS_RPC_UTIL_H_
 
-#include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "src/app/anchor.h"
 #include "src/app/stacks.h"
@@ -17,21 +18,19 @@ namespace xk {
 
 class RpcFixture {
  public:
-  using Builder = std::function<RpcStack(HostStack&)>;
-
   explicit RpcFixture(std::unique_ptr<Internet> the_net = nullptr)
       : net(the_net ? std::move(the_net) : Internet::TwoHosts()),
         ch(&net->host("client")),
         sh(&net->host("server")) {}
 
-  // Builds the same stack on both hosts and attaches anchors. The server
+  // Builds the same stack spec on both hosts and attaches anchors. The server
   // exports an echo handler for every command unless `export_echo` is false.
   // Also installs restart hooks so crashed hosts rebuild the same stack (and
   // refresh the fixture's pointers) when Internet::RestartHost brings them
   // back.
-  void Build(const Builder& builder, bool export_echo = true) {
-    cstack = builder(*ch);
-    sstack = builder(*sh);
+  void Build(std::string_view spec, bool export_echo = true) {
+    cstack = BuildStack(*ch, spec);
+    sstack = BuildStack(*sh, spec);
     RunIn(*ch->kernel,
           [&] { client = &ch->kernel->Emplace<RpcClient>(*ch->kernel, cstack.top); });
     RunIn(*sh->kernel, [&] {
@@ -43,12 +42,12 @@ class RpcFixture {
                         .ok());
       }
     });
-    net->set_restart_hook("client", [this, builder](HostStack& h) {
-      cstack = builder(h);
+    net->set_restart_hook("client", [this, spec = std::string(spec)](HostStack& h) {
+      cstack = BuildStack(h, spec);
       client = &h.kernel->Emplace<RpcClient>(*h.kernel, cstack.top);
     });
-    net->set_restart_hook("server", [this, builder, export_echo](HostStack& h) {
-      sstack = builder(h);
+    net->set_restart_hook("server", [this, spec = std::string(spec), export_echo](HostStack& h) {
+      sstack = BuildStack(h, spec);
       server = &h.kernel->Emplace<RpcServer>(*h.kernel, sstack.top);
       if (export_echo) {
         (void)server->Export(RpcServer::kAny,

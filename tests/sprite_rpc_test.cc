@@ -11,11 +11,14 @@
 namespace xk {
 namespace {
 
-class MRpcTest : public ::testing::TestWithParam<Delivery> {
+// M_RPC's delivery layer, an index into kSpecs. The parameter stays an enum
+// because ctest's test names carry its printed value.
+enum class Lower { kEthMap, kIp, kVip };
+constexpr std::string_view kSpecs[] = {kMRpcEth, kMRpcIp, kMRpcVip};
+
+class MRpcTest : public ::testing::TestWithParam<Lower> {
  protected:
-  void SetUp() override {
-    fix.Build([this](HostStack& h) { return BuildMRpc(h, GetParam()); });
-  }
+  void SetUp() override { fix.Build(kSpecs[static_cast<int>(GetParam())]); }
   RpcFixture fix;
 };
 
@@ -23,8 +26,8 @@ TEST_P(MRpcTest, NullCallRoundTrips) {
   Result<Message> r = fix.CallSync(42, Message());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->length(), 0u);
-  EXPECT_EQ(fix.cstack.sprite->stats().calls_sent, 1u);
-  EXPECT_EQ(fix.sstack.sprite->stats().requests_executed, 1u);
+  EXPECT_EQ(fix.cstack.Get<SpriteRpcProtocol>()->stats().calls_sent, 1u);
+  EXPECT_EQ(fix.sstack.Get<SpriteRpcProtocol>()->stats().requests_executed, 1u);
 }
 
 TEST_P(MRpcTest, PayloadEchoes) {
@@ -38,8 +41,8 @@ TEST_P(MRpcTest, SixteenKArgsFragmentInto16) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Flatten(), PatternBytes(16384, 4));
   // 16 request fragments + 16 reply fragments.
-  EXPECT_EQ(fix.cstack.sprite->stats().fragments_sent, 16u);
-  EXPECT_EQ(fix.sstack.sprite->stats().fragments_sent, 16u);
+  EXPECT_EQ(fix.cstack.Get<SpriteRpcProtocol>()->stats().fragments_sent, 16u);
+  EXPECT_EQ(fix.sstack.Get<SpriteRpcProtocol>()->stats().fragments_sent, 16u);
 }
 
 TEST_P(MRpcTest, OversizeRejected) {
@@ -60,30 +63,22 @@ TEST_P(MRpcTest, SequentialCallsReuseState) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(fix.CallSync(42, Message::FromBytes(PatternBytes(64, uint8_t(i)))).ok());
   }
-  EXPECT_EQ(fix.cstack.sprite->stats().retransmissions, 0u);
-  EXPECT_EQ(fix.sstack.sprite->stats().duplicates_suppressed, 0u);
+  EXPECT_EQ(fix.cstack.Get<SpriteRpcProtocol>()->stats().retransmissions, 0u);
+  EXPECT_EQ(fix.sstack.Get<SpriteRpcProtocol>()->stats().duplicates_suppressed, 0u);
+}
+
+std::string DeliveryName(const ::testing::TestParamInfo<Lower>& param_info) {
+  static const char* kNames[] = {"Eth", "Ip", "Vip"};
+  return kNames[param_info.index];
 }
 
 INSTANTIATE_TEST_SUITE_P(Deliveries, MRpcTest,
-                         ::testing::Values(Delivery::kEth, Delivery::kIp, Delivery::kVip),
-                         [](const ::testing::TestParamInfo<Delivery>& param_info) {
-                           switch (param_info.param) {
-                             case Delivery::kEth:
-                               return "Eth";
-                             case Delivery::kIp:
-                               return "Ip";
-                             case Delivery::kVip:
-                               return "Vip";
-                           }
-                           return "Unknown";
-                         });
+                         ::testing::Values(Lower::kEthMap, Lower::kIp, Lower::kVip), DeliveryName);
 
 // --- reliability paths (on the VIP configuration) -------------------------------
 
 struct MRpcReliabilityTest : ::testing::Test {
-  void SetUp() override {
-    fix.Build([](HostStack& h) { return BuildMRpc(h, Delivery::kVip); });
-  }
+  void SetUp() override { fix.Build(kMRpcVip); }
   RpcFixture fix;
 };
 
@@ -92,7 +87,7 @@ TEST_F(MRpcReliabilityTest, LostRequestRetransmitted) {
     return index == 0 ? LinkFault::kDrop : LinkFault::kDeliver;
   });
   ASSERT_TRUE(fix.CallSync(42, Message()).ok());
-  EXPECT_GE(fix.cstack.sprite->stats().retransmissions, 1u);
+  EXPECT_GE(fix.cstack.Get<SpriteRpcProtocol>()->stats().retransmissions, 1u);
   EXPECT_EQ(fix.server->requests_served(), 1u);
 }
 
@@ -102,7 +97,7 @@ TEST_F(MRpcReliabilityTest, LostReplyAnsweredFromSavedReply) {
   });
   ASSERT_TRUE(fix.CallSync(42, Message::FromBytes(PatternBytes(5))).ok());
   EXPECT_EQ(fix.server->requests_served(), 1u);  // at-most-once
-  EXPECT_GE(fix.sstack.sprite->stats().replies_resent, 1u);
+  EXPECT_GE(fix.sstack.Get<SpriteRpcProtocol>()->stats().replies_resent, 1u);
 }
 
 TEST_F(MRpcReliabilityTest, LostMiddleFragmentSelectivelyResent) {
@@ -116,10 +111,10 @@ TEST_F(MRpcReliabilityTest, LostMiddleFragmentSelectivelyResent) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Flatten(), PatternBytes(16384, 6));
   EXPECT_EQ(fix.server->requests_served(), 1u);
-  EXPECT_GE(fix.sstack.sprite->stats().explicit_acks_sent, 1u);
-  EXPECT_GE(fix.cstack.sprite->stats().selective_resends, 1u);
+  EXPECT_GE(fix.sstack.Get<SpriteRpcProtocol>()->stats().explicit_acks_sent, 1u);
+  EXPECT_GE(fix.cstack.Get<SpriteRpcProtocol>()->stats().selective_resends, 1u);
   // Selective: far fewer resends than a full 16-fragment retransmission.
-  EXPECT_LE(fix.cstack.sprite->stats().selective_resends, 3u);
+  EXPECT_LE(fix.cstack.Get<SpriteRpcProtocol>()->stats().selective_resends, 3u);
 }
 
 TEST_F(MRpcReliabilityTest, DuplicateRequestSuppressed) {
@@ -128,13 +123,13 @@ TEST_F(MRpcReliabilityTest, DuplicateRequestSuppressed) {
   });
   ASSERT_TRUE(fix.CallSync(42, Message()).ok());
   EXPECT_EQ(fix.server->requests_served(), 1u);
-  EXPECT_GE(fix.sstack.sprite->stats().duplicates_suppressed, 1u);
+  EXPECT_GE(fix.sstack.Get<SpriteRpcProtocol>()->stats().duplicates_suppressed, 1u);
 }
 
 TEST_F(MRpcReliabilityTest, SlowServerElicitsExplicitAck) {
   RunIn(*fix.sh->kernel, [&] { fix.server->set_service_delay(Msec(180)); });
   ASSERT_TRUE(fix.CallSync(42, Message()).ok());
-  EXPECT_GE(fix.sstack.sprite->stats().explicit_acks_sent, 1u);
+  EXPECT_GE(fix.sstack.Get<SpriteRpcProtocol>()->stats().explicit_acks_sent, 1u);
   EXPECT_EQ(fix.server->requests_served(), 1u);
 }
 
@@ -143,7 +138,7 @@ TEST_F(MRpcReliabilityTest, DeadServerFailsAndChannelRecovers) {
   Result<Message> r = fix.CallSync(42, Message());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
-  EXPECT_EQ(fix.cstack.sprite->stats().retransmissions,
+  EXPECT_EQ(fix.cstack.Get<SpriteRpcProtocol>()->stats().retransmissions,
             static_cast<uint64_t>(SpriteRpcProtocol::kRetryLimit));
   fix.net->segment(0).set_drop_rate(0.0);
   EXPECT_TRUE(fix.CallSync(42, Message()).ok());
@@ -154,7 +149,7 @@ TEST_F(MRpcReliabilityTest, ClientCrashRestartResetsChannels) {
   fix.net->CrashHost("client");
   fix.net->RestartHost("client");
   ASSERT_TRUE(fix.CallSync(42, Message()).ok());
-  EXPECT_GE(fix.sstack.sprite->stats().boot_resets, 1u);
+  EXPECT_GE(fix.sstack.Get<SpriteRpcProtocol>()->stats().boot_resets, 1u);
 }
 
 TEST_F(MRpcReliabilityTest, ChannelPoolLimitsConcurrency) {
@@ -171,7 +166,7 @@ TEST_F(MRpcReliabilityTest, ChannelPoolLimitsConcurrency) {
   });
   fix.net->RunAll();
   EXPECT_EQ(completed, kCalls);
-  EXPECT_GE(fix.cstack.sprite->stats().blocked_on_channel, 3u);
+  EXPECT_GE(fix.cstack.Get<SpriteRpcProtocol>()->stats().blocked_on_channel, 3u);
 }
 
 TEST_F(MRpcReliabilityTest, RandomLossPropertySweep) {

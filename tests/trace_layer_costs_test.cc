@@ -17,10 +17,10 @@ struct TracedLatency {
   uint64_t calls = 0;
 };
 
-TracedLatency RunTraced(int layers) {
+TracedLatency RunTraced(std::string_view spec) {
   TraceSink sink;
   TraceSink::set_thread_default(&sink);
-  EchoExperiment e = MakeEchoExperiment(layers);
+  EchoExperiment e = MakeEchoExperiment(spec);
   TraceSink::set_thread_default(nullptr);
   // Drop the setup-phase records (opens, enables) so the trace covers exactly
   // the measured calls, mirroring how steady-state latency is reported.
@@ -43,9 +43,9 @@ TracedLatency RunTraced(int layers) {
 }
 
 TEST(TraceLayerCosts, EstimateWithinOnePercentOfMeasurement) {
-  for (int layers : {0, 1, 2}) {
-    SCOPED_TRACE("layers=" + std::to_string(layers));
-    const TracedLatency r = RunTraced(layers);
+  for (std::string_view spec : {"vip", "fragment/vip", "channel/fragment/vip"}) {
+    SCOPED_TRACE(std::string(spec));
+    const TracedLatency r = RunTraced(spec);
     EXPECT_EQ(r.calls, 64u);  // inferred from per-layer push counts
     EXPECT_GT(r.measured_ms, 0.0);
     EXPECT_NEAR(r.estimated_ms, r.measured_ms, r.measured_ms * 0.01)
@@ -56,9 +56,9 @@ TEST(TraceLayerCosts, EstimateWithinOnePercentOfMeasurement) {
 // The incremental cost of adding a layer, as seen by the trace estimates,
 // must track the benchmark's deltas (Table III's methodology).
 TEST(TraceLayerCosts, IncrementalCostsTrackMeasurement) {
-  const TracedLatency l0 = RunTraced(0);
-  const TracedLatency l1 = RunTraced(1);
-  const TracedLatency l2 = RunTraced(2);
+  const TracedLatency l0 = RunTraced("vip");
+  const TracedLatency l1 = RunTraced("fragment/vip");
+  const TracedLatency l2 = RunTraced("channel/fragment/vip");
 
   const double measured_d1 = l1.measured_ms - l0.measured_ms;
   const double estimated_d1 = l1.estimated_ms - l0.estimated_ms;

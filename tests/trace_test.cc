@@ -17,10 +17,6 @@
 namespace xk {
 namespace {
 
-RpcBench::Builder MVip() {
-  return [](HostStack& h) { return BuildMRpc(h, Delivery::kVip); };
-}
-
 // Installs thread-default observers for the duration of a scope.
 struct ScopedObservers {
   ScopedObservers(TraceSink* sink, PacketCapture* capture) {
@@ -38,14 +34,14 @@ struct ScopedObservers {
 // equality is deliberate -- the sinks must not charge costs, consume random
 // numbers, or schedule events.
 TEST(TraceZeroCost, TracedRunMatchesUntracedExactly) {
-  const ConfigResult plain = RpcBench::Measure(MVip());
+  const ConfigResult plain = RpcBench::Measure(kMRpcVip);
 
   TraceSink sink;
   PacketCapture capture;
   ConfigResult traced;
   {
     ScopedObservers obs(&sink, &capture);
-    traced = RpcBench::Measure(MVip());
+    traced = RpcBench::Measure(kMRpcVip);
   }
 
   EXPECT_EQ(plain.latency_ms, traced.latency_ms);
@@ -65,7 +61,7 @@ std::pair<std::string, std::string> TracedEchoRun() {
   TraceSink sink;
   PacketCapture capture;
   ScopedObservers obs(&sink, &capture);
-  EchoExperiment e = MakeEchoExperiment(/*layers=*/2);
+  EchoExperiment e = MakeEchoExperiment("channel/fragment/vip");
   (void)RpcWorkload::MeasureLatency(*e.net, *e.ch->kernel, e.MakeCall(), 16);
   return {sink.ToJsonl(), capture.ToJsonl()};
 }
@@ -87,7 +83,7 @@ TEST(TraceFaults, OutcomesCountedAndCaptured) {
   EchoExperiment e;
   {
     ScopedObservers obs(nullptr, &capture);
-    e = MakeEchoExperiment(/*layers=*/2);  // CHANNEL retransmits through drops
+    e = MakeEchoExperiment("channel/fragment/vip");  // CHANNEL retransmits through drops
   }
   e.net->segment(0).set_fault_hook([](const EthFrame&, int, uint64_t delivery_index, SimTime) {
     switch (delivery_index) {
@@ -196,7 +192,7 @@ TEST(TraceReader, EmptyIsValidUnreadableAndMalformedAreErrors) {
 
 // Per-protocol counters reflect real traffic after an RPC exchange.
 TEST(TraceCounters, ExportReflectsTraffic) {
-  EchoExperiment e = MakeEchoExperiment(/*layers=*/2);
+  EchoExperiment e = MakeEchoExperiment("channel/fragment/vip");
   (void)RpcWorkload::MeasureLatency(*e.net, *e.ch->kernel, e.MakeCall(), 8);
 
   uint64_t vip_msgs_out = 0;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/app/stacks.h"
 #include "src/proto/icmp.h"
 #include "src/proto/topology.h"
 #include "src/proto/udp.h"
@@ -16,12 +17,10 @@ struct UdpFixture : ::testing::Test {
     net = Internet::TwoHosts();
     client = &net->host("client");
     server = &net->host("server");
-    RunIn(*client->kernel, [&] {
-      cudp = &client->kernel->Emplace<UdpProtocol>(*client->kernel, client->ip);
-      ca = &client->kernel->Emplace<TestAnchor>(*client->kernel);
-    });
+    cudp = BuildStack(*client, "udp/ip").Get<UdpProtocol>();
+    sudp = BuildStack(*server, "udp/ip").Get<UdpProtocol>();
+    RunIn(*client->kernel, [&] { ca = &client->kernel->Emplace<TestAnchor>(*client->kernel); });
     RunIn(*server->kernel, [&] {
-      sudp = &server->kernel->Emplace<UdpProtocol>(*server->kernel, server->ip);
       sa = &server->kernel->Emplace<TestAnchor>(*server->kernel);
       ParticipantSet enable;
       enable.local.port = 7;  // echo
@@ -194,16 +193,12 @@ TEST_F(UdpFixture, UdpAcrossRouter) {
   auto rnet = Internet::TwoSegments();
   auto& rclient = rnet->host("client");
   auto& rserver = rnet->host("server");
-  UdpProtocol* rcudp = nullptr;
-  UdpProtocol* rsudp = nullptr;
+  UdpProtocol* rcudp = BuildStack(rclient, "udp/ip").Get<UdpProtocol>();
+  UdpProtocol* rsudp = BuildStack(rserver, "udp/ip").Get<UdpProtocol>();
   TestAnchor* rca = nullptr;
   TestAnchor* rsa = nullptr;
-  RunIn(*rclient.kernel, [&] {
-    rcudp = &rclient.kernel->Emplace<UdpProtocol>(*rclient.kernel, rclient.ip);
-    rca = &rclient.kernel->Emplace<TestAnchor>(*rclient.kernel);
-  });
+  RunIn(*rclient.kernel, [&] { rca = &rclient.kernel->Emplace<TestAnchor>(*rclient.kernel); });
   RunIn(*rserver.kernel, [&] {
-    rsudp = &rserver.kernel->Emplace<UdpProtocol>(*rserver.kernel, rserver.ip);
     rsa = &rserver.kernel->Emplace<TestAnchor>(*rserver.kernel);
     ParticipantSet enable;
     enable.local.port = 7;

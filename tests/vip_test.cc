@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/app/stacks.h"
 #include "src/proto/topology.h"
 #include "src/proto/vip_size.h"
 #include "tests/test_util.h"
@@ -14,12 +15,7 @@ namespace {
 
 constexpr IpProtoNum kTestProto = 210;
 
-VipProtocol* AddVip(HostStack& h) {
-  VipProtocol* vip = nullptr;
-  RunIn(*h.kernel,
-        [&] { vip = &h.kernel->Emplace<VipProtocol>(*h.kernel, h.eth, h.ip, h.arp); });
-  return vip;
-}
+VipProtocol* AddVip(HostStack& h) { return BuildStack(h, "vip").Get<VipProtocol>(); }
 
 struct VipFixture : ::testing::Test {
   void SetUp() override {
@@ -231,11 +227,9 @@ struct VipSizeFixture : ::testing::Test {
 };
 
 TEST_F(VipSizeFixture, VipAddrReturnsLowerSessionDirectly) {
-  VipAddrProtocol* va = nullptr;
+  Protocol* va = BuildStack(*client, "vipaddr").top;
   TestAnchor* ca = nullptr;
   RunIn(*client->kernel, [&] {
-    va = &client->kernel->Emplace<VipAddrProtocol>(*client->kernel, client->eth, client->ip,
-                                                   client->arp);
     ca = &client->kernel->Emplace<TestAnchor>(*client->kernel);
     ParticipantSet parts;
     parts.local.ip_proto = kTestProto;
@@ -252,13 +246,13 @@ TEST_F(VipSizeFixture, VipAddrReturnsLowerSessionDirectly) {
 TEST_F(VipSizeFixture, VipAddrPicksIpForRemote) {
   auto rnet = Internet::TwoSegments();
   auto& rc = rnet->host("client");
+  Protocol* va = BuildStack(rc, "vipaddr").top;
   RunIn(*rc.kernel, [&] {
-    auto& va = rc.kernel->Emplace<VipAddrProtocol>(*rc.kernel, rc.eth, rc.ip, rc.arp);
     auto& ca = rc.kernel->Emplace<TestAnchor>(*rc.kernel);
     ParticipantSet parts;
     parts.local.ip_proto = kTestProto;
     parts.peer.host = rnet->host("server").kernel->ip_addr();
-    Result<SessionRef> sess = va.Open(ca, parts);
+    Result<SessionRef> sess = va->Open(ca, parts);
     ASSERT_TRUE(sess.ok());
     EXPECT_EQ(&(*sess)->owner(), static_cast<Protocol*>(rc.ip));
   });
