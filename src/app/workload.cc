@@ -2,45 +2,11 @@
 
 #include <cassert>
 #include <memory>
+#include <utility>
 
 #include "src/app/oracle.h"
 
 namespace xk {
-
-LatencyResult RpcWorkload::MeasureLatency(Internet& net, Kernel& client_kernel,
-                                          const CallFn& call, int iters) {
-  LatencyResult result;
-  SimTime start = 0;
-  SimTime done_at = 0;
-  int remaining = iters;
-
-  std::function<void()> issue = [&]() {
-    const SimTime t0 = client_kernel.now();
-    call(Message(), [&, t0](Result<Message> r) {
-      result.rtt.Record(client_kernel.now() - t0);
-      if (r.ok()) {
-        ++result.completed;
-      } else {
-        ++result.failed;
-      }
-      if (--remaining > 0) {
-        issue();  // still inside the completion task; the clock has advanced
-      } else {
-        done_at = client_kernel.now();
-      }
-    });
-  };
-
-  client_kernel.ScheduleTask(0, [&]() {
-    start = client_kernel.now();
-    issue();
-  });
-  net.RunAll();
-  if (iters > 0 && done_at > start) {
-    result.per_call = (done_at - start) / iters;
-  }
-  return result;
-}
 
 ThroughputResult RpcWorkload::MeasureThroughput(Internet& net, Kernel& client_kernel,
                                                 Kernel& server_kernel, const CallFn& call,
@@ -59,9 +25,11 @@ ThroughputResult RpcWorkload::MeasureThroughput(Internet& net, Kernel& client_ke
       result.rtt.Record(client_kernel.now() - t0);
       if (r.ok()) {
         ++result.completed;
+      } else {
+        ++result.failed;
       }
       if (--remaining > 0) {
-        issue();
+        issue();  // still inside the completion task; the clock has advanced
       } else {
         done_at = client_kernel.now();
       }
@@ -83,6 +51,21 @@ ThroughputResult RpcWorkload::MeasureThroughput(Internet& net, Kernel& client_ke
   return result;
 }
 
+LatencyResult RpcWorkload::MeasureLatency(Internet& net, Kernel& client_kernel,
+                                          const CallFn& call, int iters) {
+  // A null call is the 0-byte case of the throughput loop (Message(0) is
+  // Message()). No server CPU is reported, so the client kernel stands in.
+  ThroughputResult t = MeasureThroughput(net, client_kernel, client_kernel, call, 0, iters);
+  LatencyResult result;
+  result.completed = t.completed;
+  result.failed = t.failed;
+  result.rtt = std::move(t.rtt);
+  if (iters > 0 && t.elapsed > 0) {
+    result.per_call = t.elapsed / iters;
+  }
+  return result;
+}
+
 ChaosResult RpcWorkload::RunChaos(Internet& net, Kernel& client_kernel, const CallFn& call,
                                   AmoOracle& oracle, const ChaosSpec& spec) {
   ChaosResult result;
@@ -90,9 +73,9 @@ ChaosResult RpcWorkload::RunChaos(Internet& net, Kernel& client_kernel, const Ca
   SimTime first_success_after_crash = 0;
   int remaining = spec.calls;
 
-  // Sequential issue chain, like MeasureLatency -- but failures continue the
-  // chain (availability is the point), and calls are spaced by `gap` so the
-  // workload spans the fault windows instead of completing before them.
+  // Sequential issue chain, like MeasureThroughput's, but with calls spaced
+  // by `gap` so the workload spans the fault windows instead of completing
+  // before them.
   std::function<void()> issue = [&]() {
     const uint64_t id = oracle.NextCallId();
     const SimTime t0 = client_kernel.now();

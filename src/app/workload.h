@@ -32,6 +32,7 @@ struct ThroughputResult {
   SimTime elapsed = 0;
   size_t bytes_per_call = 0;
   int completed = 0;
+  int failed = 0;
   double kbytes_per_sec = 0.0;  // payload bytes delivered / elapsed
   SimTime client_cpu = 0;       // CPU busy time per call
   SimTime server_cpu = 0;

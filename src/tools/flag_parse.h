@@ -1,7 +1,7 @@
-// Full-token flag value parsers shared by bench_suite and the trace and bench
-// tools (xktrace, xkbench_diff). Each rejects the whole token or
-// accepts it -- no silent prefix reads (std::atoi turns "4x" into 4 and "abc"
-// into 0) -- and on failure writes a message naming the flag and the token.
+// Full-token flag value parsers shared by bench_suite and xktrace. Each
+// rejects the whole token or accepts it -- no silent prefix reads (std::atoi
+// turns "4x" into 4 and "abc" into 0) -- and on failure writes a message
+// naming the flag and the token.
 
 #ifndef XK_SRC_TOOLS_FLAG_PARSE_H_
 #define XK_SRC_TOOLS_FLAG_PARSE_H_
@@ -9,7 +9,6 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -50,20 +49,6 @@ inline bool ParseFlagUint64(const char* flag, const char* value, uint64_t* out,
     return false;
   }
   *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-// Parses `value` as a finite, non-negative percentage ("2", "0.5").
-inline bool ParseFlagPercent(const char* flag, const char* value, double* out,
-                             std::string* error) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !std::isfinite(v) || v < 0) {
-    *error = std::string(flag) + ": bad value '" + value +
-             "' (expected a finite, non-negative percentage)";
-    return false;
-  }
-  *out = v;
   return true;
 }
 

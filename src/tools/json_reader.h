@@ -1,5 +1,4 @@
-// The one JSON reader: the trace reader parses each JSONL line with it and
-// the bench regression gate parses whole BENCH_RESULTS.json documents.
+// The JSON reader the trace reader parses each JSONL line with.
 //
 // A number token must match the JSON grammar in full, so "1-2", "1e" and
 // "--1" are errors, not prefix reads. An integer token is also kept exactly

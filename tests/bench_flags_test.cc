@@ -135,26 +135,5 @@ TEST(BenchFlagsTest, Uint64FlagTakesTheWholeToken) {
   }
 }
 
-// xkbench_diff thresholds: atof read "5x" as 5 and "abc" as 0, and a negative
-// or NaN tolerance flagged unchanged metrics as regressions.
-TEST(BenchFlagsTest, PercentFlagIsFiniteAndNonNegative) {
-  for (const auto& [value, want] :
-       {std::pair<const char*, double>{"0", 0.0}, {"2", 2.0}, {"0.5", 0.5}, {"150", 150.0}}) {
-    double out = -1;
-    std::string error;
-    EXPECT_TRUE(ParseFlagPercent("--default-threshold", value, &out, &error)) << error;
-    EXPECT_EQ(out, want) << value;
-  }
-  for (const char* value : {"", "abc", "5x", "5%", "-5", "nan", "inf", "1e999"}) {
-    double out = -1;
-    std::string error;
-    EXPECT_FALSE(ParseFlagPercent("--default-threshold", value, &out, &error)) << value;
-    EXPECT_NE(error.find(std::string("--default-threshold: bad value '") + value + "'"),
-              std::string::npos)
-        << error;
-    EXPECT_EQ(out, -1) << value;
-  }
-}
-
 }  // namespace
 }  // namespace xk

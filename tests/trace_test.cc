@@ -178,7 +178,10 @@ TEST(TraceReader, EmptyIsValidUnreadableAndMalformedAreErrors) {
   EXPECT_TRUE(unknown.error.empty()) << unknown.error;
   ASSERT_EQ(unknown.wires.size(), 1u);
   EXPECT_EQ(unknown.wires[0].seg, 2);
-  for (const char* line : {"not json", "[1]", "{\"k\":\"log\",\"t\":1-2}", "{\"k\":\"log\""}) {
+  // A number token must parse in full: no prefix read of "1-2" as 1.
+  for (const char* line : {"not json", "{not json", "[1]", "{\"k\":\"log\",\"t\":1-2}",
+                           "{\"k\":\"log\",\"t\":1e}", "{\"k\":\"log\",\"t\":--1}",
+                           "{\"k\":\"log\""}) {
     const tracetool::TraceFile bad = tracetool::Parse(std::string("\n") + line + "\n");
     EXPECT_NE(bad.error.find("line 2: "), std::string::npos) << line << ": " << bad.error;
   }
