@@ -5,7 +5,7 @@
 # and tool usage-error smokes (malformed values, unknown xktrace subcommands,
 # wrong argument counts, flags a subcommand does not take), the committed
 # results and scenario gates, and the host benchmark's selftest and digest
-# gates (untraced, and traced paper-rpc).
+# gates (untraced, and traced paper-rpc) with the A/B script's selftest.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # control-op lint + tier-1 tests only
@@ -334,6 +334,7 @@ echo "== host benchmark digest gate: hostbench builds and its simulation is unch
 # so a src/ change that breaks hostbench's build or moves its simulation
 # fails here as in CI.
 python3 hostbench/run.py --selftest
+python3 scripts/host_ab.py --selftest
 for w in paper-rpc cluster-openloop session-churn; do
   python3 hostbench/run.py --workload "$w" --seconds 2 --trace 0
 done

@@ -5,8 +5,14 @@
 // buckets become tombstones so probe chains stay intact; an insert rehashes
 // when full + tombstone buckets would pass a 70% load factor, and an erase
 // compacts once a quarter of the table is tombstones, so a drained table
-// gives its memory back. A lookup is one probe over a contiguous array -- no
-// node allocation, no pointer chasing.
+// gives its memory back.
+//
+// One allocation holds the whole table: a control byte per bucket (empty,
+// tombstone, or full with a 7-bit tag from the top bits of the key's hash),
+// then a key/value slot per bucket, constructed on insert and destroyed on
+// erase. A probe walks the control bytes and compares a key only where the
+// tag matches, so a lookup reads one byte per bucket it passes and touches
+// one slot; no node allocation, no pointer chasing.
 //
 // The table charges nothing: it is host bookkeeping. DemuxMap (src/core/map.h)
 // wraps it with the map tool's simulated charges and hit/miss counters; the
@@ -19,8 +25,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <utility>
-#include <vector>
 
 #include "src/core/hash.h"
 
@@ -30,14 +37,27 @@ template <typename Key, typename Value, typename Hash = XkHash<Key>,
           typename Eq = XkEq<Key>>
 class FlatTable {
  public:
+  FlatTable() = default;
+  FlatTable(FlatTable&& other) noexcept { Steal(other); }
+  FlatTable& operator=(FlatTable&& other) noexcept {
+    if (this != &other) {
+      clear();
+      Steal(other);
+    }
+    return *this;
+  }
+  FlatTable(const FlatTable&) = delete;
+  FlatTable& operator=(const FlatTable&) = delete;
+  ~FlatTable() { clear(); }
+
   // The value bound to `key`, or null. Valid until the next insert or erase.
   Value* Find(const Key& key) {
     const size_t i = FindIndex(key);
-    return i == kNpos ? nullptr : &buckets_[i].value;
+    return i == kNpos ? nullptr : &slots_[i].value;
   }
   const Value* Find(const Key& key) const {
     const size_t i = FindIndex(key);
-    return i == kNpos ? nullptr : &buckets_[i].value;
+    return i == kNpos ? nullptr : &slots_[i].value;
   }
 
   bool Contains(const Key& key) const { return FindIndex(key) != kNpos; }
@@ -47,31 +67,36 @@ class FlatTable {
   // newly inserted. A new key lands on the first tombstone of its probe path.
   std::pair<Value*, bool> TryEmplace(const Key& key) {
     MaybeGrow();
-    const size_t mask = buckets_.size() - 1;
+    const uint64_t h = HashOf(key);
+    const uint8_t tag = TagOf(h);
+    const size_t mask = capacity_ - 1;
     size_t first_tombstone = kNpos;
-    for (size_t i = ProbeStart(key);; i = (i + 1) & mask) {
-      Bucket& b = buckets_[i];
-      if (b.state == kFull) {
-        if (Eq{}(b.key, key)) {
-          return {&b.value, false};
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      const uint8_t c = ctrl_[i];
+      if (c == tag) {
+        if (Eq{}(slots_[i].key, key)) {
+          return {&slots_[i].value, false};
         }
         continue;
       }
-      if (b.state == kTombstone) {
+      if (c == kTombstone) {
         if (first_tombstone == kNpos) {
           first_tombstone = i;
         }
         continue;
       }
+      if (c != kEmpty) {
+        continue;
+      }
       // Empty: the key is absent. Land on the earliest reusable bucket.
-      Bucket& dst = first_tombstone == kNpos ? b : buckets_[first_tombstone];
-      if (dst.state == kTombstone) {
+      const size_t dst = first_tombstone == kNpos ? i : first_tombstone;
+      ::new (static_cast<void*>(slots_ + dst)) Slot{key, Value{}};
+      if (ctrl_[dst] == kTombstone) {
         --tombstones_;
       }
-      dst.key = key;
-      dst.state = kFull;
+      ctrl_[dst] = tag;
       ++size_;
-      return {&dst.value, true};
+      return {&slots_[dst].value, true};
     }
   }
 
@@ -92,7 +117,7 @@ class FlatTable {
     if (i == kNpos) {
       return false;
     }
-    *out = std::move(buckets_[i].value);
+    *out = std::move(slots_[i].value);
     EraseBucket(i);
     return true;
   }
@@ -101,30 +126,32 @@ class FlatTable {
   // not be modified during the walk.
   template <typename F>
   void ForEach(F&& fn) const {
-    for (const Bucket& b : buckets_) {
-      if (b.state == kFull) {
-        fn(b.key, b.value);
+    for (size_t i = 0; i < capacity_; ++i) {
+      if (IsFull(ctrl_[i])) {
+        fn(std::as_const(slots_[i].key), std::as_const(slots_[i].value));
       }
     }
   }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  size_t capacity() const { return buckets_.size(); }
+  size_t capacity() const { return capacity_; }
   size_t tombstones() const { return tombstones_; }
 
   // Buckets a lookup of `key` visits (>= 1 on a non-empty table). Counts the
   // terminating bucket too, so a first-probe hit is 1.
   size_t ProbeLength(const Key& key) const {
-    if (buckets_.empty()) {
+    if (capacity_ == 0) {
       return 0;
     }
-    const size_t mask = buckets_.size() - 1;
+    const uint64_t h = HashOf(key);
+    const uint8_t tag = TagOf(h);
+    const size_t mask = capacity_ - 1;
     size_t n = 0;
-    for (size_t i = ProbeStart(key);; i = (i + 1) & mask) {
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
       ++n;
-      const Bucket& b = buckets_[i];
-      if (b.state == kEmpty || (b.state == kFull && Eq{}(b.key, key))) {
+      const uint8_t c = ctrl_[i];
+      if (c == kEmpty || (c == tag && Eq{}(slots_[i].key, key))) {
         return n;
       }
     }
@@ -134,35 +161,71 @@ class FlatTable {
   // here first.
   size_t MaxProbeLength() const {
     size_t worst = 0;
-    for (const Bucket& b : buckets_) {
-      if (b.state == kFull) {
-        worst = std::max(worst, ProbeLength(b.key));
-      }
-    }
+    ForEach([&](const Key& key, const Value&) { worst = std::max(worst, ProbeLength(key)); });
     return worst;
   }
 
+  // Destroys every binding and frees the table (capacity 0).
   void clear() {
-    buckets_.clear();
+    if (ctrl_ != nullptr) {
+      for (size_t i = 0; i < capacity_; ++i) {
+        if (IsFull(ctrl_[i])) {
+          slots_[i].~Slot();
+        }
+      }
+      ::operator delete(ctrl_);
+    }
+    ctrl_ = nullptr;
+    slots_ = nullptr;
+    capacity_ = 0;
     size_ = 0;
     tombstones_ = 0;
   }
 
  private:
-  enum BucketState : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
-
-  struct Bucket {
-    Key key{};
-    Value value{};
-    uint8_t state = kEmpty;
+  struct Slot {
+    Key key;
+    Value value;
   };
+  static_assert(alignof(Slot) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "one plain operator new holds the control bytes and the slots");
 
+  // Control bytes: a full bucket holds its key's 7-bit tag (top bit clear).
+  static constexpr uint8_t kEmpty = 0x80;
+  static constexpr uint8_t kTombstone = 0xFE;
   static constexpr size_t kNpos = SIZE_MAX;
   static constexpr size_t kMinCapacity = 16;
 
+  static bool IsFull(uint8_t c) { return (c & 0x80) == 0; }
+  static uint64_t HashOf(const Key& key) { return static_cast<uint64_t>(Hash{}(key)); }
+  static uint8_t TagOf(uint64_t h) { return static_cast<uint8_t>(h >> 57); }
+
+  // The control bytes come first; the slots start at the next multiple of
+  // the slot's alignment (the capacity itself, for every slot type in use).
+  static size_t SlotOffset(size_t cap) {
+    return (cap + alignof(Slot) - 1) / alignof(Slot) * alignof(Slot);
+  }
+
+  // Points the table at fresh storage for `cap` buckets, every one empty.
+  void Allocate(size_t cap) {
+    auto* mem = static_cast<uint8_t*>(::operator new(SlotOffset(cap) + cap * sizeof(Slot)));
+    std::memset(mem, kEmpty, cap);
+    ctrl_ = mem;
+    slots_ = reinterpret_cast<Slot*>(mem + SlotOffset(cap));
+    capacity_ = cap;
+  }
+
+  void Steal(FlatTable& other) {
+    ctrl_ = std::exchange(other.ctrl_, nullptr);
+    slots_ = std::exchange(other.slots_, nullptr);
+    capacity_ = std::exchange(other.capacity_, 0);
+    size_ = std::exchange(other.size_, 0);
+    tombstones_ = std::exchange(other.tombstones_, 0);
+  }
+
   void EraseBucket(size_t i) {
-    buckets_[i].state = kTombstone;
-    buckets_[i].value = Value{};
+    slots_[i].~Slot();
+    ctrl_[i] = kTombstone;
     --size_;
     ++tombstones_;
     // Amortized compaction: erase-heavy phases (idle eviction draining a
@@ -170,40 +233,42 @@ class FlatTable {
     // MaybeGrow can't fire and probe chains would rot behind tombstones.
     // Rehash once a quarter of the table is tombstones; RehashForSize also
     // shrinks, so a drained table gives its memory back.
-    if (tombstones_ * 4 >= buckets_.size() && buckets_.size() > kMinCapacity) {
+    if (tombstones_ * 4 >= capacity_ && capacity_ > kMinCapacity) {
       RehashForSize();
     }
   }
 
-  size_t ProbeStart(const Key& key) const {
-    return static_cast<size_t>(Hash{}(key)) & (buckets_.size() - 1);
-  }
-
-  // Index of the full bucket holding `key`, or kNpos.
+  // Index of the full bucket holding `key`, or kNpos. The home slot is
+  // prefetched while its control byte is read, so a hit on a large table
+  // waits for one cache miss, not two in a row.
   size_t FindIndex(const Key& key) const {
-    if (buckets_.empty()) {
+    if (capacity_ == 0) {
       return kNpos;
     }
-    const size_t mask = buckets_.size() - 1;
-    for (size_t i = ProbeStart(key);; i = (i + 1) & mask) {
-      const Bucket& b = buckets_[i];
-      if (b.state == kEmpty) {
-        return kNpos;
-      }
-      if (b.state == kFull && Eq{}(b.key, key)) {
+    const uint64_t h = HashOf(key);
+    const uint8_t tag = TagOf(h);
+    const size_t mask = capacity_ - 1;
+    size_t i = h & mask;
+    __builtin_prefetch(slots_ + i);
+    for (;; i = (i + 1) & mask) {
+      const uint8_t c = ctrl_[i];
+      if (c == tag && Eq{}(slots_[i].key, key)) {
         return i;
+      }
+      if (c == kEmpty) {
+        return kNpos;
       }
     }
   }
 
   void MaybeGrow() {
-    if (buckets_.empty()) {
-      buckets_.resize(kMinCapacity);
+    if (capacity_ == 0) {
+      Allocate(kMinCapacity);
       return;
     }
     // Count tombstones toward load so long-lived tables with heavy
     // insert/erase churn rehash instead of degrading.
-    if ((size_ + tombstones_ + 1) * 10 <= buckets_.size() * 7) {
+    if ((size_ + tombstones_ + 1) * 10 <= capacity_ * 7) {
       return;
     }
     RehashForSize();
@@ -211,25 +276,41 @@ class FlatTable {
 
   // Rebuilds the table at the smallest power-of-two capacity keeping the live
   // load (with one insertion of headroom) at or under 70%, dropping every
-  // tombstone. Both grows and shrinks. Live keys are reinserted in bucket
-  // order.
+  // tombstone. Both grows and shrinks. Live slots move in bucket order, each
+  // to the first empty bucket of its new probe path -- where inserting the
+  // keys one by one would put them, since the new table has no tombstones
+  // and no duplicate keys.
   void RehashForSize() {
     size_t new_cap = kMinCapacity;
     while ((size_ + 1) * 10 > new_cap * 7) {
       new_cap *= 2;
     }
-    std::vector<Bucket> old = std::move(buckets_);
-    buckets_.assign(new_cap, Bucket{});
-    size_ = 0;
+    uint8_t* const old_ctrl = ctrl_;
+    Slot* const old_slots = slots_;
+    const size_t old_cap = capacity_;
+    Allocate(new_cap);
     tombstones_ = 0;
-    for (Bucket& b : old) {
-      if (b.state == kFull) {
-        *TryEmplace(b.key).first = std::move(b.value);
+    const size_t mask = new_cap - 1;
+    for (size_t j = 0; j < old_cap; ++j) {
+      if (!IsFull(old_ctrl[j])) {
+        continue;
       }
+      Slot& from = old_slots[j];
+      const uint64_t h = HashOf(from.key);
+      size_t i = h & mask;
+      while (ctrl_[i] != kEmpty) {
+        i = (i + 1) & mask;
+      }
+      ::new (static_cast<void*>(slots_ + i)) Slot{std::move(from.key), std::move(from.value)};
+      ctrl_[i] = TagOf(h);
+      from.~Slot();
     }
+    ::operator delete(old_ctrl);
   }
 
-  std::vector<Bucket> buckets_;  // size is 0 or a power of two
+  uint8_t* ctrl_ = nullptr;  // capacity_ control bytes, then the slots
+  Slot* slots_ = nullptr;
+  size_t capacity_ = 0;  // 0 or a power of two
   size_t size_ = 0;
   size_t tombstones_ = 0;
 };

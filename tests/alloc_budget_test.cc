@@ -13,18 +13,21 @@
 //    generators through ClusterClient, with every call tagged and checked by
 //    the at-most-once oracle (the datacenter sat-knee shape).
 //
-// The L_RPC-VIP shape also holds a copy budget: the bytes the message tool
-// copies and the header arenas it clones per call (Message::WorkCounters);
-// and an event-queue budget: events fired, heap pushes, cancels and dead
-// entries skimmed per call (EventQueue's counters).
+// Both shapes also hold a copy budget: the bytes the message tool copies and
+// the header arenas it clones per call (Message::WorkCounters); and an
+// event-queue budget: events fired, heap pushes, cancels and dead entries
+// skimmed per call (EventQueue's counters). The counting operator new also
+// sums the bytes requested, which holds a demux map's memory per bucket.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,14 +38,21 @@
 #include "src/cluster/arrivals.h"
 #include "src/cluster/client.h"
 #include "src/cluster/vpool.h"
+#include "src/core/map.h"
 #include "src/proto/topology.h"
 
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_bytes{0};  // bytes requested, summed over every allocation
+
+void Count(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
+}
 
 void* CountedAlloc(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
   }
@@ -50,7 +60,7 @@ void* CountedAlloc(std::size_t n) {
 }
 
 void* CountedAlignedAlloc(std::size_t n, std::align_val_t al) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   const auto align = static_cast<std::size_t>(al);
   const std::size_t rounded = (n + align - 1) / align * align;
   if (void* p = std::aligned_alloc(align, rounded == 0 ? align : rounded)) {
@@ -64,11 +74,11 @@ void* CountedAlignedAlloc(std::size_t n, std::align_val_t al) {
 void* operator new(std::size_t n) { return CountedAlloc(n); }
 void* operator new[](std::size_t n) { return CountedAlloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new(std::size_t n, std::align_val_t al) { return CountedAlignedAlloc(n, al); }
@@ -95,12 +105,55 @@ uint64_t AllocationsDuring(F&& fn) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
+// Heap bytes requested while `fn` runs.
+template <typename F>
+uint64_t BytesDuring(F&& fn) {
+  const uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  fn();
+  return g_bytes.load(std::memory_order_relaxed) - before;
+}
+
 TEST(AllocBudget, CountingOperatorNewSeesHeapTraffic) {
-  const uint64_t n = AllocationsDuring([] {
-    auto p = std::make_unique<std::vector<int>>(100);
-    EXPECT_EQ(p->size(), 100u);
+  uint64_t n = 0;
+  const uint64_t bytes = BytesDuring([&] {
+    n = AllocationsDuring([] {
+      auto p = std::make_unique<std::vector<int>>(100);
+      EXPECT_EQ(p->size(), 100u);
+    });
   });
   EXPECT_EQ(n, 2u);  // the vector object and its buffer
+  EXPECT_EQ(bytes, sizeof(std::vector<int>) + 100 * sizeof(int));
+}
+
+// Memory per demux binding: a map keyed like UDP's active map (peer address,
+// local port, remote port -> SessionRef), grown to 2^17 bindings. Each bucket
+// costs its key and value (8 + 16 B) plus one control byte; every growth
+// rehash allocates exactly that for the new table and nothing else.
+TEST(AllocBudget, DemuxMapBucketsCostAtMost25Bytes) {
+  EventQueue events;
+  Kernel kernel("budget", events, HostEnv::kXKernel, IpAddr(10, 0, 1, 1), EthAddr::FromIndex(1));
+  DemuxMap<std::tuple<IpAddr, uint16_t, uint16_t>> map(kernel);
+  constexpr uint32_t kBindings = 1u << 17;
+  int growths = 0;
+  double worst = 0;
+  for (uint32_t i = 0; i < kBindings; ++i) {
+    const IpAddr peer(10, static_cast<uint8_t>(i >> 16), static_cast<uint8_t>(i >> 8),
+                      static_cast<uint8_t>(i));
+    const auto key = std::make_tuple(peer, uint16_t{1024}, uint16_t{7});
+    const size_t cap_before = map.capacity();
+    const uint64_t bytes = BytesDuring([&] { map.Bind(key, SessionRef{}); });
+    if (map.capacity() != cap_before) {
+      ++growths;
+      worst = std::max(worst, static_cast<double>(bytes) / static_cast<double>(map.capacity()));
+    } else {
+      ASSERT_EQ(bytes, 0u) << "binding " << i;
+    }
+  }
+  EXPECT_EQ(map.size(), kBindings);
+  EXPECT_EQ(map.capacity(), size_t{1} << 18);
+  EXPECT_EQ(growths, 15);  // the first 16 buckets, then 14 doublings
+  RecordProperty("bytes_per_bucket", std::to_string(worst));
+  EXPECT_LE(worst, 25.0) << "bytes allocated per bucket by a growth rehash";
 }
 
 TEST(AllocBudget, ZeroPayloadMessagesAllocateNothing) {
@@ -373,6 +426,49 @@ TEST(AllocBudget, OpenLoopClusterCallsStayUnderOneAllocation) {
   const double per_call = static_cast<double>(allocs) / static_cast<double>(calls);
   RecordProperty("allocs_per_call", std::to_string(per_call));
   EXPECT_LE(per_call, 1.0) << allocs << " allocations over " << calls << " calls";
+}
+
+// The sat-knee shape's per-call work over the same window: events fired,
+// heap pushes, cancels and dead entries skimmed (EventQueue's counters), and
+// header arenas cloned and bytes copied (Message::WorkCounters; the router's
+// two forwards of a call each clone one arena). Each budget, in hundredths
+// per call, is what the steady state does today rounded up, so a queue entry
+// or a copy creeping onto the cluster path fails here. The window's edges cut
+// through calls in flight, so the totals are not exact multiples of the calls.
+struct ClusterBudget {
+  const char* name;
+  uint64_t hundredths_per_call;
+  uint64_t total;
+};
+
+TEST(AllocBudget, OpenLoopClusterCallsStayUnderWorkBudget) {
+  SatKnee knee(Sec(12));
+  EventQueue& q = knee.net->events();
+  q.RunUntil(Sec(2));
+  const uint64_t issued_before = knee.issued();
+  const uint64_t fired0 = q.fired_total();
+  const uint64_t pushes0 = q.heap_pushes();
+  const uint64_t cancels0 = q.cancels();
+  const uint64_t dead0 = q.dead_skimmed();
+  const Message::WorkCounters work0 = Message::work_counters();
+  q.RunUntil(Sec(10));
+  const uint64_t calls = knee.issued() - issued_before;
+  ASSERT_GT(calls, 3000u);
+  const Message::WorkCounters& work = Message::work_counters();
+  const ClusterBudget budgets[] = {
+      {"fired_per_call", 701, q.fired_total() - fired0},  // 7.00
+      {"heap_pushes_per_call", 801, q.heap_pushes() - pushes0},  // 8.00
+      {"cancels_per_call", 101, q.cancels() - cancels0},  // 1.00
+      {"dead_skimmed_per_call", 101, q.dead_skimmed() - dead0},  // 1.00
+      {"arena_clones_per_call", 201, work.arena_clones - work0.arena_clones},  // 2.00
+      {"bytes_copied_per_call", 23408, work.bytes_copied - work0.bytes_copied},  // 234.08
+  };
+  for (const ClusterBudget& b : budgets) {
+    RecordProperty(b.name,
+                   std::to_string(static_cast<double>(b.total) / static_cast<double>(calls)));
+    EXPECT_LE(b.total * 100, b.hundredths_per_call * calls)
+        << b.name << ": " << b.total << " over " << calls << " calls";
+  }
 }
 
 }  // namespace
