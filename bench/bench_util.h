@@ -255,8 +255,8 @@ inline ColdWarmResult MeasureColdWarm(std::string_view spec) {
   return ColdWarmResult{ToMsec(first.per_call), ToMsec(steady.per_call), in.net->events_fired()};
 }
 
-// Per-segment link statistics for one finished run (see Internet::CountersJson
-// for the same quantities as JSON).
+// Per-segment link statistics for one finished run, read from the segment's
+// getters.
 struct SegmentStat {
   int segment = 0;
   uint64_t frames = 0;

@@ -12,62 +12,48 @@ RpcClient::RpcClient(Kernel& kernel, Protocol* rpc, std::string name)
     : Protocol(kernel, std::move(name), {rpc}), rpc_(rpc) {}
 
 void RpcClient::CallParts(const ParticipantSet& parts, Message args, RpcDone done) {
-  kernel().Charge(app_cost_);
+  kernel().Charge(kAppCost);
   Result<SessionRef> sess = rpc_->Open(*this, parts);
   if (!sess.ok()) {
     ++calls_failed_;
     done(sess.status());
     return;
   }
-  outstanding_[sess->get()].push_back(std::move(done));
-  Status pushed = (*sess)->Push(args);
-  if (!pushed.ok()) {
-    ++calls_failed_;
-    RpcDone cb = std::move(outstanding_[sess->get()].back());
-    outstanding_[sess->get()].pop_back();
-    cb(pushed);
-  }
+  PushCall(*sess, args, std::move(done));
 }
 
 void RpcClient::Call(IpAddr server, uint16_t command, Message args, RpcDone done) {
+  kernel().Charge(kAppCost);
   // Cache open sessions (the paper's first "efficiency rule").
   auto it = session_cache_.find({server, command});
-  if (it != session_cache_.end()) {
-    kernel().Charge(app_cost_);
-    SessionRef sess = it->second;
-    outstanding_[sess.get()].push_back(std::move(done));
-    Status pushed = sess->Push(args);
-    if (!pushed.ok()) {
+  if (it == session_cache_.end()) {
+    ParticipantSet parts;
+    parts.peer.host = server;
+    parts.peer.command = command;
+    Result<SessionRef> sess = rpc_->Open(*this, parts);
+    if (!sess.ok()) {
       ++calls_failed_;
-      RpcDone cb = std::move(outstanding_[sess.get()].back());
-      outstanding_[sess.get()].pop_back();
-      cb(pushed);
+      done(sess.status());
+      return;
     }
-    return;
+    it = session_cache_.emplace(std::make_pair(server, command), *sess).first;
   }
-  ParticipantSet parts;
-  parts.peer.host = server;
-  parts.peer.command = command;
-  kernel().Charge(app_cost_);
-  Result<SessionRef> sess = rpc_->Open(*this, parts);
-  if (!sess.ok()) {
-    ++calls_failed_;
-    done(sess.status());
-    return;
-  }
-  session_cache_[{server, command}] = *sess;
-  outstanding_[sess->get()].push_back(std::move(done));
-  Status pushed = (*sess)->Push(args);
+  PushCall(it->second, args, std::move(done));
+}
+
+void RpcClient::PushCall(const SessionRef& sess, Message& args, RpcDone done) {
+  outstanding_[sess.get()].push_back(std::move(done));
+  Status pushed = sess->Push(args);
   if (!pushed.ok()) {
     ++calls_failed_;
-    RpcDone cb = std::move(outstanding_[sess->get()].back());
-    outstanding_[sess->get()].pop_back();
+    RpcDone cb = std::move(outstanding_[sess.get()].back());
+    outstanding_[sess.get()].pop_back();
     cb(pushed);
   }
 }
 
 Status RpcClient::DoDemux(Session* lls, Message& msg) {
-  kernel().Charge(app_cost_);
+  kernel().Charge(kAppCost);
   auto it = outstanding_.find(lls);
   if (it == outstanding_.end() || it->second.empty()) {
     return ErrStatus(StatusCode::kNotFound);
@@ -153,7 +139,6 @@ Status RpcServer::DoDemux(Session* lls, Message& msg) {
   // reply instead of being charged execution -- the client has already given
   // up on it, so executing it only steals capacity from live work.
   if (msg.deadline() != 0 && service_start >= msg.deadline()) {
-    ++deadline_sheds_;
     if (TraceSink* ts = kernel().trace_sink()) {
       ts->RecordEvent(kernel(), TraceOp::kShed, name(), service_start, 0, &msg, lls, 0,
                       StatusCode::kDeadlineExceeded);
@@ -170,7 +155,6 @@ Status RpcServer::DoDemux(Session* lls, Message& msg) {
   const SimTime backlog = service_start - kernel().events().now();
   if ((max_inflight_ != 0 && inflight_ >= max_inflight_) ||
       (max_backlog_ != 0 && backlog > max_backlog_)) {
-    ++busy_rejects_;
     if (TraceSink* ts = kernel().trace_sink()) {
       ts->RecordEvent(kernel(), TraceOp::kReject, name(), service_start, 0, &msg, lls,
                       static_cast<uint64_t>(backlog), StatusCode::kBusy);
@@ -179,7 +163,7 @@ Status RpcServer::DoDemux(Session* lls, Message& msg) {
     reply.set_wire_error(static_cast<uint8_t>(StatusCode::kBusy));
     return lls->Push(reply);
   }
-  kernel().Charge(app_cost_);
+  kernel().Charge(kAppCost);
   ++requests_served_;
   if (service_delay_ > 0) {
     // Slow service: reply later, from a fresh task.
@@ -204,11 +188,6 @@ Status RpcServer::DoDemux(Session* lls, Message& msg) {
 Status RpcServer::DoControl(ControlOp op, ControlArgs& args) {
   if (op == ControlOp::kGetMaxSendSize) {
     args.u64 = UINT64_MAX;
-    return OkStatus();
-  }
-  if (op == ControlOp::kSetAdmissionLimit) {
-    set_admission_limit(static_cast<uint32_t>(args.u64 >> 32),
-                        Usec(args.u64 & 0xFFFFFFFF));
     return OkStatus();
   }
   return ErrStatus(StatusCode::kUnsupported);

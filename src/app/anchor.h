@@ -27,6 +27,10 @@ namespace xk {
 
 using RpcDone = std::function<void(Result<Message>)>;
 
+// CPU cost an anchor charges per call and per reply for argument marshalling
+// (part of the test program, present in the paper's numbers too).
+inline constexpr SimTime kAppCost = Usec(45);
+
 // ---------------------------------------------------------------------------
 // RpcClient
 // ---------------------------------------------------------------------------
@@ -44,10 +48,6 @@ class RpcClient : public Protocol {
   // Generalized form for protocols with richer addresses (Sun RPC).
   void CallParts(const ParticipantSet& parts, Message args, RpcDone done);
 
-  // CPU cost charged per call for argument marshalling (part of the test
-  // program, present in the paper's numbers too).
-  void set_app_cost(SimTime t) { app_cost_ = t; }
-
   uint64_t calls_completed() const { return calls_completed_; }
   uint64_t calls_failed() const { return calls_failed_; }
 
@@ -58,8 +58,10 @@ class RpcClient : public Protocol {
   Status DoControl(ControlOp op, ControlArgs& args) override;
 
  private:
+  // Queues `done` on `sess` and pushes the call; a failed push fails it.
+  void PushCall(const SessionRef& sess, Message& args, RpcDone done);
+
   Protocol* rpc_;
-  SimTime app_cost_ = Usec(45);
   std::map<std::pair<IpAddr, uint16_t>, SessionRef> session_cache_;
   std::map<Session*, std::deque<RpcDone>> outstanding_;
   uint64_t calls_completed_ = 0;
@@ -87,29 +89,19 @@ class RpcServer : public Protocol {
   // Replies are delayed by this much simulated service time (lets tests drive
   // the slow-server / explicit-ack paths).
   void set_service_delay(SimTime t) { service_delay_ = t; }
-  void set_app_cost(SimTime t) { app_cost_ = t; }
 
-  // Admission control (also via ControlOp::kSetAdmissionLimit): bounds the
-  // server's run queue. `max_inflight` caps delayed-service requests whose
-  // reply timer is still pending; `max_backlog` caps how far this request's
-  // task clock may be running behind its arrival event (queueing delay plus
-  // the receive path's own processing) before new work is fast-rejected with
-  // a cheap BUSY reply. 0 = unbounded (the default).
+  // Admission control: bounds the server's run queue. `max_inflight` caps
+  // delayed-service requests whose reply timer is still pending;
+  // `max_backlog` caps how far this request's task clock may be running
+  // behind its arrival event (queueing delay plus the receive path's own
+  // processing) before new work is fast-rejected with a cheap BUSY reply.
+  // 0 = unbounded (the default).
   void set_admission_limit(uint32_t max_inflight, SimTime max_backlog) {
     max_inflight_ = max_inflight;
     max_backlog_ = max_backlog;
   }
 
   uint64_t requests_served() const { return requests_served_; }
-  uint64_t busy_rejects() const { return busy_rejects_; }
-  uint64_t deadline_sheds() const { return deadline_sheds_; }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("requests_served", requests_served_);
-    emit("busy_rejects", busy_rejects_);
-    emit("deadline_sheds", deadline_sheds_);
-  }
 
   // Per-request service time: from the request reaching this server protocol
   // to the reply being handed back down the stack (includes app cost, any
@@ -126,13 +118,10 @@ class RpcServer : public Protocol {
   Protocol* rpc_;
   std::map<uint16_t, Handler> handlers_;
   SimTime service_delay_ = 0;
-  SimTime app_cost_ = Usec(45);
   uint64_t requests_served_ = 0;
   uint32_t max_inflight_ = 0;   // delayed-service requests in flight (0 = off)
   SimTime max_backlog_ = 0;     // run-queue delay bound (0 = off)
   uint64_t inflight_ = 0;
-  uint64_t busy_rejects_ = 0;
-  uint64_t deadline_sheds_ = 0;
   Histogram service_time_;
 };
 
@@ -163,7 +152,7 @@ class EchoAnchor : public Protocol {
 
  private:
   bool server_role_;
-  SimTime app_cost_ = Usec(45);
+  SimTime app_cost_ = kAppCost;
   size_t echo_limit_ = SIZE_MAX;
   std::map<Session*, std::deque<RpcDone>> outstanding_;
 };

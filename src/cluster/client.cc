@@ -12,7 +12,7 @@ ClusterClient::ClusterClient(Kernel& kernel, Protocol* rpc, std::string name)
 
 void ClusterClient::Call(IpAddr service, uint16_t command, uint64_t id, Message args,
                          RpcDone done) {
-  kernel().Charge(app_cost_);
+  kernel().Charge(kAppCost);
   SessionRef sess;
   auto it = session_cache_.find({service, command});
   if (it != session_cache_.end()) {
@@ -113,7 +113,7 @@ void ClusterClient::Evict(IpAddr service, uint16_t command) {
 }
 
 Status ClusterClient::DoDemux(Session* lls, Message& msg) {
-  kernel().Charge(app_cost_);
+  kernel().Charge(kAppCost);
   const uint64_t id = AmoOracle::ExtractId(msg);
   PendingCall pc;
   if (!pending_.Take({lls, id}, &pc)) {
@@ -177,15 +177,6 @@ void ClusterClient::SessionError(Session& lls, Status error, const Message* requ
   pending_.Erase(key);
   ++calls_failed_;
   done(error);
-}
-
-void ClusterClient::ExportCounters(const CounterEmit& emit) const {
-  Protocol::ExportCounters(emit);
-  emit("calls_completed", calls_completed_);
-  emit("calls_failed", calls_failed_);
-  emit("late_replies", late_replies_);
-  emit("hedges", hedges_);
-  emit("hedge_cancels", hedge_cancels_);
 }
 
 Status ClusterClient::DoControl(ControlOp op, ControlArgs& args) {

@@ -55,8 +55,6 @@ class ClusterClient : public Protocol {
   // asks it to flush its idle lower sessions first.
   void Evict(IpAddr service, uint16_t command);
 
-  void set_app_cost(SimTime t) { app_cost_ = t; }
-
   // Enables hedging with `base` as the delay until 64 RTT samples exist
   // (then the client's own p99 takes over). 0 = off (the default).
   void set_hedge_delay(SimTime base) { hedge_base_delay_ = base; }
@@ -71,7 +69,6 @@ class ClusterClient : public Protocol {
   uint64_t hedges() const { return hedges_; }
   uint64_t hedge_cancels() const { return hedge_cancels_; }
 
-  void ExportCounters(const CounterEmit& emit) const override;
   void SessionError(Session& lls, Status error, const Message* request) override;
 
  protected:
@@ -95,7 +92,6 @@ class ClusterClient : public Protocol {
   void FireHedge(Session* sess, uint64_t id);
 
   Protocol* rpc_;
-  SimTime app_cost_ = Usec(45);
   SimTime hedge_base_delay_ = 0;
   std::function<void(uint64_t)> hedge_notify_;
   std::map<std::pair<IpAddr, uint16_t>, SessionRef> session_cache_;

@@ -251,7 +251,6 @@ void VpoolProtocol::SessionError(Session& lls, Status error, const Message* requ
     if (r.outstanding > 0) {
       --r.outstanding;
     }
-    ++r.errors;
     auto iit = lls_inflight_.find(&lls);
     if (iit != lls_inflight_.end() && iit->second > 0) {
       --iit->second;
@@ -285,15 +284,6 @@ Status VpoolProtocol::DoControl(ControlOp op, ControlArgs& args) {
       args.u64 = up;
       return OkStatus();
     }
-    case ControlOp::kSetConcurrencyCap: {
-      set_concurrency_cap(static_cast<uint32_t>(args.u64));
-      return OkStatus();
-    }
-    case ControlOp::kSetBreaker: {
-      set_breaker(static_cast<uint32_t>(args.u64 >> 32),
-                  static_cast<uint32_t>(args.u64 & 0xFFFFFFFF));
-      return OkStatus();
-    }
     case ControlOp::kSetAvoidReplica: {
       avoid_once_ = static_cast<int>(static_cast<int64_t>(args.u64));
       return OkStatus();
@@ -323,7 +313,6 @@ uint64_t VpoolProtocol::FlushLowers(VpoolSession& vs) {
     }
     auto iit = lls_inflight_.find(lower.get());
     if (iit != lls_inflight_.end() && iit->second > 0) {
-      ++flush_skipped_busy_;
       continue;
     }
     by_lls_.Unbind(lower.get());
@@ -360,23 +349,6 @@ bool VpoolProtocol::EvictSession(Session& s) {
     active_.Unbind(vs.command_);
   }
   return true;
-}
-
-void VpoolProtocol::ExportCounters(const CounterEmit& emit) const {
-  Protocol::ExportCounters(emit);
-  emit("down_marks", down_marks_);
-  emit("readmits", readmits_);
-  emit("rerouted_opens", rerouted_opens_);
-  emit("all_down_failures", all_down_failures_);
-  emit("session_flushes", session_flushes_);
-  emit("flush_skipped_busy", flush_skipped_busy_);
-  emit("capped_rejects", capped_rejects_);
-  emit("breaker_trips", breaker_trips_);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    const std::string prefix = "r" + std::to_string(i);
-    emit(prefix + "_calls", replicas_[i].calls);
-    emit(prefix + "_errors", replicas_[i].errors);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -459,7 +431,6 @@ Status VpoolSession::DoPush(Message& msg) {
       if (iit != pool_.lls_inflight_.end() && iit->second > 0) {
         --iit->second;
       }
-      ++r.errors;
     }
     return s;
   }

@@ -15,8 +15,8 @@
 // how a crashed host manifests to its clients). Down replicas are skipped by
 // every policy and readmitted on probation after `readmit_after`; a replica
 // that is still dead just fails its next probe call and is marked down again.
-// Per-replica balance and failover counters export through the standard
-// ExportCounters observability hook.
+// Per-replica balance and failover counters are read through the accessors
+// below (replica_calls(), down_marks(), ...).
 //
 // Sessions are slab-pooled and idle-tracked (the session class precedes the
 // protocol so the pool member sees a complete type). Eviction reuses the same
@@ -86,16 +86,16 @@ class VpoolProtocol final : public Protocol {
   // Probation delay before a down replica is tried again (0 = never readmit).
   void set_readmit_after(SimTime t) { readmit_after_ = t; }
 
-  // Brownout cap (also ControlOp::kSetConcurrencyCap): a replica with this
-  // many calls outstanding is skipped by every policy; when every up replica
-  // is at its cap the push fails fast with BUSY -- client-side load shedding
-  // before any wire traffic. 0 = uncapped (the default).
+  // Brownout cap: a replica with this many calls outstanding is skipped by
+  // every policy; when every up replica is at its cap the push fails fast
+  // with BUSY -- client-side load shedding before any wire traffic.
+  // 0 = uncapped (the default).
   void set_concurrency_cap(uint32_t cap) { concurrency_cap_ = cap; }
 
-  // Circuit breaker (also ControlOp::kSetBreaker): once a replica has seen
-  // `min_volume` outcomes since its window last reset, a bad-outcome ratio at
-  // or above `trip_ppm` trips the breaker -- the replica is marked down and
-  // the existing readmit probation doubles as the probe-before-readmit path.
+  // Circuit breaker: once a replica has seen `min_volume` outcomes since its
+  // window last reset, a bad-outcome ratio at or above `trip_ppm` trips the
+  // breaker -- the replica is marked down and the existing readmit probation
+  // doubles as the probe-before-readmit path.
   // Overload signals (BUSY, DEADLINE_EXCEEDED, RESOURCE_EXHAUSTED) feed the
   // breaker; hard failures (timeout, unreachable) still mark down at once.
   // min_volume 0 = breaker off (the default).
@@ -118,7 +118,6 @@ class VpoolProtocol final : public Protocol {
   size_t live_sessions() const { return sessions_.live(); }
 
   void SessionError(Session& lls, Status error, const Message* request) override;
-  void ExportCounters(const CounterEmit& emit) const override;
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;
@@ -135,7 +134,6 @@ class VpoolProtocol final : public Protocol {
     bool up = true;
     int64_t wrr_current = 0;  // smooth-WRR running credit
     uint64_t calls = 0;       // calls routed here (client-side ground truth)
-    uint64_t errors = 0;      // open failures + asynchronous call errors
     uint64_t outstanding = 0; // in flight now (least-outstanding input)
     uint64_t window_calls = 0;  // breaker window: outcomes since last reset
     uint64_t window_bad = 0;    // breaker window: overload outcomes
@@ -178,7 +176,6 @@ class VpoolProtocol final : public Protocol {
   uint64_t rerouted_opens_ = 0;     // picks abandoned because the open failed
   uint64_t all_down_failures_ = 0;  // pushes failed with every replica down
   uint64_t session_flushes_ = 0;    // lower sessions dropped by flush/eviction
-  uint64_t flush_skipped_busy_ = 0;
 
   SlabPool<VpoolSession> sessions_;
   DemuxMap<uint16_t> active_;              // command -> VPOOL session

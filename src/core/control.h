@@ -4,7 +4,7 @@
 // operation ... used to read and set certain object-dependent parameters."
 // The paper's Discussion notes that "a relatively small number of control
 // operations is sufficient; i.e., on the order of two dozen" -- this is that
-// set for our protocol suite: 25 ops, each with a handler in src/ and a sender
+// set for our protocol suite: 22 ops, each with a handler in src/ and a sender
 // somewhere in the tree (scripts/check.sh lints both, so an op nothing sends
 // or nothing answers cannot creep back in). Tunables nothing sets are
 // constants of their protocol, not ops.
@@ -51,14 +51,6 @@ enum class ControlOp : uint8_t {
   kSetRetryBudget,     // in u64: packed burst<<32 | retry_ratio_ppm. Installs a
                        // per-stack retransmit token bucket on CHANNEL (0 ppm =
                        // disabled, the default). See README "Overload control".
-  kSetAdmissionLimit,  // in u64: packed max_inflight<<32 | max_backlog_us.
-                       // Bounds the RpcServer run queue; 0/0 = unbounded.
-  kSetConcurrencyCap,  // in u64: VPOOL per-replica outstanding-call cap
-                       // (0 = uncapped, the default)
-  kSetBreaker,         // in u64: packed min_volume<<32 | trip_ratio_ppm.
-                       // VPOOL circuit breaker: trip a replica whose rejected/
-                       // errored fraction over the window reaches the ratio
-                       // once min_volume outcomes have been observed.
   kSetAvoidReplica,    // in u64: replica index the NEXT VPOOL pick must avoid
                        // (one-shot; consumed by the next push). Used by hedging.
   kGetLastPick,        // out u64: replica index chosen by the most recent push

@@ -26,9 +26,7 @@ void Session::NoteActivity() {
 
 Status Session::Push(Message& msg) {
   Kernel& k = kernel();
-  ProtoCounters& c = owner_.counters();
-  ++c.msgs_out;
-  c.bytes_out += msg.length();
+  ++owner_.counters().msgs_out;
   NoteActivity();
   TraceSpan span(k.trace_sink(), k, TraceOp::kPush, owner_, this, &msg);
   k.ChargeLayerCross();
@@ -86,7 +84,6 @@ Protocol::~Protocol() {
 }
 
 Result<SessionRef> Protocol::Open(Protocol& hlp, const ParticipantSet& parts) {
-  ++counters_.opens;
   TraceSpan span(kernel_.trace_sink(), kernel_, TraceOp::kOpen, *this, nullptr, nullptr);
   kernel_.ChargeProcCall();
   Result<SessionRef> r = DoOpen(hlp, parts);
@@ -99,7 +96,6 @@ void Protocol::OpenAsync(Protocol& hlp, const ParticipantSet& parts, OpenCallbac
 }
 
 Status Protocol::OpenEnable(Protocol& hlp, const ParticipantSet& parts) {
-  ++counters_.open_enables;
   kernel_.ChargeProcCall();
   return DoOpenEnable(hlp, parts);
 }
@@ -112,7 +108,6 @@ Status Protocol::OpenDisable(Protocol& hlp, const ParticipantSet& parts) {
 
 Status Protocol::Demux(Session* lls, Message& msg) {
   ++counters_.msgs_in;
-  counters_.bytes_in += msg.length();
   TraceSpan span(kernel_.trace_sink(), kernel_, TraceOp::kDemux, *this, lls, &msg);
   kernel_.ChargeLayerCross();
   Status s = DoDemux(lls, msg);
@@ -298,22 +293,6 @@ uint64_t Protocol::EvictIdle(SimTime min_idle) {
     }
   }
   return dropped;
-}
-
-void Protocol::ExportCounters(const CounterEmit& emit) const {
-  emit("msgs_out", counters_.msgs_out);
-  emit("bytes_out", counters_.bytes_out);
-  emit("msgs_in", counters_.msgs_in);
-  emit("bytes_in", counters_.bytes_in);
-  emit("opens", counters_.opens);
-  emit("open_enables", counters_.open_enables);
-  emit("demux_drops", counters_.demux_drops);
-  emit("map_hits", counters_.map_hits);
-  emit("map_misses", counters_.map_misses);
-  if (idle_.capable) {
-    emit("idle_evictions", idle_.evicted);
-    emit("idle_declined", idle_.declined);
-  }
 }
 
 // ---------------------------------------------------------------------------

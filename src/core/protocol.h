@@ -27,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/core/control.h"
@@ -50,23 +49,16 @@ using SessionRef = std::shared_ptr<Session>;
 using OpenCallback = std::function<void(Result<SessionRef>)>;
 
 // Generic per-protocol traffic counters, maintained unconditionally at the
-// non-virtual entry points (host bookkeeping only -- never charged to the
-// simulated CPU). Protocol-specific statistics ride along via
-// Protocol::ExportCounters overrides.
+// non-virtual entry points and by the protocol's DemuxMaps (host bookkeeping
+// only -- never charged to the simulated CPU). Protocol-specific statistics
+// live in each protocol's own typed accessors (stats(), ...).
 struct ProtoCounters {
   uint64_t msgs_out = 0;     // messages entering a session's Push
-  uint64_t bytes_out = 0;
   uint64_t msgs_in = 0;      // messages entering the protocol's Demux
-  uint64_t bytes_in = 0;
-  uint64_t opens = 0;        // active Open calls (including cache hits)
-  uint64_t open_enables = 0;
   uint64_t demux_drops = 0;  // Demux calls that returned an error
   uint64_t map_hits = 0;     // charged DemuxMap resolves that found a binding
   uint64_t map_misses = 0;
 };
-
-// Receives one (name, value) pair per counter during ExportCounters.
-using CounterEmit = std::function<void(std::string_view name, uint64_t value)>;
 
 // ---------------------------------------------------------------------------
 // Session
@@ -234,10 +226,6 @@ class Protocol {
   ProtoCounters& counters() { return counters_; }
   const ProtoCounters& counters() const { return counters_; }
 
-  // Emits every counter this protocol maintains, generic ones first.
-  // Overrides call the base, then emit their protocol-specific statistics.
-  virtual void ExportCounters(const CounterEmit& emit) const;
-
   // --- idle-session eviction --------------------------------------------------
   //
   // Generic sim-clock LRU over this protocol's sessions. Session-owning
@@ -246,7 +234,7 @@ class Protocol {
   // timeout (ControlOp::kSetIdleTimeout) a one-shot sweep timer fires at the
   // cold end's deadline and asks the protocol to drop its owning references
   // (EvictSession); ControlOp::kEvictIdle sweeps immediately. Each eviction
-  // is charged as a session destroy and counted in ExportCounters. A session
+  // is charged as a session destroy and counted in idle_evictions(). A session
   // that declines (CanEvict / EvictSession veto) is parked off the list until
   // its next activity relinks it, so an unevictable session never keeps the
   // sweep timer -- or the simulation -- alive.

@@ -72,7 +72,6 @@ void EthProtocol::Transmit(Message& msg) {
   // simulated cost -- it lets wire records and the receiving host's spans
   // name the sender's message.
   frame->trace_msg_id = msg.trace_id();
-  ++frames_out_;
   segment_.Transmit(attach_id_, std::move(frame), kernel().cpu().now());
 }
 
@@ -137,12 +136,6 @@ Status EthProtocol::DoDemux(Session* lls, Message& msg) {
     sess = created;
   }
   return sess->Pop(msg, nullptr);
-}
-
-void EthProtocol::ExportCounters(const CounterEmit& emit) const {
-  Protocol::ExportCounters(emit);
-  emit("frames_out", frames_out_);
-  emit("frames_in", frames_in_);
 }
 
 Status EthProtocol::DoControl(ControlOp op, ControlArgs& args) {

@@ -46,8 +46,6 @@ class EthProtocol final : public Protocol, public FrameSink {
   // --- statistics -------------------------------------------------------------
   uint64_t frames_in() const { return frames_in_; }
 
-  void ExportCounters(const CounterEmit& emit) const override;
-
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;
   Status DoOpenEnable(Protocol& hlp, const ParticipantSet& parts) override;
@@ -69,7 +67,6 @@ class EthProtocol final : public Protocol, public FrameSink {
   int attach_id_;
   DemuxMap<Key> active_;
   DemuxMap<EthType, Protocol*> passive_;
-  uint64_t frames_out_ = 0;
   uint64_t frames_in_ = 0;
 };
 

@@ -3,39 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "src/trace/json_util.h"
-
 namespace xk {
-
-namespace {
-
-// Appends one host's `{"host":"client","protocols":[{"protocol":"eth",
-// "counters":{...}},...]}`: the generic traffic counters every Protocol keeps
-// at its entry points plus whatever its ExportCounters() override adds.
-void AppendHostCountersJson(std::string& out, const Kernel& kernel) {
-  out += "{\"host\":";
-  JsonAppendEscaped(out, kernel.host_name());
-  out += ",\"protocols\":[";
-  bool first_proto = true;
-  kernel.ForEachProtocol([&](const Protocol& p) {
-    if (!first_proto) {
-      out += ',';
-    }
-    first_proto = false;
-    out += "{\"protocol\":";
-    JsonAppendEscaped(out, p.name());
-    out += ",\"counters\":{";
-    bool first_field = true;
-    p.ExportCounters([&](std::string_view name, uint64_t value) {
-      JsonAppendField(out, name, value, first_field);
-      first_field = false;
-    });
-    out += "}}";
-  });
-  out += "]}";
-}
-
-}  // namespace
 
 Internet::Internet(HostEnv default_env, uint64_t seed)
     : default_env_(default_env),
@@ -234,56 +202,6 @@ void Internet::SetDefaultGateway(const std::string& host_name, IpAddr gw) {
   HostEntry& e = FindEntry(host_name);
   e.gateway = gw;
   e.stack.kernel->RunTask(events_.now(), [&]() { e.stack.ip->SetDefaultGateway(gw); });
-}
-
-std::string Internet::CountersJson() const {
-  std::string out;
-  out += "{\"schema_version\":1,\"hosts\":[";
-  bool first = true;
-  for (const HostEntry& e : hosts_) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendHostCountersJson(out, *e.stack.kernel);
-  }
-  out += "],\"links\":[";
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    const EthernetSegment& s = *segments_[i];
-    if (i > 0) {
-      out += ',';
-    }
-    out += "{\"segment\":" + std::to_string(i);
-    out += ",\"frames_sent\":" + std::to_string(s.frames_sent());
-    out += ",\"bytes_sent\":" + std::to_string(s.bytes_sent());
-    out += ",\"frames_dropped\":" + std::to_string(s.frames_dropped());
-    out += ",\"random_drops\":" + std::to_string(s.random_drops());
-    out += ",\"fault_drops\":" + std::to_string(s.fault_drops());
-    out += ",\"fault_duplicates\":" + std::to_string(s.fault_duplicates());
-    out += ",\"fault_corruptions\":" + std::to_string(s.fault_corruptions());
-    out += ",\"fault_delays\":" + std::to_string(s.fault_delays());
-    out += ",\"down_drops\":" + std::to_string(s.down_drops());
-    out += ",\"bus_busy_ns\":" + std::to_string(s.bus_busy_time());
-    // Utilization over the full simulated span, parts-per-million (integer,
-    // so the document stays byte-stable).
-    const SimTime elapsed = events_.now();
-    const uint64_t util_ppm =
-        elapsed > 0 ? static_cast<uint64_t>(s.bus_busy_time()) * 1000000u /
-                          static_cast<uint64_t>(elapsed)
-                    : 0;
-    out += ",\"utilization_ppm\":" + std::to_string(util_ppm);
-    out += ",\"queued_frames\":" + std::to_string(s.queued_frames());
-    out += ",\"peak_queue_depth\":" + std::to_string(s.peak_queue_depth());
-    out += ",\"mean_queue_depth_x1000\":" + std::to_string(s.mean_queue_depth_x1000());
-    const Histogram& qw = s.queue_wait();
-    out += ",\"queue_wait_p50_ns\":" + std::to_string(qw.P50());
-    out += ",\"queue_wait_p99_ns\":" + std::to_string(qw.P99());
-    out += ",\"queue_wait_p999_ns\":" + std::to_string(qw.P999());
-    out += ",\"queue_wait_max_ns\":" + std::to_string(qw.max());
-    out += "}";
-  }
-  out += "]}\n";
-  return out;
 }
 
 HostStack& Internet::host(const std::string& name) { return FindEntry(name).stack; }

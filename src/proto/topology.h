@@ -102,11 +102,8 @@ class Internet {
   // The constructor picks up TraceSink::thread_default() and
   // PacketCapture::thread_default() and attaches them to every kernel and
   // segment added later: to observe an experiment, install the defaults
-  // before building it.
-
-  // Per-protocol counters for every host plus per-link statistics (including
-  // fault-injection outcomes), as one JSON document.
-  std::string CountersJson() const;
+  // before building it. Counters are read where they live: each protocol's
+  // counters()/stats() and each segment's getters.
 
   // --- access -----------------------------------------------------------------
   // The simulation's single event queue, shared by every kernel and segment.

@@ -52,20 +52,9 @@ class PsyncProtocol : public Protocol {
   Result<PsyncConversation*> Join(uint32_t conv_id, std::vector<IpAddr> others);
 
   struct Stats {
-    uint64_t sent = 0;
     uint64_t copies_sent = 0;  // sent x (N-1) participants
-    uint64_t delivered = 0;
-    uint64_t duplicates_dropped = 0;
   };
   const Stats& stats() const { return stats_; }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("sent", stats_.sent);
-    emit("copies_sent", stats_.copies_sent);
-    emit("delivered", stats_.delivered);
-    emit("duplicates_dropped", stats_.duplicates_dropped);
-  }
 
  protected:
   Status DoDemux(Session* lls, Message& msg) override;

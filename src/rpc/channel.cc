@@ -321,7 +321,6 @@ void ChannelSession::OnTimeout() {
   ++chan_.stats_.timeouts;
   if (pending_->deadline != 0 && kernel().now() >= pending_->deadline) {
     // The deadline passed: retransmitting buys nothing the caller can use.
-    ++chan_.stats_.deadline_giveups;
     FailPending(StatusCode::kDeadlineExceeded);
     return;
   }
@@ -334,7 +333,6 @@ void ChannelSession::OnTimeout() {
     // means the stack as a whole is retrying more than its configured ratio
     // -- give this call up instead of joining the storm.
     if (chan_.retry_tokens_ppm_ < kTokenPpm) {
-      ++chan_.stats_.budget_giveups;
       FailPending(StatusCode::kResourceExhausted);
       return;
     }
@@ -371,7 +369,6 @@ Status ChannelSession::DoPush(Message& msg) {
     }
     in_progress_ = !exec_seqs_.empty();
     if (exec_seq != recv_seq_) {
-      ++chan_.stats_.abandoned_replies;
       return OkStatus();
     }
     // A nonzero wire_error (admission fast-reject, shed) rides the header's
@@ -387,7 +384,6 @@ Status ChannelSession::DoPush(Message& msg) {
   if (msg.deadline() != 0 && kernel().now() >= msg.deadline()) {
     // Already expired (e.g. queued behind a full channel pool): don't waste
     // a wire exchange on an answer nobody will wait for.
-    ++chan_.stats_.deadline_giveups;
     if (TraceSink* ts = kernel().trace_sink()) {
       ts->RecordEvent(kernel(), TraceOp::kGiveUp, chan_.name(), kernel().now(), 0, &msg, this, 0,
                       StatusCode::kDeadlineExceeded);
@@ -448,7 +444,6 @@ Status ChannelSession::HandleRequest(uint32_t seq, uint32_t boot_id, Message& pa
     // Answer with a cheap error reply instead of charging execution -- the
     // client has already given up (or is about to), so running the handler
     // would only push the server deeper into overload.
-    ++chan_.stats_.deadline_sheds;
     if (TraceSink* ts = kernel().trace_sink()) {
       ts->RecordEvent(kernel(), TraceOp::kShed, chan_.name(), kernel().now(), 0, &payload, this,
                       0, StatusCode::kDeadlineExceeded);
@@ -491,7 +486,6 @@ Status ChannelSession::HandleReply(uint16_t flags, uint32_t seq, uint16_t error,
     kernel().CancelTimer(pending_->timer);
     Message req = std::move(pending_->request);
     pending_.reset();
-    ++chan_.stats_.reject_replies;
     ++chan_.stats_.call_failures;
     NoteActivity();
     // Wake the blocked calling shepherd to observe the failure.
@@ -519,7 +513,6 @@ Status ChannelSession::HandleReply(uint16_t flags, uint32_t seq, uint16_t error,
   }
   kernel().CancelTimer(pending_->timer);
   pending_.reset();
-  ++chan_.stats_.replies_received;
   // Wake the blocked calling shepherd.
   kernel().ChargeSemOp();
   kernel().ChargeProcessSwitch();

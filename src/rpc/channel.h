@@ -156,7 +156,6 @@ class ChannelProtocol final : public Protocol {
 
   struct Stats {
     uint64_t calls_sent = 0;
-    uint64_t replies_received = 0;
     uint64_t requests_executed = 0;
     uint64_t retransmissions = 0;
     uint64_t duplicates_suppressed = 0;  // duplicate requests NOT re-executed
@@ -167,13 +166,6 @@ class ChannelProtocol final : public Protocol {
     uint64_t boot_resets = 0;
     uint64_t stale_drops = 0;  // old-sequence packets discarded
     uint64_t timeouts = 0;     // retransmit timer expirations
-    // Overload control (all zero unless deadlines/budgets are configured).
-    uint64_t deadline_giveups = 0;  // client stopped calling/retrying: deadline
-    uint64_t deadline_sheds = 0;    // server shed an already-expired request
-    uint64_t budget_giveups = 0;    // retry budget empty at retransmit time
-    uint64_t reject_replies = 0;    // error replies completing a call (BUSY etc.)
-    uint64_t abandoned_replies = 0;  // server replies to requests the client
-                                     // had already abandoned (dropped)
   };
   const Stats& stats() const { return stats_; }
 
@@ -183,27 +175,6 @@ class ChannelProtocol final : public Protocol {
   // Idle age after which no retransmission of an already-answered request can
   // still arrive, so a channel holding a saved reply becomes safe to evict.
   SimTime EvictQuarantine() const;
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("calls_sent", stats_.calls_sent);
-    emit("replies_received", stats_.replies_received);
-    emit("requests_executed", stats_.requests_executed);
-    emit("retransmissions", stats_.retransmissions);
-    emit("duplicates_suppressed", stats_.duplicates_suppressed);
-    emit("replies_resent", stats_.replies_resent);
-    emit("explicit_acks_sent", stats_.explicit_acks_sent);
-    emit("explicit_acks_received", stats_.explicit_acks_received);
-    emit("call_failures", stats_.call_failures);
-    emit("boot_resets", stats_.boot_resets);
-    emit("stale_drops", stats_.stale_drops);
-    emit("timeouts", stats_.timeouts);
-    emit("deadline_giveups", stats_.deadline_giveups);
-    emit("deadline_sheds", stats_.deadline_sheds);
-    emit("budget_giveups", stats_.budget_giveups);
-    emit("reject_replies", stats_.reject_replies);
-    emit("abandoned_replies", stats_.abandoned_replies);
-  }
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;

@@ -326,7 +326,6 @@ Status FragmentSession::CompleteReassembly(Reasm& r) {
   kernel().CancelTimer(r.gap_timer);
   recent_done_[recent_count_++ % kRecentWindow] = r.seq;
   Release(r);
-  ++frag_.stats_.messages_delivered;
   return DeliverUp(whole);
 }
 
@@ -348,7 +347,6 @@ Status FragmentSession::HandlePacket(uint8_t type, uint32_t seq, uint16_t num_fr
     // Fast path: single-fragment message, no reassembly state at all (one
     // duplicate-window probe).
     kernel().ChargeMapResolve();
-    ++frag_.stats_.messages_delivered;
     return DeliverUp(payload);
   }
   // A corrupted mask that names no fragment of its own message is rejected

@@ -1,21 +1,6 @@
 #include "src/rpc/rdp.h"
 
-#include "src/rpc/channel.h"
-
 namespace xk {
-
-void RdpProtocol::ExportCounters(const CounterEmit& emit) const {
-  Protocol::ExportCounters(emit);
-  emit("datagrams_sent", stats_.datagrams_sent);
-  emit("datagrams_delivered", stats_.datagrams_delivered);
-  emit("send_failures", stats_.send_failures);
-  // Counter export runs outside any task (it may not charge), so read the
-  // CHANNEL's stats directly rather than going through Control.
-  if (const auto* ch = dynamic_cast<const ChannelProtocol*>(lower(0))) {
-    emit("retransmits", ch->stats().retransmissions);
-    emit("timeouts", ch->stats().timeouts);
-  }
-}
 
 RdpProtocol::RdpProtocol(Kernel& kernel, Protocol* lower, std::string name)
     : Protocol(kernel, std::move(name), {lower}), active_(*this), sends_(*this) {
@@ -134,7 +119,6 @@ void RdpProtocol::SessionError(Session& lls, Status error, const Message* reques
   (void)request;
   if (SessionRef sender = sends_.Take(&lls)) {
     ReleaseChannelFor(&lls);
-    ++stats_.send_failures;
     auto* sess = static_cast<RdpSession*>(sender.get());
     if (sess->hlp() != nullptr) {
       sess->hlp()->SessionError(*sess, error, nullptr);
@@ -155,7 +139,6 @@ Status RdpSession::DoPush(Message& msg) {
     return pool_r.status();
   }
   RdpProtocol::Pool* pool = *pool_r;
-  ++rdp_.stats_.datagrams_sent;
   pool->available->P([this, pool, msg]() mutable {
     size_t index = 0;
     kernel().ChargeMapResolve();

@@ -135,27 +135,13 @@ class SelectProtocol : public Protocol {
   void SessionError(Session& lls, Status error, const Message* request) override;
 
   struct Stats {
-    uint64_t calls = 0;
-    uint64_t returns = 0;
-    uint64_t served = 0;
     uint64_t no_such_command = 0;
     uint64_t blocked_on_channel = 0;  // calls that waited for a free channel
-    uint64_t expired_in_queue = 0;    // shed while waiting for a free channel
   };
   const Stats& stats() const { return stats_; }
 
   // Live client + server SelectSessions (slab-pooled).
   size_t live_sessions() const { return client_pool_.live() + server_pool_.live(); }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("calls", stats_.calls);
-    emit("returns", stats_.returns);
-    emit("served", stats_.served);
-    emit("no_such_command", stats_.no_such_command);
-    emit("blocked_on_channel", stats_.blocked_on_channel);
-    emit("expired_in_queue", stats_.expired_in_queue);
-  }
 
   int free_channels(IpAddr server) const;
 

@@ -181,7 +181,6 @@ void SpriteRpcProtocol::OnTimeout(IpAddr server, size_t index) {
   }
   ClientChannel& chan = it->second.channels[index];
   if (chan.retries >= kRetryLimit) {
-    ++stats_.call_failures;
     auto caller = chan.caller;
     ReleaseChannel(it->second, index);
     if (caller != nullptr && caller->hlp() != nullptr) {
@@ -452,7 +451,6 @@ Status SpriteRpcProtocol::HandleReplyOrAck(const Header& hdr, Message& payload) 
   kernel().CancelTimer(chan.timer);
   auto caller = chan.caller;
   ReleaseChannel(pool, hdr.channel);
-  ++stats_.replies_received;
   // Wake the blocked calling shepherd.
   kernel().ChargeSemOp();
   kernel().ChargeProcessSwitch();

@@ -61,7 +61,6 @@ class SpriteRpcProtocol : public Protocol {
 
   struct Stats {
     uint64_t calls_sent = 0;
-    uint64_t replies_received = 0;
     uint64_t requests_executed = 0;
     uint64_t fragments_sent = 0;
     uint64_t retransmissions = 0;        // timeout-driven fragment resends
@@ -69,27 +68,10 @@ class SpriteRpcProtocol : public Protocol {
     uint64_t duplicates_suppressed = 0;  // duplicate requests not re-executed
     uint64_t replies_resent = 0;
     uint64_t explicit_acks_sent = 0;
-    uint64_t call_failures = 0;
     uint64_t boot_resets = 0;
     uint64_t blocked_on_channel = 0;
   };
   const Stats& stats() const { return stats_; }
-
-  void ExportCounters(const CounterEmit& emit) const override {
-    Protocol::ExportCounters(emit);
-    emit("calls_sent", stats_.calls_sent);
-    emit("replies_received", stats_.replies_received);
-    emit("requests_executed", stats_.requests_executed);
-    emit("fragments_sent", stats_.fragments_sent);
-    emit("retransmissions", stats_.retransmissions);
-    emit("selective_resends", stats_.selective_resends);
-    emit("duplicates_suppressed", stats_.duplicates_suppressed);
-    emit("replies_resent", stats_.replies_resent);
-    emit("explicit_acks_sent", stats_.explicit_acks_sent);
-    emit("call_failures", stats_.call_failures);
-    emit("boot_resets", stats_.boot_resets);
-    emit("blocked_on_channel", stats_.blocked_on_channel);
-  }
 
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override;

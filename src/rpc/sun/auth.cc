@@ -74,7 +74,6 @@ Status AuthProtocolBase::DoDemux(Session* lls, Message& msg) {
   const bool existing_client = sess != nullptr && !static_cast<AuthSession*>(sess.get())->server_side();
 
   if (flavor == kFlavorReject) {
-    ++stats_.reject_notices;
     if (sess != nullptr && sess->hlp() != nullptr) {
       sess->hlp()->SessionError(*sess, ErrStatus(StatusCode::kRejected), nullptr);
     }

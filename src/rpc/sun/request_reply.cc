@@ -144,14 +144,11 @@ void RequestReplySession::OnTimeout(uint32_t xid) {
     return;
   }
   PendingCall& call = it->second;
-  ++rr_.stats_.timeouts;
   // Deadline check before the retry check: retransmitting a call nobody is
   // waiting for anymore only adds load. Sun RPC has no deadline wire format,
   // so this is purely the client giving up (the server still runs zero-or-
   // more semantics on whatever already reached it).
   if (call.deadline != 0 && kernel().now() >= call.deadline) {
-    ++rr_.stats_.deadline_giveups;
-    ++rr_.stats_.call_failures;
     pending_.erase(it);
     if (hlp() != nullptr) {
       hlp()->SessionError(*this, ErrStatus(StatusCode::kDeadlineExceeded), nullptr);
@@ -159,7 +156,6 @@ void RequestReplySession::OnTimeout(uint32_t xid) {
     return;
   }
   if (call.retries >= RequestReplyProtocol::kRetryLimit) {
-    ++rr_.stats_.call_failures;
     pending_.erase(it);
     if (hlp() != nullptr) {
       hlp()->SessionError(*this, ErrStatus(StatusCode::kTimeout), nullptr);
@@ -210,12 +206,10 @@ Status RequestReplySession::HandlePacket(uint8_t type, uint32_t xid, Message& pa
   if (type == kTypeReply) {
     auto it = pending_.find(xid);
     if (it == pending_.end()) {
-      ++rr_.stats_.stale_replies;  // duplicate reply from a re-execution
-      return OkStatus();
+      return OkStatus();  // duplicate reply from a re-execution
     }
     kernel().CancelTimer(it->second.timer);
     pending_.erase(it);
-    ++rr_.stats_.replies_received;
     kernel().ChargeSemOp();
     kernel().ChargeProcessSwitch();
     return DeliverUp(payload);

@@ -114,7 +114,6 @@ Status SunSelectProtocol::DoDemux(Session* lls, Message& msg) {
     if (wit->second.empty()) {
       waiting_.erase(wit);
     }
-    ++stats_.returns;
     kernel().ChargeMapResolve();
     if (status != kStatusOk) {
       if (caller->hlp() != nullptr) {
@@ -159,7 +158,6 @@ Status SunSelectProtocol::DoDemux(Session* lls, Message& msg) {
   auto* ss = static_cast<SunSelectServerSession*>(server_sess.get());
   ss->SetCurrent(prog, vers, proc);
   ss->set_hlp(hlp);
-  ++stats_.served;
   return server_sess->Pop(msg, lls);
 }
 
@@ -208,7 +206,6 @@ Status SunSelectSession::DoPush(Message& msg) {
   w.PutU8(SunSelectProtocol::kStatusOk);
   kernel().ChargeHdrStore(SunSelectProtocol::kHeaderSize);
   msg.PushHeader(raw);
-  ++sel_.stats_.calls;
   sel_.waiting_[SunSelectProtocol::Key{server_, prog_, vers_, proc_}].push_back(Ref());
   kernel().ChargeMapBind();
   return (*lower)->Push(msg);

@@ -132,9 +132,6 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
       const DeliveryFault fault =
           fault_hook_ ? fault_hook_(*shared, rid, index, arrival) : DeliveryFault();
       const SimTime at = arrival + fault.extra_delay;
-      if (fault.extra_delay > 0) {
-        ++fault_delays_;
-      }
       switch (fault.verdict) {
         case LinkFault::kDrop:
           ++frames_dropped_;
@@ -182,7 +179,6 @@ void EthernetSegment::ResetStats() {
   fault_drops_ = 0;
   fault_duplicates_ = 0;
   fault_corruptions_ = 0;
-  fault_delays_ = 0;
   down_drops_ = 0;
   bus_busy_time_ = 0;
   queued_frames_ = 0;

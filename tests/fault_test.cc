@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -181,9 +182,17 @@ TEST(FaultPlanTest, ParseRejectsGarbageSegment) {
 
 // --- determinism --------------------------------------------------------------
 
-// Runs a fixed echo workload and returns (CountersJson, events_fired).
-std::pair<std::string, uint64_t> RunEchoWorkload(const FaultPlan* plan) {
-  RpcFixture fix;
+// Runs a fixed echo workload and returns its fingerprint: the full trace and
+// packet capture of the run plus the number of events fired.
+std::string RunEchoWorkload(const FaultPlan* plan) {
+  TraceSink sink;
+  PacketCapture capture;
+  std::unique_ptr<Internet> net;
+  {
+    ScopedObservers obs(&sink, &capture);
+    net = Internet::TwoHosts();
+  }
+  RpcFixture fix(std::move(net));
   fix.Build(kLRpcVip);
   std::optional<FaultEngine> engine;
   if (plan != nullptr) {
@@ -193,33 +202,36 @@ std::pair<std::string, uint64_t> RunEchoWorkload(const FaultPlan* plan) {
     Result<Message> r = fix.CallSync(1, Message::FromBytes(PatternBytes(256, uint8_t(i))));
     EXPECT_TRUE(r.ok()) << "call " << i;
   }
-  return {fix.net->CountersJson(), fix.net->events_fired()};
+  return sink.ToJsonl() + capture.ToJsonl() + std::to_string(fix.net->events_fired());
 }
 
 TEST(FaultEngineTest, WindowOutsideTheWorkloadPerturbsNothing) {
   // The engine consults its RNG only while a clause's window is active, so a
   // fault window scheduled long after the workload ends must leave the run
-  // bit-identical to a fault-free one -- counters and event counts included.
-  const auto baseline = RunEchoWorkload(nullptr);
+  // bit-identical to a fault-free one -- every span, frame and event count.
+  const std::string baseline = RunEchoWorkload(nullptr);
 
   FaultPlan inert;
   inert.DropWindow(0, Sec(100), Sec(101), 1.0)
       .GilbertElliott(-1, Sec(200), Sec(201), 0.5, 0.5, 0.1, 0.9)
       .CorruptWindow(0, Sec(300), Sec(301), 1.0);
-  const auto with_inert_faults = RunEchoWorkload(&inert);
+  EXPECT_EQ(RunEchoWorkload(&inert), baseline);
+}
 
-  EXPECT_EQ(with_inert_faults.first, baseline.first);
-  EXPECT_EQ(with_inert_faults.second, baseline.second);
+TEST(FaultEngineTest, ActiveWindowChangesTheFingerprint) {
+  // The converse, so the fingerprint above cannot pass by never changing: a
+  // drop window over the first calls forces retransmissions, which the trace,
+  // the capture and the event count all show.
+  FaultPlan active;
+  active.DropWindow(0, 0, Msec(20), 1.0);
+  EXPECT_NE(RunEchoWorkload(&active), RunEchoWorkload(nullptr));
 }
 
 TEST(FaultEngineTest, SamePlanSameSeedIsReproducible) {
   FaultPlan plan;
   plan.seed = 11;
   plan.DropWindow(0, 0, Msec(30), 0.3).DuplicateStorm(0, Msec(30), Msec(60), 0.5);
-  const auto a = RunEchoWorkload(&plan);
-  const auto b = RunEchoWorkload(&plan);
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
+  EXPECT_EQ(RunEchoWorkload(&plan), RunEchoWorkload(&plan));
 }
 
 // --- link-fault campaigns over the RPC stack ----------------------------------

@@ -1,5 +1,6 @@
 // Shared helpers for protocol tests: a recording anchor protocol that sits on
-// top of any stack, and small task-context conveniences.
+// top of any stack, a scoped observer install, and small task-context
+// conveniences.
 
 #ifndef XK_TESTS_TEST_UTIL_H_
 #define XK_TESTS_TEST_UTIL_H_
@@ -10,6 +11,8 @@
 
 #include "src/core/kernel.h"
 #include "src/core/protocol.h"
+#include "src/trace/pcap.h"
+#include "src/trace/trace.h"
 
 namespace xk {
 
@@ -51,6 +54,19 @@ class TestAnchor : public Protocol {
       return OkStatus();
     }
     return ErrStatus(StatusCode::kUnsupported);
+  }
+};
+
+// Installs thread-default observers for the duration of a scope: an Internet
+// built inside it attaches them to every kernel and segment.
+struct ScopedObservers {
+  ScopedObservers(TraceSink* sink, PacketCapture* capture) {
+    TraceSink::set_thread_default(sink);
+    PacketCapture::set_thread_default(capture);
+  }
+  ~ScopedObservers() {
+    TraceSink::set_thread_default(nullptr);
+    PacketCapture::set_thread_default(nullptr);
   }
 };
 

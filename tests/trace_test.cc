@@ -10,24 +10,15 @@
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.h"
+#include "src/proto/vip.h"
+#include "src/rpc/channel.h"
 #include "src/tools/trace_reader.h"
 #include "src/trace/pcap.h"
 #include "src/trace/trace.h"
+#include "tests/test_util.h"
 
 namespace xk {
 namespace {
-
-// Installs thread-default observers for the duration of a scope.
-struct ScopedObservers {
-  ScopedObservers(TraceSink* sink, PacketCapture* capture) {
-    TraceSink::set_thread_default(sink);
-    PacketCapture::set_thread_default(capture);
-  }
-  ~ScopedObservers() {
-    TraceSink::set_thread_default(nullptr);
-    PacketCapture::set_thread_default(nullptr);
-  }
-};
 
 // The zero-simulated-cost invariant: a fully traced benchmark run reports
 // bit-identical simulated numbers to an untraced one. Exact floating-point
@@ -76,8 +67,8 @@ TEST(TraceDeterminism, ByteIdenticalAcrossRuns) {
   EXPECT_GT(pcap_a.size(), 100u);
 }
 
-// Fault-injection outcomes are counted per cause on the link, captured with
-// the right verdicts, and surfaced in the counters export.
+// Fault-injection outcomes are counted per cause on the link and captured
+// with the right verdicts.
 TEST(TraceFaults, OutcomesCountedAndCaptured) {
   PacketCapture capture;
   EchoExperiment e;
@@ -111,11 +102,6 @@ TEST(TraceFaults, OutcomesCountedAndCaptured) {
   EXPECT_EQ(capture.verdict_count(CaptureVerdict::kDuplicated), 1u);
   EXPECT_EQ(capture.verdict_count(CaptureVerdict::kCorrupted), 1u);
   EXPECT_GT(capture.verdict_count(CaptureVerdict::kDelivered), 0u);
-
-  const std::string json = e.net->CountersJson();
-  EXPECT_NE(json.find("\"fault_drops\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"fault_duplicates\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"fault_corruptions\":1"), std::string::npos);
 }
 
 // Tracef records a structured log event whenever a sink is attached, whatever
@@ -198,26 +184,10 @@ TEST(TraceCounters, ExportReflectsTraffic) {
   EchoExperiment e = MakeEchoExperiment("channel/fragment/vip");
   (void)RpcWorkload::MeasureLatency(*e.net, *e.ch->kernel, e.MakeCall(), 8);
 
-  uint64_t vip_msgs_out = 0;
-  uint64_t vip_map_hits = 0;
-  e.ch->kernel->ForEachProtocol([&](const Protocol& p) {
-    if (p.name() == "vip") {
-      p.ExportCounters([&](std::string_view name, uint64_t value) {
-        if (name == "msgs_out") {
-          vip_msgs_out = value;
-        } else if (name == "map_hits") {
-          vip_map_hits = value;
-        }
-      });
-    }
-  });
-  EXPECT_GT(vip_msgs_out, 0u);
-  EXPECT_GT(vip_map_hits, 0u);
-
-  const std::string json = e.net->CountersJson();
-  EXPECT_NE(json.find("\"protocol\":\"vip\""), std::string::npos);
-  EXPECT_NE(json.find("\"protocol\":\"channel\""), std::string::npos);
-  EXPECT_NE(json.find("\"calls_sent\":8"), std::string::npos) << json;
+  const ProtoCounters& vip = e.cstack.Get<VipProtocol>()->counters();
+  EXPECT_GT(vip.msgs_out, 0u);
+  EXPECT_GT(vip.map_hits, 0u);
+  EXPECT_EQ(e.cstack.Get<ChannelProtocol>()->stats().calls_sent, 8u);
 }
 
 }  // namespace
