@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Host-speed A/B: a committed revision against this checkout, in pairs.
 
-  scripts/host_ab.py REV --workload W [--pairs N] [--seconds S] [--seed0 K]
+  scripts/host_ab.py REV --workload W [--pairs N] [--seconds S] [--seed0 K] [--trace 0|1]
   scripts/host_ab.py --selftest
 
 Run from anywhere inside a checkout. REV's committed files are exported
@@ -19,6 +19,15 @@ needs the change to win at least 9 pairs in 10 and its median to sit further
 from REV's than REV's interquartile range is wide; anything else is "-". The
 IQR column says where this checkout's median falls against REV's [q1, q3]:
 inside, better or worse.
+
+With --trace 1, each pair also runs both sides once more with `--trace 1`
+(same seed, same alternation), and a second table prints every per-layer
+metric BENCHMARK.json declares that the traced runs report (e.g.
+core.bytes_per_session, sim.events_per_op, core.crossings_per_op,
+core.map_probe_max): REV's median beside this checkout's and the change in
+percent. It is evidence for naming the layer a change moved, with no verdict:
+the traced ladder's host times come from one traced run each. The end-to-end
+table and its verdict use only the untraced runs.
 """
 
 import argparse
@@ -71,9 +80,10 @@ def verdict(parent, change, direction):
             "iqr": where}
 
 
-def end_to_end_metrics(root):
+def declared_metrics(root, kind):
+    """(name, better) of every `kind` ("end_to_end" or "per_layer") metric."""
     with open(os.path.join(root, "BENCHMARK.json")) as f:
-        return [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+        return [(m["name"], m["better"]) for m in json.load(f)[kind]]
 
 
 def export(rev, dest):
@@ -86,23 +96,33 @@ def export(rev, dest):
     return dest
 
 
-def run_side(root, workload, seed, seconds):
+def parse_result(stdout):
+    """The metrics dict ({name: value}) of a run's output, whose last line is
+    the JSON result, or None when that line is missing, malformed or not a
+    correct result."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        return None
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        return None
+    if not isinstance(result, dict) or result.get("correct") is not True:
+        return None
+    return {name: m["value"] for name, m in result.get("metrics", {}).items()}
+
+
+def run_side(root, workload, seed, seconds, trace=0):
     """One hostbench run in checkout `root`; returns its metrics dict."""
     cmd = [sys.executable, "hostbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
-    lines = proc.stdout.strip().splitlines()
-    result = None
-    if lines:
-        try:
-            result = json.loads(lines[-1])
-        except ValueError:
-            result = None
-    if proc.returncode != 0 or result is None or result.get("correct") is not True:
+    metrics = parse_result(proc.stdout)
+    if proc.returncode != 0 or metrics is None:
         sys.stderr.write(proc.stdout)
         raise RuntimeError("%s: seed %d exited %d without a correct result"
                            % (root, seed, proc.returncode))
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return metrics
 
 
 def fmt(v):
@@ -123,18 +143,50 @@ def print_table(workload, rev, rows):
                  r["verdict"]))
 
 
+def per_layer_rows(metrics, parent_runs, change_runs):
+    """(name, parent median, change median, change %) for every per-layer
+    metric both sides' traced runs report, in `metrics` order."""
+    rows = []
+    for name, _ in metrics:
+        p = [r[name] for r in parent_runs if name in r]
+        c = [r[name] for r in change_runs if name in r]
+        if not p or not c:
+            continue
+        p_med = statistics.median(p)
+        c_med = statistics.median(c)
+        pct = (c_med - p_med) / p_med * 100 if p_med else float("nan")
+        rows.append((name, p_med, c_med, pct))
+    return rows
+
+
+def print_per_layer(workload, rev, rows, pairs):
+    print()
+    print("%s: per-layer medians of the traced runs, %s vs this checkout, %d per side"
+          " (evidence, no verdict)" % (workload, rev, pairs))
+    print("| metric | %s median | change median | change |" % rev)
+    print("|---|---:|---:|---:|")
+    for name, p_med, c_med, pct in rows:
+        change = "n/a" if pct != pct else "%+.1f%%" % pct  # NaN: the parent reads 0
+        print("| `%s` | %s | %s | %s |" % (name, fmt(p_med), fmt(c_med), change))
+
+
 def compare(args):
-    metrics = end_to_end_metrics(ROOT)
+    metrics = declared_metrics(ROOT, "end_to_end")
     tmp = tempfile.mkdtemp(prefix="host_ab-")
     try:
         parent_root = export(args.rev, tmp)
         sides = {"parent": parent_root, "change": ROOT}
         runs = {"parent": [], "change": []}
+        traced = {"parent": [], "change": []}
         for i in range(args.pairs):
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run_side(sides[side], args.workload, seed, args.seconds))
+            if args.trace:
+                for side in order:
+                    traced[side].append(run_side(sides[side], args.workload, seed,
+                                                 args.seconds, trace=1))
             sys.stderr.write("pair %d/%d (seed %d): %s\n" % (
                 i + 1, args.pairs, seed,
                 ", ".join("%s %s -> %s" % (name, fmt(runs["parent"][-1][name]),
@@ -145,6 +197,11 @@ def compare(args):
             rows.append((name, verdict([r[name] for r in runs["parent"]],
                                        [r[name] for r in runs["change"]], direction)))
         print_table(args.workload, args.rev, rows)
+        if args.trace:
+            print_per_layer(args.workload, args.rev,
+                            per_layer_rows(declared_metrics(ROOT, "per_layer"),
+                                           traced["parent"], traced["change"]),
+                            args.pairs)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
@@ -180,6 +237,26 @@ def selftest():
     # Ties are not wins.
     r = verdict(base, list(base), "higher")
     check("ties", (r["verdict"], r["wins"], r["pct"]), ("-", 0, 0.0))
+    # A traced run's output: build chatter, then the JSON result line.
+    traced = ("hostbench: session-churn seed 5\n" + json.dumps({
+        "correct": True, "attempted": 10, "failed": 0, "metrics": {
+            "peak_rss_mb": {"value": 55.0, "unit": "MB"},
+            "core.bytes_per_session": {"value": 148.95, "unit": "B"},
+            "core.map_probe_max": {"value": 19, "unit": "count"}}}) + "\n")
+    parsed = parse_result(traced)
+    check("traced parse", parsed,
+          {"peak_rss_mb": 55.0, "core.bytes_per_session": 148.95, "core.map_probe_max": 19})
+    check("incorrect result", parse_result(traced.replace("true", "false")), None)
+    check("no result line", parse_result("build failed\n"), None)
+    layers = [("core.bytes_per_session", "lower"), ("sim.events_per_op", "lower"),
+              ("core.map_probe_max", "lower")]
+    parent = [{"core.bytes_per_session": 240.0, "core.map_probe_max": 19},
+              {"core.bytes_per_session": 244.0, "core.map_probe_max": 21}]
+    rows = per_layer_rows(layers, parent, [parsed, parsed])
+    # sim.events_per_op is in neither side's runs, so it has no row.
+    check("per-layer rows", [(n, p, c) for n, p, c, _ in rows],
+          [("core.bytes_per_session", 242.0, 148.95), ("core.map_probe_max", 20.0, 19)])
+    check("per-layer change", round(rows[0][3], 2), -38.45)
     for f in failures:
         print("host_ab selftest: FAIL " + f)
     if failures:
@@ -197,6 +274,8 @@ def main(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed0", type=int, default=1)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: also run each side traced, print per-layer medians")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs wants at least 1 and --seconds a positive number")

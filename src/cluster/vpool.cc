@@ -330,18 +330,18 @@ bool VpoolProtocol::EvictSession(Session& s) {
   // References this protocol's own maps hold: the command binding plus one
   // by_lls_ entry per bound lower. Anything beyond that is a client cache
   // (e.g. ClusterClient) still holding the session -- decline.
-  long expected = active_.Peek(vs.command_).get() == &vs ? 1 : 0;
+  uint32_t expected = active_.Peek(vs.command_).get() == &vs ? 1 : 0;
   for (const SessionRef& lower : vs.lowers_) {
     if (lower != nullptr && by_lls_.Peek(lower.get()).get() == &vs) {
       ++expected;
     }
   }
-  if (static_cast<long>(vs.weak_from_this().use_count()) > expected) {
+  if (vs.refs() > expected) {
     return false;
   }
   // Pin the session so dropping the map references one by one cannot destroy
   // it mid-function; the pin releases (and ~VpoolSession runs) on return.
-  SessionRef pin = vs.weak_from_this().lock();
+  SessionRef pin(&vs);
   // CanEvict already established nothing is in flight, so every cached lower
   // flushes; then drop the command binding (the last owning reference).
   FlushLowers(vs);
@@ -376,7 +376,7 @@ Result<SessionRef> VpoolSession::LowerFor(int idx) {
     return r.status();
   }
   cached = *r;
-  pool_.by_lls_.Bind(cached.get(), std::static_pointer_cast<Session>(Ref()));
+  pool_.by_lls_.Bind(cached.get(), Ref());
   pool_.lls_replica_[cached.get()] = idx;
   pool_.lls_inflight_[cached.get()] = 0;
   return cached;

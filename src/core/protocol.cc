@@ -1,6 +1,7 @@
 #include "src/core/protocol.h"
 
 #include "src/core/kernel.h"
+#include "src/sim/slab_pool.h"
 #include "src/trace/trace.h"
 
 namespace xk {
@@ -16,6 +17,17 @@ Session::~Session() {
   if (idle_linked_) {
     owner_.UnlinkIdle(*this);
   }
+}
+
+void Session::Destroy() {
+  SessionSlab* slab = slab_;
+  if (slab == nullptr) {
+    delete this;
+    return;
+  }
+  void* slot = dynamic_cast<void*>(this);  // the most-derived object's storage
+  this->~Session();
+  slab->Give(slot);
 }
 
 void Session::NoteActivity() {

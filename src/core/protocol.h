@@ -24,9 +24,12 @@
 #ifndef XK_SRC_CORE_PROTOCOL_H_
 #define XK_SRC_CORE_PROTOCOL_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/core/control.h"
@@ -40,9 +43,65 @@ namespace xk {
 class Kernel;
 class Protocol;
 class Session;
+class SessionSlab;
 class TraceSink;
 
-using SessionRef = std::shared_ptr<Session>;
+// A counted reference to a session: one pointer, 8 bytes. The count lives in
+// the session itself (Session::refs()), so a session needs no separate
+// control block, and the last reference to drop destroys it -- back into its
+// SlabPool slot, or off the heap for a session made by NewSession. Copying is
+// an increment and a decrement; there are no weak references. The simulation
+// is single-threaded, so the count is a plain integer.
+template <typename T>
+class SessionPtr {
+ public:
+  SessionPtr() = default;
+  SessionPtr(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  explicit SessionPtr(T* p) : p_(p) { Acquire(p_); }
+  SessionPtr(const SessionPtr& o) : p_(o.p_) { Acquire(p_); }
+  SessionPtr(SessionPtr&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  // Implicit upcast from a ref to a derived session.
+  template <typename U>
+    requires std::is_convertible_v<U*, T*>
+  SessionPtr(const SessionPtr<U>& o) : p_(o.p_) {  // NOLINT(google-explicit-constructor)
+    Acquire(p_);
+  }
+  template <typename U>
+    requires std::is_convertible_v<U*, T*>
+  SessionPtr(SessionPtr<U>&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}  // NOLINT
+  ~SessionPtr() { Drop(p_); }
+
+  SessionPtr& operator=(SessionPtr o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+
+  T* get() const { return p_; }
+  T* operator->() const { return p_; }
+  T& operator*() const { return *p_; }
+  explicit operator bool() const { return p_ != nullptr; }
+
+  // Nulls this ref before dropping, so a destructor the drop runs never sees
+  // the old pointer here.
+  void reset() { Drop(std::exchange(p_, nullptr)); }
+
+  template <typename U>
+  bool operator==(const SessionPtr<U>& o) const {
+    return p_ == o.get();
+  }
+  bool operator==(std::nullptr_t) const { return p_ == nullptr; }
+
+ private:
+  template <typename U>
+  friend class SessionPtr;
+
+  static void Acquire(T* p);
+  static void Drop(T* p);
+
+  T* p_ = nullptr;
+};
+
+using SessionRef = SessionPtr<Session>;
 
 // Completion for asynchronous opens (used when an open must wait for address
 // resolution, e.g. VIP consulting ARP; everything else opens synchronously).
@@ -66,7 +125,7 @@ struct ProtoCounters {
 
 // An instance of a protocol created at run time: the end-point of a network
 // connection. Interprets messages and maintains connection state.
-class Session : public std::enable_shared_from_this<Session> {
+class Session {
  public:
   Session(Protocol& owner, Protocol* hlp);
   virtual ~Session();
@@ -101,7 +160,12 @@ class Session : public std::enable_shared_from_this<Session> {
   // paid once per session instead of once per message.
   Kernel& kernel() const { return kernel_; }
 
-  SessionRef Ref() { return shared_from_this(); }
+  SessionRef Ref() { return SessionRef(this); }
+
+  // References held on this session right now (every SessionPtr, including
+  // temporaries on the stack). Eviction vetoes compare it with the references
+  // the owning protocol's own maps hold.
+  uint32_t refs() const { return refs_; }
 
   // Trace identity, assigned lazily by a TraceSink (0 = never traced).
   uint64_t trace_id() const { return trace_id_; }
@@ -137,10 +201,19 @@ class Session : public std::enable_shared_from_this<Session> {
  private:
   friend class TraceSink;
   friend class Protocol;  // idle-LRU intrusive links
+  template <typename T>
+  friend class SessionPtr;  // the count
+  template <typename T>
+  friend class SlabPool;  // sets slab_
+
+  // The last reference dropped: runs the destructor and frees the storage
+  // (the slab slot when slab_ is set, the heap allocation otherwise).
+  void Destroy();
 
   Protocol& owner_;
   Protocol* hlp_;
   Kernel& kernel_;
+  SessionSlab* slab_ = nullptr;  // the slab holding this session; null = heap
   uint64_t trace_id_ = 0;
 
   // Intrusive idle-LRU state, owned by the owning protocol (head = least
@@ -150,7 +223,29 @@ class Session : public std::enable_shared_from_this<Session> {
   SimTime last_active_ = 0;
   bool idle_eligible_ = false;  // owner called TrackIdle on this session
   bool idle_linked_ = false;    // currently on the owner's LRU list
+  uint32_t refs_ = 0;           // SessionPtrs held on this session
 };
+
+template <typename T>
+void SessionPtr<T>::Acquire(T* p) {
+  if (p != nullptr) {
+    ++static_cast<Session*>(p)->refs_;
+  }
+}
+
+template <typename T>
+void SessionPtr<T>::Drop(T* p) {
+  if (p != nullptr && --static_cast<Session*>(p)->refs_ == 0) {
+    static_cast<Session*>(p)->Destroy();
+  }
+}
+
+// A session in its own heap allocation, freed when its last reference drops.
+// Protocols that churn many sessions use a SlabPool instead.
+template <typename T, typename... Args>
+SessionPtr<T> NewSession(Args&&... args) {
+  return SessionPtr<T>(new T(std::forward<Args>(args)...));
+}
 
 // ---------------------------------------------------------------------------
 // Protocol

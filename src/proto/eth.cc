@@ -31,7 +31,7 @@ Result<SessionRef> EthProtocol::DoOpen(Protocol& hlp, const ParticipantSet& part
     return cached;
   }
   kernel().ChargeSessionCreate();
-  auto sess = std::make_shared<EthSession>(*this, &hlp, *parts.peer.eth, *parts.local.eth_type);
+  auto sess = NewSession<EthSession>(*this, &hlp, *parts.peer.eth, *parts.local.eth_type);
   active_.Bind(key, sess);
   return SessionRef(sess);
 }
@@ -122,7 +122,7 @@ Status EthProtocol::DoDemux(Session* lls, Message& msg) {
     // open_done: passively create the session and notify the enabled
     // protocol so it can attach its own state.
     kernel().ChargeSessionCreate();
-    auto created = std::make_shared<EthSession>(*this, hlp, src, type);
+    auto created = NewSession<EthSession>(*this, hlp, src, type);
     active_.Bind(Key{src, type}, created);
     ParticipantSet parts;
     parts.local.eth = addr_;

@@ -155,7 +155,7 @@ Result<SessionRef> IpProtocol::DoOpen(Protocol& hlp, const ParticipantSet& parts
     mtu = args.u64;
   }
   kernel().ChargeSessionCreate();
-  auto sess = std::make_shared<IpSession>(*this, &hlp, dst, proto, *lower, mtu);
+  auto sess = NewSession<IpSession>(*this, &hlp, dst, proto, *lower, mtu);
   active_.Bind(key, sess);
   return SessionRef(sess);
 }
@@ -322,7 +322,7 @@ Status IpProtocol::DeliverToSession(const IpHeader& hdr, Session* lls, Message& 
       mtu = args.u64;
     }
     kernel().ChargeSessionCreate();
-    auto created = std::make_shared<IpSession>(*this, hlp, hdr.src, hdr.proto, lower, mtu);
+    auto created = NewSession<IpSession>(*this, hlp, hdr.src, hdr.proto, lower, mtu);
     active_.Bind(Key{hdr.src, hdr.proto}, created);
     ParticipantSet parts;
     parts.local.host = hdr.dst;

@@ -43,7 +43,7 @@ bool UdpProtocol::EvictSession(Session& s) {
   auto& us = static_cast<UdpSession&>(s);
   // Only the active map may hold the session; an anchor protocol caching its
   // own ref (or a call still walking the stack) vetoes eviction.
-  if (us.weak_from_this().use_count() > 1) {
+  if (us.refs() > 1) {
     return false;
   }
   active_.Unbind(Key{us.peer_, us.peer_port_, us.local_port_});

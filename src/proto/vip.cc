@@ -208,7 +208,7 @@ bool VipProtocol::EvictSession(Session& s) {
   auto& vs = static_cast<VipSession&>(s);
   // Count the references this protocol's own maps hold; anything beyond those
   // (an upper session using us as its lower, a caller mid-open) vetoes.
-  long expected = 0;
+  uint32_t expected = 0;
   if (vs.eth_sess_ != nullptr && by_lls_.Peek(vs.eth_sess_.get()).get() == &vs) {
     ++expected;
   }
@@ -220,12 +220,12 @@ bool VipProtocol::EvictSession(Session& s) {
     active_bound = true;
     ++expected;
   }
-  if (static_cast<long>(vs.weak_from_this().use_count()) > expected) {
+  if (vs.refs() > expected) {
     return false;
   }
   // Pin: dropping the map references one by one must not destroy the session
   // mid-function; the pin releases (and ~VipSession runs) on return.
-  SessionRef pin = vs.weak_from_this().lock();
+  SessionRef pin(&vs);
   if (vs.eth_sess_ != nullptr) {
     by_lls_.Unbind(vs.eth_sess_.get());
   }
@@ -273,7 +273,7 @@ Status VipSession::DoPush(Message& msg) {
       return r.status();
     }
     ip_sess_ = *r;
-    vip_.by_lls_.Bind(ip_sess_.get(), std::static_pointer_cast<Session>(Ref()));
+    vip_.by_lls_.Bind(ip_sess_.get(), Ref());
   }
   return ip_sess_->Push(msg);
 }

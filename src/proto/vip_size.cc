@@ -108,8 +108,8 @@ Result<SessionRef> VipSizeProtocol::DoOpen(Protocol& hlp, const ParticipantSet& 
     return small_sess.status();
   }
   kernel().ChargeSessionCreate();
-  auto sess = std::make_shared<VipSizeSession>(*this, &hlp, peer, ip_proto, rel_proto,
-                                               *small_sess, nullptr, Threshold());
+  auto sess = NewSession<VipSizeSession>(*this, &hlp, peer, ip_proto, rel_proto,
+                                         *small_sess, nullptr, Threshold());
   active_.Bind(Key{peer, ip_proto}, sess);
   by_lls_.Bind((*small_sess).get(), sess);
   return SessionRef(sess);
@@ -175,8 +175,8 @@ Status VipSizeProtocol::OpenDoneUp(Protocol& llp, SessionRef lls, const Particip
     return OkStatus();
   }
   kernel().ChargeSessionCreate();
-  auto created = std::make_shared<VipSizeSession>(*this, e.hlp, peer, e.ip_proto, e.rel_proto,
-                                                  small_sess, big_sess, Threshold());
+  auto created = NewSession<VipSizeSession>(*this, e.hlp, peer, e.ip_proto, e.rel_proto,
+                                            small_sess, big_sess, Threshold());
   by_lls_.Bind(lls.get(), created);
   if (peer.has_value()) {
     active_.Bind(Key{*peer, e.ip_proto}, created);

@@ -43,7 +43,7 @@ bool ChannelProtocol::EvictSession(Session& s) {
   // channel) hold their own refs; such channels stay until their owner lets
   // go. CanEvict already vetoed in-flight calls and quarantined saved
   // replies.
-  if (cs.weak_from_this().use_count() > 1) {
+  if (cs.refs() > 1) {
     return false;
   }
   active_.Unbind(Key{cs.peer_, cs.channel_, cs.proto_});

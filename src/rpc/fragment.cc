@@ -41,8 +41,8 @@ Result<SessionRef> FragmentProtocol::DoOpen(Protocol& hlp, const ParticipantSet&
     return lower_sess.status();
   }
   kernel().ChargeSessionCreate();
-  auto sess = std::make_shared<FragmentSession>(*this, &hlp, *parts.peer.host,
-                                                *parts.local.rel_proto, *lower_sess);
+  auto sess = NewSession<FragmentSession>(*this, &hlp, *parts.peer.host,
+                                          *parts.local.rel_proto, *lower_sess);
   active_.Bind(key, sess);
   return SessionRef(sess);
 }
@@ -90,7 +90,7 @@ Status FragmentProtocol::DoDemux(Session* lls, Message& msg) {
       return ErrStatus(StatusCode::kNotFound);
     }
     kernel().ChargeSessionCreate();
-    auto created = std::make_shared<FragmentSession>(*this, hlp, src, proto, lls->Ref());
+    auto created = NewSession<FragmentSession>(*this, hlp, src, proto, lls->Ref());
     active_.Bind(key, created);
     ParticipantSet up;
     up.local.rel_proto = proto;

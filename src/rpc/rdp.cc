@@ -48,7 +48,7 @@ Result<SessionRef> RdpProtocol::DoOpen(Protocol& hlp, const ParticipantSet& part
     return pool.status();
   }
   kernel().ChargeSessionCreate();
-  auto sess = std::make_shared<RdpSession>(*this, &hlp, *parts.peer.host);
+  auto sess = NewSession<RdpSession>(*this, &hlp, *parts.peer.host);
   active_.Bind(*parts.peer.host, sess);
   return SessionRef(sess);
 }
@@ -98,7 +98,7 @@ Status RdpProtocol::DoDemux(Session* lls, Message& msg) {
       return ErrStatus(StatusCode::kNotFound);
     }
     kernel().ChargeSessionCreate();
-    sess = std::make_shared<RdpSession>(*this, enabled_hlp_, peer);
+    sess = NewSession<RdpSession>(*this, enabled_hlp_, peer);
     active_.Bind(peer, sess);
     ParticipantSet up;
     up.peer.host = peer;

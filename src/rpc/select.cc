@@ -27,14 +27,14 @@ bool SelectProtocol::EvictSession(Session& s) {
   if (auto* client = dynamic_cast<SelectSession*>(&s)) {
     // CanEvict vetoed outstanding calls; anything else holding the session
     // (the anchor's cached ref) vetoes here.
-    if (client->weak_from_this().use_count() > 1) {
+    if (client->refs() > 1) {
       return false;
     }
     active_.Unbind(Key{client->server_, client->command_});
     return true;
   }
   auto* server = static_cast<SelectServerSession*>(&s);
-  if (server->weak_from_this().use_count() > 1) {
+  if (server->refs() > 1) {
     return false;
   }
   server_sessions_.Unbind(server->channel_.get());

@@ -74,8 +74,8 @@ Result<SessionRef> SpriteRpcProtocol::DoOpen(Protocol& hlp, const ParticipantSet
     return pool.status();
   }
   kernel().ChargeSessionCreate();
-  auto sess = std::make_shared<SpriteClientSession>(*this, &hlp, *parts.peer.host,
-                                                    *parts.peer.command);
+  auto sess = NewSession<SpriteClientSession>(*this, &hlp, *parts.peer.host,
+                                              *parts.peer.command);
   active_.Bind(key, sess);
   return SessionRef(sess);
 }
@@ -208,7 +208,7 @@ void SpriteRpcProtocol::OnTimeout(IpAddr server, size_t index) {
 }
 
 void SpriteRpcProtocol::StartCall(IpAddr server, ClientPool& pool, size_t index,
-                                  std::shared_ptr<SpriteClientSession> caller, uint16_t command,
+                                  SessionPtr<SpriteClientSession> caller, uint16_t command,
                                   Message msg) {
   ClientChannel& chan = pool.channels[index];
   chan.busy = true;
@@ -361,7 +361,7 @@ Status SpriteRpcProtocol::HandleRequest(const Header& hdr, Message& payload, Ses
   if (chan.server_sess == nullptr) {
     kernel().ChargeSessionCreate();
     chan.server_sess =
-        std::make_shared<SpriteServerSession>(*this, hlp, hdr.clnt_host, hdr.channel);
+        NewSession<SpriteServerSession>(*this, hlp, hdr.clnt_host, hdr.channel);
     ParticipantSet up;
     up.peer.host = hdr.clnt_host;
     up.local.channel = hdr.channel;
@@ -495,7 +495,7 @@ Status SpriteClientSession::DoPush(Message& msg) {
   if (pool->available->count() == 0) {
     ++rpc_.stats_.blocked_on_channel;
   }
-  auto self = std::static_pointer_cast<SpriteClientSession>(Ref());
+  SessionPtr<SpriteClientSession> self(this);
   pool->available->P([this, pool, self, msg]() {
     size_t index = 0;
     kernel().ChargeMapResolve();

@@ -124,7 +124,7 @@ class SpriteRpcProtocol : public Protocol {
     int retries = 0;
     bool acked = false;
     EventHandle timer;
-    std::shared_ptr<SpriteClientSession> caller;
+    SessionPtr<SpriteClientSession> caller;
     Collect reply;  // reply fragments being collected
   };
 
@@ -143,14 +143,14 @@ class SpriteRpcProtocol : public Protocol {
     uint16_t last_command = 0;
     uint32_t clnt_boot_id = 0;
     SessionRef reply_lls;
-    std::shared_ptr<SpriteServerSession> server_sess;
+    SessionPtr<SpriteServerSession> server_sess;
   };
 
   Result<ClientPool*> PoolFor(IpAddr server);
   void SendPacket(Session& lls, const Header& hdr, const Message& payload);
   static std::vector<Message> Fragment(Kernel& kernel, const Message& msg);
   void StartCall(IpAddr server, ClientPool& pool, size_t index,
-                 std::shared_ptr<SpriteClientSession> caller, uint16_t command, Message msg);
+                 SessionPtr<SpriteClientSession> caller, uint16_t command, Message msg);
   void SendRequestFrags(IpAddr server, ClientPool& pool, size_t index, uint16_t resend_mask,
                         bool please_ack);
   void ArmTimer(IpAddr server, size_t index);

@@ -34,8 +34,8 @@ Result<SessionRef> AuthProtocolBase::DoOpen(Protocol& hlp, const ParticipantSet&
     return lower_sess.status();
   }
   kernel().ChargeSessionCreate();
-  auto sess = std::make_shared<AuthSession>(*this, &hlp, *parts.peer.host, *lower_sess,
-                                            /*server_side=*/false);
+  auto sess = NewSession<AuthSession>(*this, &hlp, *parts.peer.host, *lower_sess,
+                                      /*server_side=*/false);
   active_.Bind(*parts.peer.host, sess);
   return SessionRef(sess);
 }
@@ -96,8 +96,8 @@ Status AuthProtocolBase::DoDemux(Session* lls, Message& msg) {
         return ErrStatus(StatusCode::kNotFound);
       }
       kernel().ChargeSessionCreate();
-      sess = std::make_shared<AuthSession>(*this, enabled_hlp_, peer, lls->Ref(),
-                                           /*server_side=*/true);
+      sess = NewSession<AuthSession>(*this, enabled_hlp_, peer, lls->Ref(),
+                                     /*server_side=*/true);
       active_.Bind(peer, sess);
       ParticipantSet up;
       up.peer.host = peer;

@@ -39,8 +39,8 @@ Result<SessionRef> RequestReplyProtocol::DoOpen(Protocol& hlp, const Participant
     return lower_sess.status();
   }
   kernel().ChargeSessionCreate();
-  auto sess = std::make_shared<RequestReplySession>(*this, &hlp, *parts.peer.host,
-                                                    *parts.local.rel_proto, *lower_sess);
+  auto sess = NewSession<RequestReplySession>(*this, &hlp, *parts.peer.host,
+                                              *parts.local.rel_proto, *lower_sess);
   active_.Bind(key, sess);
   return SessionRef(sess);
 }
@@ -85,7 +85,7 @@ Status RequestReplyProtocol::DoDemux(Session* lls, Message& msg) {
       return ErrStatus(StatusCode::kNotFound);
     }
     kernel().ChargeSessionCreate();
-    auto created = std::make_shared<RequestReplySession>(*this, hlp, peer, proto, lls->Ref());
+    auto created = NewSession<RequestReplySession>(*this, hlp, peer, proto, lls->Ref());
     active_.Bind(key, created);
     ParticipantSet up;
     up.local.rel_proto = proto;

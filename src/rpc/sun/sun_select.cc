@@ -63,7 +63,7 @@ Result<SessionRef> SunSelectProtocol::DoOpen(Protocol& hlp, const ParticipantSet
     return lower_sess.status();
   }
   kernel().ChargeSessionCreate();
-  auto sess = std::make_shared<SunSelectSession>(
+  auto sess = NewSession<SunSelectSession>(
       *this, &hlp, *parts.peer.host, *parts.peer.rel_proto,
       static_cast<uint16_t>(*parts.peer.channel), static_cast<uint16_t>(*parts.peer.command));
   active_.Bind(key, sess);
@@ -142,7 +142,7 @@ Status SunSelectProtocol::DoDemux(Session* lls, Message& msg) {
   SessionRef server_sess = server_sessions_.Resolve(lls);
   if (server_sess == nullptr) {
     kernel().ChargeSessionCreate();
-    server_sess = std::make_shared<SunSelectServerSession>(*this, hlp, lls->Ref());
+    server_sess = NewSession<SunSelectServerSession>(*this, hlp, lls->Ref());
     server_sessions_.Bind(lls, server_sess);
     ParticipantSet up;
     up.local.rel_proto = prog;

@@ -171,20 +171,4 @@ void EthernetSegment::Transmit(int sender_id, std::shared_ptr<EthFrame> frame,
   }
 }
 
-void EthernetSegment::ResetStats() {
-  frames_sent_ = 0;
-  bytes_sent_ = 0;
-  frames_dropped_ = 0;
-  random_drops_ = 0;
-  fault_drops_ = 0;
-  fault_duplicates_ = 0;
-  fault_corruptions_ = 0;
-  down_drops_ = 0;
-  bus_busy_time_ = 0;
-  queued_frames_ = 0;
-  peak_queue_depth_ = 0;
-  queue_depth_sum_ = 0;
-  queue_wait_.Reset();
-}
-
 }  // namespace xk

@@ -163,7 +163,6 @@ class EthernetSegment {
   }
   // Per-frame queueing delay (start - ready), as a histogram.
   const Histogram& queue_wait() const { return queue_wait_; }
-  void ResetStats();
 
  private:
   struct Station {
@@ -202,7 +201,7 @@ class EthernetSegment {
   SimTime bus_busy_time_ = 0;
 
   // Start times of frames that have not begun transmitting as of the last
-  // arrival (bus state, like bus_free_at_; not cleared by ResetStats).
+  // arrival (bus state, like bus_free_at_).
   std::deque<SimTime> pending_starts_;
   uint64_t queued_frames_ = 0;
   uint64_t peak_queue_depth_ = 0;

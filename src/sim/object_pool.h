@@ -1,4 +1,8 @@
-// Thread-local object recycling for shared_ptr-managed hot-path objects.
+// Thread-local object recycling for shared_ptr-managed hot-path objects: the
+// message tool's payload Blocks and header Arenas (src/core/message.cc) and
+// the EthFrame of every transmission. Sessions are not among them: they count
+// their own references (SessionPtr), so they have no control block to pool,
+// and the protocols that churn them keep a SlabPool (src/sim/slab_pool.h).
 //
 // The simulation's steady state churns through three allocation patterns per
 // message: a header Arena (one per message that pushes a header, plus one per
@@ -8,10 +12,11 @@
 // EthFrame per transmission (which references the sender's Message, so it
 // holds no byte buffer of its own). Each lives behind a shared_ptr, so a
 // plain make_shared costs one heap round trip per object -- roughly a third
-// of all mallocs on the manyhost benchmark. AcquirePooled<T>() removes both the object and the
-// shared_ptr control block from the allocator: retired objects park on a
-// thread-local freelist with their internal buffers (vector capacity) intact,
-// and control blocks recycle through a fixed-size pooling allocator.
+// of all mallocs on the manyhost benchmark. AcquirePooled<T>() removes both the
+// object and the shared_ptr control block from the allocator: retired objects
+// park on a thread-local freelist with their internal buffers (vector
+// capacity) intact, and control blocks recycle through a fixed-size pooling
+// allocator.
 //
 // Reuse contract: a recycled object is handed back exactly as it was
 // released, except that a type with a Park() member has it called as the

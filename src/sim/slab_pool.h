@@ -1,24 +1,24 @@
-// Slab-allocated object storage: the session store behind the
+// Slab-allocated session storage: the session store behind the
 // connection-scale work (ROADMAP: "millions of sessions without collapse").
 //
-// object_pool.h recycles shared_ptr-managed hot-path objects through
-// thread-local freelists, but each object still comes from its own heap
-// allocation the first time around and the pool keeps no index over the live
-// set. SlabPool goes further for per-connection state:
+// A session made with NewSession is one heap allocation of its own. A
+// protocol that churns sessions (UDP, VIP, CHANNEL, SELECT, VPOOL) keeps a
+// SlabPool instead:
 //
-//  * objects live in fixed-size chunks (stable addresses), so a million
+//  * sessions live in fixed-size chunks (stable addresses), so a million
 //    sessions are ~16k contiguous chunks instead of a million scattered heap
 //    nodes;
-//  * create/destroy after the high-water mark is allocation-free: destroyed
-//    slots park on a LIFO freelist and are re-constructed in place;
-//  * the shared_ptr control block recycles through the same pooling allocator
-//    object_pool.h uses, so the steady state touches the allocator not at all.
+//  * create/destroy after the high-water mark is allocation-free: the
+//    reference count lives in the session (SessionPtr), so there is no
+//    control block to allocate, and a destroyed session's slot parks on a
+//    LIFO freelist threaded through the free slots themselves.
 //
-// Lifetime: the returned shared_ptr's deleter owns a reference to the pool's
-// backing state, so an object handed out by a pool keeps its slab alive even
-// if the pool (e.g. the owning protocol) is destroyed first -- the same
-// "session outlives a crashed protocol graph" tolerance plain make_shared
-// gave us.
+// Lifetime: a pooled session records its slab, and its last SessionPtr to
+// drop runs the destructor and hands the slot back. A session handed out by a
+// pool may outlive the pool (e.g. the owning protocol is destroyed first --
+// the same "session outlives a crashed protocol graph" tolerance a heap
+// session has): the pool's destructor leaves the slab to its live sessions,
+// and the last one to go frees it.
 //
 // Determinism: freelist order is LIFO and purely a function of the
 // create/destroy sequence, so slot assignment is reproducible bit-for-bit.
@@ -26,103 +26,117 @@
 #ifndef XK_SRC_SIM_SLAB_POOL_H_
 #define XK_SRC_SIM_SLAB_POOL_H_
 
-#include <cassert>
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "src/sim/object_pool.h"
+#include "src/core/protocol.h"
 
 namespace xk {
 
-template <typename T>
-class SlabPool {
+// The untyped slab behind a SlabPool<T>: chunks of equal slots and the
+// freelist over them. Sessions point here (Session::slab_) to give their slot
+// back.
+class SessionSlab {
  public:
-  SlabPool() : state_(std::make_shared<State>()) {}
+  explicit SessionSlab(size_t slot_size) : slot_size_(slot_size) {}
 
-  SlabPool(const SlabPool&) = delete;
-  SlabPool& operator=(const SlabPool&) = delete;
+  SessionSlab(const SessionSlab&) = delete;
+  SessionSlab& operator=(const SessionSlab&) = delete;
 
-  // Constructs a T in the lowest free slot (allocation-free once the slab has
-  // grown past the demand) and returns it shared_ptr-managed; destruction
-  // runs ~T in place and recycles the slot.
-  template <typename... Args>
-  std::shared_ptr<T> Create(Args&&... args) {
-    State& st = *state_;
-    Slot* slot;
-    if (!st.free.empty()) {
-      slot = st.SlotAt(st.free.back());
-      st.free.pop_back();
-    } else {
-      slot = st.Grow();
+  // The most recently freed slot, or the lowest slot of a new chunk.
+  void* Take() {
+    if (free_ == nullptr) {
+      Grow();
     }
-    T* obj = new (static_cast<void*>(slot->storage)) T(std::forward<Args>(args)...);
-    slot->live = true;
-    ++st.live;
-    if (st.live > st.high_water) {
-      st.high_water = st.live;
+    FreeSlot* slot = free_;
+    free_ = slot->next;
+    if (++live_ > high_water_) {
+      high_water_ = live_;
     }
-    return std::shared_ptr<T>(obj, Recycler{state_}, pool_internal::CtlAlloc<T>{});
+    return slot;
   }
 
-  size_t live() const { return state_->live; }
-  size_t high_water() const { return state_->high_water; }
+  // Parks a destroyed session's slot; frees the slab when its pool is gone
+  // and this was the last live slot.
+  void Give(void* slot) {
+    free_ = ::new (slot) FreeSlot{free_};
+    --live_;
+    if (abandoned_ && live_ == 0) {
+      delete this;
+    }
+  }
+
+  // The pool is going away: free now, or when the last live session does.
+  void Abandon() {
+    if (live_ == 0) {
+      delete this;
+    } else {
+      abandoned_ = true;
+    }
+  }
+
+  size_t live() const { return live_; }
+  size_t high_water() const { return high_water_; }
   // Slots allocated (the slab's footprint; never shrinks -- that's the
   // "memory plateaus at the high-water mark" contract).
-  size_t capacity() const { return state_->chunks.size() * kChunkSlots; }
+  size_t capacity() const { return chunks_.size() * kChunkSlots; }
 
  private:
   static constexpr size_t kChunkSlots = 64;
 
-  struct Slot {
-    alignas(T) unsigned char storage[sizeof(T)];  // first member: Slot* == T*
-    uint32_t index = 0;
-    bool live = false;  // read by Destroy's double-destroy assert
+  struct FreeSlot {
+    FreeSlot* next;
   };
 
-  struct State {
-    std::vector<std::unique_ptr<Slot[]>> chunks;
-    std::vector<uint32_t> free;  // LIFO; deterministic slot reuse
-    size_t live = 0;
-    size_t high_water = 0;
-
-    Slot* SlotAt(uint32_t index) {
-      return &chunks[index / kChunkSlots][index % kChunkSlots];
+  // Adds a chunk and parks its slots so they pop in ascending address order.
+  void Grow() {
+    chunks_.push_back(std::make_unique<std::byte[]>(kChunkSlots * slot_size_));
+    std::byte* base = chunks_.back().get();
+    for (size_t i = kChunkSlots; i-- > 0;) {
+      free_ = ::new (static_cast<void*>(base + i * slot_size_)) FreeSlot{free_};
     }
+  }
 
-    // Adds a chunk; returns its first slot, parking the rest on the freelist
-    // so they pop in ascending index order.
-    Slot* Grow() {
-      const uint32_t base = static_cast<uint32_t>(chunks.size() * kChunkSlots);
-      chunks.push_back(std::make_unique<Slot[]>(kChunkSlots));
-      Slot* chunk = chunks.back().get();
-      for (uint32_t i = 0; i < kChunkSlots; ++i) {
-        chunk[i].index = base + i;
-      }
-      for (uint32_t i = kChunkSlots; i-- > 1;) {
-        free.push_back(base + i);
-      }
-      return &chunk[0];
-    }
+  size_t slot_size_;
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  FreeSlot* free_ = nullptr;  // LIFO; deterministic slot reuse
+  size_t live_ = 0;
+  size_t high_water_ = 0;
+  bool abandoned_ = false;
+};
 
-    void Destroy(T* obj) {
-      Slot* slot = reinterpret_cast<Slot*>(obj);
-      assert(slot->live);
-      obj->~T();
-      slot->live = false;
-      free.push_back(slot->index);
-      --live;
-    }
-  };
+template <typename T>
+class SlabPool {
+  static_assert(std::is_base_of_v<Session, T>, "SlabPool stores sessions");
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__, "chunks are new[]-aligned");
 
-  struct Recycler {
-    std::shared_ptr<State> state;
-    void operator()(T* p) const { state->Destroy(p); }
-  };
+ public:
+  SlabPool() : slab_(new SessionSlab(sizeof(T))) {}
+  ~SlabPool() { slab_->Abandon(); }
 
-  std::shared_ptr<State> state_;
+  SlabPool(const SlabPool&) = delete;
+  SlabPool& operator=(const SlabPool&) = delete;
+
+  // Constructs a T in the most recently freed slot (allocation-free once the
+  // slab has grown past the demand); the last reference's drop runs ~T and
+  // recycles the slot.
+  template <typename... Args>
+  SessionPtr<T> Create(Args&&... args) {
+    T* obj = ::new (slab_->Take()) T(std::forward<Args>(args)...);
+    obj->slab_ = slab_;
+    return SessionPtr<T>(obj);
+  }
+
+  size_t live() const { return slab_->live(); }
+  size_t high_water() const { return slab_->high_water(); }
+  size_t capacity() const { return slab_->capacity(); }
+
+ private:
+  SessionSlab* slab_;
 };
 
 }  // namespace xk

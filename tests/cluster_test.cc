@@ -473,7 +473,7 @@ class SinkProtocol : public Protocol {
  protected:
   Result<SessionRef> DoOpen(Protocol& hlp, const ParticipantSet& parts) override {
     (void)parts;
-    opened.push_back(std::make_shared<SinkSession>(*this, &hlp));
+    opened.push_back(NewSession<SinkSession>(*this, &hlp));
     return opened.back();
   }
   Status DoDemux(Session* lls, Message& msg) override {

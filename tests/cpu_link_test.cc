@@ -175,9 +175,9 @@ TEST_F(LinkFixture, StatsCountFramesAndBytes) {
   q.Run();
   EXPECT_EQ(seg.frames_sent(), 2u);
   EXPECT_EQ(seg.bytes_sent(), 114u + 214u);
-  seg.ResetStats();
-  EXPECT_EQ(seg.frames_sent(), 0u);
-  EXPECT_EQ(seg.bus_busy_time(), 0);
+  EthernetSegment fresh(q, WireModel{});
+  EXPECT_EQ(fresh.frames_sent(), 0u);
+  EXPECT_EQ(fresh.bus_busy_time(), 0);
 }
 
 // A broadcast from A whose delivery to C alone is corrupted at `offset`;

@@ -204,9 +204,9 @@ TEST_F(IdleEvictionFixture, CountersAndGaugesExportEvictionState) {
 
 // The churn soak's plateau, in simulated state rather than process RSS: a
 // second and third open -> drain cycle reuse cycle 1's slab slots and map
-// buckets, so the slot count, high-water, map capacity and tombstones after
-// three cycles equal those after one, and every session of every cycle is
-// evicted.
+// buckets, so the slot count, high-water, map capacity, tombstones and
+// longest probe chain after three cycles equal those after one, and every
+// session of every cycle is evicted.
 TEST(SessionScaleSoak, SlotsAndMapGeometryPlateauAcrossCycles) {
   for (const size_t n : {size_t{1000}, size_t{3000}}) {
     SessionScaleSpec spec;
@@ -225,6 +225,7 @@ TEST(SessionScaleSoak, SlotsAndMapGeometryPlateauAcrossCycles) {
     EXPECT_EQ(three.client_high_water, one.client_high_water) << "n=" << n;
     EXPECT_EQ(three.map_capacity_peak, one.map_capacity_peak) << "n=" << n;
     EXPECT_EQ(three.map_tombstones_after, one.map_tombstones_after) << "n=" << n;
+    EXPECT_EQ(three.map_max_probe_peak, one.map_max_probe_peak) << "n=" << n;
   }
 }
 

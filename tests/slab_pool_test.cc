@@ -1,24 +1,58 @@
 // SlabPool: the pooled session store. These tests pin the properties the
 // protocols rely on -- stable addresses, allocation-free recycling past the
-// high-water mark, and LIFO (deterministic) slot reuse.
+// high-water mark, LIFO (deterministic) slot reuse, and sessions that
+// outlive their pool.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
+#include "src/core/kernel.h"
 #include "src/sim/slab_pool.h"
 
 namespace xk {
 namespace {
 
-struct Tracked {
+// The protocol every Tracked session names as its owner.
+class NullProtocol : public Protocol {
+ public:
+  explicit NullProtocol(Kernel& kernel) : Protocol(kernel, "null", {}) {}
+
+ protected:
+  Status DoDemux(Session* lls, Message& msg) override {
+    (void)lls;
+    (void)msg;
+    return ErrStatus(StatusCode::kNotFound);
+  }
+};
+
+struct Tracked : Session {
   static int live_count;
   int value;
-  explicit Tracked(int v) : value(v) { ++live_count; }
-  ~Tracked() { --live_count; }
+  Tracked(Protocol& owner, int v) : Session(owner, nullptr), value(v) { ++live_count; }
+  ~Tracked() override { --live_count; }
+
+ protected:
+  Status DoPush(Message& msg) override {
+    (void)msg;
+    return OkStatus();
+  }
+  Status DoPop(Message& msg, Session* lls) override {
+    (void)msg;
+    (void)lls;
+    return OkStatus();
+  }
 };
 int Tracked::live_count = 0;
+
+// The owner of every Tracked session; it outlives every pool below.
+Protocol& Owner() {
+  static EventQueue events;
+  static Kernel kernel("slab", events, HostEnv::kXKernel, IpAddr(10, 0, 1, 1),
+                       EthAddr::FromIndex(1));
+  static NullProtocol owner(kernel);
+  return owner;
+}
 
 TEST(SlabPoolTest, CreateDestroyCountsAndRunsDestructors) {
   Tracked::live_count = 0;
@@ -26,8 +60,8 @@ TEST(SlabPoolTest, CreateDestroyCountsAndRunsDestructors) {
   EXPECT_EQ(pool.live(), 0u);
   EXPECT_EQ(pool.capacity(), 0u);
 
-  auto a = pool.Create(1);
-  auto b = pool.Create(2);
+  auto a = pool.Create(Owner(), 1);
+  auto b = pool.Create(Owner(), 2);
   EXPECT_EQ(pool.live(), 2u);
   EXPECT_EQ(pool.high_water(), 2u);
   EXPECT_EQ(Tracked::live_count, 2);
@@ -45,11 +79,11 @@ TEST(SlabPoolTest, CreateDestroyCountsAndRunsDestructors) {
 
 TEST(SlabPoolTest, AddressesAreStableAcrossGrowth) {
   SlabPool<Tracked> pool;
-  std::vector<std::shared_ptr<Tracked>> objs;
+  std::vector<SessionPtr<Tracked>> objs;
   std::vector<Tracked*> addrs;
   // Span several chunks so the backing store grows repeatedly.
   for (int i = 0; i < 500; ++i) {
-    objs.push_back(pool.Create(i));
+    objs.push_back(pool.Create(Owner(), i));
     addrs.push_back(objs.back().get());
   }
   EXPECT_GE(pool.capacity(), 500u);
@@ -61,16 +95,16 @@ TEST(SlabPoolTest, AddressesAreStableAcrossGrowth) {
 
 TEST(SlabPoolTest, RecyclingIsLifoAndCapacityPlateaus) {
   SlabPool<Tracked> pool;
-  std::vector<std::shared_ptr<Tracked>> objs;
+  std::vector<SessionPtr<Tracked>> objs;
   for (int i = 0; i < 200; ++i) {
-    objs.push_back(pool.Create(i));
+    objs.push_back(pool.Create(Owner(), i));
   }
   const size_t cap = pool.capacity();
   Tracked* last_addr = objs.back().get();
 
   // Destroy the newest, create again: LIFO reuse lands on the same slot.
   objs.pop_back();
-  auto again = pool.Create(999);
+  auto again = pool.Create(Owner(), 999);
   EXPECT_EQ(again.get(), last_addr);
   EXPECT_EQ(again->value, 999);
 
@@ -78,21 +112,21 @@ TEST(SlabPoolTest, RecyclingIsLifoAndCapacityPlateaus) {
   for (int round = 0; round < 50; ++round) {
     objs.pop_back();
     objs.pop_back();
-    objs.push_back(pool.Create(round));
-    objs.push_back(pool.Create(round));
+    objs.push_back(pool.Create(Owner(), round));
+    objs.push_back(pool.Create(Owner(), round));
   }
   EXPECT_EQ(pool.capacity(), cap);
   EXPECT_EQ(pool.high_water(), 200u);
 }
 
 TEST(SlabPoolTest, ObjectOutlivesThePool) {
-  // The deleter keeps the backing state alive: a session handed out by a
+  // The live session keeps the slab alive: a session handed out by a
   // protocol must survive that protocol's destruction (crash teardown).
   Tracked::live_count = 0;
-  std::shared_ptr<Tracked> survivor;
+  SessionPtr<Tracked> survivor;
   {
     SlabPool<Tracked> pool;
-    survivor = pool.Create(7);
+    survivor = pool.Create(Owner(), 7);
   }
   EXPECT_EQ(Tracked::live_count, 1);
   EXPECT_EQ(survivor->value, 7);
