@@ -5,7 +5,8 @@
 # and tool usage-error smokes (malformed values, unknown xktrace subcommands,
 # wrong argument counts, flags a subcommand does not take), the committed
 # results and scenario gates, and the host benchmark's selftest and digest
-# gates (untraced, and traced paper-rpc) with the A/B script's selftest.
+# gates (untraced, and traced paper-rpc and session-churn) with the A/B
+# script's selftest.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # control-op lint + tier-1 tests only
@@ -340,8 +341,10 @@ for w in paper-rpc cluster-openloop session-churn; do
   python3 hostbench/run.py --workload "$w" --seconds 2 --trace 0
 done
 # Observer effect: a traced run must still match the reference digests
-# (tracing, trace ids included, never moves the simulation).
+# (tracing, trace ids included, never moves the simulation). session-churn is
+# the traced workload whose demux maps fill and drain every cycle.
 python3 hostbench/run.py --workload paper-rpc --seconds 2 --trace 1
+python3 hostbench/run.py --workload session-churn --seconds 2 --trace 1
 
 echo
 echo "All checks passed."

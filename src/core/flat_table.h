@@ -2,10 +2,10 @@
 //
 // Open addressing with linear probing over a power-of-two bucket array, keyed
 // through the XkHash/XkEq customization points (src/core/hash.h). Erased
-// buckets become tombstones so probe chains stay intact; an insert rehashes
-// when full + tombstone buckets would pass a 70% load factor, and an erase
-// compacts once a quarter of the table is tombstones, so a drained table
-// gives its memory back.
+// buckets become tombstones so probe chains stay intact. Only an insert
+// resizes: past a 70% load of full + tombstone buckets it rehashes to fit the
+// live keys. The last erase empties every bucket in place, so a drained table
+// keeps its buckets for the next fill; clear() frees them.
 //
 // One allocation holds the whole table: a control byte per bucket (empty,
 // tombstone, or full with a 7-bit tag from the top bits of the key's hash),
@@ -223,18 +223,15 @@ class FlatTable {
     tombstones_ = std::exchange(other.tombstones_, 0);
   }
 
+  // An erase moves no key, so it cannot lengthen a bound key's chain, and a
+  // miss still stops at an empty bucket within MaybeGrow's 70%.
   void EraseBucket(size_t i) {
     slots_[i].~Slot();
     ctrl_[i] = kTombstone;
-    --size_;
     ++tombstones_;
-    // Amortized compaction: erase-heavy phases (idle eviction draining a
-    // million-session table) never insert, so the insert-side rehash in
-    // MaybeGrow can't fire and probe chains would rot behind tombstones.
-    // Rehash once a quarter of the table is tombstones; RehashForSize also
-    // shrinks, so a drained table gives its memory back.
-    if (tombstones_ * 4 >= capacity_ && capacity_ > kMinCapacity) {
-      RehashForSize();
+    if (--size_ == 0) {
+      std::memset(ctrl_, kEmpty, capacity_);
+      tombstones_ = 0;
     }
   }
 

@@ -69,8 +69,6 @@ void Histogram::Merge(const Histogram& other) {
   count_ += other.count_;
 }
 
-void Histogram::Reset() { *this = Histogram{}; }
-
 SimTime Histogram::ValueAtQuantile(double q) const {
   if (count_ == 0) {
     return 0;

@@ -43,7 +43,6 @@ class Histogram {
 
   void Record(SimTime v);
   void Merge(const Histogram& other);
-  void Reset();
 
   uint64_t count() const { return count_; }
   SimTime min() const { return count_ == 0 ? 0 : min_; }

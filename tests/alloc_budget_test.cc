@@ -20,7 +20,7 @@
 // sums the bytes requested, which holds a demux map's memory per bucket, and
 // the bytes held by live allocations, which holds a UDP session's memory
 // (slab slot plus demux-map share). A third shape churns UDP sessions (open,
-// idle-evict, reopen) and holds the steady cycle to no allocation at all.
+// idle-evict, reopen) and holds the steady cycle to no allocation per session.
 
 #include <gtest/gtest.h>
 #include <malloc.h>
@@ -587,13 +587,15 @@ struct UdpChurn {
   }
 };
 
-// Once a first cycle has grown the slabs and the event heap, an open ->
-// evict cycle makes no allocation per session: a session is constructed in a
-// recycled slab slot and counts its own references, so there is no
-// shared_ptr control block to allocate per open. What is left is the demux
-// maps' own resizing: a drained FlatTable compacts, and the next cycle's
-// opens grow it back, about 20 rehashes per side per cycle whatever the
-// session count. The budget is a hundredth of an allocation per session.
+// Once a first cycle has grown the slabs, the event heap and the demux maps,
+// an open -> evict cycle makes no allocation per session: a session is
+// constructed in a recycled slab slot and counts its own references, so
+// there is no shared_ptr control block to allocate per open, and a drained
+// FlatTable keeps its buckets, so the next cycle's binds need no rehash.
+// What is left is one allocation per side whatever the session count: each
+// kernel's pending-timer registry (Kernel::pending_handles_) doubling as the
+// idle sweep arms its timer, which stops once the registry reaches its
+// 64-entry squeeze point (none after the 17th cycle).
 TEST(AllocBudget, SteadyStateUdpChurnAllocatesNothing) {
   UdpChurn churn;
   churn.Open();
@@ -608,18 +610,25 @@ TEST(AllocBudget, SteadyStateUdpChurnAllocatesNothing) {
   const double per_session =
       static_cast<double>(allocs) / static_cast<double>(2 * UdpChurn::kSessions);
   RecordProperty("allocs_per_session", std::to_string(per_session));
-  EXPECT_LE(allocs * 100, 2 * UdpChurn::kSessions)
-      << allocs << " allocations over one cycle of " << 2 * UdpChurn::kSessions << " sessions";
+  EXPECT_LE(allocs, 2u) << allocs << " allocations over one cycle of "
+                         << 2 * UdpChurn::kSessions << " sessions";
 }
 
 // Heap held per live UDP session after the first open: its slab slot (the
 // session, 104 B) and its share of the active map's buckets (17 B each; 8,192
-// buckets for 4,096 bindings), with the slab's chunk list: 139.44 B when the
-// test runs alone, as ctest runs it, and 138.45 B after the tests above have
-// warmed the process's freelists. Measured as the growth of the usable bytes
-// of live allocations, the quantity hostbench's core.bytes_per_session reads
-// from malloc at 10^5 sessions per side.
+// buckets for 4,096 bindings), with the slab's chunk list: 138.45 B. Measured
+// as the growth of the usable bytes of live allocations, the quantity
+// hostbench's core.bytes_per_session reads from malloc at 10^5 sessions per
+// side. A population opened and torn down first warms the process-wide state
+// a first open would otherwise pay inside the measurement: malloc serves the
+// first 139 KB map table from mmap, rounded up to whole pages, until freeing
+// one raises its mmap threshold. So the test reads the same alone, as ctest
+// runs it, and after the tests above.
 TEST(AllocBudget, UdpSessionsHoldAtMost140Bytes) {
+  {
+    UdpChurn warm;
+    warm.Open();
+  }
   UdpChurn churn;
   const int64_t held = HeldGrowthDuring([&] { churn.Open(); });
   ASSERT_EQ(churn.refused, 0u);

@@ -54,48 +54,44 @@ TEST_F(ChurnFixture, FixedSizeChurnKeepsTableAndProbesBounded) {
   }
 }
 
-TEST_F(ChurnFixture, MassUnbindCompactsAndShrinksTheTable) {
-  // The idle-eviction drain pattern: a large population is bound once, then
-  // unbound en masse with no intervening inserts. The insert-side rehash in
-  // MaybeGrow never fires on this path, so the unbind-side amortized
-  // compaction must both reclaim tombstones and give the memory back.
+TEST_F(ChurnFixture, MassUnbindKeepsTheDrainedTableForTheRefill) {
+  // The idle-eviction drain pattern: a large population is bound once,
+  // unbound en masse with no intervening inserts, then bound again by the
+  // next cycle. An unbind never moves a key, so the drain keeps the table at
+  // its peak size without lengthening any chain, and the last unbind leaves
+  // every bucket empty: the refill needs no rehash.
   constexpr uint64_t kKeys = 1u << 17;  // 131072 live keys
   for (uint64_t k = 0; k < kKeys; ++k) {
     map.Bind(k, k);
   }
   const size_t peak_capacity = map.capacity();
   ASSERT_GE(peak_capacity, kKeys);  // table actually grew to hold them
+  const size_t peak_probe = map.MaxProbeLength();
 
   size_t worst_probe_during_drain = 0;
   for (uint64_t k = 0; k < kKeys; ++k) {
     map.Unbind(k);
-    // Tombstones never exceed the compaction threshold's grace window: a
-    // quarter of the (current) table triggers an in-place rehash. The floor
-    // capacity (16) is exempt -- compaction there would thrash, and 16
-    // buckets cannot rot meaningfully.
-    if (map.capacity() > 16) {
-      ASSERT_LT(map.tombstones() * 4, map.capacity() + 4);
-    }
+    ASSERT_EQ(map.capacity(), peak_capacity) << "after unbinding " << k + 1 << " keys";
     if ((k & 0xFFF) == 0) {
       worst_probe_during_drain =
           std::max(worst_probe_during_drain, map.MaxProbeLength());
     }
   }
 
-  // Fully drained: the rehash-on-unbind shrank the table back to its floor
-  // instead of leaving a 256k-bucket array holding nothing.
   EXPECT_EQ(map.size(), 0u);
-  EXPECT_LT(map.capacity(), peak_capacity / 4);
-  EXPECT_LE(map.capacity(), 64u);  // within a couple doublings of kMinCapacity
-  // Residual tombstones fit inside the (possibly floor-sized) table.
-  EXPECT_LE(map.tombstones(), map.capacity());
-  // Probes stayed bounded all the way down -- the half-drained table never
-  // degenerated into tombstone crawls.
-  EXPECT_LE(worst_probe_during_drain, 64u);
+  EXPECT_EQ(map.capacity(), peak_capacity);
+  EXPECT_EQ(map.tombstones(), 0u);  // the last unbind emptied every bucket
+  // No lookup during the drain walked further than one at the peak did.
+  EXPECT_LE(worst_probe_during_drain, peak_probe);
 
-  // The shrunken table is still a working map.
-  map.Bind(7, 77);
-  EXPECT_EQ(map.Peek(7), 77u);
+  // The next cycle's refill fits the kept table: no regrowth.
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    map.Bind(k, k + 1);
+    ASSERT_EQ(map.capacity(), peak_capacity) << "after rebinding " << k + 1 << " keys";
+  }
+  EXPECT_EQ(map.size(), kKeys);
+  EXPECT_EQ(map.tombstones(), 0u);
+  EXPECT_EQ(map.Peek(7), 8u);
 }
 
 TEST_F(ChurnFixture, ProbeLengthReportsActualChainLengths) {
@@ -106,7 +102,18 @@ TEST_F(ChurnFixture, ProbeLengthReportsActualChainLengths) {
   EXPECT_EQ(map.MaxProbeLength(), 1u);  // one key, landed on its home bucket
   map.Unbind(1);
   EXPECT_EQ(map.MaxProbeLength(), 0u);
+  EXPECT_EQ(map.tombstones(), 0u);  // the last key out leaves no tombstone
+
+  // With a key still bound, an unbind leaves its bucket a tombstone.
+  map.Bind(1, 10);
+  map.Bind(2, 20);
+  map.Unbind(1);
   EXPECT_EQ(map.tombstones(), 1u);
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_GE(map.ProbeLength(2), 1u);
+  EXPECT_EQ(map.MaxProbeLength(), map.ProbeLength(2));
+  map.Unbind(2);
+  EXPECT_EQ(map.tombstones(), 0u);
 }
 
 }  // namespace

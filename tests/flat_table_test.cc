@@ -1,6 +1,7 @@
 // FlatTable, tested directly: contents against a std::unordered_map model,
-// the documented load and compaction rules, the exact bucket layout a fixed
-// sequence produces, and the lifetime of every value it holds.
+// the documented load and resize rules, the probe chains an LRU sweep's
+// erase order leaves, the exact bucket layout a fixed sequence produces, and
+// the lifetime of every value it holds.
 //
 // The layout test pins "same bucket for every key": capacity, tombstones,
 // MaxProbeLength and the ForEach key order after a fixed seeded sequence.
@@ -12,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <unordered_map>
@@ -60,20 +63,23 @@ void ExpectSameContents(const Table& t, const Model& m) {
 }
 
 // The table's geometry rules: capacity is 0 or a power of two >= 16; after
-// an insert, full + tombstone buckets stay at or under 70% of the table; after
-// an erase on a table above the floor, tombstones stay under a quarter.
+// an insert, full + tombstone buckets stay at or under 70% of the table; an
+// erase (or a lookup) never changes the capacity; an empty table has no
+// tombstones.
 enum class Op { kInsert, kErase, kOther };
 
-void ExpectGeometry(const Table& t, Op op) {
+void ExpectGeometry(const Table& t, Op op, size_t capacity_before) {
   const size_t cap = t.capacity();
   ASSERT_TRUE(cap == 0 || (IsPowerOfTwo(cap) && cap >= 16)) << cap;
   ASSERT_LE(t.size() + t.tombstones(), cap);
   if (op == Op::kInsert) {
     ASSERT_LE((t.size() + t.tombstones()) * 10, cap * 7)
         << t.size() << " full + " << t.tombstones() << " tombstones in " << cap;
+  } else {
+    ASSERT_EQ(cap, capacity_before);
   }
-  if (op == Op::kErase && cap > 16) {
-    ASSERT_LT(t.tombstones() * 4, cap) << t.tombstones() << " tombstones in " << cap;
+  if (t.empty()) {
+    ASSERT_EQ(t.tombstones(), 0u) << "an empty table of " << cap << " buckets";
   }
 }
 
@@ -82,7 +88,7 @@ TEST(FlatTableTest, MatchesUnorderedMapOverSeededOperations) {
   Model m;
   Rng rng{101};
   // Three phases over a growing then shrinking key range, so the table grows,
-  // churns at a steady size, and drains back through shrink rehashes.
+  // churns at a steady size, and drains with few inserts.
   struct Phase {
     int ops;
     uint64_t key_range;
@@ -92,6 +98,7 @@ TEST(FlatTableTest, MatchesUnorderedMapOverSeededOperations) {
   for (const Phase& ph : phases) {
     for (int i = 0; i < ph.ops; ++i) {
       const uint64_t key = rng.Below(ph.key_range);
+      const size_t capacity_before = t.capacity();
       const unsigned pick = static_cast<unsigned>(rng.Below(100));
       Op op = Op::kOther;
       if (pick < ph.insert_pct) {
@@ -126,25 +133,27 @@ TEST(FlatTableTest, MatchesUnorderedMapOverSeededOperations) {
         }
         op = Op::kErase;
       }
-      ExpectGeometry(t, op);
+      ExpectGeometry(t, op, capacity_before);
       ExpectSameContents(t, m);
       if (::testing::Test::HasFatalFailure()) {
         return;
       }
     }
   }
-  // An erase-heavy drain of everything left, then clear on an empty and on a
+  // An erase-only drain of everything left, then clear on an empty and on a
   // refilled table.
   std::vector<uint64_t> keys;
   t.ForEach([&](uint64_t k, uint64_t) { keys.push_back(k); });
+  const size_t capacity_before_drain = t.capacity();
   for (uint64_t k : keys) {
     ASSERT_TRUE(t.Erase(k));
     m.erase(k);
-    ExpectGeometry(t, Op::kErase);
+    ExpectGeometry(t, Op::kErase, capacity_before_drain);
     ExpectSameContents(t, m);
   }
   EXPECT_TRUE(t.empty());
-  EXPECT_LE(t.capacity(), 64u);  // shrink rehashes gave the memory back
+  EXPECT_EQ(t.capacity(), capacity_before_drain);  // the drained table keeps its buckets
+  EXPECT_EQ(t.tombstones(), 0u);
   t.clear();
   EXPECT_EQ(t.capacity(), 0u);
   EXPECT_EQ(t.tombstones(), 0u);
@@ -153,7 +162,7 @@ TEST(FlatTableTest, MatchesUnorderedMapOverSeededOperations) {
   for (uint64_t k = 0; k < 100; ++k) {
     *t.TryEmplace(k).first = k * 3;
     m[k] = k * 3;
-    ExpectGeometry(t, Op::kInsert);
+    ExpectGeometry(t, Op::kInsert, 0);
   }
   ExpectSameContents(t, m);
   t.clear();
@@ -190,6 +199,50 @@ TEST(FlatTableTest, IsMoveOnly) {
   EXPECT_EQ(b.capacity(), 0u);  // NOLINT(bugprone-use-after-move)
 }
 
+// --- probe chains under the idle sweep's erase order -------------------------
+
+// Keyed like UDP's active map in hostbench's session-churn: one peer address,
+// and (peer port, local port) pairs that are distinct for every n.
+using UdpKey = std::tuple<IpAddr, uint16_t, uint16_t>;
+
+UdpKey ChurnKey(uint64_t n) {
+  return UdpKey{IpAddr(10, 0, 0, 2), static_cast<uint16_t>(20000 + n / 60000),
+                static_cast<uint16_t>(1 + n % 60000)};
+}
+
+// The idle sweep erases the least recently used session first. At a steady
+// 55% load, erasing the oldest key and inserting a new one, 40 times the
+// live count over, keeps every chain short: tombstones land where the
+// oldest keys sat, spread over the table, not piled at its front (only an
+// erase order that favours the lowest buckets builds the long clusters the
+// golden sequence below records).
+TEST(FlatTableTest, OldestFirstEvictionKeepsProbeChainsShort) {
+  for (const size_t capacity : {size_t{8192}, size_t{16384}, size_t{65536}}) {
+    const size_t live = capacity * 55 / 100;
+    FlatTable<UdpKey, uint64_t> t;
+    uint64_t oldest = 0;
+    uint64_t next = 0;
+    while (next < live) {
+      *t.TryEmplace(ChurnKey(next)).first = next;
+      ++next;
+    }
+    ASSERT_EQ(t.capacity(), capacity);
+    size_t worst = t.MaxProbeLength();
+    for (size_t step = 1; step <= 40 * live; ++step) {
+      ASSERT_TRUE(t.Erase(ChurnKey(oldest++)));
+      *t.TryEmplace(ChurnKey(next)).first = next;
+      ++next;
+      if (step % (live / 16) == 0) {
+        ASSERT_EQ(t.capacity(), capacity);
+        worst = std::max(worst, t.MaxProbeLength());
+      }
+    }
+    EXPECT_EQ(t.size(), live);
+    EXPECT_LE(worst, 64u) << live << " live keys in " << capacity << " buckets";
+    RecordProperty("max_probe_" + std::to_string(live), std::to_string(worst));
+  }
+}
+
 // --- golden layout -----------------------------------------------------------
 
 // Folds the ForEach order (and so every key's bucket, relative to the others)
@@ -220,8 +273,8 @@ Layout LayoutOf(const T& t, KeyBits bits) {
 }
 
 // The same fixed sequence, recorded after each phase: growth to ~5k keys,
-// churn (tombstones made, reused and compacted; the population drifts up to
-// ~8k), then an erase-heavy drain through shrink rehashes.
+// churn (tombstones made, reused and rehashed away; the population drifts up
+// to ~8k), then an erase-only drain to 300 keys, which keeps the capacity.
 template <typename T, typename MakeKey, typename KeyBits>
 std::vector<Layout> RunFixedSequence(MakeKey make_key, KeyBits bits) {
   using K = std::decay_t<decltype(make_key(0))>;
@@ -268,7 +321,7 @@ TEST(FlatTableTest, GoldenLayoutOfIntegerKeys) {
   const std::vector<Layout> want = {
       {4993, 8192, 0, 40, 0x51e4419b32c1a3baull},
       {8212, 16384, 726, 367, 0x7e6da95ff7a2c4afull},
-      {300, 2048, 446, 5, 0xbcef580a02e8502dull},
+      {300, 16384, 8638, 197, 0x898c6726ee80c4c1ull},
   };
   EXPECT_EQ(got, want);
 }
@@ -288,7 +341,7 @@ TEST(FlatTableTest, GoldenLayoutOfUdpStyleTupleKeys) {
   const std::vector<Layout> want = {
       {4993, 8192, 0, 25, 0x68a72c68e160de99ull},
       {8213, 16384, 751, 247, 0x9d14ff0a3ded64ccull},
-      {300, 2048, 472, 3, 0xa76c35ea3bf94b6eull},
+      {300, 16384, 8664, 90, 0xe6555efc1e481a9dull},
   };
   EXPECT_EQ(got, want);
 }
@@ -346,14 +399,25 @@ TEST(FlatTableTest, EveryValueIsDestroyedExactlyOnce) {
       ASSERT_EQ(*out.payload, k);
       ASSERT_EQ(Counted::live(), static_cast<int64_t>(t.size()) + 1);
     }
-    // An erase-heavy drain: compaction and shrink rehashes.
+    // An erase-only drain keeps the table; the inserts after it cross the
+    // 70% rule with tombstones and rehash them away, moving every survivor.
     const size_t peak = t.capacity();
     for (uint64_t k = 1000; k < 1990; ++k) {
       ASSERT_TRUE(t.Erase(k));
       ASSERT_EQ(Counted::live(), static_cast<int64_t>(t.size()));
     }
-    EXPECT_LT(t.capacity(), peak);
-    for (uint64_t k = 1990; k < 2000; ++k) {
+    EXPECT_EQ(t.capacity(), peak);
+    EXPECT_EQ(t.tombstones(), 1990u);
+    bool rehashed = false;  // a reused tombstone clears one; a rehash clears all
+    for (uint64_t k = 2000; k < 4000; ++k) {
+      const size_t tombstones_before = t.tombstones();
+      *t.TryEmplace(k).first = Counted(k);
+      ASSERT_EQ(Counted::live(), static_cast<int64_t>(t.size()));
+      rehashed = rehashed || t.tombstones() + 1 < tombstones_before;
+    }
+    EXPECT_TRUE(rehashed);
+    EXPECT_EQ(t.tombstones(), 0u);
+    for (uint64_t k = 1990; k < 4000; ++k) {
       ASSERT_NE(t.Find(k), nullptr);
       EXPECT_EQ(*t.Find(k)->payload, k);
     }
@@ -365,7 +429,7 @@ TEST(FlatTableTest, EveryValueIsDestroyedExactlyOnce) {
     *assigned.TryEmplace(99999).first = Counted(1);
     assigned = std::move(moved);  // destroys the one value it held
     EXPECT_EQ(Counted::constructed, before_moves + 2);  // Counted(1) and its slot
-    EXPECT_EQ(Counted::live(), 10);
+    EXPECT_EQ(Counted::live(), 2010);
     EXPECT_EQ(*assigned.Find(1995)->payload, 1995u);
     assigned.clear();
     EXPECT_EQ(Counted::live(), 0);

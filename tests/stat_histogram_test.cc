@@ -124,15 +124,6 @@ TEST(Histogram, MergeEquivalentToCombinedRecording) {
   }
 }
 
-TEST(Histogram, ResetClears) {
-  Histogram h;
-  h.Record(123456);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0);
-  EXPECT_EQ(h.ValueAtQuantile(0.99), 0);
-}
-
 TEST(Histogram, JsonBlockShape) {
   Histogram h;
   h.Record(Msec(1));
